@@ -28,6 +28,7 @@
 
 pub mod arbitrary;
 pub mod brute_force;
+mod dominance;
 pub mod greedy_balance;
 pub mod heuristics;
 mod multi_engine;

@@ -32,10 +32,12 @@
 //!
 //! # Search structure
 //!
-//! Round-by-round BFS with exact-duplicate removal and the quadratic
-//! per-processor domination filter of Lemma 4: configuration `a` dominates
-//! `b` when every processor has completed more jobs, or equally many with
-//! at least as much spent on **every** layer of the frontier job.  Every
+//! Round-by-round BFS with exact-duplicate removal and the per-processor
+//! domination filter of Lemma 4, run through the bucketed filter shared with
+//! the scalar engines (the internal `dominance` module): configuration `a`
+//! dominates `b` when every processor has completed more jobs, or equally
+//! many with at least as much spent on **every** layer of the frontier job.
+//! Every
 //! emitted choice completes at least one job (singletons always fit:
 //! remaining ≤ requirement ≤ capacity on every layer), so the search
 //! terminates within `total_jobs + 1` rounds.  The search is value-only —
@@ -48,6 +50,7 @@
 //! candidate that fails the fit test cannot end its level — the DFS skips
 //! it and keeps descending.
 
+use crate::dominance::{DominanceFilter, FILTER_CHECK_STRIDE};
 use crate::subset_enum::CHOICE_CHECK_STRIDE;
 use cr_core::{CancelGate, CancelReason, CancelToken, Instance, JobId, Ratio, ScaledInstance};
 use std::collections::HashSet;
@@ -181,24 +184,7 @@ impl<V: SearchUnit> MConfig<V> {
         self.completed[processor] += 1;
         self.spent[processor * k..(processor + 1) * k].fill(V::ZERO);
     }
-
-    /// `true` if `self` is at least as far as `other` on every processor:
-    /// more jobs completed, or equally many with at least as much spent on
-    /// **every** layer of the frontier job (the Lemma 4 order, extended
-    /// componentwise over the layers).
-    fn dominates(&self, other: &MConfig<V>, k: usize) -> bool {
-        self.completed.iter().enumerate().all(|(i, &ca)| {
-            let cb = other.completed[i];
-            ca > cb
-                || (ca == cb
-                    && (i * k..(i + 1) * k).all(|slot| self.spent[slot] >= other.spent[slot]))
-        })
-    }
 }
-
-/// Per-candidate check stride of the quadratic domination filter (mirrors
-/// the scalar search's stride).
-const FILTER_CHECK_STRIDE: u32 = 64;
 
 /// The result of one multi-resource search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -429,6 +415,7 @@ pub(crate) fn search_cancellable<V: SearchUnit>(
     round_cap: Option<usize>,
     token: &CancelToken,
 ) -> Result<Option<MultiSearch>, CancelReason> {
+    let _search_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_SEARCH);
     let m = view.processors();
     let k = view.resources();
     let initial = MConfig::initial(m, k);
@@ -440,12 +427,15 @@ pub(crate) fn search_cancellable<V: SearchUnit>(
     }
     let mut gate = token.gate(CHOICE_CHECK_STRIDE);
     let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
+    let mut filter = DominanceFilter::new(m, k);
     let max_rounds = view.total_jobs() + 1;
     let round_limit = round_cap.map_or(max_rounds, |cap| cap.min(max_rounds));
     let mut frontier = vec![initial];
     let mut expanded = 0usize;
     for round in 1..=round_limit {
         token.check()?;
+        let mut round_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_ROUND);
+        crate::obs::optm_rounds().inc();
         let mut seen: HashSet<MConfig<V>> = HashSet::new();
         let mut next: Vec<MConfig<V>> = Vec::new();
         for node in &frontier {
@@ -456,30 +446,23 @@ pub(crate) fn search_cancellable<V: SearchUnit>(
                 }
             })?;
         }
+        round_span.lap(cr_obs::names::SPAN_OPTM_EXPAND);
 
         // The Lemma 4 domination filter, extended componentwise over the
-        // layers (see `MConfig::dominates`).
-        let mut keep = vec![true; next.len()];
-        for b in 0..next.len() {
-            filter_gate.tick()?;
-            if !keep[b] {
-                continue;
-            }
-            // lint: allow(cancel_coverage) — bounded: pairwise domination scan over one round; the outer loop polls the filter gate
-            for c in 0..next.len() {
-                if b == c || !keep[c] {
-                    continue;
-                }
-                if next[b].dominates(&next[c], k) {
-                    keep[c] = false;
-                }
-            }
+        // layers.
+        filter.clear();
+        // lint: allow(cancel_coverage) — bounded: one O(m·k) copy per candidate; the filter ticks its gate per candidate
+        for cfg in &next {
+            filter.push(cfg.completed.iter().map(|&c| u64::from(c)), &cfg.spent);
         }
+        let candidates = next.len();
         let filtered: Vec<MConfig<V>> = next
             .into_iter()
-            .zip(keep)
-            .filter_map(|(cfg, kept)| kept.then_some(cfg))
+            .zip(filter.survivors(&mut filter_gate)?)
+            .filter_map(|(cfg, &kept)| kept.then_some(cfg))
             .collect();
+        round_span.lap(cr_obs::names::SPAN_OPTM_FILTER);
+        crate::obs::record_round_filter(candidates, filtered.len());
 
         if filtered.iter().any(|cfg| cfg.is_final(view)) {
             return Ok(Some(MultiSearch {

@@ -7,13 +7,13 @@
 
 use std::sync::OnceLock;
 
-use cr_obs::{names, Counter, Registry};
+use cr_obs::{names, Counter, Histogram, Registry};
 
 fn cached(cell: &'static OnceLock<Counter>, name: &'static str) -> &'static Counter {
     cell.get_or_init(|| Registry::global().counter(name))
 }
 
-/// Search rounds executed by either OPT(m) engine.
+/// Search rounds executed by any OPT(m) engine.
 pub(crate) fn optm_rounds() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     cached(&C, names::OPTM_ROUNDS)
@@ -29,6 +29,26 @@ pub(crate) fn optm_round_candidates() -> &'static Counter {
 pub(crate) fn optm_round_survivors() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     cached(&C, names::OPTM_ROUND_SURVIVORS)
+}
+
+/// Bucket bounds of the `optm.frontier_size` histogram: powers of four, so
+/// the ~10^4-node rounds of dense searches and the single-node rounds of
+/// trivial ones share one fixed grid.
+const FRONTIER_SIZE_BOUNDS: [u64; 10] = [1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262_144];
+
+/// Configurations surviving the round's domination filter, one
+/// observation per round.
+pub(crate) fn optm_frontier_size() -> &'static Histogram {
+    static H: OnceLock<Histogram> = OnceLock::new();
+    H.get_or_init(|| Registry::global().histogram(names::OPTM_FRONTIER_SIZE, &FRONTIER_SIZE_BOUNDS))
+}
+
+/// Records one finished round's filter: candidates in, survivors out, and
+/// the survivors as one frontier-size observation.
+pub(crate) fn record_round_filter(candidates: usize, survivors: usize) {
+    optm_round_candidates().add(delta(candidates));
+    optm_round_survivors().add(delta(survivors));
+    optm_frontier_size().observe(delta(survivors));
 }
 
 /// Subset-DFS extension steps in the shared choice enumerator.

@@ -20,34 +20,36 @@
 //! of simultaneously active processors is supported — the pre-ISSUE-4
 //! engine asserted `k < 32` because it scanned `1u32 << k` subset masks.
 //!
-//! [`run_search`] expands each round in parallel: the previous round's
-//! nodes are fanned out with rayon in contiguous chunks, each chunk
-//! produces a locally deduplicated shard, and the shards are merged in
-//! chunk order — exactly the order a serial scan would have produced — so
-//! parallel runs are byte-identical to serial ones (the same determinism
-//! contract the experiment pipeline documents).  A round that outgrows the
-//! `u32` parent-index headroom surfaces as a structured [`SearchError`]
-//! instead of a panic; callers fall back to the rational reference search.
+//! [`run_search`] runs every round serially: expand the previous round's
+//! nodes in parent order (first representative of each exact duplicate
+//! wins), then keep the Lemma 4 survivors through the bucketed filter
+//! shared with the other engines ([`crate::dominance`]).  Rounds used to
+//! fan out over rayon in chunks with an order-preserving merge, but the
+//! expansion was never the cost: on 45 `Uniform m=4 n=3` instances (2-vCPU
+//! host) the kept-prefix filter took 1.17–1.54 s of a 1.32–1.65 s pass.
+//! With the bucketed filter the same pass takes 0.18–0.25 s, and serial
+//! expansion (67–86 ms of it) beats the chunked fan-out plus merge
+//! (86–109 ms), which also spawned fresh threads every round.  A round that
+//! outgrows the `u32` parent-index headroom surfaces as a structured
+//! [`SearchError`] instead of a panic; callers fall back to the rational
+//! reference search.
 //!
 //! The engine is internal; its correctness contract is "identical makespans
 //! to the rational reference solvers", enforced by unit tests here and by
 //! the `proptest_scaled` cross-check suite.
 
+use crate::dominance::{DominanceFilter, FILTER_CHECK_STRIDE};
 use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
 use cr_core::{
     CancelGate, CancelReason, CancelToken, Instance, Ratio, ScaledInstance, Schedule,
     ScheduleBuilder,
 };
-use rayon::prelude::*;
 use rustc_hash::FxHashSet;
 use std::fmt;
 use std::sync::Arc;
 
 /// A packed configuration: `2m` words, `[completed_0, …, completed_{m-1},
 /// spent_0, …, spent_{m-1}]` with `spent` in units.
-///
-/// `Arc` (not `Rc`) so round expansion can fan configurations out across
-/// rayon workers.
 pub(crate) type PackedConfig = Arc<[u64]>;
 
 /// Structured failure of the configuration search.  The search is total for
@@ -100,13 +102,6 @@ pub(crate) fn is_final(scaled: &ScaledInstance, config: &[u64]) -> bool {
     (0..scaled.processors()).all(|i| config[i] as usize >= scaled.jobs_on(i))
 }
 
-/// `true` if `a` dominates `b` (component-wise at least as far, in the
-/// Lemma 4 order: more jobs completed, or equally many and at least as much
-/// spent on the frontier job).
-pub(crate) fn dominates(m: usize, a: &[u64], b: &[u64]) -> bool {
-    (0..m).all(|i| a[i] > b[i] || (a[i] == b[i] && a[m + i] >= b[m + i]))
-}
-
 /// The decision producing a successor: which of the parent's active
 /// processors complete and which processor, if any, receives the leftover
 /// units without completing.  Width-independent (any number of active
@@ -128,8 +123,8 @@ impl ScaledChoice {
     }
 }
 
-/// Reusable scratch buffers for successor generation (one per search chunk,
-/// not one per expansion).
+/// Reusable scratch buffers for successor generation (one per search, not
+/// one per expansion).
 #[derive(Debug, Default)]
 pub(crate) struct SuccScratch {
     active: Vec<usize>,
@@ -235,36 +230,34 @@ pub(crate) struct ScaledNode {
     pub choice: ScaledChoice,
 }
 
-/// Expands one contiguous chunk of the previous round into its successor
-/// shard: nodes in parent order, locally deduplicated (first representative
-/// wins, matching what a serial scan of the same chunk keeps).
-fn expand_chunk(
+/// Expands one round into its candidates: successors in parent order,
+/// exact duplicates dropped (the first representative wins).  `seen` is the
+/// search's reusable dedup set; it is cleared here.
+fn expand_round(
     scaled: &ScaledInstance,
-    base: u32,
-    nodes: &[ScaledNode],
+    prev: &[ScaledNode],
     scratch: &mut SuccScratch,
-    token: &CancelToken,
+    seen: &mut FxHashSet<PackedConfig>,
+    gate: &mut CancelGate,
 ) -> Result<Vec<ScaledNode>, CancelReason> {
-    let mut gate = token.gate(CHOICE_CHECK_STRIDE);
-    let mut local_seen: FxHashSet<PackedConfig> = FxHashSet::default();
+    seen.clear();
     let mut out: Vec<ScaledNode> = Vec::new();
-    for (offset, node) in nodes.iter().enumerate() {
+    for (index, node) in prev.iter().enumerate() {
         // lint: allow(panic_hygiene) — round sizes were checked against the u32 parent-index headroom when the round was admitted
-        let parent = base + u32::try_from(offset).expect("chunk offset fits u32");
+        let parent = u32::try_from(index).expect("round size fits u32");
         for_each_successor_cancellable(
             scaled,
             &node.config,
             scratch,
-            &mut gate,
+            gate,
             |tmp, finished, partial| {
-                // Exact duplicate within the shard: keep the first
-                // representative.  Probing with the borrowed scratch slice means
-                // duplicates cost no allocation at all.
-                if local_seen.contains(tmp) {
+                // Probing with the borrowed scratch slice means duplicates cost
+                // no allocation at all.
+                if seen.contains(tmp) {
                     return;
                 }
                 let config: PackedConfig = Arc::from(tmp);
-                local_seen.insert(config.clone());
+                seen.insert(config.clone());
                 out.push(ScaledNode {
                     config,
                     parent,
@@ -283,16 +276,14 @@ fn expand_chunk(
 /// returns, per round, the surviving (deduplicated, non-dominated) nodes.
 /// The search stops after the first round containing a final configuration.
 ///
-/// Round expansion is rayon-parallel with byte-identical output to a serial
-/// run (see the module docs); [`run_search_chunked`] exposes the chunk size
-/// so tests can pin both extremes.
-///
 /// # Errors
 ///
 /// [`SearchError::RoundTooLarge`] when a round outgrows the `u32`
 /// parent-index headroom; callers fall back to the rational search.
 pub(crate) fn run_search(scaled: &ScaledInstance) -> Result<Vec<Vec<ScaledNode>>, SearchError> {
-    run_search_chunked(scaled, None)
+    run_search_cancellable(scaled, None, &CancelToken::never())
+        // lint: allow(panic_hygiene) — with no round cap the search only reports None when capped, and a never-token cannot fire
+        .map(|rounds| rounds.expect("uncapped search always reaches a final configuration"))
 }
 
 /// [`run_search`] with a hard round cap (the solver layer's `max_rounds`
@@ -304,37 +295,6 @@ pub(crate) fn run_search(scaled: &ScaledInstance) -> Result<Vec<Vec<ScaledNode>>
 /// firing, surfacing [`SearchError::Cancelled`].
 pub(crate) fn run_search_cancellable(
     scaled: &ScaledInstance,
-    round_cap: Option<usize>,
-    token: &CancelToken,
-) -> Result<Option<Vec<Vec<ScaledNode>>>, SearchError> {
-    run_search_impl(scaled, None, round_cap, token)
-}
-
-/// [`run_search`] with an explicit expansion chunk size (`None` derives one
-/// chunk per rayon worker).  Output is independent of the chunk size — the
-/// determinism property tests compare per-node chunks against a single
-/// serial chunk.
-pub(crate) fn run_search_chunked(
-    scaled: &ScaledInstance,
-    chunk_size: Option<usize>,
-) -> Result<Vec<Vec<ScaledNode>>, SearchError> {
-    run_search_impl(scaled, chunk_size, None, &CancelToken::never())
-        // lint: allow(panic_hygiene) — with no round cap the search only reports None when capped, and a never-token cannot fire
-        .map(|rounds| rounds.expect("uncapped search always reaches a final configuration"))
-}
-
-/// How many dominance-filter candidates pass between token checks: one
-/// candidate costs a kept-prefix scan of slice compares (microseconds on
-/// the largest observed rounds), so this stride checks far more often than
-/// the [`cr_core::cancel::CHECK_INTERVAL_MS`] contract requires.
-const FILTER_CHECK_STRIDE: u32 = 64;
-
-/// The configuration search with all knobs: expansion chunk size, round
-/// cap and cancellation.  `Ok(None)` is only produced when `round_cap` cuts
-/// the search off.
-fn run_search_impl(
-    scaled: &ScaledInstance,
-    chunk_size: Option<usize>,
     round_cap: Option<usize>,
     token: &CancelToken,
 ) -> Result<Option<Vec<Vec<ScaledNode>>>, SearchError> {
@@ -351,82 +311,30 @@ fn run_search_impl(
         return Ok(Some(rounds));
     }
 
-    // Below this round size the fan-out cannot win: the vendored rayon
-    // spawns one OS thread per chunk, which costs more than expanding a
-    // few hundred nodes serially (and the search may nest under the
-    // experiment pipeline's own worker fan-out).  An explicit `chunk_size`
-    // bypasses the cutoff so the determinism tests can force tiny chunks.
-    const MIN_PARALLEL_ROUND: usize = 256;
-
-    let mut serial_scratch = SuccScratch::default();
+    let mut scratch = SuccScratch::default();
+    let mut seen: FxHashSet<PackedConfig> = FxHashSet::default();
+    let mut filter = DominanceFilter::new(m, 1);
+    let mut gate = token.gate(CHOICE_CHECK_STRIDE);
+    let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
     let max_rounds = scaled.total_jobs() + 1;
     let round_limit = round_cap.map_or(max_rounds, |cap| cap.min(max_rounds));
     let mut found_final = false;
     for _round in 0..round_limit {
         token.check().map_err(cancelled)?;
-        let _round_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_ROUND);
+        let mut round_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_ROUND);
         crate::obs::optm_rounds().inc();
         // Invariant: `prev` was size-checked against the u32 parent-index
         // headroom when it was produced (the initial round has one node).
         // lint: allow(panic_hygiene) — `rounds` is seeded with the initial round before this loop
         let prev = rounds.last().expect("at least the initial round");
-        let chunk = chunk_size
-            .unwrap_or_else(|| prev.len().div_ceil(rayon::current_num_threads()))
-            .max(1);
+        let next =
+            expand_round(scaled, prev, &mut scratch, &mut seen, &mut gate).map_err(cancelled)?;
+        round_span.lap(cr_obs::names::SPAN_OPTM_EXPAND);
 
-        let serial =
-            chunk >= prev.len() || (chunk_size.is_none() && prev.len() < MIN_PARALLEL_ROUND);
-        let next: Vec<ScaledNode> = if serial {
-            // One chunk: its local dedup already is the global dedup, so the
-            // merge (and the parallel plumbing) would be pure overhead.
-            // Small instances take this path on every round.
-            expand_chunk(scaled, 0, prev, &mut serial_scratch, token).map_err(cancelled)?
-        } else {
-            // Fan the round out chunk-wise; each shard arrives locally
-            // deduped and in parent order, and the chunks come back in
-            // input order, so the sequential merge below sees successors in
-            // exactly the order a serial scan would produce them.
-            let chunks: Vec<(u32, &[ScaledNode])> = prev
-                .chunks(chunk)
-                .enumerate()
-                .map(|(ci, slice)| {
-                    (
-                        // lint: allow(panic_hygiene) — round sizes were checked against the u32 parent-index headroom when the round was admitted
-                        u32::try_from(ci * chunk).expect("round size fits u32"),
-                        slice,
-                    )
-                })
-                .collect();
-            let shards: Vec<Result<Vec<ScaledNode>, CancelReason>> = chunks
-                .par_iter()
-                .map(|&(base, slice)| {
-                    let mut scratch = SuccScratch::default();
-                    expand_chunk(scaled, base, slice, &mut scratch, token)
-                })
-                .collect();
-
-            let mut seen: FxHashSet<PackedConfig> = FxHashSet::default();
-            let mut merged: Vec<ScaledNode> = Vec::new();
-            for shard in shards {
-                // A cancelled shard aborts the whole round: the other shards
-                // observed the same token and bailed within one stride.
-                for node in shard.map_err(cancelled)? {
-                    // Cross-shard duplicate: the first shard (lowest parent
-                    // index) keeps its representative, as in a serial scan.
-                    if seen.contains(&*node.config) {
-                        continue;
-                    }
-                    seen.insert(node.config.clone());
-                    merged.push(node);
-                }
-            }
-            merged
-        };
-
-        // The structured-error gate: this merged round becomes the next
-        // round's parent space, so its size must fit the u32 back-pointers
-        // *before* anything indexes it.  (The dominance filter below only
-        // shrinks it.)
+        // The structured-error gate: this round becomes the next round's
+        // parent space, so its size must fit the u32 back-pointers *before*
+        // anything indexes it.  (The dominance filter below only shrinks
+        // it.)
         if u32::try_from(next.len()).is_err() {
             return Err(SearchError::RoundTooLarge {
                 round: rounds.len(),
@@ -434,48 +342,40 @@ fn run_search_impl(
             });
         }
 
-        // Remove dominated configurations (Lemma 4).  The surviving set is
-        // the unique maximal antichain of the domination order, so it can be
-        // computed with one forward pass over candidates sorted by
-        // (Σ completed, Σ spent) descending: `a` dominates `b` implies
-        // Σc(a) ≥ Σc(b), and on equality Σs(a) ≥ Σs(b), so every dominator
-        // precedes what it dominates and only the kept prefix must be
-        // checked — O(candidates · survivors) integer slice compares instead
-        // of O(candidates²).  Spent sums are accumulated in u128: with the
+        // Keep the Lemma 4 survivors, emitted by (Σ completed, Σ spent,
+        // index) descending.  Spent sums are accumulated in u128: with the
         // relaxed 2·D capacity headroom an m-fold unit sum may exceed u64.
-        let mut order: Vec<(u64, u128, u32)> = next
-            .iter()
-            .enumerate()
-            .map(|(idx, node)| {
-                let sum_completed: u64 = node.config[..m].iter().sum();
-                let sum_spent: u128 = node.config[m..].iter().map(|&s| u128::from(s)).sum();
-                (
-                    sum_completed,
-                    sum_spent,
-                    // lint: allow(panic_hygiene) — the surrounding round was size-checked against u32 headroom, so `idx` fits
-                    u32::try_from(idx).expect("round size gated above"),
-                )
-            })
-            .collect();
-        order.sort_unstable_by(|a, b| b.cmp(a));
-        let mut kept: Vec<u32> = Vec::with_capacity(order.len());
-        let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
-        for &(_, _, idx) in &order {
-            filter_gate.tick().map_err(cancelled)?;
-            let candidate = &next[idx as usize].config;
-            if !kept
-                .iter()
-                .any(|&k| dominates(m, &next[k as usize].config, candidate))
-            {
-                kept.push(idx);
+        let filtered: Vec<ScaledNode> = {
+            filter.clear();
+            // lint: allow(cancel_coverage) — bounded: one O(m) copy per candidate; the filter ticks its gate per candidate
+            for node in &next {
+                filter.push(node.config[..m].iter().copied(), &node.config[m..]);
             }
-        }
-        let filtered: Vec<ScaledNode> = kept
-            .into_iter()
-            .map(|idx| next[idx as usize].clone())
-            .collect();
-        crate::obs::optm_round_candidates().add(crate::obs::delta(next.len()));
-        crate::obs::optm_round_survivors().add(crate::obs::delta(filtered.len()));
+            let keep = filter.survivors(&mut filter_gate).map_err(cancelled)?;
+            let mut order: Vec<(u64, u128, u32)> = next
+                .iter()
+                .zip(keep)
+                .enumerate()
+                .filter(|&(_, (_, &kept))| kept)
+                .map(|(idx, (node, _))| {
+                    let sum_completed: u64 = node.config[..m].iter().sum();
+                    let sum_spent: u128 = node.config[m..].iter().map(|&s| u128::from(s)).sum();
+                    (
+                        sum_completed,
+                        sum_spent,
+                        // lint: allow(panic_hygiene) — the surrounding round was size-checked against u32 headroom, so `idx` fits
+                        u32::try_from(idx).expect("round size gated above"),
+                    )
+                })
+                .collect();
+            order.sort_unstable_by(|a, b| b.cmp(a));
+            order
+                .into_iter()
+                .map(|(_, _, idx)| next[idx as usize].clone())
+                .collect()
+        };
+        round_span.lap(cr_obs::names::SPAN_OPTM_FILTER);
+        crate::obs::record_round_filter(next.len(), filtered.len());
 
         let done = filtered.iter().any(|n| is_final(scaled, &n.config));
         rounds.push(filtered);
@@ -976,14 +876,25 @@ mod tests {
         assert_eq!(schedule.makespan(&inst).unwrap(), 3);
     }
 
+    /// The keep mask the search's filter computes for packed configurations.
+    fn survivors(m: usize, configs: &[&[u64]]) -> Vec<bool> {
+        let mut filter = DominanceFilter::new(m, 1);
+        for config in configs {
+            filter.push(config[..m].iter().copied(), &config[m..]);
+        }
+        let mut gate = CancelToken::never().gate(FILTER_CHECK_STRIDE);
+        filter.survivors(&mut gate).unwrap().to_vec()
+    }
+
     #[test]
     fn domination_is_reflexive_and_ordered() {
-        // completed = [2, 1] / spent = [0, 30] dominates [1, 1] / [90, 10].
-        let a = [2u64, 1, 0, 30];
-        let b = [1u64, 1, 90, 10];
-        assert!(dominates(2, &a, &a));
-        assert!(dominates(2, &a, &b));
-        assert!(!dominates(2, &b, &a));
+        // completed = [2, 1] / spent = [0, 30] dominates [1, 1] / [90, 10],
+        // in either push order; an exact duplicate keeps only its first copy.
+        let a: &[u64] = &[2, 1, 0, 30];
+        let b: &[u64] = &[1, 1, 90, 10];
+        assert_eq!(survivors(2, &[a, a]), [true, false]);
+        assert_eq!(survivors(2, &[a, b]), [true, false]);
+        assert_eq!(survivors(2, &[b, a]), [false, true]);
     }
 
     #[test]
@@ -1057,6 +968,86 @@ mod tests {
         assert_eq!(cancellable, run_search(&s).unwrap());
     }
 
+    /// The search's emitted order decides which optimal schedule is
+    /// replayed (the last round's first final node, the first
+    /// representative of every duplicate, the parents it points back to).
+    /// These schedules were recorded from the kept-prefix filter the
+    /// bucketed one replaced, on four `Uniform m=4 n=3` instances
+    /// (`cr_instances::random_unit_instance` seeds 1000, 1001, 1002 and 7),
+    /// and must not move.
+    #[test]
+    fn pinned_uniform_schedules_are_unchanged() {
+        type Case = (
+            &'static [&'static [i64]],
+            &'static [&'static [&'static str]],
+        );
+        let cases: [Case; 4] = [
+            (
+                &[&[72, 96, 3], &[8, 86, 77], &[50, 56, 37], &[33, 54, 21]],
+                &[
+                    &["9/100", "2/25", "1/2", "33/100"],
+                    &["63/100", "37/100", "0", "0"],
+                    &["24/25", "0", "0", "1/25"],
+                    &["1/100", "49/100", "0", "1/2"],
+                    &["1/50", "21/100", "14/25", "21/100"],
+                    &["0", "14/25", "37/100", "0"],
+                ],
+            ),
+            (
+                &[&[81, 72, 66], &[85, 90, 91], &[5, 63, 62], &[55, 70, 63]],
+                &[
+                    &["2/5", "0", "1/20", "11/20"],
+                    &["0", "0", "63/100", "37/100"],
+                    &["0", "17/20", "3/20", "0"],
+                    &["0", "9/10", "1/10", "0"],
+                    &["41/100", "13/50", "0", "33/100"],
+                    &["18/25", "0", "0", "7/25"],
+                    &["7/25", "0", "37/100", "7/20"],
+                    &["19/50", "31/50", "0", "0"],
+                    &["0", "3/100", "0", "0"],
+                ],
+            ),
+            (
+                &[&[63, 88, 40], &[56, 21, 19], &[40, 8, 51], &[64, 59, 53]],
+                &[
+                    &["0", "14/25", "2/5", "1/25"],
+                    &["11/100", "21/100", "2/25", "3/5"],
+                    &["13/25", "0", "0", "12/25"],
+                    &["22/25", "0", "1/100", "11/100"],
+                    &["2/5", "19/100", "0", "41/100"],
+                    &["0", "0", "1/2", "3/25"],
+                ],
+            ),
+            (
+                &[&[97, 40, 90], &[51, 86, 45], &[85, 21, 24], &[53, 38, 24]],
+                &[
+                    &["0", "51/100", "0", "49/100"],
+                    &["0", "11/100", "17/20", "1/25"],
+                    &["97/100", "0", "0", "3/100"],
+                    &["1/25", "3/4", "21/100", "0"],
+                    &["9/25", "1/20", "6/25", "7/20"],
+                    &["9/25", "2/5", "0", "6/25"],
+                    &["27/50", "0", "0", "0"],
+                ],
+            ),
+        ];
+        for (rows, want) in cases {
+            let inst = Instance::unit_from_percentages(rows);
+            let s = ScaledInstance::try_new(&inst).unwrap();
+            let schedule = search_schedule(&inst, &s, &run_search(&s).unwrap());
+            let got: Vec<Vec<String>> = schedule
+                .steps()
+                .iter()
+                .map(|step| step.iter().map(ToString::to_string).collect())
+                .collect();
+            let want: Vec<Vec<String>> = want
+                .iter()
+                .map(|step| step.iter().map(|&share| share.to_string()).collect())
+                .collect();
+            assert_eq!(got, want, "{inst}");
+        }
+    }
+
     #[test]
     fn search_error_displays_the_offending_round() {
         let err = SearchError::RoundTooLarge {
@@ -1103,29 +1094,6 @@ mod tests {
                     mask_scan_choices(&s, &config)
                 );
             }
-        }
-
-        /// Parallel round expansion is byte-identical to serial: every chunk
-        /// granularity produces the same rounds (nodes, parents, choices)
-        /// and therefore the same reconstructed schedule.
-        #[test]
-        fn parallel_search_is_bit_identical_to_serial(
-            den in 1u64..=24,
-            rows in prop::collection::vec(prop::collection::vec(0u64..=100, 1..=3), 2..=4),
-        ) {
-            let inst = percent_instance(den, &rows);
-            let s = ScaledInstance::try_new(&inst).expect("small denominators always scale");
-            let serial = run_search_chunked(&s, Some(usize::MAX)).unwrap();
-            for chunk in [1usize, 2, 3] {
-                let parallel = run_search_chunked(&s, Some(chunk)).unwrap();
-                prop_assert_eq!(&parallel, &serial);
-            }
-            let default = run_search(&s).unwrap();
-            prop_assert_eq!(&default, &serial);
-            prop_assert_eq!(
-                search_schedule(&inst, &s, &default),
-                search_schedule(&inst, &s, &serial)
-            );
         }
     }
 }

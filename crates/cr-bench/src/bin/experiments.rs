@@ -10,9 +10,9 @@
 //! * `BENCH_pipeline.json` — wall-clock timings of the parallel run (the
 //!   perf baseline future PRs compare against).  Besides the eight report
 //!   tables this also times *timing-only* sweeps — the heuristic line-up,
-//!   the many-core simulator on the scaled engine, the OPT(m)
-//!   thread-scaling record (the rayon-parallel round expansion at pinned
-//!   worker counts), batch-service throughput, socket serving latency and
+//!   the many-core simulator on the scaled engine, the OPT(m) frontier
+//!   breakdown (round expansion vs the Lemma 4 filter, with candidate and
+//!   survivor counts), batch-service throughput, socket serving latency and
 //!   the multi-resource overhead curve over `k ∈ {1, 2, 4}` layers — which
 //!   appear in `BENCH_pipeline.json` but never in `experiments.json`.
 //!
@@ -174,13 +174,13 @@ fn main() {
         );
         timings.push(timing);
     }
-    let scaling = run_thread_scaling_table(args.reduced);
+    let frontier = run_frontier_breakdown_table(args.reduced);
     println!(
         "  {:<46} {:>5} cells  {:>9.1} ms  (max cell {:>7.1} ms)",
-        scaling.title, scaling.cells, scaling.wall_ms, scaling.max_cell_ms
+        frontier.title, frontier.cells, frontier.wall_ms, frontier.max_cell_ms
     );
-    timing_cells += scaling.cells;
-    timings.push(scaling);
+    timing_cells += frontier.cells;
+    timings.push(frontier);
     let batch = run_batch_throughput_table(args.reduced);
     println!(
         "  {:<46} {:>5} cells  {:>9.1} ms  (max cell {:>7.1} ms)",
@@ -654,59 +654,112 @@ fn run_multi_resource_table(reduced: bool) -> TableTiming {
     }
 }
 
-/// Times the parallel OPT(m) round expansion at pinned rayon worker counts
-/// over a fixed batch of large oversubscribed instances — the ISSUE-4
-/// thread-scaling record (one cell per worker count).  The engine's round
-/// fan-out reads `RAYON_NUM_THREADS` per expansion, so the sweep pins the
-/// variable for each cell and restores it afterwards; it must therefore run
-/// on the main thread between tables, never inside a parallel section.
-/// Parallel runs are byte-identical to serial ones, which the summed
-/// makespans double-check across worker counts.
-fn run_thread_scaling_table(reduced: bool) -> TableTiming {
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
+/// The OPT(m) engine's own counters and span times, summed over every span
+/// path ending in the expand/filter spans (the searches nest under
+/// whatever span the caller has open).
+#[derive(Debug, Clone, Copy)]
+struct FrontierTotals {
+    expand_ns: u64,
+    filter_ns: u64,
+    candidates: u64,
+    survivors: u64,
+}
+
+impl FrontierTotals {
+    fn read() -> Self {
+        let snapshot = cr_obs::Registry::global().snapshot();
+        let span_ns = |name: &str| -> u64 {
+            snapshot
+                .spans
+                .iter()
+                .filter(|span| span.path.rsplit('/').next() == Some(name))
+                .map(|span| span.total_ns)
+                .sum()
+        };
+        let counter = |name: &str| -> u64 {
+            snapshot
+                .metrics
+                .iter()
+                .find(|metric| metric.name == name)
+                .and_then(|metric| match metric.value {
+                    cr_obs::MetricValue::Counter(value) => Some(value),
+                    _ => None,
+                })
+                .unwrap_or(0)
+        };
+        FrontierTotals {
+            expand_ns: span_ns(cr_obs::names::SPAN_OPTM_EXPAND),
+            filter_ns: span_ns(cr_obs::names::SPAN_OPTM_FILTER),
+            candidates: counter(cr_obs::names::OPTM_ROUND_CANDIDATES),
+            survivors: counter(cr_obs::names::OPTM_ROUND_SURVIVORS),
+        }
+    }
+}
+
+/// Splits OPT(m) search time into round expansion and the Lemma 4
+/// domination filter over a fixed batch of large oversubscribed instances
+/// (one cell per instance).  Each cell reads the engine's `optm.expand` /
+/// `optm.filter` spans and `optm.round_candidates` /
+/// `optm.round_survivors` counters — the numbers a live `cr-serve` exports
+/// in its metrics dump — as registry deltas around one solve, so the sweep
+/// runs on the main thread between tables, never beside other solves.
+/// Under the `obs-off` feature the breakdown reads zeros.
+fn run_frontier_breakdown_table(reduced: bool) -> TableTiming {
     let reps: u64 = if reduced { 1 } else { 3 };
     let wide_m = if reduced { 16 } else { 32 };
     // Dense uniform searches (rounds with many surviving configurations)
     // plus one wide-active-set instance; both oversubscribe the resource.
-    let mut instances: Vec<Instance> = (0..reps)
-        .map(|rep| random_unit_instance(&RandomConfig::uniform(4, 3), 1000 + rep))
+    let mut instances: Vec<(String, Instance)> = (0..reps)
+        .map(|rep| {
+            (
+                format!("Uniform m=4 n=3 seed={}", 1000 + rep),
+                random_unit_instance(&RandomConfig::uniform(4, 3), 1000 + rep),
+            )
+        })
         .collect();
-    instances.push(wide_oversubscribed_instance(wide_m, 4, 3, 12, 90));
+    instances.push((
+        format!("WideOversub m={wide_m}"),
+        wide_oversubscribed_instance(wide_m, 4, 3, 12, 90),
+    ));
 
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
+    let round2 = |x: f64| (x * 100.0).round() / 100.0;
+    let ms = |ns: u64| serde::Value::Number(serde::Number::Float(round2(ns as f64 / 1e6)));
+    let count = |n: u64| serde::Value::Number(serde::Number::Int(i128::from(n)));
     let start = Instant::now();
-    let mut per_cell_ms = Vec::with_capacity(THREADS.len());
-    let mut reference: Option<usize> = None;
-    for &threads in &THREADS {
-        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-        // Inside a rayon worker the shim reports a parallelism of 1 and the
-        // pin would be silently ignored — every cell would measure serial
-        // execution and record a flat, meaningless scaling curve.
-        assert_eq!(
-            rayon::current_num_threads(),
-            threads,
-            "thread-scaling sweep must run outside any rayon worker"
-        );
+    let mut per_cell_ms = Vec::with_capacity(instances.len());
+    let mut rows = Vec::with_capacity(instances.len());
+    for (label, instance) in &instances {
+        let before = FrontierTotals::read();
         let cell_start = Instant::now();
-        let sum: usize = instances.iter().map(opt_m_makespan).sum();
+        black_box(opt_m_makespan(instance));
         per_cell_ms.push(cell_start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(
-            *reference.get_or_insert(sum),
-            sum,
-            "worker count changed an optimal makespan"
-        );
-        black_box(sum);
-    }
-    match saved {
-        Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
+        let after = FrontierTotals::read();
+        rows.push(serde::Value::Object(vec![
+            ("instance".to_string(), serde::Value::String(label.clone())),
+            (
+                "expand_ms".to_string(),
+                ms(after.expand_ns - before.expand_ns),
+            ),
+            (
+                "filter_ms".to_string(),
+                ms(after.filter_ns - before.filter_ns),
+            ),
+            (
+                "candidates".to_string(),
+                count(after.candidates - before.candidates),
+            ),
+            (
+                "survivors".to_string(),
+                count(after.survivors - before.survivors),
+            ),
+        ]));
     }
     TableTiming {
-        title: "OPT(m) thread scaling (parallel rounds)".to_string(),
-        cells: THREADS.len(),
+        title: "OPT(m) frontier breakdown".to_string(),
+        cells: instances.len(),
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
         max_cell_ms: per_cell_ms.iter().fold(0.0f64, |a, &b| a.max(b)),
-        extra: Vec::new(),
+        extra: vec![("breakdown".to_string(), serde::Value::Array(rows))],
     }
 }
 

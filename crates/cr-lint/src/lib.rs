@@ -37,8 +37,9 @@ use std::path::{Path, PathBuf};
 
 /// The hot modules whose loops must poll a `CancelGate`
 /// (workspace-relative paths).
-pub const HOT_MODULES: [&str; 6] = [
+pub const HOT_MODULES: [&str; 7] = [
     "crates/cr-algos/src/scaled_engine.rs",
+    "crates/cr-algos/src/dominance.rs",
     "crates/cr-algos/src/opt_m.rs",
     "crates/cr-algos/src/subset_enum.rs",
     "crates/cr-algos/src/brute_force.rs",

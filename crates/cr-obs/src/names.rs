@@ -43,8 +43,12 @@ pub const NET_QUOTA_REJECTED: &str = "net.quota_rejected";
 pub const NET_SERVED: &str = "net.served";
 /// Worker panics isolated by the per-request catch.
 pub const NET_WORKER_PANICS: &str = "net.worker_panics";
-/// Search rounds executed by the OPT(m) engines (scaled and rational).
+/// Search rounds executed by the OPT(m) engines (scaled, rational and
+/// multi-resource).
 pub const OPTM_ROUNDS: &str = "optm.rounds";
+/// Histogram of frontier sizes: configurations surviving the domination
+/// filter, one observation per round.
+pub const OPTM_FRONTIER_SIZE: &str = "optm.frontier_size";
 /// Frontier configurations entering the domination filter, summed over
 /// rounds.
 pub const OPTM_ROUND_CANDIDATES: &str = "optm.round_candidates";
@@ -79,6 +83,11 @@ pub const SPAN_SERVE_SERIALIZE: &str = "serve.serialize";
 pub const SPAN_OPTM_SEARCH: &str = "optm.search";
 /// OPT(m) span: one search round (expand + filter), nested in the search.
 pub const SPAN_OPTM_ROUND: &str = "optm.round";
+/// OPT(m) span: expanding one round's frontier into deduplicated
+/// candidates, nested in the round.
+pub const SPAN_OPTM_EXPAND: &str = "optm.expand";
+/// OPT(m) span: the round's Lemma 4 domination filter, nested in the round.
+pub const SPAN_OPTM_FILTER: &str = "optm.filter";
 /// OptTwo span: the two-processor DP table build.
 pub const SPAN_OPT_TWO_DP: &str = "opt_two.dp";
 /// Simulator span: one policy run over an instance.
@@ -86,13 +95,14 @@ pub const SPAN_SIM_RUN: &str = "sim.run";
 
 /// Every metric name (or dynamic-family template) the workspace registers,
 /// as plain literals for the `vocab_sync` lint.  Keep sorted.
-pub const METRIC_NAMES: [&str; 24] = [
+pub const METRIC_NAMES: [&str; 25] = [
     "net.connections",
     "net.idle_closed",
     "net.overloaded",
     "net.quota_rejected",
     "net.served",
     "net.worker_panics",
+    "optm.frontier_size",
     "optm.round_candidates",
     "optm.round_survivors",
     "optm.rounds",
@@ -116,8 +126,10 @@ pub const METRIC_NAMES: [&str; 24] = [
 /// Every span name the workspace enters, as plain literals for the
 /// `vocab_sync` lint.  Keep sorted.  Recorded span *paths* are `/`-joined
 /// compositions of these names.
-pub const SPAN_NAMES: [&str; 8] = [
+pub const SPAN_NAMES: [&str; 10] = [
     "opt_two.dp",
+    "optm.expand",
+    "optm.filter",
     "optm.round",
     "optm.search",
     "serve.parse",
@@ -149,6 +161,7 @@ mod tests {
             NET_SERVED,
             NET_WORKER_PANICS,
             OPTM_ROUNDS,
+            OPTM_FRONTIER_SIZE,
             OPTM_ROUND_CANDIDATES,
             OPTM_ROUND_SURVIVORS,
             SUBSET_DFS_NODES,
@@ -178,6 +191,8 @@ mod tests {
             SPAN_SERVE_SERIALIZE,
             SPAN_OPTM_SEARCH,
             SPAN_OPTM_ROUND,
+            SPAN_OPTM_EXPAND,
+            SPAN_OPTM_FILTER,
             SPAN_OPT_TWO_DP,
             SPAN_SIM_RUN,
         ];

@@ -291,18 +291,36 @@ enum Metric {
     Histogram(Histogram),
 }
 
-/// Per-path span accumulator (guarded by the span-table mutex).
-#[derive(Debug, Default, Clone, Copy)]
-struct SpanStat {
-    count: u64,
-    total_ns: u64,
+/// One span path's accumulator, shared between the registry's span table
+/// and every [`Span`](crate::Span) guard recording into it, so a closing
+/// span costs two atomic adds rather than a table lookup.
+#[derive(Debug)]
+pub(crate) struct SpanCell {
+    /// Nonzero identity within its registry (the span stack keys child
+    /// lookups by the parent's id).
+    id: usize,
+    count: AtomicU64,
+    total_ns: AtomicU64,
+}
+
+impl SpanCell {
+    /// The cell's identity within its registry; never zero.
+    pub(crate) fn id(&self) -> usize {
+        self.id
+    }
+
+    /// Accumulates one completed span.
+    pub(crate) fn record(&self, elapsed_ns: u64) {
+        self.count.fetch_add(1, Ordering::SeqCst);
+        self.total_ns.fetch_add(elapsed_ns, Ordering::SeqCst);
+    }
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     enabled: Arc<AtomicBool>,
     metrics: Mutex<BTreeMap<String, Metric>>,
-    spans: Mutex<BTreeMap<String, SpanStat>>,
+    spans: Mutex<BTreeMap<String, Arc<SpanCell>>>,
 }
 
 /// A named-metric registry plus span-time table.
@@ -361,7 +379,7 @@ impl Registry {
         }
     }
 
-    fn spans_guard(&self) -> MutexGuard<'_, BTreeMap<String, SpanStat>> {
+    fn spans_guard(&self) -> MutexGuard<'_, BTreeMap<String, Arc<SpanCell>>> {
         match self.inner.spans.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
@@ -439,10 +457,22 @@ impl Registry {
         if !self.enabled() {
             return;
         }
+        self.span_cell(path).record(elapsed_ns);
+    }
+
+    /// The accumulator for span `path`, created on first use.
+    pub(crate) fn span_cell(&self, path: &str) -> Arc<SpanCell> {
         let mut spans = self.spans_guard();
-        let stat = spans.entry(path.to_string()).or_default();
-        stat.count = stat.count.saturating_add(1);
-        stat.total_ns = stat.total_ns.saturating_add(elapsed_ns);
+        if let Some(cell) = spans.get(path) {
+            return Arc::clone(cell);
+        }
+        let cell = Arc::new(SpanCell {
+            id: spans.len() + 1,
+            count: AtomicU64::new(0),
+            total_ns: AtomicU64::new(0),
+        });
+        spans.insert(path.to_string(), Arc::clone(&cell));
+        cell
     }
 
     /// A point-in-time copy of every metric and span in ascending name
@@ -472,10 +502,10 @@ impl Registry {
             let table = self.spans_guard();
             table
                 .iter()
-                .map(|(path, stat)| SpanSnapshot {
+                .map(|(path, cell)| SpanSnapshot {
                     path: path.clone(),
-                    count: stat.count,
-                    total_ns: stat.total_ns,
+                    count: cell.count.load(Ordering::SeqCst),
+                    total_ns: cell.total_ns.load(Ordering::SeqCst),
                 })
                 .collect()
         };
