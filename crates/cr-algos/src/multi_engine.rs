@@ -453,7 +453,11 @@ pub(crate) fn search_cancellable<V: SearchUnit>(
         filter.clear();
         // lint: allow(cancel_coverage) — bounded: one O(m·k) copy per candidate; the filter ticks its gate per candidate
         for cfg in &next {
-            filter.push(cfg.completed.iter().map(|&c| u64::from(c)), &cfg.spent);
+            filter.push(
+                cfg.completed.iter().map(|&c| u64::from(c)),
+                &cfg.spent,
+                None,
+            );
         }
         let candidates = next.len();
         let filtered: Vec<MConfig<V>> = next
@@ -462,7 +466,7 @@ pub(crate) fn search_cancellable<V: SearchUnit>(
             .filter_map(|(cfg, &kept)| kept.then_some(cfg))
             .collect();
         round_span.lap(cr_obs::names::SPAN_OPTM_FILTER);
-        crate::obs::record_round_filter(candidates, filtered.len());
+        crate::obs::record_round_filter(candidates, filtered.len(), filter.checked());
 
         if filtered.iter().any(|cfg| cfg.is_final(view)) {
             return Ok(Some(MultiSearch {

@@ -31,6 +31,13 @@ pub(crate) fn optm_round_survivors() -> &'static Counter {
     cached(&C, names::OPTM_ROUND_SURVIVORS)
 }
 
+/// Candidates the round's domination filter compared against at least one
+/// survivor row.
+pub(crate) fn optm_filter_checked() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    cached(&C, names::OPTM_FILTER_CHECKED)
+}
+
 /// Bucket bounds of the `optm.frontier_size` histogram: powers of four, so
 /// the ~10^4-node rounds of dense searches and the single-node rounds of
 /// trivial ones share one fixed grid.
@@ -43,11 +50,13 @@ pub(crate) fn optm_frontier_size() -> &'static Histogram {
     H.get_or_init(|| Registry::global().histogram(names::OPTM_FRONTIER_SIZE, &FRONTIER_SIZE_BOUNDS))
 }
 
-/// Records one finished round's filter: candidates in, survivors out, and
-/// the survivors as one frontier-size observation.
-pub(crate) fn record_round_filter(candidates: usize, survivors: usize) {
+/// Records one finished round's filter: candidates in, survivors out, the
+/// candidates it compared row by row, and the survivors as one
+/// frontier-size observation.
+pub(crate) fn record_round_filter(candidates: usize, survivors: usize, checked: usize) {
     optm_round_candidates().add(delta(candidates));
     optm_round_survivors().add(delta(survivors));
+    optm_filter_checked().add(delta(checked));
     optm_frontier_size().observe(delta(survivors));
 }
 

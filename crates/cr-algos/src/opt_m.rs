@@ -13,13 +13,13 @@
 //! fixed `m`, which yields Theorem 6's polynomial running time.
 //!
 //! Two implementations share this file's entry points: the hot path runs the
-//! search on a [`ScaledInstance`] through the internal `scaled_engine` module (integer
-//! units, packed configuration keys, FxHash memoization), and the
-//! `Ratio`-based search is retained as [`opt_m_makespan_rational`] — the
-//! fallback when scaling would overflow (or a search round outgrows the
-//! engine's `u32` parent-index headroom, surfaced as a structured
-//! [`crate::SearchError`]) and the reference the property tests
-//! cross-check against.
+//! search on a [`ScaledInstance`] through the internal `scaled_engine`
+//! module (integer units, flat rounds of packed configurations, an
+//! open-addressing duplicate index), and the `Ratio`-based search is
+//! retained as [`opt_m_makespan_rational`] — the fallback when scaling
+//! would overflow (or a search round outgrows the engine's `u32` positions,
+//! surfaced as a structured [`crate::SearchError`]) and the reference the
+//! property tests cross-check against.
 //!
 //! Both run their rounds serially and remove dominated configurations
 //! through the one bucketed Lemma 4 filter (the internal `dominance`
@@ -31,7 +31,13 @@
 //! to 118 ms per ten instances (three alternating runs, 2-vCPU host), and
 //! its rational cell from 9.2–11.5 s to 0.56–1.04 s; once the filter no
 //! longer dominated, the scaled engine's per-round rayon fan-out no longer
-//! paid for its threads.
+//! paid for its threads.  The scaled engine also hands the filter each
+//! candidate's consumption level (units consumed, then completed
+//! zero-requirement jobs), so the filter skips every group that cannot
+//! dominate on level grounds; with its flat rounds that took the same cell
+//! from 125–158 ms to 56–80 ms (four alternating runs).  The rational
+//! search passes no levels: it is the twin slated to fold into one generic
+//! engine.
 //!
 //! Both paths enumerate successors through the shared pruned DFS enumerator
 //! (the internal `subset_enum` module), so any number of simultaneously active
@@ -262,6 +268,7 @@ fn run_search_limited_cancellable(
             filter.push(
                 node.config.completed.iter().map(|&c| c as u64),
                 &node.config.spent,
+                None,
             );
         }
         let candidates = next.len();
@@ -271,7 +278,7 @@ fn run_search_limited_cancellable(
             .filter_map(|(node, &kept)| kept.then_some(node))
             .collect();
         round_span.lap(cr_obs::names::SPAN_OPTM_FILTER);
-        crate::obs::record_round_filter(candidates, filtered.len());
+        crate::obs::record_round_filter(candidates, filtered.len(), filter.checked());
 
         let done = filtered.iter().any(|n| n.config.is_final(instance));
         rounds.push(filtered);
@@ -642,7 +649,11 @@ mod tests {
     fn survivors(configs: &[&Config]) -> Vec<bool> {
         let mut filter = DominanceFilter::new(2, 1);
         for config in configs {
-            filter.push(config.completed.iter().map(|&c| c as u64), &config.spent);
+            filter.push(
+                config.completed.iter().map(|&c| c as u64),
+                &config.spent,
+                None,
+            );
         }
         let mut gate = CancelToken::never().gate(FILTER_CHECK_STRIDE);
         filter.survivors(&mut gate).unwrap().to_vec()

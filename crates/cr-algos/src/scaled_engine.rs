@@ -8,63 +8,65 @@
 //!
 //! * every gcd: sums, capacity tests and leftover computations are single
 //!   integer ops;
-//! * the `Config { Vec<usize>, Vec<Ratio> }` search key: configurations are
-//!   packed into one flat `Arc<[u64]>` of `2m` words (`completed` counts,
-//!   then `spent` units) and deduplicated through an `FxHashSet` probed with
-//!   a borrowed slice, so duplicate successors allocate nothing;
+//! * the `Config { Vec<usize>, Vec<Ratio> }` search key: a configuration is
+//!   `2m` words (`completed` counts, then `spent` units), and a search round
+//!   is one flat [`Round`] of them plus `u32` parent positions, so a round
+//!   costs two allocations however many nodes it holds;
 //! * per-call successor `Vec`s: [`for_each_successor`] streams successors
-//!   through a callback, filling caller-provided [`SuccScratch`] buffers.
+//!   through a callback, filling a caller-provided [`SuccScratch`] buffer.
 //!
 //! Successor generation runs on the width-independent pruned DFS enumerator
 //! shared with the rational search ([`crate::subset_enum`]), so any number
 //! of simultaneously active processors is supported — the pre-ISSUE-4
 //! engine asserted `k < 32` because it scanned `1u32 << k` subset masks.
 //!
-//! [`run_search`] runs every round serially: expand the previous round's
-//! nodes in parent order (first representative of each exact duplicate
-//! wins), then keep the Lemma 4 survivors through the bucketed filter
-//! shared with the other engines ([`crate::dominance`]).  Rounds used to
-//! fan out over rayon in chunks with an order-preserving merge, but the
-//! expansion was never the cost: on 45 `Uniform m=4 n=3` instances (2-vCPU
-//! host) the kept-prefix filter took 1.17–1.54 s of a 1.32–1.65 s pass.
-//! With the bucketed filter the same pass takes 0.18–0.25 s, and serial
-//! expansion (67–86 ms of it) beats the chunked fan-out plus merge
-//! (86–109 ms), which also spawned fresh threads every round.  A round that
-//! outgrows the `u32` parent-index headroom surfaces as a structured
-//! [`SearchError`] instead of a panic; callers fall back to the rational
-//! reference search.
+//! [`run_search`] runs every round serially.  Expansion streams the previous
+//! round's successors, in parent order, into one candidate arena and drops
+//! exact duplicates through an open-addressing index of arena positions
+//! (the first representative wins), so a candidate allocates nothing.  The
+//! Lemma 4 survivors come from the bucketed filter shared with the other
+//! engines ([`crate::dominance`]); this engine hands it each candidate's
+//! consumption level, the units consumed plus the completed
+//! zero-requirement jobs, which lets the filter skip every group that
+//! cannot dominate on level grounds.  The survivors are copied once, by
+//! (Σ completed, Σ spent, index) descending, into the next [`Round`].  Over
+//! 45 `Uniform m=4 n=3` instances a pass took 255–258 ms with per-node
+//! `Arc` configurations and step decisions, a hash set of them and no
+//! levels, and 148–153 ms with flat rounds and levels (minimum of nine
+//! passes, two alternating runs, 2-vCPU host).
+//!
+//! A round keeps no step decisions: [`search_schedule`] recovers each step
+//! from a parent and child configuration (a processor whose completed count
+//! rose finished its frontier job; one whose spent units rose received
+//! them).  A round that outgrows the `u32` positions surfaces as a
+//! structured [`SearchError`] during expansion instead of a panic; callers
+//! fall back to the rational reference search.
 //!
 //! The engine is internal; its correctness contract is "identical makespans
 //! to the rational reference solvers", enforced by unit tests here and by
 //! the `proptest_scaled` cross-check suite.
 
-use crate::dominance::{DominanceFilter, FILTER_CHECK_STRIDE};
+use crate::dominance::{DominanceFilter, Level, FILTER_CHECK_STRIDE};
 use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
 use cr_core::{
     CancelGate, CancelReason, CancelToken, Instance, Ratio, ScaledInstance, Schedule,
     ScheduleBuilder,
 };
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHasher};
 use std::fmt;
-use std::sync::Arc;
-
-/// A packed configuration: `2m` words, `[completed_0, …, completed_{m-1},
-/// spent_0, …, spent_{m-1}]` with `spent` in units.
-pub(crate) type PackedConfig = Arc<[u64]>;
+use std::hash::Hasher;
 
 /// Structured failure of the configuration search.  The search is total for
 /// every realistic instance; this exists so the single capacity limit left
-/// in the engine — parent back-pointers are `u32` — degrades into a
-/// recoverable error (callers fall back to the rational search) instead of
-/// a panic.
+/// in the engine — round positions are `u32` — degrades into a recoverable
+/// error (callers fall back to the rational search) instead of a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchError {
-    /// A search round holds more nodes than `u32` parent indices can
-    /// address.
+    /// A search round holds more nodes than `u32` positions can address.
     RoundTooLarge {
         /// The 0-based round whose node count overflowed.
         round: usize,
-        /// Its node count.
+        /// The node count it reached when expansion stopped.
         nodes: usize,
     },
     /// The search's [`CancelToken`] fired (deadline passed or the request
@@ -93,34 +95,13 @@ impl fmt::Display for SearchError {
 impl std::error::Error for SearchError {}
 
 /// The initial configuration: nothing completed, nothing spent.
-pub(crate) fn initial_config(m: usize) -> PackedConfig {
-    Arc::from(vec![0u64; 2 * m])
+pub(crate) fn initial_config(m: usize) -> Vec<u64> {
+    vec![0; 2 * m]
 }
 
 /// Whether every processor has completed all of its jobs.
 pub(crate) fn is_final(scaled: &ScaledInstance, config: &[u64]) -> bool {
     (0..scaled.processors()).all(|i| config[i] as usize >= scaled.jobs_on(i))
-}
-
-/// The decision producing a successor: which of the parent's active
-/// processors complete and which processor, if any, receives the leftover
-/// units without completing.  Width-independent (any number of active
-/// processors) and cheap to clone across rounds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ScaledChoice {
-    /// Processors whose frontier job completes in this step.
-    pub finished: Arc<[u32]>,
-    /// Processor granted the leftover, with the amount in units.
-    pub partial: Option<(u32, u64)>,
-}
-
-impl ScaledChoice {
-    fn initial() -> Self {
-        ScaledChoice {
-            finished: Arc::from([]),
-            partial: None,
-        }
-    }
 }
 
 /// Reusable scratch buffers for successor generation (one per search, not
@@ -130,16 +111,13 @@ pub(crate) struct SuccScratch {
     active: Vec<usize>,
     remaining: Vec<u64>,
     tmp: Vec<u64>,
-    finished_procs: Vec<u32>,
     choices: EnumScratch,
 }
 
 /// Streams all successor configurations of `config` reachable in one
-/// normalized (non-wasting, progressive) time step to `emit`, together with
-/// the finished processors and the partial receiver of each step decision.
-/// The slices handed to `emit` live in `scratch` — callers that keep a
-/// successor must copy them out (typically only after a memo-table probe
-/// misses).
+/// normalized (non-wasting, progressive) time step to `emit`.  The slice
+/// handed to `emit` lives in `scratch` — callers that keep a successor must
+/// copy it out; [`step_between`] recovers the step decision.
 ///
 /// Runs on the shared pruned DFS enumerator (`crate::subset_enum`), so the
 /// active-processor count is unbounded and unit sums are overflow-checked.
@@ -149,7 +127,7 @@ pub(crate) fn for_each_successor(
     scaled: &ScaledInstance,
     config: &[u64],
     scratch: &mut SuccScratch,
-    emit: impl FnMut(&[u64], &[u32], Option<(u32, u64)>),
+    emit: impl FnMut(&[u64]),
 ) {
     let mut gate = CancelToken::never().gate(CHOICE_CHECK_STRIDE);
     for_each_successor_cancellable(scaled, config, scratch, &mut gate, emit)
@@ -165,14 +143,13 @@ pub(crate) fn for_each_successor_cancellable(
     config: &[u64],
     scratch: &mut SuccScratch,
     gate: &mut CancelGate,
-    mut emit: impl FnMut(&[u64], &[u32], Option<(u32, u64)>),
+    mut emit: impl FnMut(&[u64]),
 ) -> Result<(), CancelReason> {
     let m = scaled.processors();
     let SuccScratch {
         active,
         remaining,
         tmp,
-        finished_procs,
         choices,
     } = scratch;
     active.clear();
@@ -196,80 +173,287 @@ pub(crate) fn for_each_successor_cancellable(
         &mut |finished, partial| {
             tmp.clear();
             tmp.extend_from_slice(config);
-            finished_procs.clear();
             // lint: allow(cancel_coverage) — bounded: `finished` is a subset of the <= m active processors
             for &entry in finished {
                 let p = active[entry as usize];
-                // Processor indices fit u32: ScaledInstance stores u32 offsets.
-                // lint: allow(panic_hygiene) — processor indices stay below m, which ScaledInstance already stores as u32 offsets
-                finished_procs.push(u32::try_from(p).expect("processor index fits u32"));
                 tmp[p] += 1;
                 tmp[m + p] = 0;
             }
-            let partial = partial.map(|(entry, amount)| {
-                let p = active[entry as usize];
+            if let Some((entry, amount)) = partial {
                 // spent + leftover stays below the frontier requirement ≤ D.
-                tmp[m + p] += amount;
-                // lint: allow(panic_hygiene) — processor indices stay below m, which ScaledInstance already stores as u32 offsets
-                (u32::try_from(p).expect("processor index fits u32"), amount)
-            });
-            emit(tmp, finished_procs, partial);
+                tmp[m + active[entry as usize]] += amount;
+            }
+            emit(tmp);
         },
     )
 }
 
-/// One node of the round-by-round configuration search.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ScaledNode {
-    /// The configuration this node represents.
-    pub config: PackedConfig,
-    /// Index of the parent node in the previous round (`u32::MAX` for the
-    /// initial node).
-    pub parent: u32,
-    /// Decision that produced this node from its parent.
-    pub choice: ScaledChoice,
+/// What one processor received in a search step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Grant {
+    /// Its frontier job completed.
+    Finish,
+    /// It received this many units without completing (the partial
+    /// receiver).
+    Partial(u64),
 }
 
-/// Expands one round into its candidates: successors in parent order,
-/// exact duplicates dropped (the first representative wins).  `seen` is the
-/// search's reusable dedup set; it is cleared here.
+/// The step that turns `parent` into `child`, its successor in the next
+/// round, as the processors it served: a processor whose completed count
+/// rose finished its frontier job, and one whose spent units rose received
+/// the difference.  Every step a successor can come from yields these
+/// grants, so the child's first representative needs no stored decision.
+fn step_between<'a>(
+    parent: &'a [u64],
+    child: &'a [u64],
+) -> impl Iterator<Item = (usize, Grant)> + 'a {
+    let m = parent.len() / 2;
+    (0..m).filter_map(move |p| {
+        if child[p] > parent[p] {
+            Some((p, Grant::Finish))
+        } else if child[m + p] > parent[m + p] {
+            Some((p, Grant::Partial(child[m + p] - parent[m + p])))
+        } else {
+            None
+        }
+    })
+}
+
+/// One round of the configuration search, stored flat: configuration `i`
+/// is the `2m` words at `i · 2m` of `configs` (completed counts, then spent
+/// units), reached from position `parents[i]` of the previous round
+/// (`u32::MAX` for the initial configuration).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Round {
+    /// Words per configuration (`2m`).
+    width: usize,
+    /// The configurations, back to back.
+    configs: Vec<u64>,
+    /// Each configuration's parent position in the previous round.
+    parents: Vec<u32>,
+}
+
+impl Round {
+    /// An empty round over `m` processors with room for `nodes`
+    /// configurations.
+    fn with_capacity(m: usize, nodes: usize) -> Self {
+        Round {
+            width: 2 * m,
+            configs: Vec::with_capacity(nodes * 2 * m),
+            parents: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// The round holding only the initial configuration.
+    fn initial(m: usize) -> Self {
+        let mut round = Round::with_capacity(m, 1);
+        round.push(&initial_config(m), u32::MAX);
+        round
+    }
+
+    /// The number of configurations.
+    fn len(&self) -> usize {
+        self.parents.len()
+    }
+
+    /// Configuration `i`.
+    fn config(&self, i: usize) -> &[u64] {
+        &self.configs[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Appends `config`, reached from position `parent` of the previous
+    /// round.
+    fn push(&mut self, config: &[u64], parent: u32) {
+        self.configs.extend_from_slice(config);
+        self.parents.push(parent);
+    }
+
+    /// The position of the first final configuration, if any.
+    fn first_final(&self, scaled: &ScaledInstance) -> Option<usize> {
+        (0..self.len()).find(|&i| is_final(scaled, self.config(i)))
+    }
+}
+
+/// Marks a free slot of the [`Candidates`] index.
+const EMPTY: u32 = u32::MAX;
+
+/// One round's candidates while it is expanded and filtered: an arena in
+/// the flat layout of a [`Round`] plus an open-addressing index of arena
+/// positions that finds exact duplicates.  One `Candidates` lives for a
+/// whole search and is cleared, not freed, between rounds.
+#[derive(Debug)]
+struct Candidates {
+    /// The candidates, in insertion order.
+    arena: Round,
+    /// Arena positions by hash, [`EMPTY`] where free; a power of two long
+    /// and at most half full.
+    slots: Vec<u32>,
+    /// `64 − log2(slots.len())`: a hash's top bits pick its home slot.
+    shift: u32,
+}
+
+impl Candidates {
+    /// Slots of a fresh index.
+    const MIN_SLOTS: usize = 16;
+
+    fn new(m: usize) -> Self {
+        Candidates {
+            arena: Round::with_capacity(m, 0),
+            slots: vec![EMPTY; Self::MIN_SLOTS],
+            shift: 64 - Self::MIN_SLOTS.trailing_zeros(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.arena.configs.clear();
+        self.arena.parents.clear();
+        self.slots.fill(EMPTY);
+    }
+
+    /// The home slot of `config`.
+    fn home(&self, config: &[u64]) -> usize {
+        let mut hasher = FxHasher::default();
+        // lint: allow(cancel_coverage) — bounded: the 2m words of one configuration
+        for &word in config {
+            hasher.write_u64(word);
+        }
+        // The shift keeps fewer than 64 bits, so the slot fits usize.
+        (hasher.finish() >> self.shift) as usize
+    }
+
+    /// The slot holding `config`, or the free slot where it belongs.
+    fn probe(&self, config: &[u64]) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(config);
+        // lint: allow(cancel_coverage) — bounded: the index is at most half full, so a probe meets a free slot; the expansion loop that inserts is gated
+        while self.slots[slot] != EMPTY && self.arena.config(self.slots[slot] as usize) != config {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Adds `config`, reached from `parent`, unless an exact duplicate is
+    /// already present (the first representative wins).
+    ///
+    /// # Errors
+    ///
+    /// The candidate count it would reach once the positions no longer fit
+    /// `u32` (below the [`EMPTY`] marker).
+    fn insert(&mut self, config: &[u64], parent: u32) -> Result<(), usize> {
+        let slot = self.probe(config);
+        if self.slots[slot] != EMPTY {
+            return Ok(());
+        }
+        let len = self.arena.len();
+        let position = u32::try_from(len)
+            .ok()
+            .filter(|&position| position != EMPTY)
+            .ok_or(len + 1)?;
+        self.slots[slot] = position;
+        self.arena.push(config, parent);
+        if 2 * self.arena.len() > self.slots.len() {
+            self.grow();
+        }
+        Ok(())
+    }
+
+    /// Doubles the index and re-homes every candidate.
+    fn grow(&mut self) {
+        let doubled = vec![EMPTY; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.shift -= 1;
+        // lint: allow(cancel_coverage) — bounded: re-homes the round's candidates, each inserted under the expansion's gate
+        for position in old.into_iter().filter(|&position| position != EMPTY) {
+            let slot = self.probe(self.arena.config(position as usize));
+            self.slots[slot] = position;
+        }
+    }
+}
+
+/// Per-processor prefix sums behind a configuration's consumption
+/// [`Level`]: entry `start[i] + c` holds the units of processor `i`'s first
+/// `c` jobs and how many of them require nothing.
+#[derive(Debug)]
+pub(crate) struct LevelTable {
+    /// Each processor's first entry in `prefix`.
+    start: Vec<usize>,
+    /// The prefix sums, `jobs_on(i) + 1` entries per processor.
+    prefix: Vec<Level>,
+}
+
+impl LevelTable {
+    pub(crate) fn new(scaled: &ScaledInstance) -> Self {
+        let m = scaled.processors();
+        let mut start = Vec::with_capacity(m);
+        let mut prefix = Vec::with_capacity(scaled.total_jobs() + m);
+        // lint: allow(cancel_coverage) — bounded: one pass over the instance's jobs per search
+        for i in 0..m {
+            start.push(prefix.len());
+            let mut level = Level::default();
+            prefix.push(level);
+            // lint: allow(cancel_coverage) — bounded: one processor's chain
+            for &units in scaled.row(i) {
+                level.0 += u128::from(units);
+                level.1 += u64::from(units == 0);
+                prefix.push(level);
+            }
+        }
+        LevelTable { start, prefix }
+    }
+
+    /// The level of `config`: the units it has consumed (each processor's
+    /// completed requirements plus its spent units), then its completed
+    /// zero-requirement jobs.  A configuration dominating another one it
+    /// differs from sits on a strictly higher level: on every processor it
+    /// has consumed at least as many units and completed at least as many
+    /// free jobs, and where it completed more jobs it consumed more units
+    /// (spent stays below the frontier requirement) unless the extra jobs
+    /// are free.
+    pub(crate) fn level(&self, config: &[u64]) -> Level {
+        let m = self.start.len();
+        let (completed, spent) = config.split_at(m);
+        self.start.iter().zip(completed).zip(spent).fold(
+            Level::default(),
+            |(units, free), ((&start, &done), &spent)| {
+                let (done_units, done_free) = self.prefix[start + done as usize];
+                (units + done_units + u128::from(spent), free + done_free)
+            },
+        )
+    }
+}
+
+/// Expands `prev` into `candidates`: successors in parent order, exact
+/// duplicates dropped (the first representative wins).
+///
+/// # Errors
+///
+/// [`SearchError::Cancelled`] once the gate's token fires, and
+/// [`SearchError::RoundTooLarge`] (for round `round`) when the candidates
+/// outgrow `u32` positions.
 fn expand_round(
     scaled: &ScaledInstance,
-    prev: &[ScaledNode],
+    prev: &Round,
+    round: usize,
+    candidates: &mut Candidates,
     scratch: &mut SuccScratch,
-    seen: &mut FxHashSet<PackedConfig>,
     gate: &mut CancelGate,
-) -> Result<Vec<ScaledNode>, CancelReason> {
-    seen.clear();
-    let mut out: Vec<ScaledNode> = Vec::new();
-    for (index, node) in prev.iter().enumerate() {
-        // lint: allow(panic_hygiene) — round sizes were checked against the u32 parent-index headroom when the round was admitted
-        let parent = u32::try_from(index).expect("round size fits u32");
-        for_each_successor_cancellable(
-            scaled,
-            &node.config,
-            scratch,
-            gate,
-            |tmp, finished, partial| {
-                // Probing with the borrowed scratch slice means duplicates cost
-                // no allocation at all.
-                if seen.contains(tmp) {
-                    return;
-                }
-                let config: PackedConfig = Arc::from(tmp);
-                seen.insert(config.clone());
-                out.push(ScaledNode {
-                    config,
-                    parent,
-                    choice: ScaledChoice {
-                        finished: Arc::from(finished),
-                        partial,
-                    },
-                });
-            },
-        )?;
+) -> Result<(), SearchError> {
+    candidates.clear();
+    let mut overflow = None;
+    // `prev` holds fewer than u32::MAX configurations, so `0u32..` (zipped
+    // second, advanced only while `prev` yields) cannot overflow.
+    for (index, parent) in (0..prev.len()).zip(0u32..) {
+        for_each_successor_cancellable(scaled, prev.config(index), scratch, gate, |child| {
+            if overflow.is_none() {
+                overflow = candidates.insert(child, parent).err();
+            }
+        })
+        .map_err(|reason| SearchError::Cancelled { reason })?;
+        if let Some(nodes) = overflow {
+            return Err(SearchError::RoundTooLarge { round, nodes });
+        }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Runs the Algorithm 2 configuration search on the scaled instance and
@@ -279,8 +463,8 @@ fn expand_round(
 /// # Errors
 ///
 /// [`SearchError::RoundTooLarge`] when a round outgrows the `u32`
-/// parent-index headroom; callers fall back to the rational search.
-pub(crate) fn run_search(scaled: &ScaledInstance) -> Result<Vec<Vec<ScaledNode>>, SearchError> {
+/// positions; callers fall back to the rational search.
+pub(crate) fn run_search(scaled: &ScaledInstance) -> Result<Vec<Round>, SearchError> {
     run_search_cancellable(scaled, None, &CancelToken::never())
         // lint: allow(panic_hygiene) — with no round cap the search only reports None when capped, and a never-token cannot fire
         .map(|rounds| rounds.expect("uncapped search always reaches a final configuration"))
@@ -297,160 +481,139 @@ pub(crate) fn run_search_cancellable(
     scaled: &ScaledInstance,
     round_cap: Option<usize>,
     token: &CancelToken,
-) -> Result<Option<Vec<Vec<ScaledNode>>>, SearchError> {
+) -> Result<Option<Vec<Round>>, SearchError> {
     let _search_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_SEARCH);
     let cancelled = |reason: CancelReason| SearchError::Cancelled { reason };
     let m = scaled.processors();
-    let initial = initial_config(m);
-    let mut rounds: Vec<Vec<ScaledNode>> = vec![vec![ScaledNode {
-        config: initial.clone(),
-        parent: u32::MAX,
-        choice: ScaledChoice::initial(),
-    }]];
-    if is_final(scaled, &initial) {
+    let mut rounds = vec![Round::initial(m)];
+    if is_final(scaled, rounds[0].config(0)) {
         return Ok(Some(rounds));
     }
 
+    let levels = LevelTable::new(scaled);
+    let mut candidates = Candidates::new(m);
     let mut scratch = SuccScratch::default();
-    let mut seen: FxHashSet<PackedConfig> = FxHashSet::default();
     let mut filter = DominanceFilter::new(m, 1);
+    let mut order: Vec<(u64, u128, usize)> = Vec::new();
     let mut gate = token.gate(CHOICE_CHECK_STRIDE);
     let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
     let max_rounds = scaled.total_jobs() + 1;
     let round_limit = round_cap.map_or(max_rounds, |cap| cap.min(max_rounds));
-    let mut found_final = false;
     for _round in 0..round_limit {
         token.check().map_err(cancelled)?;
         let mut round_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_ROUND);
         crate::obs::optm_rounds().inc();
-        // Invariant: `prev` was size-checked against the u32 parent-index
-        // headroom when it was produced (the initial round has one node).
         // lint: allow(panic_hygiene) — `rounds` is seeded with the initial round before this loop
         let prev = rounds.last().expect("at least the initial round");
-        let next =
-            expand_round(scaled, prev, &mut scratch, &mut seen, &mut gate).map_err(cancelled)?;
+        expand_round(
+            scaled,
+            prev,
+            rounds.len(),
+            &mut candidates,
+            &mut scratch,
+            &mut gate,
+        )?;
         round_span.lap(cr_obs::names::SPAN_OPTM_EXPAND);
-
-        // The structured-error gate: this round becomes the next round's
-        // parent space, so its size must fit the u32 back-pointers *before*
-        // anything indexes it.  (The dominance filter below only shrinks
-        // it.)
-        if u32::try_from(next.len()).is_err() {
-            return Err(SearchError::RoundTooLarge {
-                round: rounds.len(),
-                nodes: next.len(),
-            });
-        }
 
         // Keep the Lemma 4 survivors, emitted by (Σ completed, Σ spent,
         // index) descending.  Spent sums are accumulated in u128: with the
         // relaxed 2·D capacity headroom an m-fold unit sum may exceed u64.
-        let filtered: Vec<ScaledNode> = {
-            filter.clear();
-            // lint: allow(cancel_coverage) — bounded: one O(m) copy per candidate; the filter ticks its gate per candidate
-            for node in &next {
-                filter.push(node.config[..m].iter().copied(), &node.config[m..]);
-            }
-            let keep = filter.survivors(&mut filter_gate).map_err(cancelled)?;
-            let mut order: Vec<(u64, u128, u32)> = next
-                .iter()
-                .zip(keep)
+        let arena = &candidates.arena;
+        filter.clear();
+        // lint: allow(cancel_coverage) — bounded: one O(m) copy per candidate; the filter ticks its gate per candidate
+        for i in 0..arena.len() {
+            let config = arena.config(i);
+            filter.push(
+                config[..m].iter().copied(),
+                &config[m..],
+                Some(levels.level(config)),
+            );
+        }
+        let keep = filter.survivors(&mut filter_gate).map_err(cancelled)?;
+        order.clear();
+        order.extend(
+            keep.iter()
                 .enumerate()
-                .filter(|&(_, (_, &kept))| kept)
-                .map(|(idx, (node, _))| {
-                    let sum_completed: u64 = node.config[..m].iter().sum();
-                    let sum_spent: u128 = node.config[m..].iter().map(|&s| u128::from(s)).sum();
-                    (
-                        sum_completed,
-                        sum_spent,
-                        // lint: allow(panic_hygiene) — the surrounding round was size-checked against u32 headroom, so `idx` fits
-                        u32::try_from(idx).expect("round size gated above"),
-                    )
-                })
-                .collect();
-            order.sort_unstable_by(|a, b| b.cmp(a));
-            order
-                .into_iter()
-                .map(|(_, _, idx)| next[idx as usize].clone())
-                .collect()
-        };
+                .filter(|&(_, &kept)| kept)
+                .map(|(i, _)| {
+                    let (completed, spent) = arena.config(i).split_at(m);
+                    let sum_spent: u128 = spent.iter().map(|&s| u128::from(s)).sum();
+                    (completed.iter().sum(), sum_spent, i)
+                }),
+        );
+        order.sort_unstable_by(|a, b| b.cmp(a));
+        let mut next = Round::with_capacity(m, order.len());
+        // lint: allow(cancel_coverage) — bounded: one O(m) copy per survivor of the gated filter
+        for &(_, _, i) in &order {
+            next.push(arena.config(i), arena.parents[i]);
+        }
         round_span.lap(cr_obs::names::SPAN_OPTM_FILTER);
-        crate::obs::record_round_filter(next.len(), filtered.len());
+        crate::obs::record_round_filter(arena.len(), next.len(), filter.checked());
 
-        let done = filtered.iter().any(|n| is_final(scaled, &n.config));
-        rounds.push(filtered);
+        let done = next.first_final(scaled).is_some();
+        rounds.push(next);
         if done {
-            found_final = true;
-            break;
+            return Ok(Some(rounds));
         }
     }
-    if found_final {
-        Ok(Some(rounds))
-    } else {
-        // Only a round cap can leave the search unfinished: the uncapped
-        // limit of `total_jobs + 1` rounds always suffices (every normalized
-        // step completes at least one job).
-        debug_assert!(round_cap.is_some(), "uncapped search must terminate");
-        Ok(None)
-    }
+    // Only a round cap can leave the search unfinished: the uncapped limit
+    // of `total_jobs + 1` rounds always suffices (every normalized step
+    // completes at least one job).
+    debug_assert!(round_cap.is_some(), "uncapped search must terminate");
+    Ok(None)
 }
 
 /// The optimal makespan from a finished configuration search.
-pub(crate) fn search_makespan(scaled: &ScaledInstance, rounds: &[Vec<ScaledNode>]) -> usize {
-    if is_final(scaled, &rounds[0][0].config) {
+pub(crate) fn search_makespan(scaled: &ScaledInstance, rounds: &[Round]) -> usize {
+    if is_final(scaled, rounds[0].config(0)) {
         return 0;
     }
     let last = rounds.len() - 1;
     assert!(
-        rounds[last].iter().any(|n| is_final(scaled, &n.config)),
+        rounds[last].first_final(scaled).is_some(),
         "configuration search ended without reaching a final configuration"
     );
     last
 }
 
 /// Reconstructs an optimal schedule from a finished configuration search by
-/// back-tracing the winner and replaying the per-step decisions through the
-/// exact `Ratio`-based [`ScheduleBuilder`] (the scaled units convert back
-/// losslessly via [`ScaledInstance::to_ratio`]).
+/// back-tracing the winner and replaying each step, recovered from its
+/// parent and child configurations, through the exact `Ratio`-based
+/// [`ScheduleBuilder`] (the scaled units convert back losslessly via
+/// [`ScaledInstance::to_ratio`]).
 pub(crate) fn search_schedule(
     instance: &Instance,
     scaled: &ScaledInstance,
-    rounds: &[Vec<ScaledNode>],
+    rounds: &[Round],
 ) -> Schedule {
     let last = rounds.len() - 1;
     if last == 0 {
         return Schedule::empty();
     }
-    let winner = rounds[last]
-        .iter()
-        .position(|n| is_final(scaled, &n.config))
+    // The winner's position in every round, walked back from the last.
+    let mut path = vec![0usize; last + 1];
+    path[last] = rounds[last]
+        .first_final(scaled)
         // lint: allow(panic_hygiene) — `last` is set only once its round contains a final configuration
         .expect("search ended on a final configuration");
-
-    // Walk back through the rounds, collecting the per-step decisions.  The
-    // choices carry explicit processor indices, so no parent configuration
-    // needs to be re-derived during replay.
-    let mut choices: Vec<ScaledChoice> = Vec::with_capacity(last);
-    let mut idx = winner;
     // lint: allow(cancel_coverage) — bounded: the back-trace visits one node per round of the already-gated search
     for round in (1..=last).rev() {
-        let node = &rounds[round][idx];
-        choices.push(node.choice.clone());
-        idx = node.parent as usize;
+        path[round - 1] = rounds[round].parents[path[round]] as usize;
     }
-    choices.reverse();
 
     let m = scaled.processors();
     let mut builder = ScheduleBuilder::new(instance);
     // lint: allow(cancel_coverage) — bounded: replays one already-gated search round per step
-    for choice in choices {
+    for round in 1..=last {
+        let parent = rounds[round - 1].config(path[round - 1]);
+        let child = rounds[round].config(path[round]);
         let mut shares = vec![Ratio::ZERO; m];
-        // lint: allow(cancel_coverage) — bounded: a choice finishes at most m processors
-        for &p in choice.finished.iter() {
-            shares[p as usize] = builder.remaining_workload(p as usize);
-        }
-        if let Some((p, amount)) = choice.partial {
-            shares[p as usize] = scaled.to_ratio(amount);
+        // lint: allow(cancel_coverage) — bounded: a step serves at most m processors
+        for (p, grant) in step_between(parent, child) {
+            shares[p] = match grant {
+                Grant::Finish => builder.remaining_workload(p),
+                Grant::Partial(units) => scaled.to_ratio(units),
+            };
         }
         builder.push_step(shares);
     }
@@ -472,14 +635,14 @@ pub(crate) fn brute_force_cancellable(
     token: &CancelToken,
 ) -> Result<(usize, usize, usize), CancelReason> {
     token.check()?;
-    let mut memo: rustc_hash::FxHashMap<PackedConfig, usize> = rustc_hash::FxHashMap::default();
+    let mut memo: FxHashMap<Box<[u64]>, usize> = FxHashMap::default();
     let mut scratch = SuccScratch::default();
     let mut expansions = 0usize;
     let mut gate = token.gate(CHOICE_CHECK_STRIDE);
-    let initial = initial_config(scaled.processors());
+    let initial = initial_config(scaled.processors()).into_boxed_slice();
     let best = brute_force_dfs(
         scaled,
-        &initial,
+        initial,
         &mut memo,
         &mut scratch,
         &mut gate,
@@ -488,36 +651,37 @@ pub(crate) fn brute_force_cancellable(
     Ok((best, memo.len(), expansions))
 }
 
+/// One memoized DFS step; `config` becomes its own memo key.
 fn brute_force_dfs(
     scaled: &ScaledInstance,
-    config: &PackedConfig,
-    memo: &mut rustc_hash::FxHashMap<PackedConfig, usize>,
+    config: Box<[u64]>,
+    memo: &mut FxHashMap<Box<[u64]>, usize>,
     scratch: &mut SuccScratch,
     gate: &mut CancelGate,
     expansions: &mut usize,
 ) -> Result<usize, CancelReason> {
-    if is_final(scaled, config) {
+    if is_final(scaled, &config) {
         return Ok(0);
     }
-    if let Some(&v) = memo.get(config) {
+    if let Some(&v) = memo.get(&config) {
         return Ok(v);
     }
     gate.tick()?;
     *expansions += 1;
     // Collect successors first (the scratch buffers are reused by the
     // recursive calls), then recurse.
-    let mut successors: Vec<PackedConfig> = Vec::new();
-    for_each_successor_cancellable(scaled, config, scratch, gate, |tmp, _finished, _partial| {
-        successors.push(Arc::from(tmp));
+    let mut successors: Vec<Box<[u64]>> = Vec::new();
+    for_each_successor_cancellable(scaled, &config, scratch, gate, |child| {
+        successors.push(Box::from(child));
     })?;
     let mut best = usize::MAX;
-    for next in &successors {
+    for next in successors {
         let sub = brute_force_dfs(scaled, next, memo, scratch, gate, expansions)?;
         if sub != usize::MAX {
             best = best.min(sub + 1);
         }
     }
-    memo.insert(config.clone(), best);
+    memo.insert(config, best);
     Ok(best)
 }
 
@@ -709,15 +873,31 @@ mod tests {
     fn enumerator_choices(s: &ScaledInstance, config: &[u64]) -> BTreeSet<ChoiceKey> {
         let mut scratch = SuccScratch::default();
         let mut out = BTreeSet::new();
-        for_each_successor(s, config, &mut scratch, |cfg, finished, partial| {
-            let mut finished = finished.to_vec();
-            finished.sort_unstable();
+        for_each_successor(s, config, &mut scratch, |cfg| {
             assert!(
-                out.insert((cfg.to_vec(), finished, partial)),
+                out.insert(choice_key(config, cfg)),
                 "the enumerator must not emit a choice twice"
             );
         });
         out
+    }
+
+    /// A successor with its step as [`step_between`] recovers it: the
+    /// finished processors, sorted, and the partial receiver.
+    fn choice_key(parent: &[u64], child: &[u64]) -> ChoiceKey {
+        let mut finished = Vec::new();
+        let mut partial = None;
+        for (p, grant) in step_between(parent, child) {
+            let p = u32::try_from(p).unwrap();
+            match grant {
+                Grant::Finish => finished.push(p),
+                Grant::Partial(units) => {
+                    assert!(partial.is_none(), "a step has one partial receiver");
+                    partial = Some((p, units));
+                }
+            }
+        }
+        (child.to_vec(), finished, partial)
     }
 
     /// The reference `2^k` bitmask scan (the pre-ISSUE-4 algorithm),
@@ -801,8 +981,8 @@ mod tests {
         let init = initial_config(2);
         let mut scratch = SuccScratch::default();
         let mut seen = Vec::new();
-        for_each_successor(&s, &init, &mut scratch, |cfg, finished, partial| {
-            seen.push((cfg.to_vec(), finished.to_vec(), partial));
+        for_each_successor(&s, &init, &mut scratch, |cfg| {
+            seen.push(choice_key(&init, cfg));
         });
         // 60 + 60 > 100: either frontier may finish, the other carries 40.
         assert_eq!(seen.len(), 2);
@@ -821,8 +1001,9 @@ mod tests {
         let init = initial_config(3);
         let mut scratch = SuccScratch::default();
         let mut count = 0;
-        for_each_successor(&s, &init, &mut scratch, |cfg, finished, partial| {
+        for_each_successor(&s, &init, &mut scratch, |cfg| {
             count += 1;
+            let (_, finished, partial) = choice_key(&init, cfg);
             assert_eq!(finished, &[0, 1, 2]);
             assert!(partial.is_none());
             assert!(is_final(&s, cfg));
@@ -846,10 +1027,11 @@ mod tests {
         let init = initial_config(40);
         let mut scratch = SuccScratch::default();
         let mut count = 0;
-        for_each_successor(&s, &init, &mut scratch, |_cfg, finished, partial| {
+        for_each_successor(&s, &init, &mut scratch, |cfg| {
             count += 1;
             // The 36 free frontiers complete in every choice, exactly one
             // heavy completes, and another heavy carries the leftover.
+            let (_, finished, partial) = choice_key(&init, cfg);
             assert_eq!(finished.len(), 37);
             assert!(partial.is_some());
         });
@@ -876,11 +1058,18 @@ mod tests {
         assert_eq!(schedule.makespan(&inst).unwrap(), 3);
     }
 
-    /// The keep mask the search's filter computes for packed configurations.
-    fn survivors(m: usize, configs: &[&[u64]]) -> Vec<bool> {
+    /// The keep mask the search's filter computes for packed
+    /// configurations of `s`, levels included.
+    fn survivors(s: &ScaledInstance, configs: &[&[u64]]) -> Vec<bool> {
+        let m = s.processors();
+        let levels = LevelTable::new(s);
         let mut filter = DominanceFilter::new(m, 1);
         for config in configs {
-            filter.push(config[..m].iter().copied(), &config[m..]);
+            filter.push(
+                config[..m].iter().copied(),
+                &config[m..],
+                Some(levels.level(config)),
+            );
         }
         let mut gate = CancelToken::never().gate(FILTER_CHECK_STRIDE);
         filter.survivors(&mut gate).unwrap().to_vec()
@@ -890,11 +1079,12 @@ mod tests {
     fn domination_is_reflexive_and_ordered() {
         // completed = [2, 1] / spent = [0, 30] dominates [1, 1] / [90, 10],
         // in either push order; an exact duplicate keeps only its first copy.
+        let s = scaled(&[&[99, 99, 99], &[97, 97]]);
         let a: &[u64] = &[2, 1, 0, 30];
         let b: &[u64] = &[1, 1, 90, 10];
-        assert_eq!(survivors(2, &[a, a]), [true, false]);
-        assert_eq!(survivors(2, &[a, b]), [true, false]);
-        assert_eq!(survivors(2, &[b, a]), [false, true]);
+        assert_eq!(survivors(&s, &[a, a]), [true, false]);
+        assert_eq!(survivors(&s, &[a, b]), [true, false]);
+        assert_eq!(survivors(&s, &[b, a]), [false, true]);
     }
 
     #[test]
@@ -968,6 +1158,30 @@ mod tests {
         assert_eq!(cancellable, run_search(&s).unwrap());
     }
 
+    /// One pinned case: percentage rows and the replayed schedule's steps.
+    type PinnedCase = (
+        &'static [&'static [i64]],
+        &'static [&'static [&'static str]],
+    );
+
+    fn assert_pinned_schedules(cases: &[PinnedCase]) {
+        for &(rows, want) in cases {
+            let inst = Instance::unit_from_percentages(rows);
+            let s = ScaledInstance::try_new(&inst).unwrap();
+            let schedule = search_schedule(&inst, &s, &run_search(&s).unwrap());
+            let got: Vec<Vec<String>> = schedule
+                .steps()
+                .iter()
+                .map(|step| step.iter().map(ToString::to_string).collect())
+                .collect();
+            let want: Vec<Vec<String>> = want
+                .iter()
+                .map(|step| step.iter().map(|&share| share.to_string()).collect())
+                .collect();
+            assert_eq!(got, want, "{inst}");
+        }
+    }
+
     /// The search's emitted order decides which optimal schedule is
     /// replayed (the last round's first final node, the first
     /// representative of every duplicate, the parents it points back to).
@@ -977,11 +1191,7 @@ mod tests {
     /// and must not move.
     #[test]
     fn pinned_uniform_schedules_are_unchanged() {
-        type Case = (
-            &'static [&'static [i64]],
-            &'static [&'static [&'static str]],
-        );
-        let cases: [Case; 4] = [
+        assert_pinned_schedules(&[
             (
                 &[&[72, 96, 3], &[8, 86, 77], &[50, 56, 37], &[33, 54, 21]],
                 &[
@@ -1030,22 +1240,46 @@ mod tests {
                     &["27/50", "0", "0", "0"],
                 ],
             ),
-        ];
-        for (rows, want) in cases {
-            let inst = Instance::unit_from_percentages(rows);
-            let s = ScaledInstance::try_new(&inst).unwrap();
-            let schedule = search_schedule(&inst, &s, &run_search(&s).unwrap());
-            let got: Vec<Vec<String>> = schedule
-                .steps()
-                .iter()
-                .map(|step| step.iter().map(ToString::to_string).collect())
-                .collect();
-            let want: Vec<Vec<String>> = want
-                .iter()
-                .map(|step| step.iter().map(|&share| share.to_string()).collect())
-                .collect();
-            assert_eq!(got, want, "{inst}");
-        }
+        ]);
+    }
+
+    /// Replay derives each step from a parent and child configuration, so
+    /// free (zero-requirement) jobs, which complete without moving a unit,
+    /// and empty processors are pinned too.  Recorded from the engine that
+    /// stored each node's step decision: a small `WideOversub`-style
+    /// instance (three 90% chains beside three free chains) and a mix of
+    /// free jobs, an empty processor and a partial receiver.
+    #[test]
+    fn pinned_zero_job_schedules_are_unchanged() {
+        assert_pinned_schedules(&[
+            (
+                &[
+                    &[90, 90],
+                    &[90, 90],
+                    &[90, 90],
+                    &[0, 0, 0],
+                    &[0, 0, 0],
+                    &[0, 0, 0],
+                ],
+                &[
+                    &["1/10", "9/10", "0", "0", "0", "0"],
+                    &["0", "1/10", "9/10", "0", "0", "0"],
+                    &["4/5", "0", "1/5", "0", "0", "0"],
+                    &["1/5", "4/5", "0", "0", "0", "0"],
+                    &["7/10", "0", "3/10", "0", "0", "0"],
+                    &["0", "0", "2/5", "0", "0", "0"],
+                ],
+            ),
+            (
+                &[&[0, 60, 0, 40], &[], &[30, 0, 70, 0], &[55, 45, 0], &[0, 0]],
+                &[
+                    &["0", "0", "3/10", "11/20", "0"],
+                    &["3/5", "0", "0", "2/5", "0"],
+                    &["0", "0", "7/10", "1/20", "0"],
+                    &["2/5", "0", "0", "0", "0"],
+                ],
+            ),
+        ]);
     }
 
     #[test]

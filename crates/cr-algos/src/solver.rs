@@ -1102,12 +1102,10 @@ impl Solver for OptM {
 
         // The scaled configuration search, budget-capped when requested and
         // interruptible through the request's token.
-        let run_scaled = |scaled: &ScaledInstance| -> Result<
-            Option<Vec<Vec<scaled_engine::ScaledNode>>>,
-            SearchError,
-        > {
-            scaled_engine::run_search_cancellable(scaled, request.budget.max_rounds, &token)
-        };
+        let run_scaled =
+            |scaled: &ScaledInstance| -> Result<Option<Vec<scaled_engine::Round>>, SearchError> {
+                scaled_engine::run_search_cancellable(scaled, request.budget.max_rounds, &token)
+            };
 
         let scaled_result = match (request.engine, &prepared.scaled) {
             (EnginePreference::Rational, _) | (EnginePreference::Auto, None) => None,

@@ -11,10 +11,11 @@
 //!   perf baseline future PRs compare against).  Besides the eight report
 //!   tables this also times *timing-only* sweeps — the heuristic line-up,
 //!   the many-core simulator on the scaled engine, the OPT(m) frontier
-//!   breakdown (round expansion vs the Lemma 4 filter, with candidate and
-//!   survivor counts), batch-service throughput, socket serving latency and
-//!   the multi-resource overhead curve over `k ∈ {1, 2, 4}` layers — which
-//!   appear in `BENCH_pipeline.json` but never in `experiments.json`.
+//!   breakdown (round expansion vs the Lemma 4 filter, with candidate,
+//!   survivor and row-checked counts), batch-service throughput, socket
+//!   serving latency and the multi-resource overhead curve over
+//!   `k ∈ {1, 2, 4}` layers — which appear in `BENCH_pipeline.json` but
+//!   never in `experiments.json`.
 //!
 //! Usage: `cargo run --release -p cr-bench --bin experiments --
 //! [--seed N] [--out-dir DIR] [--reduced]`
@@ -663,6 +664,7 @@ struct FrontierTotals {
     filter_ns: u64,
     candidates: u64,
     survivors: u64,
+    checked: u64,
 }
 
 impl FrontierTotals {
@@ -692,6 +694,7 @@ impl FrontierTotals {
             filter_ns: span_ns(cr_obs::names::SPAN_OPTM_FILTER),
             candidates: counter(cr_obs::names::OPTM_ROUND_CANDIDATES),
             survivors: counter(cr_obs::names::OPTM_ROUND_SURVIVORS),
+            checked: counter(cr_obs::names::OPTM_FILTER_CHECKED),
         }
     }
 }
@@ -700,9 +703,11 @@ impl FrontierTotals {
 /// domination filter over a fixed batch of large oversubscribed instances
 /// (one cell per instance).  Each cell reads the engine's `optm.expand` /
 /// `optm.filter` spans and `optm.round_candidates` /
-/// `optm.round_survivors` counters — the numbers a live `cr-serve` exports
-/// in its metrics dump — as registry deltas around one solve, so the sweep
-/// runs on the main thread between tables, never beside other solves.
+/// `optm.round_survivors` / `optm.filter_checked` counters (candidates in,
+/// survivors out, candidates compared row by row) — the numbers a live
+/// `cr-serve` exports in its metrics dump — as registry deltas around one
+/// solve, so the sweep runs on the main thread between tables, never
+/// beside other solves.
 /// Under the `obs-off` feature the breakdown reads zeros.
 fn run_frontier_breakdown_table(reduced: bool) -> TableTiming {
     let reps: u64 = if reduced { 1 } else { 3 };
@@ -752,6 +757,7 @@ fn run_frontier_breakdown_table(reduced: bool) -> TableTiming {
                 "survivors".to_string(),
                 count(after.survivors - before.survivors),
             ),
+            ("checked".to_string(), count(after.checked - before.checked)),
         ]));
     }
     TableTiming {

@@ -46,6 +46,10 @@ pub const NET_WORKER_PANICS: &str = "net.worker_panics";
 /// Search rounds executed by the OPT(m) engines (scaled, rational and
 /// multi-resource).
 pub const OPTM_ROUNDS: &str = "optm.rounds";
+/// Candidates the domination filter compared against at least one survivor
+/// row (the rest were settled by consumption levels, group maxima, an
+/// outright dominator or the exact-duplicate probe), summed over rounds.
+pub const OPTM_FILTER_CHECKED: &str = "optm.filter_checked";
 /// Histogram of frontier sizes: configurations surviving the domination
 /// filter, one observation per round.
 pub const OPTM_FRONTIER_SIZE: &str = "optm.frontier_size";
@@ -95,13 +99,14 @@ pub const SPAN_SIM_RUN: &str = "sim.run";
 
 /// Every metric name (or dynamic-family template) the workspace registers,
 /// as plain literals for the `vocab_sync` lint.  Keep sorted.
-pub const METRIC_NAMES: [&str; 25] = [
+pub const METRIC_NAMES: [&str; 26] = [
     "net.connections",
     "net.idle_closed",
     "net.overloaded",
     "net.quota_rejected",
     "net.served",
     "net.worker_panics",
+    "optm.filter_checked",
     "optm.frontier_size",
     "optm.round_candidates",
     "optm.round_survivors",
@@ -161,6 +166,7 @@ mod tests {
             NET_SERVED,
             NET_WORKER_PANICS,
             OPTM_ROUNDS,
+            OPTM_FILTER_CHECKED,
             OPTM_FRONTIER_SIZE,
             OPTM_ROUND_CANDIDATES,
             OPTM_ROUND_SURVIVORS,
