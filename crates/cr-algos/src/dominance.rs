@@ -9,63 +9,67 @@
 //! scaled (`u64`, one layer), rational (`Ratio`, one layer) and
 //! multi-resource (either unit, `k` layers) searches all run this one.
 //!
-//! # Completed-vector buckets
+//! # Contract: distinct candidates
 //!
-//! Candidates are visited in a linear extension of the domination order:
-//! completed vector lexicographically descending, then spent vector
-//! lexicographically descending, then candidate index.  (`a` dominating
-//! `b ≠ a` forces `completed(a) ≥ completed(b)` on every processor, hence
-//! lexicographically, and on equal completed vectors `spent(a) ≥ spent(b)`
-//! on every slot.)  Every dominator of a candidate is therefore visited
-//! before it, and a candidate survives iff no earlier survivor dominates it.
+//! Every engine drops those duplicates while it expands a round, so the
+//! candidates of one round are pairwise distinct; debug builds check it.
+//! Domination is then a strict order on them, which settling and the
+//! visiting order below rely on.
 //!
-//! Equal completed vectors are adjacent in that order, so the survivors
-//! form contiguous *groups*, one per completed vector, and each group keeps
-//! its maximum spent per slot.  Only a group whose completed vector is ≥ the
-//! candidate's on every processor can dominate it, and then only the
-//! processors where the counts tie compare spent values (all `k` layers).
-//! Those rival groups and their tied processors are worked out once per
-//! candidate group, not per candidate; a group strictly ahead on every
-//! processor dominates the whole candidate group outright, and a rival
-//! whose maxima already fall short on a tied slot is skipped without
-//! visiting its rows.
-//!
-//! On the dense `Uniform m=4 n=3` searches ~99% of the candidates survive,
-//! which made the previous scans (a sorted kept-prefix scan in the scaled
-//! engine, all-pairs scans in the rational and multi-resource ones)
-//! quadratic in practice: 89–93% of the search time.
-//!
-//! # Consumption levels
+//! # Settled candidates
 //!
 //! A candidate may carry a [`Level`]: any key that rises strictly along
-//! domination (`a` dominates `b ≠ a` ⇒ `level(a) > level(b)`).  The
-//! single-resource scaled engine passes the resource units a configuration
-//! has consumed (its completed jobs' requirements plus its spent units),
-//! then its count of completed zero-requirement jobs, which breaks the ties
-//! that free jobs leave in the units.  Search steps are non-wasting
-//! (Lemma 1), so nearly every candidate of round `r` has consumed exactly
-//! `r` capacities: over 45 random `Uniform m=4 n=3` searches, 98.9% of
-//! 210,934 candidates sit on their round's top level, where nothing can
-//! dominate them, and all 2,240 dominated ones sit below it.  A group
-//! whose highest row level is ≤ the candidate's is skipped unread (rivals
-//! and the candidate's own group alike); the one row on an equal level
-//! that can still dominate is an exact duplicate, which is the own group's
-//! last kept row.  Candidates pushed without a level are compared exactly
-//! as above.  The multi-resource engine passes none: at `k ≥ 2` a step may
-//! waste part of a layer, so its candidates do not bunch on one level.
-//! Neither does the rational search, the twin of the scaled one.
+//! domination (`a` dominates `b ≠ a` ⇒ `level(a) > level(b)`).  When every
+//! candidate of a round carries one, a candidate on the round's top level
+//! is *settled*: nothing can dominate it, so it is kept without being
+//! compared.  The single-resource scaled engine passes the resource units a
+//! configuration has consumed (its completed jobs' requirements plus its
+//! spent units), then its count of completed zero-requirement jobs, which
+//! breaks the ties that free jobs leave in the units.  Search steps are
+//! non-wasting (Lemma 1), so nearly every candidate of round `r` has
+//! consumed exactly `r` capacities: over the 45 `Uniform m=4 n=3` searches
+//! of the `exact-frontier` benchmark, 184,015 of 186,274 candidates (98.8%)
+//! are settled, and all 2,204 dominated ones sit below their round's top
+//! level.  The multi-resource engine passes no levels: at `k ≥ 2` a step
+//! may waste part of a layer, so its candidates do not bunch on one level.
+//! Neither does the rational search, the twin of the scaled one.  Without
+//! levels nothing is settled.
 //!
-//! Exact duplicates keep their first (lowest-index) representative, as the
-//! all-pairs scan does.  One [`DominanceFilter`] lives for a whole search:
-//! its buffers are cleared, not freed, between rounds, so a round only
-//! allocates when it outgrows every earlier one.
+//! # Completed-vector groups
+//!
+//! Candidates are grouped by completed vector through a hash index
+//! ([`RowIndex`]) over the pushed completed counts, and the groups are
+//! ranked by completed vector, lexicographically descending.  Only a group
+//! whose completed vector is ≥ the candidate's on every processor can
+//! dominate it — its own group or an earlier-ranked one — and then only the
+//! processors where the counts tie compare spent values (all `k` layers).
+//!
+//! A group whose members are all settled is kept whole and never visited.
+//! Every other group is decided in rank order.  Its *rivals*, the
+//! earlier-ranked groups with kept members that are ≥ on every processor,
+//! and their tied processors are worked out once per group; a rival
+//! strictly ahead on every processor dominates the whole group outright.
+//! Its members are visited by spent vector, lexicographically descending
+//! (distinct within a group), so each member's dominators in its own group
+//! come first.  An unsettled member survives
+//! iff no kept member of a rival and no earlier kept member of its own
+//! group covers it.  A group whose top level or per-slot maximum over its
+//! kept members already falls short is passed over without reading its
+//! rows, and rows are read in place, by candidate index.  There is no
+//! round-wide sort and no copy of the candidates.
+//!
+//! One [`DominanceFilter`] lives for a whole search: its buffers are
+//! cleared, not freed, between rounds, so a round only allocates when it
+//! outgrows every earlier one.
 
 use cr_core::{CancelGate, CancelReason, StepUnit};
+use rustc_hash::FxHasher;
+use std::hash::Hasher;
 use std::ops::Range;
 
 /// How many candidates pass between token checks: one candidate costs a
-/// scan of its rival groups' rows (microseconds on the largest observed
-/// rounds), so this stride checks far more often than the
+/// hash probe, or a scan of its rival groups' rows (microseconds on the
+/// largest observed rounds), so this stride checks far more often than the
 /// [`cr_core::cancel::CHECK_INTERVAL_MS`] contract requires.
 pub(crate) const FILTER_CHECK_STRIDE: u32 = 64;
 
@@ -73,18 +77,114 @@ pub(crate) const FILTER_CHECK_STRIDE: u32 = 64;
 /// completed zero-requirement jobs (see the module docs).
 pub(crate) type Level = (u128, u64);
 
-/// The survivors sharing one completed vector.
-#[derive(Debug, Clone)]
+/// Marks a free slot of a [`RowIndex`]; no row sits at this position.
+pub(crate) const EMPTY: u32 = u32::MAX;
+
+/// An open-addressing hash index over rows of `width` words stored back to
+/// back in a caller-owned `u64` buffer: it finds the position of the
+/// stored row equal to a given one.  The scaled engine indexes its
+/// candidate arena with one, the filter its candidates' completed vectors.
+/// Positions are `u32`, below [`EMPTY`].
+#[derive(Debug)]
+pub(crate) struct RowIndex {
+    /// Row positions by hash, [`EMPTY`] where free; a power of two long and
+    /// at most half full.
+    slots: Vec<u32>,
+    /// `64 − log2(slots.len())`: a hash's top bits pick its home slot.
+    shift: u32,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl RowIndex {
+    /// Slots of a fresh index.
+    const MIN_SLOTS: usize = 16;
+
+    pub(crate) fn new() -> Self {
+        RowIndex {
+            slots: vec![EMPTY; Self::MIN_SLOTS],
+            shift: 64 - Self::MIN_SLOTS.trailing_zeros(),
+            len: 0,
+        }
+    }
+
+    /// Forgets every row, keeping the slots' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.slots.fill(EMPTY);
+        self.len = 0;
+    }
+
+    /// The home slot of `row`.
+    fn home(&self, row: &[u64]) -> usize {
+        let mut hasher = FxHasher::default();
+        // lint: allow(cancel_coverage) — bounded: the words of one row
+        for &word in row {
+            hasher.write_u64(word);
+        }
+        // The shift keeps fewer than 64 bits, so the slot fits usize.
+        (hasher.finish() >> self.shift) as usize
+    }
+
+    /// The position of the stored row of `rows` equal to `row`, or the free
+    /// slot where `row` belongs.
+    pub(crate) fn find(&self, rows: &[u64], width: usize, row: &[u64]) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(row);
+        // lint: allow(cancel_coverage) — bounded: the index is at most half full, so a probe meets a free slot; its callers' loops are gated
+        while self.slots[slot] != EMPTY {
+            let position = self.slots[slot];
+            let start = position as usize * width;
+            if rows[start..start + width] == *row {
+                return Ok(position);
+            }
+            slot = (slot + 1) & mask;
+        }
+        Err(slot)
+    }
+
+    /// Stores `position` in the free `slot` that [`find`](Self::find)
+    /// returned for its row, which `rows` now holds, and doubles the index
+    /// once it is more than half full.
+    pub(crate) fn occupy(&mut self, slot: usize, position: u32, rows: &[u64], width: usize) {
+        debug_assert_ne!(position, EMPTY, "EMPTY marks free slots");
+        self.slots[slot] = position;
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            let doubled = vec![EMPTY; 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, doubled);
+            self.shift -= 1;
+            // lint: allow(cancel_coverage) — bounded: re-homes the rows stored so far, each inserted under its caller's gate
+            for position in old.into_iter().filter(|&position| position != EMPTY) {
+                let start = position as usize * width;
+                // Stored rows are distinct, so each finds a free slot.
+                if let Err(slot) = self.find(rows, width, &rows[start..start + width]) {
+                    self.slots[slot] = position;
+                }
+            }
+        }
+    }
+}
+
+/// The candidates sharing one completed vector.
+#[derive(Debug, Clone, Default)]
 struct Group {
     /// A candidate carrying the group's completed vector.
     rep: usize,
-    /// The group's rows in [`DominanceFilter::rows`], in row units.
-    rows: Range<usize>,
-    /// The highest level among the rows (unused without levels).
+    /// The group's members in [`DominanceFilter::members`]; once the group
+    /// is decided, its kept members come first.
+    members: Range<usize>,
+    /// How many members are kept, once the group is decided.
+    kept: usize,
+    /// Whether a member sits below the round's top level.
+    unsettled: bool,
+    /// The highest level among the kept members (unused without levels).
     top: Level,
+    /// Whether the group's row of [`DominanceFilter::group_max`] holds its
+    /// kept members' per-slot maximum.
+    max_ready: bool,
 }
 
-/// A group that can dominate the current candidate group.
+/// A group that can dominate the current group.
 #[derive(Debug, Clone)]
 struct Rival {
     /// Index into [`DominanceFilter::groups`].
@@ -112,19 +212,28 @@ pub(crate) struct DominanceFilter<V> {
     /// Levels, one per candidate when every candidate was pushed with one.
     levels: Vec<Level>,
     /// Candidates the last [`survivors`](Self::survivors) call compared
-    /// against at least one survivor row.
+    /// against at least one kept row.
     checked: usize,
-    /// Candidate indices in visiting order.
-    order: Vec<usize>,
+    /// Candidates the last [`survivors`](Self::survivors) call settled by
+    /// level.
+    settled: usize,
     /// The keep mask, by candidate index.
     keep: Vec<bool>,
-    /// Survivor groups, in visiting order.
+    /// The completed vectors seen this round, by the candidate that first
+    /// carried each.
+    index: RowIndex,
+    /// Each candidate's group.
+    group_of: Vec<usize>,
+    /// The groups, in order of first appearance.
     groups: Vec<Group>,
-    /// Per-group maximum spent per slot, `groups × m·k`.
+    /// Group indices by completed vector, lexicographically descending.
+    rank: Vec<usize>,
+    /// Candidate indices, contiguous per group.
+    members: Vec<usize>,
+    /// Per-group maximum spent per slot over the kept members,
+    /// `groups × m·k`.
     group_max: Vec<V>,
-    /// Survivors' spent vectors, `rows × m·k`, contiguous per group.
-    rows: Vec<V>,
-    /// The current candidate group's rivals.
+    /// The current group's rivals.
     rivals: Vec<Rival>,
     /// Tied slots of every rival, back to back.
     tied: Vec<usize>,
@@ -142,11 +251,14 @@ impl<V: StepUnit> DominanceFilter<V> {
             spent: Vec::new(),
             levels: Vec::new(),
             checked: 0,
-            order: Vec::new(),
+            settled: 0,
             keep: Vec::new(),
+            index: RowIndex::new(),
+            group_of: Vec::new(),
             groups: Vec::new(),
+            rank: Vec::new(),
+            members: Vec::new(),
             group_max: Vec::new(),
-            rows: Vec::new(),
             rivals: Vec::new(),
             tied: Vec::new(),
         }
@@ -162,8 +274,8 @@ impl<V: StepUnit> DominanceFilter<V> {
 
     /// Adds one candidate: `m` completed counts, `m·k` spent values,
     /// processor-major, and optionally its level.  Candidates are numbered
-    /// in push order.  Levels take effect only when every candidate of the
-    /// round carries one.
+    /// in push order and must be pairwise distinct.  Levels take effect
+    /// only when every candidate of the round carries one.
     pub(crate) fn push(
         &mut self,
         completed: impl IntoIterator<Item = u64>,
@@ -179,21 +291,45 @@ impl<V: StepUnit> DominanceFilter<V> {
     }
 
     /// How many candidates the last [`survivors`](Self::survivors) call
-    /// compared against at least one survivor row; the rest were settled
-    /// by levels, group maxima, an outright dominator or the
-    /// exact-duplicate probe.
+    /// compared against at least one kept row; the rest were settled by
+    /// level, or passed over by group levels, group maxima or an outright
+    /// dominator.
     pub(crate) fn checked(&self) -> usize {
         self.checked
     }
 
+    /// How many candidates the last [`survivors`](Self::survivors) call
+    /// settled by level: kept, and never compared.
+    pub(crate) fn settled(&self) -> usize {
+        self.settled
+    }
+
+    /// Whether the pushed candidates are pairwise distinct, the filter's
+    /// contract.
+    fn pairwise_distinct(&self) -> bool {
+        let mut sorted: Vec<(&[u64], &[V])> = self
+            .completed
+            .chunks(self.m)
+            .zip(self.spent.chunks(self.m * self.k))
+            .collect();
+        sorted.sort_unstable();
+        sorted.windows(2).all(|pair| pair[0] != pair[1])
+    }
+
     /// The keep mask of the pushed candidates: `true` exactly for the
-    /// maximal antichain of the Lemma 4 order (first representative of
-    /// exact duplicates).  `gate` ticks once per candidate.
+    /// maximal antichain of the Lemma 4 order.  `gate` ticks once per
+    /// candidate, and once more per unsettled candidate it visits.
     ///
     /// # Errors
     ///
     /// The [`CancelReason`] once the gate's token fires.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`EMPTY`] or more candidates were pushed: their completed
+    /// counts alone would fill 32 GiB.
     pub(crate) fn survivors(&mut self, gate: &mut CancelGate) -> Result<&[bool], CancelReason> {
+        debug_assert!(self.pairwise_distinct(), "candidates must be distinct");
         let DominanceFilter {
             m,
             k,
@@ -202,16 +338,20 @@ impl<V: StepUnit> DominanceFilter<V> {
             spent,
             levels,
             checked,
-            order,
+            settled,
             keep,
+            index,
+            group_of,
             groups,
+            rank,
+            members,
             group_max,
-            rows,
             rivals,
             tied,
         } = self;
         let (m, k, n) = (*m, *k, *len);
         let w = m * k;
+        assert!(n < EMPTY as usize, "a round's candidates are u32-indexed");
         let completed_of = |i: usize| &completed[i * m..(i + 1) * m];
         let spent_of = |i: usize| &spent[i * w..(i + 1) * w];
         debug_assert!(
@@ -219,42 +359,86 @@ impl<V: StepUnit> DominanceFilter<V> {
             "levels for some candidates only"
         );
         let leveled = levels.len() == n;
+        // Domination strictly raises the level, so nothing dominates a
+        // candidate on the round's top level.
+        let top = levels.iter().max().copied().filter(|_| leveled);
+        let is_settled = |i: usize| top.is_some_and(|top| levels[i] == top);
         *checked = 0;
+        *settled = 0;
 
-        order.clear();
-        order.extend(0..n);
-        order.sort_unstable_by(|&a, &b| {
-            completed_of(b)
-                .cmp(completed_of(a))
-                .then_with(|| spent_of(b).cmp(spent_of(a)))
-                .then(a.cmp(&b))
-        });
+        // Group the candidates by completed vector; settled ones are kept.
         keep.clear();
-        keep.resize(n, false);
+        index.clear();
+        group_of.clear();
         groups.clear();
+        for i in 0..n {
+            gate.tick()?;
+            let group = match index.find(completed, m, completed_of(i)) {
+                Ok(rep) => group_of[rep as usize],
+                Err(slot) => {
+                    // `n < EMPTY`, so the position fits u32.
+                    index.occupy(slot, i as u32, completed, m);
+                    groups.push(Group {
+                        rep: i,
+                        ..Group::default()
+                    });
+                    groups.len() - 1
+                }
+            };
+            group_of.push(group);
+            let kept = is_settled(i);
+            keep.push(kept);
+            *settled += usize::from(kept);
+            let group = &mut groups[group];
+            group.members.end += 1;
+            group.unsettled |= !kept;
+        }
+
+        // Lay the members out contiguously per group, in candidate order.
+        let mut start = 0;
+        // lint: allow(cancel_coverage) — bounded: one pass over the round's groups
+        for group in groups.iter_mut() {
+            let size = group.members.end;
+            group.members = start..start;
+            start += size;
+        }
+        members.clear();
+        members.resize(n, 0);
+        // lint: allow(cancel_coverage) — bounded: one placement per candidate of the gated grouping pass
+        for (i, &group) in group_of.iter().enumerate() {
+            let end = &mut groups[group].members.end;
+            members[*end] = i;
+            *end += 1;
+        }
+        rank.clear();
+        rank.extend(0..groups.len());
+        rank.sort_unstable_by(|&a, &b| {
+            completed_of(groups[b].rep).cmp(completed_of(groups[a].rep))
+        });
         group_max.clear();
-        rows.clear();
-        let mut kept_rows = 0usize;
+        group_max.resize(groups.len() * w, V::ZERO);
 
-        let mut pos = 0;
-        while pos < n {
-            let rep = order[pos];
-            let c = completed_of(rep);
-            let end = order[pos..]
-                .iter()
-                .position(|&i| completed_of(i) != c)
-                .map_or(n, |offset| pos + offset);
+        for position in 0..rank.len() {
+            let current = rank[position];
+            if !groups[current].unsettled {
+                let group = &mut groups[current];
+                group.kept = group.members.len();
+                group.top = top.unwrap_or_default();
+                continue;
+            }
 
-            // The earlier groups that can dominate this one: completed ≥ on
-            // every processor.  One strictly ahead everywhere dominates every
-            // candidate of this group outright.
+            // The earlier-ranked groups that can dominate this one:
+            // completed ≥ on every processor.  One strictly ahead everywhere
+            // dominates every member of this group outright.
+            let c = completed_of(groups[current].rep);
             rivals.clear();
             tied.clear();
             let mut outright = false;
-            // lint: allow(cancel_coverage) — bounded: one pass over the round's groups per candidate group; the candidate loop below ticks the gate
-            for (index, group) in groups.iter().enumerate() {
+            // lint: allow(cancel_coverage) — bounded: one pass over the round's groups per unsettled group; the member loop below ticks the gate
+            for &rival in &rank[..position] {
+                let group = &groups[rival];
                 let theirs = completed_of(group.rep);
-                if theirs.iter().zip(c).any(|(t, o)| t < o) {
+                if group.kept == 0 || theirs.iter().zip(c).any(|(t, o)| t < o) {
                     continue;
                 }
                 let from = tied.len();
@@ -267,75 +451,94 @@ impl<V: StepUnit> DominanceFilter<V> {
                     outright = true;
                     break;
                 }
+                if !group.max_ready {
+                    let kept = group.members.start..group.members.start + group.kept;
+                    let max = &mut group_max[rival * w..(rival + 1) * w];
+                    // lint: allow(cancel_coverage) — bounded: the kept members of one settled group, once per round
+                    for &member in &members[kept] {
+                        raise(max, spent_of(member));
+                    }
+                    groups[rival].max_ready = true;
+                }
                 rivals.push(Rival {
-                    group: index,
+                    group: rival,
                     tied: from..tied.len(),
                 });
             }
 
-            let start = kept_rows;
+            // Visit the members by spent vector, descending (distinct within
+            // a group), so a member's dominators in the group come first;
+            // kept members move to the front of the group's slice.
+            let range = groups[current].members.clone();
+            members[range.clone()].sort_unstable_by(|&a, &b| spent_of(b).cmp(spent_of(a)));
+            let own = current * w..(current + 1) * w;
+            let mut kept_end = range.start;
             let mut own_top = Level::default();
-            for &candidate in &order[pos..end] {
-                gate.tick()?;
-                if outright {
-                    continue;
-                }
-                let s = spent_of(candidate);
-                let row = |r: usize| &rows[r * w..(r + 1) * w];
-                // Only a row on a strictly higher level can dominate.
+            for read in range.clone() {
+                let candidate = members[read];
                 let level = leveled.then(|| levels[candidate]);
-                let above = |top: Level| level.map_or(true, |l| top > l);
-                let mut scanned = false;
-                let beaten_by_rival = rivals.iter().any(|rival| {
-                    let group = &groups[rival.group];
-                    let tied = &tied[rival.tied.clone()];
-                    above(group.top)
-                        && covers_on(&group_max[rival.group * w..(rival.group + 1) * w], s, tied)
+                if !is_settled(candidate) {
+                    gate.tick()?;
+                    if outright {
+                        continue;
+                    }
+                    let s = spent_of(candidate);
+                    // Only a kept member on a strictly higher level can
+                    // dominate.
+                    let above = |top: Level| level.map_or(true, |l| top > l);
+                    let mut scanned = false;
+                    let beaten_by_rival = rivals.iter().any(|rival| {
+                        let group = &groups[rival.group];
+                        let tied = &tied[rival.tied.clone()];
+                        let kept = group.members.start..group.members.start + group.kept;
+                        above(group.top)
+                            && covers_on(
+                                &group_max[rival.group * w..(rival.group + 1) * w],
+                                s,
+                                tied,
+                            )
+                            && {
+                                scanned = true;
+                                members[kept]
+                                    .iter()
+                                    .any(|&r| covers_on(spent_of(r), s, tied))
+                            }
+                    });
+                    // The group's earlier kept members: every processor ties.
+                    let beaten_in_group = kept_end > range.start
+                        && above(own_top)
+                        && covers(&group_max[own.clone()], s)
                         && {
                             scanned = true;
-                            group.rows.clone().any(|r| covers_on(row(r), s, tied))
-                        }
-                });
-                // The candidate's own group so far: every processor ties.
-                // Below the level gate only an exact duplicate, the last
-                // kept row, can still dominate.
-                let beaten_in_group = kept_rows > start
-                    && if above(own_top) {
-                        covers(&group_max[groups.len() * w..], s) && {
-                            scanned = true;
-                            (start..kept_rows).any(|r| covers(row(r), s))
-                        }
-                    } else {
-                        row(kept_rows - 1) == s
-                    };
-                *checked += usize::from(scanned);
-                if beaten_by_rival || beaten_in_group {
-                    continue;
-                }
-                keep[candidate] = true;
-                own_top = own_top.max(level.unwrap_or_default());
-                if kept_rows == start {
-                    group_max.extend_from_slice(s);
-                } else {
-                    let own_max = &mut group_max[groups.len() * w..];
-                    // lint: allow(cancel_coverage) — bounded: the m·k slots of one kept candidate
-                    for (max, &value) in own_max.iter_mut().zip(s) {
-                        *max = (*max).max(value);
+                            members[range.start..kept_end]
+                                .iter()
+                                .any(|&r| covers(spent_of(r), s))
+                        };
+                    *checked += usize::from(scanned);
+                    if beaten_by_rival || beaten_in_group {
+                        continue;
                     }
+                    keep[candidate] = true;
                 }
-                rows.extend_from_slice(s);
-                kept_rows += 1;
+                members[kept_end] = candidate;
+                kept_end += 1;
+                own_top = own_top.max(level.unwrap_or_default());
+                raise(&mut group_max[own.clone()], spent_of(candidate));
             }
-            if kept_rows > start {
-                groups.push(Group {
-                    rep,
-                    rows: start..kept_rows,
-                    top: own_top,
-                });
-            }
-            pos = end;
+            let group = &mut groups[current];
+            group.kept = kept_end - range.start;
+            group.top = own_top;
+            group.max_ready = true;
         }
         Ok(keep)
+    }
+}
+
+/// Raises `max` to `row` on every slot.
+fn raise<V: StepUnit>(max: &mut [V], row: &[V]) {
+    // lint: allow(cancel_coverage) — bounded: the m·k slots of one row
+    for (max, &value) in max.iter_mut().zip(row) {
+        *max = (*max).max(value);
     }
 }
 
@@ -457,6 +660,18 @@ mod tests {
         out
     }
 
+    /// `candidates` without their later exact duplicates: the filter's
+    /// input contract.
+    fn distinct<T: PartialEq>(candidates: Vec<T>) -> Vec<T> {
+        let mut out: Vec<T> = Vec::with_capacity(candidates.len());
+        for candidate in candidates {
+            if !out.contains(&candidate) {
+                out.push(candidate);
+            }
+        }
+        out
+    }
+
     fn as_ratios(candidates: &[(Vec<u64>, Vec<u64>)]) -> Vec<(Vec<u64>, Vec<Ratio>)> {
         candidates
             .iter()
@@ -470,10 +685,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The bucketed filter keeps exactly what the all-pairs scan keeps,
-        /// over `u64` and `Ratio` spent values, for m in 1..=6 and k in
-        /// 1..=3, with one filter reused across two inputs as the engines
-        /// reuse it across rounds.
+        /// The grouped filter keeps exactly what the all-pairs scan keeps on
+        /// distinct candidates, over `u64` and `Ratio` spent values, for m
+        /// in 1..=6 and k in 1..=3, with one filter reused across two
+        /// inputs as the engines reuse it across rounds.
         #[test]
         fn bucketed_filter_matches_the_all_pairs_scan(
             m in 1usize..=6,
@@ -484,7 +699,7 @@ mod tests {
             let mut units = DominanceFilter::new(m, k);
             let mut ratios = DominanceFilter::new(m, k);
             for raw in [&first, &second] {
-                let candidates = shape(m, k, raw);
+                let candidates = distinct(shape(m, k, raw));
                 let want = all_pairs_keep(m, k, &candidates);
                 prop_assert_eq!(&bucketed_keep(m, k, &candidates, &mut units), &want);
                 let candidates = as_ratios(&candidates);
@@ -575,8 +790,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// On engine-shaped inputs with the scaled engine's consumption
-        /// levels, the filter keeps exactly what the all-pairs scan keeps.
+        /// On distinct engine-shaped inputs with the scaled engine's
+        /// consumption levels, the filter keeps exactly what the all-pairs
+        /// scan keeps.
         #[test]
         fn leveled_filter_matches_the_all_pairs_scan(
             m in 1usize..=6,
@@ -587,6 +803,7 @@ mod tests {
             let mut filter = DominanceFilter::new(m, 1);
             for raw in [&first, &second] {
                 let (scaled, configs) = engine_shaped(m, &chains, raw);
+                let configs = distinct(configs);
                 let table = LevelTable::new(&scaled);
                 let levels: Vec<Level> = configs.iter().map(|c| table.level(c)).collect();
                 let candidates = split(m, &configs);
@@ -599,8 +816,8 @@ mod tests {
         }
 
         /// Consumption levels rise strictly along domination: the contract
-        /// that lets the filter skip every group at or below a candidate's
-        /// level.
+        /// that lets the filter settle a round's top-level candidates and
+        /// pass over groups at or below a candidate's level.
         #[test]
         fn levels_rise_strictly_along_domination(
             m in 1usize..=6,
@@ -617,6 +834,70 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `0..len` ordered by `keys`: a permutation drawn by proptest.
+    fn permutation(keys: &[u64], len: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..len).collect();
+        order.sort_by_key(|&i| (keys[i], i));
+        order
+    }
+
+    /// Pushing `candidates` (with `levels`, if given) in the order `perm`
+    /// yields the keep mask permuted the same way, and the same `checked`
+    /// and `settled` counts.
+    fn assert_permutes<V: StepUnit>(
+        m: usize,
+        k: usize,
+        candidates: &[(Vec<u64>, Vec<V>)],
+        levels: Option<&[Level]>,
+        perm: &[usize],
+    ) -> Result<(), TestCaseError> {
+        let mut filter = DominanceFilter::new(m, k);
+        let keep = leveled_keep(m, k, candidates, levels, &mut filter);
+        let counts = (filter.checked(), filter.settled());
+        let permuted: Vec<_> = perm.iter().map(|&i| candidates[i].clone()).collect();
+        let permuted_levels: Option<Vec<Level>> =
+            levels.map(|levels| perm.iter().map(|&i| levels[i]).collect());
+        let want: Vec<bool> = perm.iter().map(|&i| keep[i]).collect();
+        prop_assert_eq!(
+            leveled_keep(m, k, &permuted, permuted_levels.as_deref(), &mut filter),
+            want
+        );
+        prop_assert_eq!((filter.checked(), filter.settled()), counts);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The push order is only a numbering: a permutation of the
+        /// candidates permutes the keep mask and leaves the counts alone,
+        /// without levels (m ≤ 6, k ≤ 3) and with the engine's levels, over
+        /// `u64` and `Ratio` spent values.
+        #[test]
+        fn pushing_a_permutation_permutes_the_keep_mask(
+            m in 1usize..=6,
+            k in 1usize..=3,
+            raw in raw_candidates(),
+            chains in raw_chains(),
+            configs in raw_configs(),
+            keys in prop::collection::vec(0u64..=u64::MAX, 40),
+        ) {
+            let candidates = distinct(shape(m, k, &raw));
+            let perm = permutation(&keys, candidates.len());
+            assert_permutes(m, k, &candidates, None, &perm)?;
+            assert_permutes(m, k, &as_ratios(&candidates), None, &perm)?;
+
+            let (scaled, configs) = engine_shaped(m, &chains, &configs);
+            let configs = distinct(configs);
+            let table = LevelTable::new(&scaled);
+            let levels: Vec<Level> = configs.iter().map(|c| table.level(c)).collect();
+            let candidates = split(m, &configs);
+            let perm = permutation(&keys, candidates.len());
+            assert_permutes(m, 1, &candidates, Some(&levels), &perm)?;
+            assert_permutes(m, 1, &as_ratios(&candidates), Some(&levels), &perm)?;
         }
     }
 
@@ -649,14 +930,14 @@ mod tests {
     fn outright_and_tied_domination() {
         // [2,1]/[0,0] is ahead of [1,0]/[9,9] on both processors, so it
         // dominates it outright.  [1,1]/[5,5] ties with it on processor 1
-        // and spends more there, so it survives; its duplicate does not.
-        // [2,0]/[1,9] ties with [2,1]/[0,0] on processor 0 and spends more
-        // there, so it survives too.
+        // and spends more there, so it survives; [1,1]/[5,4], in its group,
+        // does not.  [2,0]/[1,9] ties with [2,1]/[0,0] on processor 0 and
+        // spends more there, so it survives too.
         let candidates: Vec<(Vec<u64>, Vec<u64>)> = vec![
             (vec![1, 0], vec![9, 9]),
             (vec![1, 1], vec![5, 5]),
             (vec![2, 1], vec![0, 0]),
-            (vec![1, 1], vec![5, 5]),
+            (vec![1, 1], vec![5, 4]),
             (vec![2, 0], vec![1, 9]),
         ];
         let mut filter = DominanceFilter::new(2, 1);

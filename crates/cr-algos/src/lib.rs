@@ -36,6 +36,8 @@ mod multi_sched;
 mod obs;
 pub mod opt_m;
 pub mod opt_two;
+#[cfg(test)]
+mod pinned;
 pub mod round_robin;
 mod scaled_engine;
 mod scaled_sched;

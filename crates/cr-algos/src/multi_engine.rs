@@ -33,7 +33,7 @@
 //! # Search structure
 //!
 //! Round-by-round BFS with exact-duplicate removal and the per-processor
-//! domination filter of Lemma 4, run through the bucketed filter shared with
+//! domination filter of Lemma 4, run through the grouped filter shared with
 //! the scalar engines (the internal `dominance` module): configuration `a`
 //! dominates `b` when every processor has completed more jobs, or equally
 //! many with at least as much spent on **every** layer of the frontier job.
@@ -466,7 +466,12 @@ pub(crate) fn search_cancellable<V: SearchUnit>(
             .filter_map(|(cfg, &kept)| kept.then_some(cfg))
             .collect();
         round_span.lap(cr_obs::names::SPAN_OPTM_FILTER);
-        crate::obs::record_round_filter(candidates, filtered.len(), filter.checked());
+        crate::obs::record_round_filter(
+            candidates,
+            filtered.len(),
+            filter.checked(),
+            filter.settled(),
+        );
 
         if filtered.iter().any(|cfg| cfg.is_final(view)) {
             return Ok(Some(MultiSearch {

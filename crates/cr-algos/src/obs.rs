@@ -38,6 +38,13 @@ pub(crate) fn optm_filter_checked() -> &'static Counter {
     cached(&C, names::OPTM_FILTER_CHECKED)
 }
 
+/// Candidates the round's domination filter settled by consumption level:
+/// kept without a comparison.
+pub(crate) fn optm_filter_settled() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    cached(&C, names::OPTM_FILTER_SETTLED)
+}
+
 /// Bucket bounds of the `optm.frontier_size` histogram: powers of four, so
 /// the ~10^4-node rounds of dense searches and the single-node rounds of
 /// trivial ones share one fixed grid.
@@ -51,12 +58,18 @@ pub(crate) fn optm_frontier_size() -> &'static Histogram {
 }
 
 /// Records one finished round's filter: candidates in, survivors out, the
-/// candidates it compared row by row, and the survivors as one
-/// frontier-size observation.
-pub(crate) fn record_round_filter(candidates: usize, survivors: usize, checked: usize) {
+/// candidates it compared row by row and those it settled by level, and
+/// the survivors as one frontier-size observation.
+pub(crate) fn record_round_filter(
+    candidates: usize,
+    survivors: usize,
+    checked: usize,
+    settled: usize,
+) {
     optm_round_candidates().add(delta(candidates));
     optm_round_survivors().add(delta(survivors));
     optm_filter_checked().add(delta(checked));
+    optm_filter_settled().add(delta(settled));
     optm_frontier_size().observe(delta(survivors));
 }
 

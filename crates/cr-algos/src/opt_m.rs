@@ -22,9 +22,9 @@
 //! property tests cross-check against.
 //!
 //! Both run their rounds serially and remove dominated configurations
-//! through the one bucketed Lemma 4 filter (the internal `dominance`
-//! module), which compares a candidate only against the survivor groups
-//! whose completed vectors are at least its own.  On the dense
+//! through the one grouped Lemma 4 filter (the internal `dominance`
+//! module), which compares a candidate only against the kept members of
+//! the completed-vector groups that are at least its own.  On the dense
 //! `Uniform m=4 n=3` class ~99% of the candidates survive, so the
 //! kept-prefix and all-pairs scans it replaced were quadratic in practice.
 //! `BENCH_exact`'s scaled cell for that class went from a median of 1024 ms
@@ -33,11 +33,11 @@
 //! longer dominated, the scaled engine's per-round rayon fan-out no longer
 //! paid for its threads.  The scaled engine also hands the filter each
 //! candidate's consumption level (units consumed, then completed
-//! zero-requirement jobs), so the filter skips every group that cannot
-//! dominate on level grounds; with its flat rounds that took the same cell
-//! from 125–158 ms to 56–80 ms (four alternating runs).  The rational
-//! search passes no levels: it is the twin slated to fold into one generic
-//! engine.
+//! zero-requirement jobs), so the filter keeps the round's top-level
+//! candidates without comparing them; with its flat rounds that took the
+//! same cell from 125–158 ms to 56–80 ms (four alternating runs).  The
+//! rational search passes no levels: it is the twin slated to fold into
+//! one generic engine.
 //!
 //! Both paths enumerate successors through the shared pruned DFS enumerator
 //! (the internal `subset_enum` module), so any number of simultaneously active
@@ -278,7 +278,12 @@ fn run_search_limited_cancellable(
             .filter_map(|(node, &kept)| kept.then_some(node))
             .collect();
         round_span.lap(cr_obs::names::SPAN_OPTM_FILTER);
-        crate::obs::record_round_filter(candidates, filtered.len(), filter.checked());
+        crate::obs::record_round_filter(
+            candidates,
+            filtered.len(),
+            filter.checked(),
+            filter.settled(),
+        );
 
         let done = filtered.iter().any(|n| n.config.is_final(instance));
         rounds.push(filtered);
@@ -669,9 +674,14 @@ mod tests {
             completed: vec![1, 1],
             spent: vec![Ratio::from_percent(90), Ratio::from_percent(10)],
         };
-        // `a` dominates `b` in either push order; an exact duplicate keeps
-        // only its first copy.
-        assert_eq!(survivors(&[&a, &a]), [true, false]);
+        let c = Config {
+            completed: vec![2, 1],
+            spent: vec![Ratio::ZERO, Ratio::from_percent(20)],
+        };
+        // `a` dominates `b` and, on an equal spent value, `c`, in either
+        // push order.
+        assert_eq!(survivors(&[&a, &c]), [true, false]);
+        assert_eq!(survivors(&[&c, &a]), [false, true]);
         assert_eq!(survivors(&[&a, &b]), [true, false]);
         assert_eq!(survivors(&[&b, &a]), [false, true]);
     }

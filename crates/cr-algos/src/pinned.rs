@@ -1,0 +1,168 @@
+//! Answers pinned across changes to the OPT(m) search internals.
+//!
+//! Every engine keeps the survivors of its Lemma 4 filter in a fixed
+//! emission order, and that order decides which optimal schedule is
+//! replayed and how many configurations a search expands.  These tests
+//! digest the answers of a few hundred small random searches, so a change
+//! to the filter or to the emission order that moves any survivor set,
+//! round size, schedule or expansion count fails here.  The digests were
+//! recorded from the sorted-order filter, before it was regrouped by hash.
+
+use crate::multi_engine::{search_cancellable, MultiView};
+use crate::opt_m::schedule_rational;
+use crate::scaled_engine::{run_search, search_makespan, search_schedule};
+use cr_core::{CancelToken, Instance, InstanceBuilder, Ratio, ScaledInstance, Schedule};
+
+/// SplitMix64: a fixed, dependency-free generator for the pinned inputs.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A draw from `0..bound`.
+    fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+
+    /// A requirement in percent: zero with probability `zeros`/10, else
+    /// `1..=100`.
+    fn percent(&mut self, zeros: u64) -> u64 {
+        if self.below(10) < zeros {
+            0
+        } else {
+            1 + self.below(100)
+        }
+    }
+}
+
+/// FNV-1a over 64-bit words: a digest that depends on no hasher crate.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn text(&mut self, text: &str) {
+        self.word(text.len() as u64);
+        for byte in text.bytes() {
+            self.word(u64::from(byte));
+        }
+    }
+}
+
+fn percents(row: &[u64]) -> Vec<Ratio> {
+    row.iter().map(|&p| Ratio::from_parts(p, 100)).collect()
+}
+
+/// 200 single-resource instances: 1–5 processors, chains of 0–4 jobs, ~30%
+/// zero-requirement jobs, so empty processors and free jobs are common.
+/// Instances of more than 12 jobs are redrawn, which keeps the rational
+/// search cheap in debug builds.
+fn single_resource_instances() -> Vec<Instance> {
+    let mut rng = SplitMix(0x5eed_0016);
+    let mut instances = Vec::with_capacity(200);
+    while instances.len() < 200 {
+        let m = 1 + rng.below(5);
+        let rows: Vec<Vec<Ratio>> = (0..m)
+            .map(|_| {
+                let n = rng.below(5);
+                let row: Vec<u64> = (0..n).map(|_| rng.percent(3)).collect();
+                percents(&row)
+            })
+            .collect();
+        if rows.iter().map(Vec::len).sum::<usize>() <= 12 {
+            instances.push(Instance::unit_from_requirements(rows));
+        }
+    }
+    instances
+}
+
+/// 200 two-resource instances: 3 processors with 3 jobs each, ~10%
+/// zero-requirement entries per layer.
+fn two_resource_instances() -> Vec<Instance> {
+    let mut rng = SplitMix(0x5eed_0002);
+    let mut layer = || -> Vec<Vec<Ratio>> {
+        (0..3)
+            .map(|_| {
+                let row: Vec<u64> = (0..3).map(|_| rng.percent(1)).collect();
+                percents(&row)
+            })
+            .collect()
+    };
+    (0..200)
+        .map(|_| {
+            let base = layer();
+            let extra = layer();
+            base.into_iter()
+                .fold(InstanceBuilder::new(), InstanceBuilder::processor)
+                .extra_layer(extra)
+                .build()
+        })
+        .collect()
+}
+
+/// The scaled search's makespans, per-round survivor counts and replayed
+/// schedules on [`single_resource_instances`], and the schedules the
+/// rational search replays.
+#[test]
+fn single_resource_searches_are_unchanged() {
+    let mut digest = Digest::new();
+    let mut makespans = 0;
+    for instance in single_resource_instances() {
+        let scaled = ScaledInstance::try_new(&instance).expect("percent grids scale");
+        let rounds = run_search(&scaled).expect("small searches fit");
+        let makespan = search_makespan(&scaled, &rounds);
+        makespans += makespan;
+        digest.word(makespan as u64);
+        for round in &rounds {
+            digest.word(round.len() as u64);
+        }
+        let schedules = [
+            search_schedule(&instance, &scaled, &rounds),
+            schedule_rational(&instance),
+        ];
+        for step in schedules.iter().flat_map(Schedule::steps) {
+            for share in step {
+                digest.text(&share.to_string());
+            }
+        }
+    }
+    assert_eq!(makespans, 642);
+    assert_eq!(digest.0, 0x10cf_e13d_947f_f234);
+}
+
+/// The multi-resource search's makespans and expansion counts on
+/// [`two_resource_instances`], on the unit grids and in exact rationals.
+#[test]
+fn two_resource_searches_are_unchanged() {
+    let never = CancelToken::never();
+    let mut digest = Digest::new();
+    let mut makespans = 0;
+    for instance in two_resource_instances() {
+        let scaled = ScaledInstance::try_new(&instance).expect("percent grids scale");
+        let units = search_cancellable(&MultiView::from_scaled(&scaled), None, &never);
+        let ratios = search_cancellable(&MultiView::rational(&instance), None, &never);
+        for search in [units, ratios] {
+            let search = search.expect("never token").expect("uncapped");
+            makespans += search.makespan;
+            digest.word(search.makespan as u64);
+            digest.word(search.expanded as u64);
+        }
+    }
+    assert_eq!(makespans, 2144);
+    assert_eq!(digest.0, 0x171b_0fa2_a11f_c015);
+}

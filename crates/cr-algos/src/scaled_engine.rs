@@ -22,18 +22,20 @@
 //!
 //! [`run_search`] runs every round serially.  Expansion streams the previous
 //! round's successors, in parent order, into one candidate arena and drops
-//! exact duplicates through an open-addressing index of arena positions
-//! (the first representative wins), so a candidate allocates nothing.  The
-//! Lemma 4 survivors come from the bucketed filter shared with the other
-//! engines ([`crate::dominance`]); this engine hands it each candidate's
-//! consumption level, the units consumed plus the completed
-//! zero-requirement jobs, which lets the filter skip every group that
-//! cannot dominate on level grounds.  The survivors are copied once, by
-//! (Σ completed, Σ spent, index) descending, into the next [`Round`].  Over
-//! 45 `Uniform m=4 n=3` instances a pass took 255–258 ms with per-node
-//! `Arc` configurations and step decisions, a hash set of them and no
-//! levels, and 148–153 ms with flat rounds and levels (minimum of nine
-//! passes, two alternating runs, 2-vCPU host).
+//! exact duplicates through an open-addressing [`RowIndex`] of arena
+//! positions (the first representative wins), so a candidate allocates
+//! nothing.  The Lemma 4 survivors come from the grouped filter shared with
+//! the other engines ([`crate::dominance`]); this engine hands it each
+//! candidate's consumption level, the units consumed plus the completed
+//! zero-requirement jobs, so the filter keeps the round's top-level
+//! candidates, nearly all of them, without comparing them.  The survivors
+//! are copied once, by (Σ completed, Σ spent, index) descending, into the
+//! next [`Round`]; that order is sorted on one packed `(u128, u32)` key
+//! ([`emission_key`]).  Over the 45 `Uniform m=4 n=3` instances of the
+//! `exact-frontier` benchmark, a pass took 118–138 ms with the filter's
+//! round-wide visiting sort and 88–93 ms with hashed groups and settled
+//! candidates (minimum of nine passes, four alternating runs, 2-vCPU
+//! host); expansion is now about two thirds of a pass.
 //!
 //! A round keeps no step decisions: [`search_schedule`] recovers each step
 //! from a parent and child configuration (a processor whose completed count
@@ -46,15 +48,14 @@
 //! to the rational reference solvers", enforced by unit tests here and by
 //! the `proptest_scaled` cross-check suite.
 
-use crate::dominance::{DominanceFilter, Level, FILTER_CHECK_STRIDE};
+use crate::dominance::{DominanceFilter, Level, RowIndex, EMPTY, FILTER_CHECK_STRIDE};
 use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
 use cr_core::{
     CancelGate, CancelReason, CancelToken, Instance, Ratio, ScaledInstance, Schedule,
     ScheduleBuilder,
 };
-use rustc_hash::{FxHashMap, FxHasher};
+use rustc_hash::FxHashMap;
 use std::fmt;
-use std::hash::Hasher;
 
 /// Structured failure of the configuration search.  The search is total for
 /// every realistic instance; this exists so the single capacity limit left
@@ -252,7 +253,7 @@ impl Round {
     }
 
     /// The number of configurations.
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.parents.len()
     }
 
@@ -274,62 +275,30 @@ impl Round {
     }
 }
 
-/// Marks a free slot of the [`Candidates`] index.
-const EMPTY: u32 = u32::MAX;
-
 /// One round's candidates while it is expanded and filtered: an arena in
-/// the flat layout of a [`Round`] plus an open-addressing index of arena
-/// positions that finds exact duplicates.  One `Candidates` lives for a
-/// whole search and is cleared, not freed, between rounds.
+/// the flat layout of a [`Round`] plus a [`RowIndex`] of arena positions
+/// that finds exact duplicates.  One `Candidates` lives for a whole search
+/// and is cleared, not freed, between rounds.
 #[derive(Debug)]
 struct Candidates {
     /// The candidates, in insertion order.
     arena: Round,
-    /// Arena positions by hash, [`EMPTY`] where free; a power of two long
-    /// and at most half full.
-    slots: Vec<u32>,
-    /// `64 − log2(slots.len())`: a hash's top bits pick its home slot.
-    shift: u32,
+    /// The arena's configurations by content.
+    index: RowIndex,
 }
 
 impl Candidates {
-    /// Slots of a fresh index.
-    const MIN_SLOTS: usize = 16;
-
     fn new(m: usize) -> Self {
         Candidates {
             arena: Round::with_capacity(m, 0),
-            slots: vec![EMPTY; Self::MIN_SLOTS],
-            shift: 64 - Self::MIN_SLOTS.trailing_zeros(),
+            index: RowIndex::new(),
         }
     }
 
     fn clear(&mut self) {
         self.arena.configs.clear();
         self.arena.parents.clear();
-        self.slots.fill(EMPTY);
-    }
-
-    /// The home slot of `config`.
-    fn home(&self, config: &[u64]) -> usize {
-        let mut hasher = FxHasher::default();
-        // lint: allow(cancel_coverage) — bounded: the 2m words of one configuration
-        for &word in config {
-            hasher.write_u64(word);
-        }
-        // The shift keeps fewer than 64 bits, so the slot fits usize.
-        (hasher.finish() >> self.shift) as usize
-    }
-
-    /// The slot holding `config`, or the free slot where it belongs.
-    fn probe(&self, config: &[u64]) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut slot = self.home(config);
-        // lint: allow(cancel_coverage) — bounded: the index is at most half full, so a probe meets a free slot; the expansion loop that inserts is gated
-        while self.slots[slot] != EMPTY && self.arena.config(self.slots[slot] as usize) != config {
-            slot = (slot + 1) & mask;
-        }
-        slot
+        self.index.clear();
     }
 
     /// Adds `config`, reached from `parent`, unless an exact duplicate is
@@ -340,33 +309,19 @@ impl Candidates {
     /// The candidate count it would reach once the positions no longer fit
     /// `u32` (below the [`EMPTY`] marker).
     fn insert(&mut self, config: &[u64], parent: u32) -> Result<(), usize> {
-        let slot = self.probe(config);
-        if self.slots[slot] != EMPTY {
+        let width = self.arena.width;
+        let Err(slot) = self.index.find(&self.arena.configs, width, config) else {
             return Ok(());
-        }
+        };
         let len = self.arena.len();
         let position = u32::try_from(len)
             .ok()
             .filter(|&position| position != EMPTY)
             .ok_or(len + 1)?;
-        self.slots[slot] = position;
         self.arena.push(config, parent);
-        if 2 * self.arena.len() > self.slots.len() {
-            self.grow();
-        }
+        self.index
+            .occupy(slot, position, &self.arena.configs, width);
         Ok(())
-    }
-
-    /// Doubles the index and re-homes every candidate.
-    fn grow(&mut self) {
-        let doubled = vec![EMPTY; 2 * self.slots.len()];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        self.shift -= 1;
-        // lint: allow(cancel_coverage) — bounded: re-homes the round's candidates, each inserted under the expansion's gate
-        for position in old.into_iter().filter(|&position| position != EMPTY) {
-            let slot = self.probe(self.arena.config(position as usize));
-            self.slots[slot] = position;
-        }
     }
 }
 
@@ -470,6 +425,44 @@ pub(crate) fn run_search(scaled: &ScaledInstance) -> Result<Vec<Round>, SearchEr
         .map(|rounds| rounds.expect("uncapped search always reaches a final configuration"))
 }
 
+/// The emission key of a configuration over `m` processors: its completed
+/// counts' sum Σc above bit 96, its spent units' sum Σs below, so that one
+/// `u128` comparison orders by (Σc, Σs).  Exact when [`emission_key_fits`]
+/// holds for the instance: Σc ≤ total jobs < 2^32, and Σs < m·D ≤ 2^96
+/// (spent units stay below a requirement ≤ D).  Σs is summed in `u128`:
+/// with the 2·D capacity headroom, three spent values may exceed `u64`.
+fn emission_key(m: usize, config: &[u64]) -> u128 {
+    let (completed, spent) = config.split_at(m);
+    let completed: u64 = completed.iter().sum();
+    let spent: u128 = spent.iter().map(|&units| u128::from(units)).sum();
+    u128::from(completed) << 96 | spent
+}
+
+/// Whether [`emission_key`] is exact on every configuration of `scaled`:
+/// fewer than 2^32 jobs, and m·D at most 2^96.  Checked once per search;
+/// failing it takes 2^32 jobs or 2^33 processors.
+fn emission_key_fits(scaled: &ScaledInstance) -> bool {
+    let m = scaled.processors() as u128;
+    (scaled.total_jobs() as u128) < 1 << 32 && m * u128::from(scaled.capacity()) <= 1 << 96
+}
+
+/// The kept candidates of `arena` in emission order, (Σ completed,
+/// Σ spent, index) descending: packed [`emission_key`]s with arena
+/// positions, written to `order`.
+fn emission_order(arena: &Round, keep: &[bool], order: &mut Vec<(u128, u32)>) {
+    let m = arena.width / 2;
+    order.clear();
+    // The arena holds fewer than u32::MAX candidates (`Candidates::insert`),
+    // so `0u32..`, zipped second, cannot overflow.
+    order.extend(
+        keep.iter()
+            .zip(0u32..)
+            .filter(|&(&kept, _)| kept)
+            .map(|(_, i)| (emission_key(m, arena.config(i as usize)), i)),
+    );
+    order.sort_unstable_by(|a, b| b.cmp(a));
+}
+
 /// [`run_search`] with a hard round cap (the solver layer's `max_rounds`
 /// budget; `Ok(None)` when the cap is reached before a final configuration
 /// appears, so a deliberately over-budget request costs at most `cap`
@@ -477,6 +470,11 @@ pub(crate) fn run_search(scaled: &ScaledInstance) -> Result<Vec<Round>, SearchEr
 /// (round expansion, the choice DFS, the dominance filter) consults
 /// `token`, so the search stops within one check interval of the token
 /// firing, surfacing [`SearchError::Cancelled`].
+///
+/// # Panics
+///
+/// Panics if the instance holds 2^32 or more jobs, or so many processors
+/// that m·D exceeds 2^96 (see [`emission_key_fits`]).
 pub(crate) fn run_search_cancellable(
     scaled: &ScaledInstance,
     round_cap: Option<usize>,
@@ -494,7 +492,11 @@ pub(crate) fn run_search_cancellable(
     let mut candidates = Candidates::new(m);
     let mut scratch = SuccScratch::default();
     let mut filter = DominanceFilter::new(m, 1);
-    let mut order: Vec<(u64, u128, usize)> = Vec::new();
+    assert!(
+        emission_key_fits(scaled),
+        "2^32 jobs or an m·D above 2^96 overflow the packed emission key"
+    );
+    let mut order: Vec<(u128, u32)> = Vec::new();
     let mut gate = token.gate(CHOICE_CHECK_STRIDE);
     let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
     let max_rounds = scaled.total_jobs() + 1;
@@ -516,8 +518,7 @@ pub(crate) fn run_search_cancellable(
         round_span.lap(cr_obs::names::SPAN_OPTM_EXPAND);
 
         // Keep the Lemma 4 survivors, emitted by (Σ completed, Σ spent,
-        // index) descending.  Spent sums are accumulated in u128: with the
-        // relaxed 2·D capacity headroom an m-fold unit sum may exceed u64.
+        // index) descending.
         let arena = &candidates.arena;
         filter.clear();
         // lint: allow(cancel_coverage) — bounded: one O(m) copy per candidate; the filter ticks its gate per candidate
@@ -530,25 +531,20 @@ pub(crate) fn run_search_cancellable(
             );
         }
         let keep = filter.survivors(&mut filter_gate).map_err(cancelled)?;
-        order.clear();
-        order.extend(
-            keep.iter()
-                .enumerate()
-                .filter(|&(_, &kept)| kept)
-                .map(|(i, _)| {
-                    let (completed, spent) = arena.config(i).split_at(m);
-                    let sum_spent: u128 = spent.iter().map(|&s| u128::from(s)).sum();
-                    (completed.iter().sum(), sum_spent, i)
-                }),
-        );
-        order.sort_unstable_by(|a, b| b.cmp(a));
+        emission_order(arena, keep, &mut order);
         let mut next = Round::with_capacity(m, order.len());
         // lint: allow(cancel_coverage) — bounded: one O(m) copy per survivor of the gated filter
-        for &(_, _, i) in &order {
+        for &(_, i) in &order {
+            let i = i as usize;
             next.push(arena.config(i), arena.parents[i]);
         }
         round_span.lap(cr_obs::names::SPAN_OPTM_FILTER);
-        crate::obs::record_round_filter(arena.len(), next.len(), filter.checked());
+        crate::obs::record_round_filter(
+            arena.len(),
+            next.len(),
+            filter.checked(),
+            filter.settled(),
+        );
 
         let done = next.first_final(scaled).is_some();
         rounds.push(next);
@@ -1058,6 +1054,54 @@ mod tests {
         assert_eq!(schedule.makespan(&inst).unwrap(), 3);
     }
 
+    #[test]
+    fn packed_emission_keys_order_spent_sums_beyond_u64() {
+        // The instance of `near_max_capacity_sums_are_checked_not_wrapped`:
+        // three spent values just below the capacity sum past u64::MAX, two
+        // stay below it, and the packed key must still emit by (Σc, Σs,
+        // index) descending.
+        let p: i128 = 9_223_372_036_854_775_783;
+        let inst = InstanceBuilder::new()
+            .processor([Ratio::new(p - 1, p)])
+            .processor([Ratio::new(p - 1, p)])
+            .processor([Ratio::new(p - 1, p)])
+            .build();
+        let s = ScaledInstance::try_new(&inst).unwrap();
+        assert!(emission_key_fits(&s));
+        let d = s.capacity();
+        let configs: [[u64; 6]; 7] = [
+            [0, 0, 0, d - 2, d - 2, d - 2],
+            [1, 0, 0, 0, d - 2, d - 2],
+            [0, 0, 0, d - 2, d - 3, d - 2],
+            [0, 0, 0, d - 3, d - 2, d - 2],
+            [0, 1, 1, 7, 0, 0],
+            [0, 0, 0, d - 2, d - 2, d - 3],
+            [0, 0, 0, d - 2, d - 2, 0],
+        ];
+        let keep = [true, true, true, false, true, true, true];
+        let mut arena = Round::with_capacity(3, configs.len());
+        for config in &configs {
+            arena.push(config, 0);
+        }
+        let mut order = Vec::new();
+        emission_order(&arena, &keep, &mut order);
+        let mut want: Vec<(u64, u128, usize)> = (0..configs.len())
+            .filter(|&i| keep[i])
+            .map(|i| {
+                let (completed, spent) = configs[i].split_at(3);
+                let spent: u128 = spent.iter().map(|&units| u128::from(units)).sum();
+                (completed.iter().sum(), spent, i)
+            })
+            .collect();
+        want.sort_unstable_by(|a, b| b.cmp(a));
+        assert!(want[2..5]
+            .iter()
+            .all(|&(_, spent, _)| spent > u128::from(u64::MAX)));
+        let got: Vec<usize> = order.iter().map(|&(_, i)| i as usize).collect();
+        assert_eq!(got, [4, 1, 0, 5, 2, 6]);
+        assert_eq!(got, want.iter().map(|&(_, _, i)| i).collect::<Vec<_>>());
+    }
+
     /// The keep mask the search's filter computes for packed
     /// configurations of `s`, levels included.
     fn survivors(s: &ScaledInstance, configs: &[&[u64]]) -> Vec<bool> {
@@ -1077,12 +1121,15 @@ mod tests {
 
     #[test]
     fn domination_is_reflexive_and_ordered() {
-        // completed = [2, 1] / spent = [0, 30] dominates [1, 1] / [90, 10],
-        // in either push order; an exact duplicate keeps only its first copy.
+        // completed = [2, 1] / spent = [0, 30] dominates [1, 1] / [90, 10]
+        // and, on an equal spent value, [2, 1] / [0, 20], in either push
+        // order.
         let s = scaled(&[&[99, 99, 99], &[97, 97]]);
         let a: &[u64] = &[2, 1, 0, 30];
         let b: &[u64] = &[1, 1, 90, 10];
-        assert_eq!(survivors(&s, &[a, a]), [true, false]);
+        let c: &[u64] = &[2, 1, 0, 20];
+        assert_eq!(survivors(&s, &[a, c]), [true, false]);
+        assert_eq!(survivors(&s, &[c, a]), [false, true]);
         assert_eq!(survivors(&s, &[a, b]), [true, false]);
         assert_eq!(survivors(&s, &[b, a]), [false, true]);
     }

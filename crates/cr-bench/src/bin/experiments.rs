@@ -665,6 +665,7 @@ struct FrontierTotals {
     candidates: u64,
     survivors: u64,
     checked: u64,
+    settled: u64,
 }
 
 impl FrontierTotals {
@@ -695,6 +696,7 @@ impl FrontierTotals {
             candidates: counter(cr_obs::names::OPTM_ROUND_CANDIDATES),
             survivors: counter(cr_obs::names::OPTM_ROUND_SURVIVORS),
             checked: counter(cr_obs::names::OPTM_FILTER_CHECKED),
+            settled: counter(cr_obs::names::OPTM_FILTER_SETTLED),
         }
     }
 }
@@ -703,8 +705,9 @@ impl FrontierTotals {
 /// domination filter over a fixed batch of large oversubscribed instances
 /// (one cell per instance).  Each cell reads the engine's `optm.expand` /
 /// `optm.filter` spans and `optm.round_candidates` /
-/// `optm.round_survivors` / `optm.filter_checked` counters (candidates in,
-/// survivors out, candidates compared row by row) — the numbers a live
+/// `optm.round_survivors` / `optm.filter_checked` / `optm.filter_settled`
+/// counters (candidates in, survivors out, candidates compared row by row,
+/// candidates kept by level without a comparison) — the numbers a live
 /// `cr-serve` exports in its metrics dump — as registry deltas around one
 /// solve, so the sweep runs on the main thread between tables, never
 /// beside other solves.
@@ -758,6 +761,7 @@ fn run_frontier_breakdown_table(reduced: bool) -> TableTiming {
                 count(after.survivors - before.survivors),
             ),
             ("checked".to_string(), count(after.checked - before.checked)),
+            ("settled".to_string(), count(after.settled - before.settled)),
         ]));
     }
     TableTiming {

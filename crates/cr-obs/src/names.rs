@@ -46,10 +46,13 @@ pub const NET_WORKER_PANICS: &str = "net.worker_panics";
 /// Search rounds executed by the OPT(m) engines (scaled, rational and
 /// multi-resource).
 pub const OPTM_ROUNDS: &str = "optm.rounds";
-/// Candidates the domination filter compared against at least one survivor
-/// row (the rest were settled by consumption levels, group maxima, an
-/// outright dominator or the exact-duplicate probe), summed over rounds.
+/// Candidates the domination filter compared against at least one kept
+/// row (the rest were settled by consumption level, or passed over by group
+/// levels, group maxima or an outright dominator), summed over rounds.
 pub const OPTM_FILTER_CHECKED: &str = "optm.filter_checked";
+/// Candidates the domination filter settled by consumption level: on their
+/// round's top level, so kept without a comparison, summed over rounds.
+pub const OPTM_FILTER_SETTLED: &str = "optm.filter_settled";
 /// Histogram of frontier sizes: configurations surviving the domination
 /// filter, one observation per round.
 pub const OPTM_FRONTIER_SIZE: &str = "optm.frontier_size";
@@ -99,7 +102,7 @@ pub const SPAN_SIM_RUN: &str = "sim.run";
 
 /// Every metric name (or dynamic-family template) the workspace registers,
 /// as plain literals for the `vocab_sync` lint.  Keep sorted.
-pub const METRIC_NAMES: [&str; 26] = [
+pub const METRIC_NAMES: [&str; 27] = [
     "net.connections",
     "net.idle_closed",
     "net.overloaded",
@@ -107,6 +110,7 @@ pub const METRIC_NAMES: [&str; 26] = [
     "net.served",
     "net.worker_panics",
     "optm.filter_checked",
+    "optm.filter_settled",
     "optm.frontier_size",
     "optm.round_candidates",
     "optm.round_survivors",
@@ -167,6 +171,7 @@ mod tests {
             NET_WORKER_PANICS,
             OPTM_ROUNDS,
             OPTM_FILTER_CHECKED,
+            OPTM_FILTER_SETTLED,
             OPTM_FRONTIER_SIZE,
             OPTM_ROUND_CANDIDATES,
             OPTM_ROUND_SURVIVORS,
