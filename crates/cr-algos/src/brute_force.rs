@@ -5,21 +5,20 @@
 //! leftover goes to at most one job — justified by Lemma 1, enumerated by
 //! the shared width-independent pruned DFS of `crate::subset_enum`), but
 //! performs a memoized depth-first search **without** the domination
-//! pruning of Algorithm 2.  Its running time is exponential, which is fine for the small
-//! instances where it serves as an independent reference for
+//! pruning of Algorithm 2.  Its running time is exponential, which is fine
+//! for the small instances where it serves as an independent reference for
 //! `OptResAssignment`, `OptResAssignment2` and the approximation-ratio
 //! experiments.
-
+//!
 //! The hot path runs the memoized search on a [`ScaledInstance`] through
-//! the internal `scaled_engine` module; the original `Ratio`-based search is retained as
-//! [`brute_force_makespan_rational`] for cross-checking and as the overflow
-//! fallback.
+//! the internal `scaled_engine` module.  [`brute_force_makespan_rational`],
+//! and the fallback when the grid overflows `u64`, run it in exact `Ratio`
+//! arithmetic over the configurations and successors of the generic
+//! `multi_engine` search.
 
-use crate::opt_m::{successors_cancellable, Config};
+use crate::multi_engine::{self, MultiView};
 use crate::scaled_engine;
-use crate::subset_enum::CHOICE_CHECK_STRIDE;
-use cr_core::{bounds, CancelGate, CancelReason, CancelToken, Instance, ScaledInstance};
-use std::collections::HashMap;
+use cr_core::{bounds, CancelReason, CancelToken, Instance, ScaledInstance};
 
 /// Search statistics of a brute-force run (useful for reporting how much
 /// work the domination pruning of Algorithm 2 saves).
@@ -77,7 +76,7 @@ pub(crate) fn brute_force_with_stats_cancellable(
     }
 }
 
-/// The original `Ratio`-arithmetic exhaustive search (reference path).
+/// The exhaustive search in exact `Ratio` arithmetic (reference path).
 ///
 /// # Panics
 ///
@@ -110,41 +109,9 @@ pub(crate) fn brute_force_with_stats_rational_cancellable(
         instance.is_unit_size(),
         "brute force solver requires unit-size jobs"
     );
-    token.check()?;
-    let m = instance.processors();
-    let mut memo: HashMap<Config, usize> = HashMap::new();
-    let mut stats = SearchStats::default();
-    let mut gate = token.gate(CHOICE_CHECK_STRIDE);
-    let initial = Config::initial(m);
-    let result = search(instance, &initial, &mut memo, &mut gate, &mut stats)?;
-    stats.states = memo.len();
-    Ok((result, stats))
-}
-
-fn search(
-    instance: &Instance,
-    config: &Config,
-    memo: &mut HashMap<Config, usize>,
-    gate: &mut CancelGate,
-    stats: &mut SearchStats,
-) -> Result<usize, CancelReason> {
-    if config.is_final(instance) {
-        return Ok(0);
-    }
-    if let Some(&v) = memo.get(config) {
-        return Ok(v);
-    }
-    gate.tick()?;
-    stats.expansions += 1;
-    let mut best = usize::MAX;
-    for (next, _choice) in successors_cancellable(instance, config, gate)? {
-        let sub = search(instance, &next, memo, gate, stats)?;
-        if sub != usize::MAX {
-            best = best.min(sub + 1);
-        }
-    }
-    memo.insert(config.clone(), best);
-    Ok(best)
+    let (result, states, expansions) =
+        multi_engine::brute_force_cancellable(&MultiView::base_rational(instance), token)?;
+    Ok((result, SearchStats { states, expansions }))
 }
 
 /// Convenience wrapper asserting that a claimed makespan is optimal; returns

@@ -6,8 +6,8 @@
 //! completed more jobs, or equally many with at least as much spent on every
 //! resource layer of the frontier job.  The survivors are the unique maximal
 //! antichain of that order, so every correct filter keeps the same set; the
-//! scaled (`u64`, one layer), rational (`Ratio`, one layer) and
-//! multi-resource (either unit, `k` layers) searches all run this one.
+//! scaled `k = 1` engine (`u64`, one layer) and the generic search (`u64`
+//! or `Ratio`, `k` layers) both run this one.
 //!
 //! # Contract: distinct candidates
 //!
@@ -30,10 +30,10 @@
 //! consumed exactly `r` capacities: over the 45 `Uniform m=4 n=3` searches
 //! of the `exact-frontier` benchmark, 184,015 of 186,274 candidates (98.8%)
 //! are settled, and all 2,204 dominated ones sit below their round's top
-//! level.  The multi-resource engine passes no levels: at `k ≥ 2` a step
-//! may waste part of a layer, so its candidates do not bunch on one level.
-//! Neither does the rational search, the twin of the scaled one.  Without
-//! levels nothing is settled.
+//! level.  The generic search passes no levels: at `k ≥ 2` a step may
+//! waste part of a layer, so its candidates do not bunch on one level, and
+//! its `k = 1` runs (the `Ratio` answers and fallbacks) are not the hot
+//! path.  Without levels nothing is settled.
 //!
 //! # Completed-vector groups
 //!

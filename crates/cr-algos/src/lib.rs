@@ -61,8 +61,6 @@ pub use solver::{
     registry, Budget, Engine, EnginePreference, LowerBounds, Prepared, Registry, SolveError,
     SolveOutcome, SolveRequest, Solver,
 };
-#[allow(deprecated)]
-pub use traits::standard_line_up;
 pub use traits::{BoxedScheduler, Scheduler};
 
 /// Commonly used items for glob import.

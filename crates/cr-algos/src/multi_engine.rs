@@ -1,11 +1,19 @@
-//! The multi-resource (`k ≥ 2`) exact configuration search.
+//! The generic configuration search behind every `Ratio` answer and every
+//! multi-resource (`k ≥ 2`) answer of the exact solvers.
 //!
-//! Generalizes the configuration-domination search of [`crate::opt_m`] to
-//! instances carrying extra resource layers (see
-//! [`Instance::extra_layers`]): a configuration now records, per processor,
-//! the completed-job count plus the resource already spent on the frontier
-//! job **on every layer**, and one normalized time step distributes each
-//! resource's full capacity independently.
+//! A [`MultiView`] fixes the arithmetic of one search: `u64` units on
+//! per-resource LCM grids ([`MultiView::from_scaled`]) or exact [`Ratio`]s
+//! with capacity `1` per resource ([`MultiView::rational`], and
+//! [`MultiView::base_rational`] for the base resource alone).  Over it run
+//! Algorithm 2's round-by-round search (`OptResAssignment2`, Theorem 6,
+//! generalized to `k` layers) and the memoized brute force.  The scalar
+//! `scaled_engine` stays the `k = 1` `u64` hot path; this module answers
+//! `EnginePreference::Rational`, the `k = 1` fallback when a grid overflows
+//! `u64` or a scaled round outgrows its `u32` positions, and every `k ≥ 2`
+//! request.  A configuration records, per processor, the completed-job
+//! count plus the resource already spent on the frontier job **on every
+//! layer** (see [`Instance::extra_layers`]), and one normalized time step
+//! distributes each resource's full capacity independently.
 //!
 //! # The normalized step class
 //!
@@ -16,44 +24,55 @@
 //! completing the layer (its remaining on the layer strictly exceeds the
 //! leftover).  The same processor may act as receiver on several resources.
 //! Frontier jobs with an all-zero remaining vector complete in every choice
-//! (the variants that withhold them are strictly dominated, exactly as in
-//! the scalar enumerator), and when every active job fits on every layer
-//! simultaneously the unique emitted choice completes them all.
+//! (the variants that withhold them are strictly dominated), and when every
+//! active job fits on every layer simultaneously the unique emitted choice
+//! completes them all.
 //!
-//! For `k = 1` this class is precisely the Lemma 1 class of the scalar
-//! search (non-wasting, progressive, one partial receiver).  For `k ≥ 2`
-//! Lemma 1's exchange argument does not carry over verbatim — a prior
-//! counterexample shows a single *overall* receiver is not WLOG, which is
-//! why receivers are per-resource here — so the search is documented as
-//! **exact within this normalized class** (and conjectured optimal); the
-//! scaled and rational engines run the identical enumeration, making their
-//! cross-check a genuine test of the per-layer grids rather than of the
-//! class.
+//! For `k = 1` this class is precisely the Lemma 1 class (non-wasting,
+//! progressive, one partial receiver), and the successors come from the
+//! sorted break-prune DFS shared with the scaled engine (the internal
+//! `subset_enum` module), so both engines enumerate the same successor
+//! sets.  For `k ≥ 2` Lemma 1's exchange argument does not carry over
+//! verbatim — a prior counterexample shows a single *overall* receiver is
+//! not WLOG, which is why receivers are per-resource here — so the search
+//! is documented as **exact within this normalized class** (and conjectured
+//! optimal); the scaled and rational views run the identical enumeration,
+//! making their cross-check a genuine test of the per-layer grids rather
+//! than of the class.  Its enumeration is a plain subset DFS with an
+//! all-layer overflow-checked fit test and an odometer over the
+//! per-resource receivers: the break-prune does *not* generalize, since
+//! requirement vectors have no total order, so a candidate that fails the
+//! fit test cannot end its level — the DFS skips it and keeps descending.
 //!
 //! # Search structure
 //!
 //! Round-by-round BFS with exact-duplicate removal and the per-processor
 //! domination filter of Lemma 4, run through the grouped filter shared with
-//! the scalar engines (the internal `dominance` module): configuration `a`
+//! the scaled engine (the internal `dominance` module): configuration `a`
 //! dominates `b` when every processor has completed more jobs, or equally
 //! many with at least as much spent on **every** layer of the frontier job.
-//! Every
-//! emitted choice completes at least one job (singletons always fit:
+//! Every emitted choice completes at least one job (singletons always fit:
 //! remaining ≤ requirement ≤ capacity on every layer), so the search
-//! terminates within `total_jobs + 1` rounds.  The search is value-only —
-//! multi-resource schedules are not reconstructed; the solver layer
-//! reports makespans and rejects `want_schedule` with a structured error.
+//! terminates within `total_jobs + 1` rounds.  Each round keeps its
+//! survivors in insertion order (successors in parent order, the first
+//! representative of every exact duplicate) with their parents' positions
+//! in the previous round, and [`Search::schedule`] replays a `k = 1`
+//! schedule from parent/child differences, as the scaled engine does.
+//! Multi-resource schedules are not reconstructed; the solver layer reports
+//! makespans and rejects `want_schedule` with a structured error.
 //!
-//! The enumeration is a plain subset DFS with an all-layer overflow-checked
-//! fit test.  The scalar enumerator's sorted-ascending break-prune does
-//! *not* generalize: requirement vectors have no total order, so a
-//! candidate that fails the fit test cannot end its level — the DFS skips
-//! it and keeps descending.
+//! [`brute_force_cancellable`] runs a memoized DFS over the same
+//! configurations and successors without the domination filter: the
+//! exponential reference of the `Ratio` brute force.
 
 use crate::dominance::{DominanceFilter, FILTER_CHECK_STRIDE};
-use crate::subset_enum::CHOICE_CHECK_STRIDE;
-use cr_core::{CancelGate, CancelReason, CancelToken, Instance, JobId, Ratio, ScaledInstance};
-use std::collections::HashSet;
+use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
+use cr_core::{
+    CancelGate, CancelReason, CancelToken, Instance, JobId, Ratio, ScaledInstance, Schedule,
+    ScheduleBuilder,
+};
+use rustc_hash::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
 /// The arithmetic of one search: `u64` units on per-resource LCM grids or
@@ -104,10 +123,21 @@ impl MultiView<u64> {
 }
 
 impl MultiView<Ratio> {
-    /// The exact rational view: every resource has capacity `1`.
+    /// The exact rational view of every resource layer: capacity `1` each.
     pub(crate) fn rational(instance: &Instance) -> Self {
+        Self::rational_layers(instance, instance.resources())
+    }
+
+    /// The exact rational view of the base resource alone: the
+    /// single-resource problem of Theorem 6, which the scaled `k = 1`
+    /// engine solves too.
+    pub(crate) fn base_rational(instance: &Instance) -> Self {
+        Self::rational_layers(instance, 1)
+    }
+
+    /// The exact rational view of the first `k` resource layers.
+    fn rational_layers(instance: &Instance, k: usize) -> Self {
         let m = instance.processors();
-        let k = instance.resources();
         let caps = vec![Ratio::ONE; k];
         let mut offsets = Vec::with_capacity(m + 1);
         let mut reqs = Vec::with_capacity(instance.total_jobs() * k);
@@ -152,6 +182,14 @@ impl<V: SearchUnit> MultiView<V> {
     fn req(&self, processor: usize, index: usize, r: usize) -> V {
         self.reqs[(self.offsets[processor] + index) * self.resources() + r]
     }
+
+    /// Whether `completed` counts every job of every processor.
+    fn is_final(&self, completed: &[u32]) -> bool {
+        completed
+            .iter()
+            .enumerate()
+            .all(|(i, &c)| c as usize >= self.jobs_on(i))
+    }
 }
 
 /// A multi-resource configuration: completed-job counts plus the per-layer
@@ -172,13 +210,6 @@ impl<V: SearchUnit> MConfig<V> {
         }
     }
 
-    fn is_final(&self, view: &MultiView<V>) -> bool {
-        self.completed
-            .iter()
-            .enumerate()
-            .all(|(i, &c)| c as usize >= view.jobs_on(i))
-    }
-
     /// Completes processor `i`'s frontier job, resetting its spent layers.
     fn complete(&mut self, processor: usize, k: usize) {
         self.completed[processor] += 1;
@@ -186,7 +217,7 @@ impl<V: SearchUnit> MConfig<V> {
     }
 }
 
-/// The result of one multi-resource search.
+/// The makespan and expansion count of one finished search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MultiSearch {
     /// The optimal makespan within the normalized step class.
@@ -195,21 +226,49 @@ pub(crate) struct MultiSearch {
     pub expanded: usize,
 }
 
+/// Reusable buffers of the successor enumeration (one per search, not one
+/// per expansion).
+#[derive(Debug)]
+struct SuccScratch<V> {
+    /// The active processors.
+    active: Vec<usize>,
+    /// Remaining requirement per active entry per layer, `a × k`.
+    rem: Vec<V>,
+    /// The `k = 1` choice DFS's buffers.
+    choices: EnumScratch,
+}
+
+impl<V> SuccScratch<V> {
+    fn new() -> Self {
+        SuccScratch {
+            active: Vec::new(),
+            rem: Vec::new(),
+            choices: EnumScratch::default(),
+        }
+    }
+}
+
 /// Streams every normalized successor of `config` into `emit`.
 ///
-/// See the module docs for the choice class.  `emit` receives each
-/// successor configuration; exact duplicates may be emitted (the BFS
-/// deduplicates).
+/// See the module docs for the choice class.  For `k = 1` the successors
+/// are distinct and come in the shared choice DFS's order; for `k ≥ 2`
+/// exact duplicates may be emitted (the search deduplicates).
 fn successors<V: SearchUnit>(
     view: &MultiView<V>,
     config: &MConfig<V>,
+    scratch: &mut SuccScratch<V>,
     gate: &mut CancelGate,
     emit: &mut impl FnMut(MConfig<V>),
 ) -> Result<(), CancelReason> {
     let m = view.processors();
     let k = view.resources();
-    let mut active: Vec<usize> = Vec::new();
-    let mut rem: Vec<V> = Vec::new();
+    let SuccScratch {
+        active,
+        rem,
+        choices,
+    } = scratch;
+    active.clear();
+    rem.clear();
     // lint: allow(cancel_coverage) — bounded: one pass over the m processors
     for i in 0..m {
         let done = config.completed[i] as usize;
@@ -223,6 +282,31 @@ fn successors<V: SearchUnit>(
     }
     if active.is_empty() {
         return Ok(());
+    }
+    if k == 1 {
+        // One resource: the requirement-sorted break-prune DFS.
+        return for_each_choice_cancellable(
+            rem,
+            view.caps[0],
+            choices,
+            gate,
+            &mut |finished, partial| {
+                let mut next = config.clone();
+                // lint: allow(cancel_coverage) — bounded: `finished` is a subset of the <= m active processors
+                for &e in finished {
+                    next.complete(active[e as usize], 1);
+                }
+                if let Some((e, leftover)) = partial {
+                    let i = active[e as usize];
+                    // New spent = requirement − (remaining − leftover), as
+                    // on k ≥ 2: the receiver's remaining exceeds the
+                    // leftover.
+                    let done = config.completed[i] as usize;
+                    next.spent[i] = view.req(i, done, 0).sub(rem[e as usize].sub(leftover));
+                }
+                emit(next);
+            },
+        );
     }
     let a = active.len();
     let all_zero = |e: usize| (0..k).all(|r| rem[e * k + r] == V::ZERO);
@@ -241,7 +325,7 @@ fn successors<V: SearchUnit>(
     if fits_all {
         let mut next = config.clone();
         // lint: allow(cancel_coverage) — bounded: completes the <= m active processors
-        for &e in &active {
+        for &e in active.iter() {
             next.complete(e, k);
         }
         emit(next);
@@ -257,8 +341,8 @@ fn successors<V: SearchUnit>(
     let mut dfs = Dfs {
         view,
         config,
-        active: &active,
-        rem: &rem,
+        active,
+        rem,
         zeros: &zeros,
         positives: &positives,
         chosen: Vec::new(),
@@ -405,44 +489,194 @@ impl<V: SearchUnit> Dfs<'_, V> {
     }
 }
 
-/// Runs the multi-resource configuration search to the first round holding
-/// a final configuration.
+/// One round of the search, stored flat: node `i` is the `m` completed
+/// counts at `completed[i·m..]` and the `m·k` spent values at
+/// `spent[i·m·k..]`, reached from position `parents[i]` of the previous
+/// round (`usize::MAX` for the initial configuration).  Flat rows keep the
+/// rounds a schedule replay needs at a few words per node.
+#[derive(Debug)]
+struct MRound<V> {
+    /// Processors per node.
+    m: usize,
+    /// Spent values per node (`m·k`).
+    width: usize,
+    completed: Vec<u32>,
+    spent: Vec<V>,
+    parents: Vec<usize>,
+}
+
+impl<V: SearchUnit> MRound<V> {
+    /// An empty round over `m` processors and `k` resources with room for
+    /// `nodes` nodes.
+    fn with_capacity(m: usize, k: usize, nodes: usize) -> Self {
+        MRound {
+            m,
+            width: m * k,
+            completed: Vec::with_capacity(nodes * m),
+            spent: Vec::with_capacity(nodes * m * k),
+            parents: Vec::with_capacity(nodes),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.parents.len()
+    }
+
+    fn clear(&mut self) {
+        self.completed.clear();
+        self.spent.clear();
+        self.parents.clear();
+    }
+
+    /// Node `i`'s completed counts.
+    fn completed(&self, i: usize) -> &[u32] {
+        &self.completed[i * self.m..(i + 1) * self.m]
+    }
+
+    /// Node `i`'s spent values.
+    fn spent(&self, i: usize) -> &[V] {
+        &self.spent[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Appends a node reached from position `parent` of the previous round.
+    fn push(&mut self, completed: &[u32], spent: &[V], parent: usize) {
+        self.completed.extend_from_slice(completed);
+        self.spent.extend_from_slice(spent);
+        self.parents.push(parent);
+    }
+
+    /// Copies node `i` into `config`.
+    fn load(&self, i: usize, config: &mut MConfig<V>) {
+        config.completed.clear();
+        config.completed.extend_from_slice(self.completed(i));
+        config.spent.clear();
+        config.spent.extend_from_slice(self.spent(i));
+    }
+}
+
+/// A finished search: every round's survivors, the initial round first,
+/// and the position of the first final configuration in the last round.
+#[derive(Debug)]
+pub(crate) struct Search<V> {
+    rounds: Vec<MRound<V>>,
+    winner: usize,
+}
+
+impl<V: SearchUnit> Search<V> {
+    /// The optimal makespan within the normalized step class: the rounds
+    /// after the initial one.
+    pub(crate) fn makespan(&self) -> usize {
+        self.rounds.len() - 1
+    }
+
+    /// The makespan and the configurations expanded: every round's
+    /// survivors but the last's.
+    fn summary(&self) -> MultiSearch {
+        let makespan = self.makespan();
+        MultiSearch {
+            makespan,
+            expanded: self.rounds[..makespan].iter().map(MRound::len).sum(),
+        }
+    }
+}
+
+impl Search<Ratio> {
+    /// Reconstructs an optimal schedule from a single-resource search by
+    /// back-tracing the winner and replaying each step, recovered from its
+    /// parent and child configurations: a processor whose completed count
+    /// rose finished its frontier job, and one whose spent rose received
+    /// the difference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the search ran over more than one resource, or over
+    /// another instance than `instance`.
+    pub(crate) fn schedule(&self, instance: &Instance) -> Schedule {
+        let m = instance.processors();
+        assert_eq!(
+            (self.rounds[0].m, self.rounds[0].width),
+            (m, m),
+            "schedules are replayed from single-resource searches"
+        );
+        let last = self.makespan();
+        if last == 0 {
+            return Schedule::empty();
+        }
+        // The winner's position in every round, walked back from the last.
+        let mut path = vec![0usize; last + 1];
+        path[last] = self.winner;
+        // lint: allow(cancel_coverage) — bounded: the back-trace visits one node per round of the already-gated search
+        for round in (1..=last).rev() {
+            path[round - 1] = self.rounds[round].parents[path[round]];
+        }
+
+        let mut builder = ScheduleBuilder::new(instance);
+        // lint: allow(cancel_coverage) — bounded: replays one already-gated search round per step
+        for round in 1..=last {
+            let (before, after) = (&self.rounds[round - 1], &self.rounds[round]);
+            let (parent, child) = (path[round - 1], path[round]);
+            let shares: Vec<Ratio> = (0..m)
+                .map(|p| {
+                    if after.completed(child)[p] > before.completed(parent)[p] {
+                        builder.remaining_workload(p)
+                    } else {
+                        after.spent(child)[p] - before.spent(parent)[p]
+                    }
+                })
+                .collect();
+            builder.push_step(shares);
+        }
+        builder.finish()
+    }
+}
+
+/// Runs the configuration search to the first round holding a final
+/// configuration, keeping every round.
 ///
 /// `Ok(None)` when `round_cap` cut the search off before any final
-/// configuration appeared; `Err` when the token fired mid-search.
-pub(crate) fn search_cancellable<V: SearchUnit>(
+/// configuration appeared; `Err` when the token fired mid-search.  The
+/// token is checked at every round boundary and (through the shared
+/// gates) inside the successor enumeration and the filter, so even a single
+/// huge round observes the deadline within
+/// [`cr_core::cancel::CHECK_INTERVAL_MS`].
+pub(crate) fn run_search_cancellable<V: SearchUnit>(
     view: &MultiView<V>,
     round_cap: Option<usize>,
     token: &CancelToken,
-) -> Result<Option<MultiSearch>, CancelReason> {
+) -> Result<Option<Search<V>>, CancelReason> {
     let _search_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_SEARCH);
     let m = view.processors();
     let k = view.resources();
-    let initial = MConfig::initial(m, k);
-    if initial.is_final(view) {
-        return Ok(Some(MultiSearch {
-            makespan: 0,
-            expanded: 0,
-        }));
+    let mut node = MConfig::initial(m, k);
+    let mut initial = MRound::with_capacity(m, k, 1);
+    initial.push(&node.completed, &node.spent, usize::MAX);
+    let mut rounds = vec![initial];
+    if view.is_final(&node.completed) {
+        return Ok(Some(Search { rounds, winner: 0 }));
     }
+    let mut scratch = SuccScratch::new();
     let mut gate = token.gate(CHOICE_CHECK_STRIDE);
     let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
     let mut filter = DominanceFilter::new(m, k);
+    // The round's candidates in insertion order, and the same
+    // configurations by content, to drop exact duplicates.
+    let mut candidates = MRound::with_capacity(m, k, 0);
+    let mut seen: FxHashMap<MConfig<V>, ()> = FxHashMap::default();
     let max_rounds = view.total_jobs() + 1;
     let round_limit = round_cap.map_or(max_rounds, |cap| cap.min(max_rounds));
-    let mut frontier = vec![initial];
-    let mut expanded = 0usize;
-    for round in 1..=round_limit {
+    for _round in 0..round_limit {
         token.check()?;
         let mut round_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_ROUND);
         crate::obs::optm_rounds().inc();
-        let mut seen: HashSet<MConfig<V>> = HashSet::new();
-        let mut next: Vec<MConfig<V>> = Vec::new();
-        for node in &frontier {
-            expanded += 1;
-            successors(view, node, &mut gate, &mut |cfg| {
-                if seen.insert(cfg.clone()) {
-                    next.push(cfg);
+        let prev = &rounds[rounds.len() - 1];
+        candidates.clear();
+        seen.clear();
+        for parent in 0..prev.len() {
+            prev.load(parent, &mut node);
+            successors(view, &node, &mut scratch, &mut gate, &mut |cfg| {
+                if let Entry::Vacant(slot) = seen.entry(cfg) {
+                    candidates.push(&slot.key().completed, &slot.key().spent, parent);
+                    slot.insert(());
                 }
             })?;
         }
@@ -452,40 +686,129 @@ pub(crate) fn search_cancellable<V: SearchUnit>(
         // layers.
         filter.clear();
         // lint: allow(cancel_coverage) — bounded: one O(m·k) copy per candidate; the filter ticks its gate per candidate
-        for cfg in &next {
+        for i in 0..candidates.len() {
             filter.push(
-                cfg.completed.iter().map(|&c| u64::from(c)),
-                &cfg.spent,
+                candidates.completed(i).iter().map(|&c| u64::from(c)),
+                candidates.spent(i),
                 None,
             );
         }
-        let candidates = next.len();
-        let filtered: Vec<MConfig<V>> = next
-            .into_iter()
-            .zip(filter.survivors(&mut filter_gate)?)
-            .filter_map(|(cfg, &kept)| kept.then_some(cfg))
-            .collect();
+        let keep = filter.survivors(&mut filter_gate)?;
+        let kept = keep.iter().filter(|&&kept| kept).count();
+        let mut survivors = MRound::with_capacity(m, k, kept);
+        // lint: allow(cancel_coverage) — bounded: one O(m·k) copy per candidate of the gated filter
+        for (i, _) in keep.iter().enumerate().filter(|&(_, &kept)| kept) {
+            survivors.push(
+                candidates.completed(i),
+                candidates.spent(i),
+                candidates.parents[i],
+            );
+        }
         round_span.lap(cr_obs::names::SPAN_OPTM_FILTER);
         crate::obs::record_round_filter(
-            candidates,
-            filtered.len(),
+            candidates.len(),
+            survivors.len(),
             filter.checked(),
             filter.settled(),
         );
 
-        if filtered.iter().any(|cfg| cfg.is_final(view)) {
-            return Ok(Some(MultiSearch {
-                makespan: round,
-                expanded,
-            }));
+        let winner = (0..survivors.len()).find(|&i| view.is_final(survivors.completed(i)));
+        rounds.push(survivors);
+        if let Some(winner) = winner {
+            return Ok(Some(Search { rounds, winner }));
         }
-        frontier = filtered;
     }
     debug_assert!(
         round_cap.is_some(),
         "every choice completes a job, so the uncapped search must terminate"
     );
     Ok(None)
+}
+
+/// [`run_search_cancellable`] without a round cap or a token.
+pub(crate) fn run_search<V: SearchUnit>(view: &MultiView<V>) -> Search<V> {
+    run_search_cancellable(view, None, &CancelToken::never())
+        .ok()
+        .flatten()
+        // lint: allow(panic_hygiene) — a never-token cannot fire, and only a round cap leaves the search unfinished
+        .expect("the uncapped search reaches a final configuration")
+}
+
+/// [`run_search_cancellable`] reduced to the makespan and the expansion
+/// count.
+pub(crate) fn search_cancellable<V: SearchUnit>(
+    view: &MultiView<V>,
+    round_cap: Option<usize>,
+    token: &CancelToken,
+) -> Result<Option<MultiSearch>, CancelReason> {
+    Ok(run_search_cancellable(view, round_cap, token)?.map(|search| search.summary()))
+}
+
+/// The survivor count of every round of an uncapped search, the initial
+/// round first.
+#[cfg(test)]
+pub(crate) fn round_sizes<V: SearchUnit>(view: &MultiView<V>) -> Vec<usize> {
+    run_search(view).rounds.iter().map(MRound::len).collect()
+}
+
+/// Memoized exhaustive search over the same configurations and successors,
+/// without the domination filter.  Returns `(optimal makespan, memoized
+/// states, expansions)`.  The token is checked up front, then on every
+/// expansion and (through the shared gate) inside the successor
+/// enumeration, so even an exponential search stops within one check
+/// stride of the token firing.
+pub(crate) fn brute_force_cancellable<V: SearchUnit>(
+    view: &MultiView<V>,
+    token: &CancelToken,
+) -> Result<(usize, usize, usize), CancelReason> {
+    token.check()?;
+    let mut memo = FxHashMap::default();
+    let mut scratch = SuccScratch::new();
+    let mut gate = token.gate(CHOICE_CHECK_STRIDE);
+    let mut expansions = 0usize;
+    let initial = MConfig::initial(view.processors(), view.resources());
+    let best = brute_force_dfs(
+        view,
+        initial,
+        &mut memo,
+        &mut scratch,
+        &mut gate,
+        &mut expansions,
+    )?;
+    Ok((best, memo.len(), expansions))
+}
+
+/// One memoized DFS step; `config` becomes its own memo key.
+fn brute_force_dfs<V: SearchUnit>(
+    view: &MultiView<V>,
+    config: MConfig<V>,
+    memo: &mut FxHashMap<MConfig<V>, usize>,
+    scratch: &mut SuccScratch<V>,
+    gate: &mut CancelGate,
+    expansions: &mut usize,
+) -> Result<usize, CancelReason> {
+    if view.is_final(&config.completed) {
+        return Ok(0);
+    }
+    if let Some(&v) = memo.get(&config) {
+        return Ok(v);
+    }
+    gate.tick()?;
+    *expansions += 1;
+    // Collect the successors first: the recursive calls reuse the scratch.
+    let mut children = Vec::new();
+    successors(view, &config, scratch, gate, &mut |child| {
+        children.push(child);
+    })?;
+    let mut best = usize::MAX;
+    for child in children {
+        let sub = brute_force_dfs(view, child, memo, scratch, gate, expansions)?;
+        if sub != usize::MAX {
+            best = best.min(sub + 1);
+        }
+    }
+    memo.insert(config, best);
+    Ok(best)
 }
 
 #[cfg(test)]
@@ -587,6 +910,48 @@ mod tests {
             search_cancellable(&view, None, &token),
             Err(CancelReason::Cancelled)
         );
+    }
+
+    #[test]
+    fn brute_force_agrees_with_the_search() {
+        let instances = [
+            InstanceBuilder::new()
+                .processor([ratio(1, 10)])
+                .processor([ratio(1, 10)])
+                .extra_layer([vec![ratio(3, 4)], vec![ratio(3, 4)]])
+                .build(),
+            InstanceBuilder::new()
+                .processor([ratio(1, 2), ratio(1, 2)])
+                .processor([ratio(1, 2), ratio(1, 2)])
+                .extra_layer([vec![ratio(1, 3); 2], vec![ratio(2, 3); 2]])
+                .build(),
+            Instance::unit_from_percentages(&[&[60, 40, 80], &[30, 90, 10], &[50]]),
+        ];
+        for inst in instances {
+            let (best, states, expansions) =
+                brute_force_cancellable(&MultiView::rational(&inst), &never()).unwrap();
+            assert_eq!(best, rational_makespan(&inst), "{inst}");
+            assert!(states > 0 && expansions > 0);
+            let token = CancelToken::new();
+            token.cancel();
+            assert_eq!(
+                brute_force_cancellable(&MultiView::rational(&inst), &token),
+                Err(CancelReason::Cancelled)
+            );
+        }
+    }
+
+    #[test]
+    fn base_view_ignores_the_extra_layers() {
+        let inst = InstanceBuilder::new()
+            .processor([ratio(1, 10)])
+            .processor([ratio(1, 10)])
+            .extra_layer([vec![ratio(3, 4)], vec![ratio(3, 4)]])
+            .build();
+        let search = run_search(&MultiView::base_rational(&inst));
+        assert_eq!(search.makespan(), 1);
+        assert_eq!(search.schedule(&inst).num_steps(), 1);
+        assert_eq!(rational_makespan(&inst), 2);
     }
 
     #[test]

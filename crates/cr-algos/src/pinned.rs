@@ -6,11 +6,14 @@
 //! digest the answers of a few hundred small random searches, so a change
 //! to the filter or to the emission order that moves any survivor set,
 //! round size, schedule or expansion count fails here.  The digests were
-//! recorded from the sorted-order filter, before it was regrouped by hash.
+//! recorded from the sorted-order filter, before it was regrouped by hash;
+//! the rational brute-force digest was recorded from the `Ratio` search
+//! that `multi_engine` replaced.
 
-use crate::multi_engine::{search_cancellable, MultiView};
+use crate::brute_force::brute_force_with_stats_rational;
+use crate::multi_engine::{round_sizes, search_cancellable, MultiView};
 use crate::opt_m::schedule_rational;
-use crate::scaled_engine::{run_search, search_makespan, search_schedule};
+use crate::scaled_engine::{run_search, search_makespan, search_schedule, Round};
 use cr_core::{CancelToken, Instance, InstanceBuilder, Ratio, ScaledInstance, Schedule};
 
 /// SplitMix64: a fixed, dependency-free generator for the pinned inputs.
@@ -165,4 +168,38 @@ fn two_resource_searches_are_unchanged() {
     }
     assert_eq!(makespans, 2144);
     assert_eq!(digest.0, 0x171b_0fa2_a11f_c015);
+}
+
+/// The rational brute force's makespans, memoized states and expansions
+/// (reported on the wire as `rounds`) on [`single_resource_instances`].
+#[test]
+fn single_resource_rational_brute_force_is_unchanged() {
+    let mut digest = Digest::new();
+    let mut makespans = 0;
+    for instance in single_resource_instances() {
+        let (makespan, stats) = brute_force_with_stats_rational(&instance);
+        makespans += makespan;
+        digest.word(makespan as u64);
+        digest.word(stats.states as u64);
+        digest.word(stats.expansions as u64);
+    }
+    assert_eq!(makespans, 642);
+    assert_eq!(digest.0, 0xdea5_f807_a6ea_019d);
+}
+
+/// On one resource the generic multi-resource search keeps as many
+/// survivors per round as the scaled engine: the two enumerate the same
+/// successor sets, only in different orders.
+#[test]
+fn generic_search_keeps_the_scaled_round_sizes() {
+    for instance in single_resource_instances() {
+        let scaled = ScaledInstance::try_new(&instance).expect("percent grids scale");
+        let rounds = run_search(&scaled).expect("small searches fit");
+        let want: Vec<usize> = rounds.iter().map(Round::len).collect();
+        assert_eq!(
+            round_sizes(&MultiView::from_scaled(&scaled)),
+            want,
+            "{instance}"
+        );
+    }
 }

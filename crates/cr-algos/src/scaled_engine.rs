@@ -1,14 +1,14 @@
 //! The scaled-integer engine behind the exact solvers.
 //!
 //! `opt_two`, `opt_m` and `brute_force` all expose `Ratio`-based public APIs
-//! but delegate their hot search loops to this module, which works on a
-//! [`ScaledInstance`]: requirements as plain `u64` units with resource
-//! capacity `D` (the denominators' LCM).  Compared to the retained rational
-//! reference paths this removes
+//! but delegate their hot single-resource search loops to this module,
+//! which works on a [`ScaledInstance`]: requirements as plain `u64` units
+//! with resource capacity `D` (the denominators' LCM).  Compared to the
+//! generic `Ratio` search of [`crate::multi_engine`] this removes
 //!
 //! * every gcd: sums, capacity tests and leftover computations are single
 //!   integer ops;
-//! * the `Config { Vec<usize>, Vec<Ratio> }` search key: a configuration is
+//! * the `MConfig { Vec<u32>, Vec<Ratio> }` search key: a configuration is
 //!   `2m` words (`completed` counts, then `spent` units), and a search round
 //!   is one flat [`Round`] of them plus `u32` parent positions, so a round
 //!   costs two allocations however many nodes it holds;
@@ -16,7 +16,7 @@
 //!   through a callback, filling a caller-provided [`SuccScratch`] buffer.
 //!
 //! Successor generation runs on the width-independent pruned DFS enumerator
-//! shared with the rational search ([`crate::subset_enum`]), so any number
+//! shared with the generic search ([`crate::subset_enum`]), so any number
 //! of simultaneously active processors is supported — the pre-ISSUE-4
 //! engine asserted `k < 32` because it scanned `1u32 << k` subset masks.
 //!
@@ -42,11 +42,12 @@
 //! rose finished its frontier job; one whose spent units rose received
 //! them).  A round that outgrows the `u32` positions surfaces as a
 //! structured [`SearchError`] during expansion instead of a panic; callers
-//! fall back to the rational reference search.
+//! fall back to the generic `Ratio` search.
 //!
 //! The engine is internal; its correctness contract is "identical makespans
-//! to the rational reference solvers", enforced by unit tests here and by
-//! the `proptest_scaled` cross-check suite.
+//! to the generic `Ratio` search", enforced by unit tests here, by the
+//! per-round survivor counts pinned in `crate::pinned`, and by the
+//! `proptest_scaled` cross-check suite.
 
 use crate::dominance::{DominanceFilter, Level, RowIndex, EMPTY, FILTER_CHECK_STRIDE};
 use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
@@ -60,7 +61,8 @@ use std::fmt;
 /// Structured failure of the configuration search.  The search is total for
 /// every realistic instance; this exists so the single capacity limit left
 /// in the engine — round positions are `u32` — degrades into a recoverable
-/// error (callers fall back to the rational search) instead of a panic.
+/// error (callers fall back to the generic `Ratio` search) instead of a
+/// panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchError {
     /// A search round holds more nodes than `u32` positions can address.
@@ -122,7 +124,7 @@ pub(crate) struct SuccScratch {
 ///
 /// Runs on the shared pruned DFS enumerator (`crate::subset_enum`), so the
 /// active-processor count is unbounded and unit sums are overflow-checked.
-/// Mirrors the rational `opt_m::successors` step enumeration exactly.
+/// Emits the same successor set as the generic search on one resource.
 #[cfg(test)]
 pub(crate) fn for_each_successor(
     scaled: &ScaledInstance,
@@ -418,7 +420,7 @@ fn expand_round(
 /// # Errors
 ///
 /// [`SearchError::RoundTooLarge`] when a round outgrows the `u32`
-/// positions; callers fall back to the rational search.
+/// positions; callers fall back to the generic `Ratio` search.
 pub(crate) fn run_search(scaled: &ScaledInstance) -> Result<Vec<Round>, SearchError> {
     run_search_cancellable(scaled, None, &CancelToken::never())
         // lint: allow(panic_hygiene) — with no round cap the search only reports None when capped, and a never-token cannot fire

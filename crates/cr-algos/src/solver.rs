@@ -19,15 +19,18 @@
 //! * [`Solver`] — `fn solve(&SolveRequest) -> Result<SolveOutcome,
 //!   SolveError>`, implemented by every heuristic, both exact engines and
 //!   the bounds-only evaluator;
-//! * [`registry`] — the string-keyed line-up of all offline solvers,
-//!   superseding [`standard_line_up`](crate::standard_line_up) (which is
-//!   kept as a thin deprecated shim).
+//! * [`registry`] — the string-keyed line-up of all offline solvers.
 //!
 //! # Engine preference and fallback contract
 //!
 //! Every offline method has two interchangeable cores: the scaled-integer
 //! hot path (`u64` units on the instance's denominator-LCM grid) and the
-//! exact `Ratio` reference path.  [`EnginePreference`] selects between them:
+//! exact `Ratio` reference path.  For `"OptM"` and `"BruteForce"` the
+//! `Ratio` core is the generic configuration search of the internal
+//! `multi_engine` module, which also answers every multi-resource
+//! (`k ≥ 2`) request of the exact methods on either unit; the scaled core
+//! of a single-resource search is the internal `scaled_engine`.
+//! [`EnginePreference`] selects between them:
 //!
 //! * [`EnginePreference::Auto`] (the default) runs the scaled core whenever
 //!   the instance's grid fits `u64` and transparently falls back to the
@@ -40,7 +43,7 @@
 //!   overflows the request fails with [`SolveError::GridOverflow`], and a
 //!   [`SearchError`] surfaces as [`SolveError::RoundTooLarge`] instead of
 //!   falling back.
-//! * [`EnginePreference::Rational`] runs the retained reference core — the
+//! * [`EnginePreference::Rational`] runs the exact `Ratio` core — the
 //!   cross-checking path of the property-test suites.  The online simulator
 //!   methods in `cr-sim` are integer-native and reject this preference with
 //!   [`SolveError::EngineUnavailable`].
@@ -80,7 +83,6 @@ use crate::heuristics::{
 };
 use crate::multi_engine::{self, MultiView};
 use crate::multi_sched::{self, PolyKind};
-use crate::opt_m;
 use crate::opt_two;
 use crate::round_robin::RoundRobin;
 use crate::scaled_engine::{self, SearchError};
@@ -1163,13 +1165,12 @@ impl Solver for OptM {
                 } else if request.engine == EnginePreference::Auto {
                     fallbacks.push(grid_fallback_note());
                 }
-                // One rational search answers both makespan and schedule;
-                // it honors the round cap too, stopping after `cap` rounds
-                // instead of running to completion.
-                let Some((makespan, schedule)) = opt_m::solve_rational_cancellable(
-                    instance,
+                // One generic `Ratio` search answers both makespan and
+                // schedule; it honors the round cap too, stopping after
+                // `cap` rounds instead of running to completion.
+                let Some(search) = multi_engine::run_search_cancellable(
+                    &MultiView::base_rational(instance),
                     request.budget.max_rounds,
-                    request.want_schedule,
                     &token,
                 )?
                 else {
@@ -1180,7 +1181,9 @@ impl Solver for OptM {
                         limit: request.budget.max_rounds.expect("cap produced the cutoff"),
                     });
                 };
+                let makespan = search.makespan();
                 check_steps_budget(METHOD, &request.budget, makespan)?;
+                let schedule = request.want_schedule.then(|| search.schedule(instance));
                 Ok(SolveOutcome {
                     method: METHOD.to_string(),
                     engine: Engine::Rational,
@@ -1454,8 +1457,8 @@ impl Registry {
 /// The standard offline line-up: the six polynomial schedulers, both exact
 /// engines, the exhaustive reference and the bounds-only evaluator.
 ///
-/// Supersedes [`standard_line_up`](crate::standard_line_up); the online
-/// simulator methods register on top via `cr_sim::register_online`.
+/// The online simulator methods register on top via
+/// `cr_sim::register_online`.
 #[must_use]
 pub fn registry() -> Registry {
     let mut r = Registry::new();
@@ -1610,11 +1613,11 @@ mod tests {
         // entry point (checked directly, below the precheck layer) stops
         // expanding at the cap instead of running to completion, and the
         // registry path reports the same structured error.
-        assert_eq!(opt_m::solve_rational(&inst, Some(1), false), None);
-        assert_eq!(
-            opt_m::solve_rational(&inst, Some(3), false),
-            Some((3, None))
-        );
+        let view = MultiView::base_rational(&inst);
+        let never = CancelToken::never();
+        let capped = |cap| multi_engine::search_cancellable(&view, Some(cap), &never).unwrap();
+        assert_eq!(capped(1), None);
+        assert_eq!(capped(3).map(|search| search.makespan), Some(3));
         let err = registry()
             .solve(
                 &SolveRequest::new("OptM", inst)

@@ -1,13 +1,16 @@
 //! The shared pruned successor-choice enumerator behind both exact engines.
 //!
-//! One normalized time step of the configuration search (Lemma 1) is a
-//! *choice*: a subset of the active frontier jobs whose remaining
-//! requirements fit into the resource and all complete, plus at most one
-//! further active job that receives the leftover without completing.  Both
-//! the scaled-integer engine ([`crate::scaled_engine`], values in `u64`
-//! units) and the rational reference search ([`crate::opt_m`], values in
-//! [`Ratio`]) enumerate exactly this choice space, so the enumeration lives
-//! here once, generic over the value type.
+//! One normalized time step of the single-resource configuration search
+//! (Lemma 1) is a *choice*: a subset of the active frontier jobs whose
+//! remaining requirements fit into the resource and all complete, plus at
+//! most one further active job that receives the leftover without
+//! completing.  The scaled-integer engine ([`crate::scaled_engine`], values
+//! in `u64` units) and the generic search ([`crate::multi_engine`], `u64`
+//! units or exact [`Ratio`](cr_core::Ratio)s) enumerate exactly this choice
+//! space whenever the instance has one resource, so the enumeration lives
+//! here once, generic over [`StepUnit`].  With `k ≥ 2` resources the sorted
+//! break-prune below no longer applies (requirement vectors have no total
+//! order), and `multi_engine` enumerates with its own subset DFS.
 //!
 //! # Pruned DFS instead of a bitmask scan
 //!
@@ -46,44 +49,7 @@
 
 #[cfg(test)]
 use cr_core::CancelToken;
-use cr_core::{CancelGate, CancelReason, Ratio};
-
-/// A resource value the enumerator can sum and compare: `u64` units on the
-/// scaled grid, or an exact [`Ratio`].
-pub(crate) trait ResourceUnit: Copy + Ord {
-    /// The additive identity.
-    const ZERO: Self;
-
-    /// Overflow-checked addition; `None` means "exceeds any capacity".
-    fn checked_add(self, other: Self) -> Option<Self>;
-
-    /// Subtraction; callers guarantee `self >= other`.
-    fn sub(self, other: Self) -> Self;
-}
-
-impl ResourceUnit for u64 {
-    const ZERO: Self = 0;
-
-    fn checked_add(self, other: Self) -> Option<Self> {
-        u64::checked_add(self, other)
-    }
-
-    fn sub(self, other: Self) -> Self {
-        self - other
-    }
-}
-
-impl ResourceUnit for Ratio {
-    const ZERO: Self = Ratio::ZERO;
-
-    fn checked_add(self, other: Self) -> Option<Self> {
-        Ratio::checked_add(self, other)
-    }
-
-    fn sub(self, other: Self) -> Self {
-        self - other
-    }
-}
+use cr_core::{CancelGate, CancelReason, StepUnit};
 
 /// Reusable buffers for one enumeration (one per search, not one per
 /// expansion).
@@ -111,7 +77,7 @@ pub(crate) struct EnumScratch {
 /// for why the rest are dominated), which the enumerator property tests in
 /// `scaled_engine` assert.
 #[cfg(test)]
-pub(crate) fn for_each_choice<V: ResourceUnit>(
+pub(crate) fn for_each_choice<V: StepUnit>(
     remaining: &[V],
     cap: V,
     scratch: &mut EnumScratch,
@@ -132,7 +98,7 @@ pub(crate) const CHOICE_CHECK_STRIDE: u32 = 1024;
 /// stops within one check stride of the token firing.  Choices already
 /// emitted before the cut are *not* unwound — callers must discard partial
 /// results on `Err`.
-pub(crate) fn for_each_choice_cancellable<V: ResourceUnit>(
+pub(crate) fn for_each_choice_cancellable<V: StepUnit>(
     remaining: &[V],
     cap: V,
     scratch: &mut EnumScratch,
@@ -220,7 +186,7 @@ pub(crate) fn for_each_choice_cancellable<V: ResourceUnit>(
 /// One DFS level: try extending the chosen subset with each not-yet-tried
 /// positive entry, emitting the completing choices along the way.
 #[allow(clippy::too_many_arguments)]
-fn descend<V: ResourceUnit>(
+fn descend<V: StepUnit>(
     remaining: &[V],
     cap: V,
     order: &[u32],
@@ -286,11 +252,12 @@ fn descend<V: ResourceUnit>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cr_core::Ratio;
 
     /// One emitted choice: sorted finished entries plus the partial receiver.
     type Choice<V> = (Vec<u32>, Option<(u32, V)>);
 
-    fn collect_choices<V: ResourceUnit>(remaining: &[V], cap: V) -> Vec<Choice<V>> {
+    fn collect_choices<V: StepUnit>(remaining: &[V], cap: V) -> Vec<Choice<V>> {
         let mut scratch = EnumScratch::default();
         let mut out = Vec::new();
         for_each_choice(remaining, cap, &mut scratch, &mut |finished, partial| {

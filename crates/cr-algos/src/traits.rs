@@ -56,44 +56,31 @@ pub trait Scheduler {
 /// benchmark harness.
 pub type BoxedScheduler = Box<dyn Scheduler + Send + Sync>;
 
-/// Returns the full line-up of polynomial-time schedulers implemented in this
-/// crate (the exact exponential/DP algorithms are excluded because they do
-/// not scale to arbitrary instances).
-#[deprecated(
-    since = "0.1.0",
-    note = "use cr_algos::solver::registry() — the string-keyed solver registry with \
-            engine preferences, budgets and structured errors"
-)]
-#[must_use]
-pub fn standard_line_up() -> Vec<BoxedScheduler> {
-    vec![
-        Box::new(crate::greedy_balance::GreedyBalance::new()),
-        Box::new(crate::round_robin::RoundRobin::new()),
-        Box::new(crate::heuristics::EqualShare::new()),
-        Box::new(crate::heuristics::ProportionalShare::new()),
-        Box::new(crate::heuristics::LargestRequirementFirst::new()),
-        Box::new(crate::heuristics::SmallestRequirementFirst::new()),
-    ]
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::{
+        EqualShare, GreedyBalance, LargestRequirementFirst, ProportionalShare, RoundRobin,
+        SmallestRequirementFirst,
+    };
     use cr_core::Ratio;
 
-    #[test]
-    fn line_up_contains_paper_algorithms() {
-        let names: Vec<&str> = standard_line_up().iter().map(|s| s.name()).collect();
-        assert!(names.contains(&"GreedyBalance"));
-        assert!(names.contains(&"RoundRobin"));
-        assert!(names.len() >= 4);
+    /// The six polynomial-time schedulers.
+    fn schedulers() -> Vec<BoxedScheduler> {
+        vec![
+            Box::new(GreedyBalance::new()),
+            Box::new(RoundRobin::new()),
+            Box::new(EqualShare::new()),
+            Box::new(ProportionalShare::new()),
+            Box::new(LargestRequirementFirst::new()),
+            Box::new(SmallestRequirementFirst::new()),
+        ]
     }
 
     #[test]
     fn all_line_up_schedulers_produce_feasible_schedules() {
         let inst = Instance::unit_from_percentages(&[&[60, 30, 10], &[50, 50], &[90]]);
-        for s in standard_line_up() {
+        for s in schedulers() {
             let schedule = s.schedule(&inst);
             let trace = schedule.trace(&inst).unwrap();
             assert!(trace.makespan() >= 2, "{} too fast", s.name());
@@ -108,7 +95,7 @@ mod tests {
     #[test]
     fn try_makespan_matches_the_panicking_wrapper() {
         let inst = Instance::unit_from_percentages(&[&[60, 30, 10], &[50, 50], &[90]]);
-        for s in standard_line_up() {
+        for s in schedulers() {
             assert_eq!(s.try_makespan(&inst).unwrap(), s.makespan(&inst));
         }
     }

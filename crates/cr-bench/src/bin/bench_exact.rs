@@ -10,6 +10,12 @@
 //! here; the pre-redesign version duplicated a hand-written match arm per
 //! algorithm instead.
 //!
+//! For `OptM` and `BruteForce` the rational column times the generic
+//! configuration search (`cr-algos`' internal `multi_engine`, run over
+//! `Ratio`s), the same code that answers every multi-resource request; the
+//! scaled column times the `k = 1` scaled engine.  `OptTwo`, the heuristics
+//! and the simulator keep their own `Ratio` paths.
+//!
 //! The online simulator methods (`sim:*`) are integer-native, so their
 //! rational column runs the *offline* twin's rational reference on the same
 //! workload — the cost model of the pre-ISSUE-3 engine.  The workloads have

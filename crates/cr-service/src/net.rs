@@ -677,8 +677,13 @@ fn connection_loop(
 }
 
 /// Recognizes a `{"control": "..."}` frame (an object whose only meaning is
-/// the control op; anything else is a request line).
+/// the control op; anything else is a request line).  Only a line that
+/// contains `control` or an escape can hold a key decoding to `control`;
+/// every other line goes to the request parser without a parse here.
 fn parse_control(line: &str) -> Option<String> {
+    if !line.contains("control") && !line.contains('\\') {
+        return None;
+    }
     let value: serde::Value = serde_json::from_str(line).ok()?;
     match value.get("control") {
         Some(serde::Value::String(op)) => Some(op.clone()),
@@ -925,5 +930,19 @@ mod tests {
         );
         assert_eq!(parse_control(r#"{"method":"OptM","rows":[[50]]}"#), None);
         assert_eq!(parse_control("not json"), None);
+    }
+
+    #[test]
+    fn control_text_outside_a_control_key_is_a_request() {
+        assert_eq!(
+            parse_control(r#"{"method":"OptM","rows":[[50]],"tag":"control"}"#),
+            None
+        );
+        assert_eq!(parse_control(r#"{"controls":"stats"}"#), None);
+        // An escaped key still decodes to `control`.
+        assert_eq!(
+            parse_control(r#"{"\u0063ontrol":"stats"}"#).as_deref(),
+            Some("stats")
+        );
     }
 }
