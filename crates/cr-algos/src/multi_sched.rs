@@ -1,4 +1,6 @@
-//! Multi-resource (`k ≥ 2`) runners for the six polynomial heuristics.
+//! Multi-resource (`k ≥ 2`) runners for the six polynomial heuristics, and
+//! the makespan-only GreedyBalance run behind `OptM`'s `k = 1` bound
+//! certificate.
 //!
 //! Each runner drives a [`MultiStepper`] — the exact per-resource step
 //! simulator from `cr-core` — splitting **every resource pool
@@ -8,9 +10,14 @@
 //! advances its frontier job only once every positive layer has absorbed
 //! its full per-step demand.
 //!
-//! Two deliberate deviations from the scalar code paths, both documented
-//! here because the `k = 1` requests never route through this module (the
-//! scalar implementations remain the production fast path):
+//! The `k = 1` heuristic requests never route through this module (the
+//! scalar implementations remain the production fast path).  The one
+//! `k = 1` caller is the certificate in `solver`: it needs only
+//! GreedyBalance's makespan, and [`multi_makespan_scaled`] produces it
+//! without building a `Schedule`.  On one resource a vector compares as its
+//! one entry, so that makespan equals the scalar GreedyBalance schedule's
+//! (a property test in `solver` checks this).  Two deliberate deviations
+//! from the scalar code paths:
 //!
 //! * ordering heuristics (`GreedyBalance`, `Largest`/`Smallest`
 //!   `RequirementFirst`) rank processors by the **frontier job's remaining
@@ -160,11 +167,13 @@ fn run_proportional<V: SplitUnit>(stepper: &mut MultiStepper<V>) -> usize {
 }
 
 /// The remaining requirement vector of `processor`'s frontier job, the
-/// lexicographic ordering key of the serve-in-order rules.
-fn remaining_vector<V: SplitUnit>(stepper: &MultiStepper<V>, processor: usize) -> Vec<V> {
-    (0..stepper.resources())
-        .map(|r| stepper.remaining(processor, r))
-        .collect()
+/// lexicographic ordering key of the serve-in-order rules (compared as an
+/// iterator, so sorting allocates nothing per comparison).
+fn remaining_vector<V: SplitUnit>(
+    stepper: &MultiStepper<V>,
+    processor: usize,
+) -> impl Iterator<Item = V> + '_ {
+    (0..stepper.resources()).map(move |r| stepper.remaining(processor, r))
 }
 
 /// Serves processors in the rule's priority order, granting each its full
@@ -180,10 +189,10 @@ fn run_serve_order<V: SplitUnit>(kind: PolyKind, stepper: &mut MultiStepper<V>) 
                 PolyKind::GreedyBalance => stepper
                     .unfinished_jobs(b)
                     .cmp(&stepper.unfinished_jobs(a))
-                    .then_with(|| rb.cmp(&ra))
+                    .then_with(|| rb.cmp(ra))
                     .then_with(|| a.cmp(&b)),
-                PolyKind::SmallestRequirementFirst => ra.cmp(&rb).then_with(|| a.cmp(&b)),
-                _ => rb.cmp(&ra).then_with(|| a.cmp(&b)),
+                PolyKind::SmallestRequirementFirst => ra.cmp(rb).then_with(|| a.cmp(&b)),
+                _ => rb.cmp(ra).then_with(|| a.cmp(&b)),
             }
         });
         let shares = serve_in_order(stepper, &order);

@@ -19,6 +19,13 @@ pub(crate) fn optm_rounds() -> &'static Counter {
     cached(&C, names::OPTM_ROUNDS)
 }
 
+/// Makespan-only `k = 1` OPT(m) answers certified by GreedyBalance meeting
+/// the trivial lower bound, without a configuration search.
+pub(crate) fn optm_certified() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    cached(&C, names::OPTM_CERTIFIED)
+}
+
 /// Configurations entering the round's domination filter.
 pub(crate) fn optm_round_candidates() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();

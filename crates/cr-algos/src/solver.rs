@@ -68,6 +68,25 @@
 //! simulator methods enforce `max_steps` as a hard step limit while
 //! simulating.
 //!
+//! # OPT(m): the bound certificate before the search
+//!
+//! `"OptM"` answers a request in this order:
+//!
+//! 1. prechecks: no arrivals, unit-size jobs, and the `max_steps` and
+//!    `max_rounds` caps against the trivial lower bound;
+//! 2. `k ≥ 2` requests go to the multi-resource configuration search;
+//! 3. the request's [`CancelToken`] is checked once, so a fired token wins
+//!    over everything below;
+//! 4. the certificate: a makespan-only request on the `Auto` or `Scaled`
+//!    preference whose grid fits `u64` is answered without a search when a
+//!    GreedyBalance run on the integer grid ends exactly at
+//!    [`LowerBounds::trivial`] (`LB ≤ OPT ≤ UB = LB`).  The outcome equals
+//!    the scaled search's, field for field, and the `optm.certified`
+//!    counter records it;
+//! 5. the scaled configuration search (Algorithm 2, Theorem 6);
+//! 6. the generic `Ratio` search: requested, the `Auto` grid fallback, or
+//!    the recovery from a [`SearchError`].
+//!
 //! [`Budget::max_wall_ms`] is the one *time*-shaped knob: it derives a
 //! [`CancelToken`] deadline that every long-running loop observes within
 //! [`cr_core::cancel::CHECK_INTERVAL_MS`], failing the request with
@@ -281,8 +300,11 @@ pub struct SolveOutcome {
     pub lower_bounds: LowerBounds,
     /// Schedule steps materialized while solving (0 for value-only methods).
     pub steps: usize,
-    /// Search rounds (OPT(m)) or memoized expansions (brute force) the exact
-    /// engines performed; 0 for the polynomial schedulers.
+    /// Search work of the exact engines.  For `"OptM"` the makespan: the
+    /// rounds its configuration search needs to reach it, also when the
+    /// bound certificate answered without searching (see the module docs).
+    /// Memoized expansions for `"BruteForce"`; 0 for `"OptTwo"` and the
+    /// polynomial schedulers.
     pub rounds: usize,
 }
 
@@ -1101,100 +1123,154 @@ impl Solver for OptM {
         if instance.resources() > 1 {
             return solve_exact_multi(METHOD, request, prepared, &token);
         }
+        // A fired token wins over the certificate, as it would over the
+        // search.
+        token.check()?;
+        if let Some(outcome) = certify_opt_m(request, prepared) {
+            crate::obs::optm_certified().inc();
+            return Ok(outcome);
+        }
+        search_opt_m(request, prepared, &token)
+    }
+}
 
-        // The scaled configuration search, budget-capped when requested and
-        // interruptible through the request's token.
-        let run_scaled =
-            |scaled: &ScaledInstance| -> Result<Option<Vec<scaled_engine::Round>>, SearchError> {
-                scaled_engine::run_search_cancellable(scaled, request.budget.max_rounds, &token)
-            };
+/// The bound certificate of a makespan-only `k = 1` `"OptM"` request.
+///
+/// GreedyBalance's makespan is an upper bound on the optimum and the
+/// trivial bound a lower one; when a GreedyBalance run on the integer grid
+/// ends exactly at the trivial bound, `LB ≤ OPT ≤ UB = LB` proves it
+/// optimal without the configuration search.  The outcome is the one the
+/// scaled search would report: that search reaches the makespan in exactly
+/// as many rounds.  `None` — search instead — for schedule requests, the
+/// rational preference, an overflowing grid, instances whose bounds do not
+/// meet, and `k ≥ 2`: that step class is not yet exact, so its answers
+/// stay the class search's, on which the exact methods agree.
+fn certify_opt_m(request: &SolveRequest, prepared: &Prepared) -> Option<SolveOutcome> {
+    if request.instance.resources() > 1
+        || request.want_schedule
+        || request.engine == EnginePreference::Rational
+        || prepared.scaled.is_none()
+    {
+        return None;
+    }
+    let makespan = multi_sched::multi_makespan_scaled(PolyKind::GreedyBalance, &request.instance)?;
+    // The budget prechecks already admitted the trivial bound, so an
+    // answer equal to it is within both caps.
+    (makespan == prepared.lower_bounds.trivial).then(|| SolveOutcome {
+        method: "OptM".to_string(),
+        engine: Engine::Scaled,
+        fallbacks: Vec::new(),
+        makespan: Some(makespan),
+        steps: 0,
+        rounds: makespan,
+        schedule: None,
+        lower_bounds: prepared.lower_bounds,
+    })
+}
 
-        let scaled_result = match (request.engine, &prepared.scaled) {
-            (EnginePreference::Rational, _) | (EnginePreference::Auto, None) => None,
-            (EnginePreference::Scaled, None) => {
-                return Err(SolveError::GridOverflow {
-                    method: METHOD.to_string(),
-                })
-            }
-            (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => {
-                Some((scaled, run_scaled(scaled)))
-            }
+/// The `k = 1` `"OptM"` configuration search: the scaled engine when the
+/// preference and the grid allow it, the generic `Ratio` search otherwise
+/// (requested, the `Auto` grid fallback, or the recovery from a
+/// [`SearchError`]).
+fn search_opt_m(
+    request: &SolveRequest,
+    prepared: &Prepared,
+    token: &CancelToken,
+) -> Result<SolveOutcome, SolveError> {
+    const METHOD: &str = "OptM";
+    let instance = &request.instance;
+    // The scaled configuration search, budget-capped when requested and
+    // interruptible through the request's token.
+    let run_scaled =
+        |scaled: &ScaledInstance| -> Result<Option<Vec<scaled_engine::Round>>, SearchError> {
+            scaled_engine::run_search_cancellable(scaled, request.budget.max_rounds, token)
         };
 
-        let mut fallbacks = Vec::new();
-        match scaled_result {
-            Some((scaled, Ok(Some(rounds)))) => {
-                let makespan = scaled_engine::search_makespan(scaled, &rounds);
-                check_steps_budget(METHOD, &request.budget, makespan)?;
-                let schedule = request
-                    .want_schedule
-                    .then(|| scaled_engine::search_schedule(instance, scaled, &rounds));
-                Ok(SolveOutcome {
-                    method: METHOD.to_string(),
-                    engine: Engine::Scaled,
-                    fallbacks,
-                    makespan: Some(makespan),
-                    steps: schedule.as_ref().map_or(0, Schedule::num_steps),
-                    rounds: rounds.len() - 1,
-                    schedule,
-                    lower_bounds: prepared.lower_bounds,
-                })
+    let scaled_result = match (request.engine, &prepared.scaled) {
+        (EnginePreference::Rational, _) | (EnginePreference::Auto, None) => None,
+        (EnginePreference::Scaled, None) => {
+            return Err(SolveError::GridOverflow {
+                method: METHOD.to_string(),
+            })
+        }
+        (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => {
+            Some((scaled, run_scaled(scaled)))
+        }
+    };
+
+    let mut fallbacks = Vec::new();
+    match scaled_result {
+        Some((scaled, Ok(Some(rounds)))) => {
+            let makespan = scaled_engine::search_makespan(scaled, &rounds);
+            check_steps_budget(METHOD, &request.budget, makespan)?;
+            let schedule = request
+                .want_schedule
+                .then(|| scaled_engine::search_schedule(instance, scaled, &rounds));
+            Ok(SolveOutcome {
+                method: METHOD.to_string(),
+                engine: Engine::Scaled,
+                fallbacks,
+                makespan: Some(makespan),
+                steps: schedule.as_ref().map_or(0, Schedule::num_steps),
+                rounds: rounds.len() - 1,
+                schedule,
+                lower_bounds: prepared.lower_bounds,
+            })
+        }
+        Some((_, Ok(None))) => {
+            // lint: allow(panic_hygiene) — Ok(None) is only produced when the max_rounds cap cut the search, so the cap is present
+            let limit = request.budget.max_rounds.expect("cap produced the cutoff");
+            Err(SolveError::BudgetExhausted {
+                method: METHOD.to_string(),
+                kind: BudgetKind::Rounds,
+                limit,
+            })
+        }
+        Some((_, Err(SearchError::Cancelled { reason }))) => {
+            // A fired deadline is terminal: recovering through the (even
+            // slower) rational search would only blow through it again.
+            Err(SolveError::DeadlineExceeded { reason })
+        }
+        Some((_, Err(err))) if request.engine == EnginePreference::Scaled => {
+            Err(SolveError::from(err))
+        }
+        other => {
+            // The rational reference search: requested explicitly, the
+            // grid fallback, or the recovery from a SearchError.
+            if let Some((_, Err(err))) = other {
+                fallbacks.push(format!("{err}: fell back to the rational search"));
+            } else if request.engine == EnginePreference::Auto {
+                fallbacks.push(grid_fallback_note());
             }
-            Some((_, Ok(None))) => {
-                // lint: allow(panic_hygiene) — Ok(None) is only produced when the max_rounds cap cut the search, so the cap is present
-                let limit = request.budget.max_rounds.expect("cap produced the cutoff");
-                Err(SolveError::BudgetExhausted {
+            // One generic `Ratio` search answers both makespan and
+            // schedule; it honors the round cap too, stopping after
+            // `cap` rounds instead of running to completion.
+            let Some(search) = multi_engine::run_search_cancellable(
+                &MultiView::base_rational(instance),
+                request.budget.max_rounds,
+                token,
+            )?
+            else {
+                return Err(SolveError::BudgetExhausted {
                     method: METHOD.to_string(),
                     kind: BudgetKind::Rounds,
-                    limit,
-                })
-            }
-            Some((_, Err(SearchError::Cancelled { reason }))) => {
-                // A fired deadline is terminal: recovering through the (even
-                // slower) rational search would only blow through it again.
-                Err(SolveError::DeadlineExceeded { reason })
-            }
-            Some((_, Err(err))) if request.engine == EnginePreference::Scaled => {
-                Err(SolveError::from(err))
-            }
-            other => {
-                // The rational reference search: requested explicitly, the
-                // grid fallback, or the recovery from a SearchError.
-                if let Some((_, Err(err))) = other {
-                    fallbacks.push(format!("{err}: fell back to the rational search"));
-                } else if request.engine == EnginePreference::Auto {
-                    fallbacks.push(grid_fallback_note());
-                }
-                // One generic `Ratio` search answers both makespan and
-                // schedule; it honors the round cap too, stopping after
-                // `cap` rounds instead of running to completion.
-                let Some(search) = multi_engine::run_search_cancellable(
-                    &MultiView::base_rational(instance),
-                    request.budget.max_rounds,
-                    &token,
-                )?
-                else {
-                    return Err(SolveError::BudgetExhausted {
-                        method: METHOD.to_string(),
-                        kind: BudgetKind::Rounds,
-                        // lint: allow(panic_hygiene) — Ok(None) is only produced when the max_rounds cap cut the search, so the cap is present
-                        limit: request.budget.max_rounds.expect("cap produced the cutoff"),
-                    });
-                };
-                let makespan = search.makespan();
-                check_steps_budget(METHOD, &request.budget, makespan)?;
-                let schedule = request.want_schedule.then(|| search.schedule(instance));
-                Ok(SolveOutcome {
-                    method: METHOD.to_string(),
-                    engine: Engine::Rational,
-                    fallbacks,
-                    makespan: Some(makespan),
-                    steps: schedule.as_ref().map_or(0, Schedule::num_steps),
-                    rounds: makespan,
-                    schedule,
-                    lower_bounds: prepared.lower_bounds,
-                })
-            }
+                    // lint: allow(panic_hygiene) — Ok(None) is only produced when the max_rounds cap cut the search, so the cap is present
+                    limit: request.budget.max_rounds.expect("cap produced the cutoff"),
+                });
+            };
+            let makespan = search.makespan();
+            check_steps_budget(METHOD, &request.budget, makespan)?;
+            let schedule = request.want_schedule.then(|| search.schedule(instance));
+            Ok(SolveOutcome {
+                method: METHOD.to_string(),
+                engine: Engine::Rational,
+                fallbacks,
+                makespan: Some(makespan),
+                steps: schedule.as_ref().map_or(0, Schedule::num_steps),
+                rounds: makespan,
+                schedule,
+                lower_bounds: prepared.lower_bounds,
+            })
         }
     }
 }
@@ -1485,6 +1561,7 @@ pub fn registry() -> Registry {
 mod tests {
     use super::*;
     use cr_core::Ratio;
+    use proptest::prelude::*;
 
     fn fig_like() -> Instance {
         Instance::unit_from_percentages(&[&[60, 40, 80], &[30, 90, 10]])
@@ -2054,5 +2131,127 @@ mod tests {
             .unwrap();
         let b = reg.solve(&SolveRequest::new("OptM", inst)).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn certificate_skips_schedule_rational_and_multi_resource_requests() {
+        let inst = fig_like();
+        let prepared = Prepared::new(&inst);
+        let plain = SolveRequest::new("OptM", inst);
+        assert!(
+            certify_opt_m(&plain, &prepared).is_some(),
+            "fig_like certifies"
+        );
+        assert!(certify_opt_m(&plain.clone().with_schedule(), &prepared).is_none());
+        let rational = plain.with_engine(EnginePreference::Rational);
+        assert!(certify_opt_m(&rational, &prepared).is_none());
+
+        // GreedyBalance meets the trivial bound here too, but a k ≥ 2
+        // answer comes from the class search.
+        let multi = multi_fig_like();
+        let prepared = Prepared::new(&multi);
+        assert_eq!(
+            multi_sched::multi_makespan_scaled(PolyKind::GreedyBalance, &multi),
+            Some(prepared.lower_bounds.trivial)
+        );
+        assert!(certify_opt_m(&SolveRequest::new("OptM", multi), &prepared).is_none());
+    }
+
+    #[test]
+    fn round_budget_is_checked_before_the_certificate() {
+        let inst = fig_like();
+        let trivial = LowerBounds::compute(&inst).trivial;
+        let capped = |cap| {
+            registry().solve(
+                &SolveRequest::new("OptM", inst.clone()).with_budget(Budget {
+                    max_rounds: Some(cap),
+                    ..Budget::UNLIMITED
+                }),
+            )
+        };
+        assert_eq!(
+            capped(trivial - 1).unwrap_err(),
+            SolveError::BudgetExhausted {
+                method: "OptM".to_string(),
+                kind: BudgetKind::Rounds,
+                limit: trivial - 1,
+            }
+        );
+        let answer = capped(trivial).unwrap();
+        assert_eq!(answer.makespan, Some(trivial));
+        assert_eq!(
+            answer,
+            registry().solve(&SolveRequest::new("OptM", inst)).unwrap()
+        );
+    }
+
+    /// Random single-resource instances like `pinned.rs`'s: 1–5
+    /// processors, chains of 0–4 jobs, ~30% zero requirements.  Each
+    /// requirement sits on its own denominator, 100 or 1–24.
+    fn single_resource_instances() -> impl Strategy<Value = Instance> {
+        let job = (0u64..10, 0u64..=24, 0u64..1000);
+        prop::collection::vec(prop::collection::vec(job, 0..=4), 1..=5).prop_map(|rows| {
+            let rows = rows
+                .into_iter()
+                .map(|row| {
+                    row.into_iter()
+                        .map(|(zero, den, draw)| {
+                            let den = if den == 0 { 100 } else { den };
+                            if zero < 3 {
+                                Ratio::ZERO
+                            } else {
+                                Ratio::from_parts(1 + draw % den, den)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            Instance::unit_from_requirements(rows)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn certificate_answers_as_the_search_exactly_when_the_bounds_meet(
+            inst in single_resource_instances(),
+        ) {
+            // At most 12 jobs, as in `pinned.rs`: BruteForce stays cheap.
+            prop_assume!(inst.total_jobs() <= 12);
+            let reg = registry();
+            let prepared = Prepared::new(&inst);
+            let greedy = reg
+                .solve(&SolveRequest::new("GreedyBalance", inst.clone()))
+                .unwrap()
+                .makespan;
+            let request = SolveRequest::new("OptM", inst.clone());
+            let certified = certify_opt_m(&request, &prepared);
+            prop_assert!(
+                certified.is_some() == (greedy == Some(prepared.lower_bounds.trivial)),
+                "certified {} with GreedyBalance {greedy:?} on {inst}",
+                certified.is_some()
+            );
+            if let Some(outcome) = certified {
+                let searched = search_opt_m(&request, &prepared, &CancelToken::never()).unwrap();
+                prop_assert!(outcome == searched, "{outcome:?} != {searched:?} on {inst}");
+                let brute = reg
+                    .solve(&SolveRequest::new("BruteForce", inst.clone()))
+                    .unwrap()
+                    .makespan;
+                prop_assert!(outcome.makespan == brute, "BruteForce {brute:?} on {inst}");
+            }
+        }
+
+        #[test]
+        fn single_resource_greedy_balance_matches_the_scalar_schedule(
+            inst in single_resource_instances(),
+        ) {
+            let scalar = Scheduler::schedule(&GreedyBalance::new(), &inst)
+                .makespan(&inst)
+                .unwrap();
+            let multi = multi_sched::multi_makespan_scaled(PolyKind::GreedyBalance, &inst);
+            prop_assert!(multi == Some(scalar), "{multi:?} != {scalar} on {inst}");
+        }
     }
 }

@@ -1,0 +1,69 @@
+//! The `optm.certified` counter rises by exactly the number of OptM answers
+//! certified by bounds, and a certified answer runs no search round.
+//!
+//! Engine counters live in the process-global registry, so this check runs
+//! in a test binary of its own: no other test can move them in between.
+
+#![cfg(not(feature = "obs-off"))]
+
+use cr_algos::solver::{registry, Budget, EnginePreference, SolveRequest};
+use cr_core::{Instance, InstanceBuilder, Ratio};
+use cr_obs::{names, Registry};
+
+fn counter(name: &str) -> u64 {
+    Registry::global().counter(name).value()
+}
+
+#[test]
+fn certified_counter_counts_certified_answers_only() {
+    let reg = registry();
+    // GreedyBalance meets the trivial bound of 4 here.
+    let meets = Instance::unit_from_percentages(&[&[60, 40, 80], &[30, 90, 10]]);
+    // GreedyBalance needs 6 steps against a trivial bound of 5.
+    let misses =
+        Instance::unit_from_percentages(&[&[20, 10, 10, 10], &[50, 55, 90, 55, 10], &[50, 40, 95]]);
+    let two_resources = InstanceBuilder::new()
+        .processor([Ratio::from_percent(60), Ratio::from_percent(40)])
+        .processor([Ratio::from_percent(30), Ratio::from_percent(90)])
+        .extra_layer([
+            vec![Ratio::from_percent(25), Ratio::from_percent(75)],
+            vec![Ratio::from_percent(70), Ratio::from_percent(10)],
+        ])
+        .build();
+
+    let certified = [
+        SolveRequest::new("OptM", meets.clone()),
+        SolveRequest::new("OptM", meets.clone()).with_engine(EnginePreference::Scaled),
+        SolveRequest::new("OptM", meets.clone()).with_budget(Budget {
+            max_rounds: Some(4),
+            max_steps: Some(4),
+            ..Budget::UNLIMITED
+        }),
+    ];
+    let (before, rounds_before) = (counter(names::OPTM_CERTIFIED), counter(names::OPTM_ROUNDS));
+    for request in &certified {
+        assert_eq!(reg.solve(request).unwrap().makespan, Some(4));
+    }
+    assert_eq!(counter(names::OPTM_CERTIFIED), before + 3);
+    assert_eq!(counter(names::OPTM_ROUNDS), rounds_before, "no search ran");
+
+    let searched = [
+        SolveRequest::new("OptM", meets.clone()).with_schedule(),
+        SolveRequest::new("OptM", meets.clone()).with_engine(EnginePreference::Rational),
+        SolveRequest::new("OptM", misses),
+        SolveRequest::new("OptM", two_resources),
+    ];
+    for request in &searched {
+        reg.solve(request).unwrap();
+    }
+    let over_budget = SolveRequest::new("OptM", meets).with_budget(Budget {
+        max_rounds: Some(3),
+        ..Budget::UNLIMITED
+    });
+    assert_eq!(
+        reg.solve(&over_budget).unwrap_err().kind(),
+        "budget_exhausted"
+    );
+    assert_eq!(counter(names::OPTM_CERTIFIED), before + 3);
+    assert!(counter(names::OPTM_ROUNDS) > rounds_before);
+}

@@ -7,20 +7,27 @@
 //! [`EnginePreference::Rational`], and the two columns must agree on the
 //! summed makespans — the binary asserts this.  Adding a solver to the
 //! comparison is one registry registration plus one entry in a method list
-//! here; the pre-redesign version duplicated a hand-written match arm per
-//! algorithm instead.
+//! here.
 //!
 //! For `OptM` and `BruteForce` the rational column times the generic
 //! configuration search (`cr-algos`' internal `multi_engine`, run over
 //! `Ratio`s), the same code that answers every multi-resource request; the
 //! scaled column times the `k = 1` scaled engine.  `OptTwo`, the heuristics
-//! and the simulator keep their own `Ratio` paths.
+//! and the simulator keep their own `Ratio` paths.  Both columns of every
+//! `OptM` cell request the schedule: a makespan-only `k = 1` request may be
+//! answered by the bound certificate without any search, and these cells
+//! time the configuration search plus the replay of its schedule.
 //!
 //! The online simulator methods (`sim:*`) are integer-native, so their
 //! rational column runs the *offline* twin's rational reference on the same
 //! workload — the cost model of the pre-ISSUE-3 engine.  The workloads have
 //! equal phase counts per task, so every online policy reproduces its
 //! offline twin's makespan exactly and the equality assert still holds.
+//!
+//! Each cell runs in a fresh process — the binary re-executes itself with
+//! the internal `--cell INDEX` argument and reads back one result line — so
+//! a cell's time does not depend on the heap that earlier cells left
+//! behind.
 //!
 //! Writes `BENCH_exact.json` with per-case medians and speedup factors
 //! (the solver-granularity record of the ISSUE-2 ≥5× acceptance target; the
@@ -39,17 +46,21 @@ use cr_instances::{
     RequirementProfile, TaskMix, WorkloadConfig,
 };
 use std::path::PathBuf;
+use std::process::Command;
 use std::time::Instant;
 
 struct Args {
     out_dir: PathBuf,
     iters: usize,
+    /// The one cell a child process times (the re-exec protocol).
+    cell: Option<usize>,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         out_dir: PathBuf::from("."),
         iters: 5,
+        cell: None,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
@@ -63,6 +74,14 @@ fn parse_args() -> Args {
                     .expect("--iters requires a value")
                     .parse()
                     .expect("invalid iteration count");
+            }
+            "--cell" => {
+                args.cell = Some(
+                    iter.next()
+                        .expect("--cell requires a value")
+                        .parse()
+                        .expect("invalid cell index"),
+                );
             }
             "--help" | "-h" => {
                 println!("usage: bench_exact [--out-dir DIR] [--iters N]");
@@ -91,11 +110,44 @@ fn median_ms(iters: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
 /// Solves `method` on `instance` with a pinned engine preference through
 /// the shared registry and returns the makespan.
 fn method_makespan(method: &str, engine: EnginePreference, instance: &Instance) -> usize {
+    let mut request = SolveRequest::new(method, instance.clone()).with_engine(engine);
+    if method == "OptM" {
+        // A makespan-only request may be answered by the bound certificate;
+        // asking for the schedule keeps both columns on the search.
+        request = request.with_schedule();
+    }
     shared_service()
-        .solve(&SolveRequest::new(method, instance.clone()).with_engine(engine))
+        .solve(&request)
         .unwrap_or_else(|e| panic!("bench solve failed for {method}: {e}"))
         .makespan
         .expect("bench methods report makespans")
+}
+
+/// One timed (case, method) pair: the method's scaled core against a
+/// rational reference method (usually itself; the offline twin for `sim:`
+/// methods).  The instances are built only in the process that times the
+/// cell.
+struct Cell {
+    case: String,
+    scaled_method: &'static str,
+    rational_method: &'static str,
+    instances: Box<dyn Fn() -> Vec<Instance>>,
+}
+
+impl Cell {
+    fn new(
+        case: impl Into<String>,
+        scaled_method: &'static str,
+        rational_method: &'static str,
+        instances: impl Fn() -> Vec<Instance> + 'static,
+    ) -> Self {
+        Cell {
+            case: case.into(),
+            scaled_method,
+            rational_method,
+            instances: Box::new(instances),
+        }
+    }
 }
 
 struct CaseResult {
@@ -106,50 +158,9 @@ struct CaseResult {
     rational_ms: f64,
 }
 
-/// Times one (case, method) pair: the method's scaled core against a
-/// rational reference method (usually itself; the offline twin for `sim:`
-/// methods), asserting value equality.
-fn measure(
-    out: &mut Vec<CaseResult>,
-    iters: usize,
-    case: impl Into<String>,
-    scaled_method: &str,
-    rational_method: &str,
-    instances: &[Instance],
-) {
-    let sum_over = |method: &str, engine: EnginePreference| -> usize {
-        instances
-            .iter()
-            .map(|i| method_makespan(method, engine, i))
-            .sum()
-    };
-    // The sim:* methods have no rational core; their scaled column runs the
-    // integer engine through Auto.
-    let scaled_engine = if scaled_method == rational_method {
-        EnginePreference::Scaled
-    } else {
-        EnginePreference::Auto
-    };
-    let (scaled_ms, scaled_sum) = median_ms(iters, || sum_over(scaled_method, scaled_engine));
-    let (rational_ms, rational_sum) = median_ms(iters, || {
-        sum_over(rational_method, EnginePreference::Rational)
-    });
-    assert_eq!(
-        scaled_sum, rational_sum,
-        "scaled and rational cores disagree on a makespan ({scaled_method} vs {rational_method})"
-    );
-    out.push(CaseResult {
-        case: case.into(),
-        solver: scaled_method.to_string(),
-        instances: instances.len(),
-        scaled_ms,
-        rational_ms,
-    });
-}
-
-fn main() {
-    let args = parse_args();
-    let mut results: Vec<CaseResult> = Vec::new();
+/// Every cell, in report order.
+fn cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
 
     // The random-exact grid's (m, n, profile) sweep — the pipeline's hot set.
     for (m, n) in [(2usize, 4usize), (3, 3), (3, 4), (4, 3)] {
@@ -158,17 +169,16 @@ fn main() {
                 profile,
                 ..RandomConfig::uniform(m, n)
             };
-            let instances: Vec<Instance> = (0..10)
-                .map(|rep| random_unit_instance(&cfg, 1000 + rep))
-                .collect();
-            measure(
-                &mut results,
-                args.iters,
+            cells.push(Cell::new(
                 format!("{profile:?} m={m} n={n}"),
                 "OptM",
                 "OptM",
-                &instances,
-            );
+                move || {
+                    (0..10)
+                        .map(|rep| random_unit_instance(&cfg, 1000 + rep))
+                        .collect()
+                },
+            ));
         }
     }
 
@@ -179,58 +189,50 @@ fn main() {
     // oversubscribe the resource; see
     // `cr_instances::wide_oversubscribed_instance`.
     for m in [16usize, 32, 48] {
-        let instances = vec![wide_oversubscribed_instance(m, 4, 3, 12, 90)];
-        measure(
-            &mut results,
-            args.iters,
+        cells.push(Cell::new(
             format!("WideOversub m={m}"),
             "OptM",
             "OptM",
-            &instances,
-        );
+            move || vec![wide_oversubscribed_instance(m, 4, 3, 12, 90)],
+        ));
     }
 
     // The two-processor DP at sizes where the O(n²) table dominates.
     for n in [128usize, 512, 1024] {
-        let instances: Vec<Instance> = vec![random_unit_instance(&RandomConfig::uniform(2, n), 11)];
-        measure(
-            &mut results,
-            args.iters,
+        cells.push(Cell::new(
             format!("Uniform m=2 n={n}"),
             "OptTwo",
             "OptTwo",
-            &instances,
-        );
+            move || vec![random_unit_instance(&RandomConfig::uniform(2, n), 11)],
+        ));
     }
 
     // Brute force on a three-processor reference workload.
-    let instances: Vec<Instance> = (0..5)
-        .map(|rep| random_unit_instance(&RandomConfig::uniform(3, 4), 2000 + rep))
-        .collect();
-    measure(
-        &mut results,
-        args.iters,
+    cells.push(Cell::new(
         "Uniform m=3 n=4",
         "BruteForce",
         "BruteForce",
-        &instances,
-    );
+        || {
+            (0..5)
+                .map(|rep| random_unit_instance(&RandomConfig::uniform(3, 4), 2000 + rep))
+                .collect()
+        },
+    ));
 
     // The scheduling layer: the scaled production path vs. the rational
     // reference of all six polynomial methods, straight off the registry.
     for (m, n) in [(8usize, 48usize), (16, 64)] {
-        let instances: Vec<Instance> = (0..8)
-            .map(|rep| random_unit_instance(&RandomConfig::uniform(m, n), 3000 + rep))
-            .collect();
         for method in POLY_METHODS {
-            measure(
-                &mut results,
-                args.iters,
+            cells.push(Cell::new(
                 format!("Uniform m={m} n={n}"),
                 method,
                 method,
-                &instances,
-            );
+                move || {
+                    (0..8)
+                        .map(|rep| random_unit_instance(&RandomConfig::uniform(m, n), 3000 + rep))
+                        .collect()
+                },
+            ));
         }
     }
 
@@ -243,25 +245,98 @@ fn main() {
             denominator: 100,
             unit_phases: true,
         };
-        let workloads: Vec<Instance> = (0..4)
-            .map(|rep| generate_workload(&cfg, 9000 + cores as u64 + rep))
-            .collect();
         for (sim_method, offline_twin) in [
             ("sim:GreedyBalance", "GreedyBalance"),
             ("sim:RoundRobin", "RoundRobin"),
             ("sim:EqualShare", "EqualShare"),
             ("sim:ProportionalShare", "ProportionalShare"),
         ] {
-            measure(
-                &mut results,
-                args.iters,
+            cells.push(Cell::new(
                 format!("{mix:?} cores={cores}"),
                 sim_method,
                 offline_twin,
-                &workloads,
-            );
+                move || {
+                    (0..4)
+                        .map(|rep| generate_workload(&cfg, 9000 + cores as u64 + rep))
+                        .collect()
+                },
+            ));
         }
     }
+    cells
+}
+
+/// Times `cell` in this process, asserting value equality of the columns.
+/// Returns (instances, scaled ms, rational ms).
+fn measure(cell: &Cell, iters: usize) -> (usize, f64, f64) {
+    let instances = (cell.instances)();
+    let sum_over = |method: &str, engine: EnginePreference| -> usize {
+        instances
+            .iter()
+            .map(|i| method_makespan(method, engine, i))
+            .sum()
+    };
+    // The sim:* methods have no rational core; their scaled column runs the
+    // integer engine through Auto.
+    let scaled_engine = if cell.scaled_method == cell.rational_method {
+        EnginePreference::Scaled
+    } else {
+        EnginePreference::Auto
+    };
+    let (scaled_ms, scaled_sum) = median_ms(iters, || sum_over(cell.scaled_method, scaled_engine));
+    let (rational_ms, rational_sum) = median_ms(iters, || {
+        sum_over(cell.rational_method, EnginePreference::Rational)
+    });
+    assert_eq!(
+        scaled_sum, rational_sum,
+        "scaled and rational cores disagree on a makespan ({} vs {})",
+        cell.scaled_method, cell.rational_method
+    );
+    (instances.len(), scaled_ms, rational_ms)
+}
+
+/// Times cell `index` in a fresh child process of this binary.
+fn measure_in_child(index: usize, cell: &Cell, iters: usize) -> CaseResult {
+    let exe = std::env::current_exe().expect("locate the bench_exact binary");
+    let output = Command::new(exe)
+        .args(["--cell", &index.to_string(), "--iters", &iters.to_string()])
+        .output()
+        .expect("run a bench_exact cell");
+    assert!(
+        output.status.success(),
+        "cell {index} ({} {}) failed: {}",
+        cell.case,
+        cell.scaled_method,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8(output.stdout).expect("cell output is UTF-8");
+    let fields: Vec<&str> = stdout.split_whitespace().collect();
+    let [instances, scaled_ms, rational_ms] = fields[..] else {
+        panic!("cell {index}: unexpected output {stdout:?}");
+    };
+    CaseResult {
+        case: cell.case.clone(),
+        solver: cell.scaled_method.to_string(),
+        instances: instances.parse().expect("instance count"),
+        scaled_ms: scaled_ms.parse().expect("scaled ms"),
+        rational_ms: rational_ms.parse().expect("rational ms"),
+    }
+}
+
+fn main() {
+    let args = parse_args();
+    let cells = cells();
+    if let Some(index) = args.cell {
+        let cell = cells.get(index).expect("cell index in range");
+        let (instances, scaled_ms, rational_ms) = measure(cell, args.iters);
+        println!("{instances} {scaled_ms} {rational_ms}");
+        return;
+    }
+    let results: Vec<CaseResult> = cells
+        .iter()
+        .enumerate()
+        .map(|(index, cell)| measure_in_child(index, cell, args.iters))
+        .collect();
 
     println!(
         "{:<24} {:<24} {:>6} {:>12} {:>12} {:>9}",

@@ -46,6 +46,9 @@ pub const NET_WORKER_PANICS: &str = "net.worker_panics";
 /// Search rounds executed by the OPT(m) engines (scaled, rational and
 /// multi-resource).
 pub const OPTM_ROUNDS: &str = "optm.rounds";
+/// Makespan-only `k = 1` OPT(m) answers certified by bounds: GreedyBalance
+/// met the trivial lower bound, so no configuration search ran.
+pub const OPTM_CERTIFIED: &str = "optm.certified";
 /// Candidates the domination filter compared against at least one kept
 /// row (the rest were settled by consumption level, or passed over by group
 /// levels, group maxima or an outright dominator), summed over rounds.
@@ -102,13 +105,14 @@ pub const SPAN_SIM_RUN: &str = "sim.run";
 
 /// Every metric name (or dynamic-family template) the workspace registers,
 /// as plain literals for the `vocab_sync` lint.  Keep sorted.
-pub const METRIC_NAMES: [&str; 27] = [
+pub const METRIC_NAMES: [&str; 28] = [
     "net.connections",
     "net.idle_closed",
     "net.overloaded",
     "net.quota_rejected",
     "net.served",
     "net.worker_panics",
+    "optm.certified",
     "optm.filter_checked",
     "optm.filter_settled",
     "optm.frontier_size",
@@ -170,6 +174,7 @@ mod tests {
             NET_SERVED,
             NET_WORKER_PANICS,
             OPTM_ROUNDS,
+            OPTM_CERTIFIED,
             OPTM_FILTER_CHECKED,
             OPTM_FILTER_SETTLED,
             OPTM_FRONTIER_SIZE,

@@ -70,7 +70,9 @@ use crate::wire::{self, BatchItem, StreamPolicy};
 use crate::SolverService;
 use cr_core::CancelToken;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -277,6 +279,8 @@ impl NetObs {
 struct Shared {
     service: Arc<SolverService>,
     config: ServerConfig,
+    /// The bound address: the acceptor's wake-up target.
+    addr: SocketAddr,
     draining: AtomicBool,
     stats: ServerStats,
     obs: NetObs,
@@ -288,6 +292,24 @@ impl Shared {
     fn snapshot(&self) -> StatsSnapshot {
         self.stats
             .snapshot(self.service.cache_rebuilds(), self.service.cache_counters())
+    }
+
+    /// Starts the graceful drain.  The first call also wakes the acceptor,
+    /// blocked in `accept`, with one loopback connection to the bound
+    /// address (an unspecified IP maps to loopback); the acceptor drops it
+    /// uncounted and exits.
+    fn begin_drain(&self) {
+        if self.draining.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
     }
 }
 
@@ -316,16 +338,16 @@ impl Server {
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
+        // The acceptor blocks in `accept`, so a connection is taken the
+        // moment it arrives; a drain wakes it with a loopback connection
+        // (`Shared::begin_drain`).
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        // Non-blocking accept polled against the drain flag: portable
-        // (no epoll/kqueue binding in a vendored-shim build) and the 10 ms
-        // poll is invisible next to solve times.
-        listener.set_nonblocking(true)?;
         let obs = NetObs::new(service.obs_registry());
         let shared = Arc::new(Shared {
             service,
             config,
+            addr: local,
             draining: AtomicBool::new(false),
             stats: ServerStats::default(),
             obs,
@@ -369,7 +391,7 @@ impl ServerHandle {
     /// Requests a graceful drain: stop accepting, let in-flight batches
     /// respond, answer later flushes with `draining`.
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::Release);
+        self.shared.begin_drain();
     }
 
     /// Blocks until the acceptor and every connection worker have exited
@@ -398,13 +420,17 @@ impl ServerHandle {
     }
 }
 
-/// Accepts connections until drain, spawning one worker thread each.
+/// Accepts connections until drain, spawning one worker thread each.  The
+/// connection that ends a blocked `accept` after the drain started (the
+/// wake-up of [`Shared::begin_drain`], or a late client) is dropped
+/// uncounted.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
         if shared.draining.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 // A panic anywhere in this connection's setup costs exactly
                 // that connection; the acceptor keeps accepting.
@@ -414,9 +440,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     shared.obs.worker_panics.inc();
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A failed accept (descriptor exhaustion, a connection reset
+            // while queued) backs off briefly instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -751,7 +776,7 @@ fn handle_control(
             if !batch.is_empty() {
                 flush_batch(shared, batch, next_id, writer, watch)?;
             }
-            shared.draining.store(true, Ordering::Release);
+            shared.begin_drain();
             writeln!(writer, r#"{{"control":"shutdown","draining":true}}"#)?;
             writer.flush()
         }

@@ -8,7 +8,7 @@ use cr_service::SolverService;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The committed CI smoke batch (12 mixed requests: one over budget, one
 /// multi-resource, one misshapen-layer bad_request).
@@ -235,6 +235,22 @@ fn shutdown_control_frame_drains_gracefully() {
 }
 
 #[test]
+fn idle_server_shuts_down_promptly_without_a_client() {
+    // The acceptor blocks in `accept`; the drain must wake it, also when
+    // the server listens on the unspecified address.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let service = Arc::new(SolverService::with_standard_registry());
+        let handle = Server::spawn(service, addr, ServerConfig::default()).expect("bind");
+        let start = Instant::now();
+        handle.shutdown();
+        handle.shutdown();
+        handle.join();
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "{addr}: join took {took:?}");
+    }
+}
+
+#[test]
 fn draining_server_answers_new_flushes_with_draining_errors() {
     let handle = spawn_server(ServerConfig::default());
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
@@ -279,7 +295,7 @@ fn deadline_exceeded_answers_fast_with_byte_identical_siblings() {
     let handle = spawn_server(ServerConfig::default());
     let greedy = r#"{"method":"GreedyBalance","rows":[[60,40],[40,60]]}"#.to_string();
     let lines = vec![greedy.clone(), pathological_line(100)];
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let responses = drive(handle.addr(), &lines, 2);
     let elapsed = start.elapsed();
     // The sibling is byte-identical to its single-request reference.
@@ -309,7 +325,7 @@ fn server_default_deadline_bounds_requests_without_their_own() {
     });
     // No per-request deadline: the server's own default must stop it.
     let line = pathological_line(3_600_000);
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let responses = drive(handle.addr(), &[line], 1);
     assert!(
         responses[0].contains("\"kind\":\"deadline_exceeded\""),
@@ -407,7 +423,7 @@ fn idle_connections_get_a_structured_notice_then_close() {
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line).expect("read idle notice");
