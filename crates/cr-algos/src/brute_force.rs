@@ -10,14 +10,12 @@
 //! `OptResAssignment`, `OptResAssignment2` and the approximation-ratio
 //! experiments.
 //!
-//! The hot path runs the memoized search on a [`ScaledInstance`] through
-//! the internal `scaled_engine` module.  [`brute_force_makespan_rational`],
-//! and the fallback when the grid overflows `u64`, run it in exact `Ratio`
-//! arithmetic over the configurations and successors of the generic
-//! `multi_engine` search.
+//! The memoized search runs in the internal `multi_engine` module, over the
+//! same nodes and successor function as the configuration search: on the
+//! instance's `u64` grid whenever it fits, in exact `Ratio` arithmetic
+//! otherwise and for [`brute_force_makespan_rational`].
 
 use crate::multi_engine::{self, MultiView};
-use crate::scaled_engine;
 use cr_core::{bounds, CancelReason, CancelToken, Instance, ScaledInstance};
 
 /// Search statistics of a brute-force run (useful for reporting how much
@@ -42,9 +40,8 @@ pub fn brute_force_makespan(instance: &Instance) -> usize {
 
 /// Like [`brute_force_makespan`] but also reports search statistics.
 ///
-/// Runs on the scaled-integer engine whenever the instance's requirement
-/// denominators admit a `u64` LCM, falling back to the rational search
-/// otherwise.
+/// Searches the instance's `u64` grid whenever its requirement denominators
+/// admit a `u64` LCM, and exact `Ratio`s otherwise.
 #[must_use]
 pub fn brute_force_with_stats(instance: &Instance) -> (usize, SearchStats) {
     brute_force_with_stats_cancellable(instance, &CancelToken::never())
@@ -52,8 +49,8 @@ pub fn brute_force_with_stats(instance: &Instance) -> (usize, SearchStats) {
         .expect("a never token cannot fire")
 }
 
-/// [`brute_force_with_stats`] with cooperative cancellation on both the
-/// scaled and the rational path.
+/// [`brute_force_with_stats`] with cooperative cancellation on both
+/// units.
 ///
 /// # Panics
 ///
@@ -69,7 +66,7 @@ pub(crate) fn brute_force_with_stats_cancellable(
     match ScaledInstance::try_new(instance) {
         Some(scaled) => {
             let (result, states, expansions) =
-                scaled_engine::brute_force_cancellable(&scaled, token)?;
+                multi_engine::brute_force_cancellable(&MultiView::base_scaled(&scaled), token)?;
             Ok((result, SearchStats { states, expansions }))
         }
         None => brute_force_with_stats_rational_cancellable(instance, token),

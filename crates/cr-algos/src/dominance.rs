@@ -6,12 +6,12 @@
 //! completed more jobs, or equally many with at least as much spent on every
 //! resource layer of the frontier job.  The survivors are the unique maximal
 //! antichain of that order, so every correct filter keeps the same set; the
-//! scaled `k = 1` engine (`u64`, one layer) and the generic search (`u64`
-//! or `Ratio`, `k` layers) both run this one.
+//! configuration search runs this one on every unit (`u64` or `Ratio`) and
+//! every number of layers.
 //!
 //! # Contract: distinct candidates
 //!
-//! Every engine drops those duplicates while it expands a round, so the
+//! The search drops exact duplicates while it expands a round, so the
 //! candidates of one round are pairwise distinct; debug builds check it.
 //! Domination is then a strict order on them, which settling and the
 //! visiting order below rely on.
@@ -22,18 +22,19 @@
 //! domination (`a` dominates `b ≠ a` ⇒ `level(a) > level(b)`).  When every
 //! candidate of a round carries one, a candidate on the round's top level
 //! is *settled*: nothing can dominate it, so it is kept without being
-//! compared.  The single-resource scaled engine passes the resource units a
-//! configuration has consumed (its completed jobs' requirements plus its
-//! spent units), then its count of completed zero-requirement jobs, which
-//! breaks the ties that free jobs leave in the units.  Search steps are
-//! non-wasting (Lemma 1), so nearly every candidate of round `r` has
-//! consumed exactly `r` capacities: over the 45 `Uniform m=4 n=3` searches
-//! of the `exact-frontier` benchmark, 184,015 of 186,274 candidates (98.8%)
-//! are settled, and all 2,204 dominated ones sit below their round's top
-//! level.  The generic search passes no levels: at `k ≥ 2` a step may
-//! waste part of a layer, so its candidates do not bunch on one level, and
-//! its `k = 1` runs (the `Ratio` answers and fallbacks) are not the hot
-//! path.  Without levels nothing is settled.
+//! compared.  Every `u64` search passes the resource units a configuration
+//! has consumed (its completed jobs' requirements plus its spent units,
+//! summed over the layers), then its count of completed all-zero jobs,
+//! which breaks the ties that free jobs leave in the units.  Single-resource
+//! steps are non-wasting (Lemma 1), so nearly every `k = 1` candidate of
+//! round `r` has consumed exactly `r` capacities: over the 45 `Uniform m=4
+//! n=3` searches of the `exact-frontier` benchmark, 184,015 of 186,274
+//! candidates (98.8%) are settled, and all 2,204 dominated ones sit below
+//! their round's top level.  At `k ≥ 2` a step may waste part of a layer,
+//! so candidates bunch less: over 200 random 3×3 `k = 2` searches (percents
+//! 1–100) 7,273 of 144,655 candidates (5.0%) are settled, with the same
+//! 32,584 survivors and round sizes as without levels.  `Ratio` searches pass no
+//! levels, and without levels nothing is settled.
 //!
 //! # Completed-vector groups
 //!
@@ -64,7 +65,7 @@
 
 use cr_core::{CancelGate, CancelReason, StepUnit};
 use rustc_hash::FxHasher;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 /// How many candidates pass between token checks: one candidate costs a
@@ -80,11 +81,11 @@ pub(crate) type Level = (u128, u64);
 /// Marks a free slot of a [`RowIndex`]; no row sits at this position.
 pub(crate) const EMPTY: u32 = u32::MAX;
 
-/// An open-addressing hash index over rows of `width` words stored back to
-/// back in a caller-owned `u64` buffer: it finds the position of the
-/// stored row equal to a given one.  The scaled engine indexes its
-/// candidate arena with one, the filter its candidates' completed vectors.
-/// Positions are `u32`, below [`EMPTY`].
+/// An open-addressing hash index over rows of `width` values stored back to
+/// back in a caller-owned buffer: it finds the position of the stored row
+/// equal to a given one.  The configuration search indexes its candidate
+/// arena with one, the filter its candidates' completed vectors.  Positions
+/// are `u32`, below [`EMPTY`].
 #[derive(Debug)]
 pub(crate) struct RowIndex {
     /// Row positions by hash, [`EMPTY`] where free; a power of two long and
@@ -115,11 +116,11 @@ impl RowIndex {
     }
 
     /// The home slot of `row`.
-    fn home(&self, row: &[u64]) -> usize {
+    fn home<T: Hash>(&self, row: &[T]) -> usize {
         let mut hasher = FxHasher::default();
-        // lint: allow(cancel_coverage) — bounded: the words of one row
-        for &word in row {
-            hasher.write_u64(word);
+        // lint: allow(cancel_coverage) — bounded: the values of one row
+        for value in row {
+            value.hash(&mut hasher);
         }
         // The shift keeps fewer than 64 bits, so the slot fits usize.
         (hasher.finish() >> self.shift) as usize
@@ -127,7 +128,12 @@ impl RowIndex {
 
     /// The position of the stored row of `rows` equal to `row`, or the free
     /// slot where `row` belongs.
-    pub(crate) fn find(&self, rows: &[u64], width: usize, row: &[u64]) -> Result<u32, usize> {
+    pub(crate) fn find<T: Hash + Eq>(
+        &self,
+        rows: &[T],
+        width: usize,
+        row: &[T],
+    ) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let mut slot = self.home(row);
         // lint: allow(cancel_coverage) — bounded: the index is at most half full, so a probe meets a free slot; its callers' loops are gated
@@ -145,7 +151,13 @@ impl RowIndex {
     /// Stores `position` in the free `slot` that [`find`](Self::find)
     /// returned for its row, which `rows` now holds, and doubles the index
     /// once it is more than half full.
-    pub(crate) fn occupy(&mut self, slot: usize, position: u32, rows: &[u64], width: usize) {
+    pub(crate) fn occupy<T: Hash + Eq>(
+        &mut self,
+        slot: usize,
+        position: u32,
+        rows: &[T],
+        width: usize,
+    ) {
         debug_assert_ne!(position, EMPTY, "EMPTY marks free slots");
         self.slots[slot] = position;
         self.len += 1;
@@ -555,8 +567,8 @@ fn covers_on<V: StepUnit>(row: &[V], spent: &[V], slots: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scaled_engine::LevelTable;
-    use cr_core::{CancelToken, Ratio, ScaledInstance};
+    use crate::multi_engine::{LevelTable, MultiView};
+    use cr_core::{CancelToken, Instance, InstanceBuilder, Ratio, ScaledInstance};
     use proptest::prelude::*;
 
     /// Whether candidate `a` dominates candidate `b` (Lemma 4).
@@ -713,71 +725,88 @@ mod tests {
     /// are drawn one time in four.
     const PALETTE: [i64; 8] = [0, 0, 20, 35, 50, 65, 80, 100];
 
-    /// Engine-shaped chains at the widest shape (m = 6): a chain length in
-    /// `0..=3` per processor (empty processors included) and three palette
-    /// draws per processor.
+    /// Engine-shaped chains at the widest shape (m = 6, k = 2): a chain
+    /// length in `0..=3` per processor (empty processors included) and three
+    /// palette draws per processor and layer.
     type RawChains = (Vec<usize>, Vec<usize>);
 
     fn raw_chains() -> impl Strategy<Value = RawChains> {
         (
             prop::collection::vec(0usize..=3, 6),
-            prop::collection::vec(0usize..PALETTE.len(), 18),
+            prop::collection::vec(0usize..PALETTE.len(), 36),
         )
     }
 
     /// One raw engine-shaped configuration: completed counts and spent
-    /// values cut down to the chains by [`engine_shaped`], and a tag that
-    /// duplicates the previous configuration.
+    /// values (per processor and layer) cut down to the chains by
+    /// [`engine_shaped`], and a tag that duplicates the previous
+    /// configuration.
     type RawConfig = (Vec<usize>, Vec<u64>, u8);
 
     fn raw_configs() -> impl Strategy<Value = Vec<RawConfig>> {
         prop::collection::vec(
             (
                 prop::collection::vec(0usize..=3, 6),
-                prop::collection::vec(0u64..=99, 6),
+                prop::collection::vec(0u64..=99, 12),
                 0u8..=4,
             ),
             0..=40,
         )
     }
 
-    /// The first `m` processors of `chains` as a scaled instance, and the
-    /// raw configurations made valid for it: completed counts within each
-    /// chain, and spent units strictly below the frontier requirement
-    /// (zero on a free frontier or a finished chain), packed as the scaled
-    /// engine packs them.
+    /// The first `m` processors and `k` layers of `chains` as the `u64`
+    /// view the search runs on, and the raw configurations made valid for
+    /// it: completed counts within each chain, and spent units strictly
+    /// below the frontier requirement on each layer (zero on a free layer or
+    /// a finished chain), packed as the search packs its nodes.
     fn engine_shaped(
         m: usize,
+        k: usize,
         chains: &RawChains,
         raw: &[RawConfig],
-    ) -> (ScaledInstance, Vec<Vec<u64>>) {
-        let rows: Vec<Vec<i64>> = (0..m)
-            .map(|i| {
-                (0..chains.0[i])
-                    .map(|j| PALETTE[chains.1[3 * i + j]])
-                    .collect()
-            })
-            .collect();
-        let rows: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
-        let scaled = ScaledInstance::try_new(&cr_core::Instance::unit_from_percentages(&rows))
-            .expect("percent grids scale");
+    ) -> (MultiView<u64>, Vec<Vec<u64>>) {
+        let layer = |r: usize| -> Vec<Vec<Ratio>> {
+            (0..m)
+                .map(|i| {
+                    (0..chains.0[i])
+                        .map(|j| Ratio::from_percent(PALETTE[chains.1[18 * r + 3 * i + j]]))
+                        .collect()
+                })
+                .collect()
+        };
+        let instance = if k == 1 {
+            Instance::unit_from_requirements(layer(0))
+        } else {
+            layer(0)
+                .into_iter()
+                .fold(InstanceBuilder::new(), InstanceBuilder::processor)
+                .extra_layer(layer(1))
+                .build()
+        };
+        let scaled = ScaledInstance::try_new(&instance).expect("percent grids scale");
         let mut configs: Vec<Vec<u64>> = Vec::with_capacity(raw.len());
         for (completed, spent, tag) in raw {
             if let (0, Some(previous)) = (tag, configs.last()) {
                 configs.push(previous.clone());
                 continue;
             }
-            let mut config = vec![0u64; 2 * m];
+            let mut config = vec![0u64; m + m * k];
             for i in 0..m {
                 let done = completed[i].min(scaled.jobs_on(i));
                 config[i] = done as u64;
-                if done < scaled.jobs_on(i) && scaled.unit_req(i, done) > 0 {
-                    config[m + i] = spent[i] % scaled.unit_req(i, done);
+                if done == scaled.jobs_on(i) {
+                    continue;
+                }
+                for r in 0..k {
+                    let req = scaled.layer_unit_req(r, i, done);
+                    if req > 0 {
+                        config[m + i * k + r] = spent[i * 2 + r] % req;
+                    }
                 }
             }
             configs.push(config);
         }
-        (scaled, configs)
+        (MultiView::from_scaled(&scaled), configs)
     }
 
     fn split(m: usize, configs: &[Vec<u64>]) -> Vec<(Vec<u64>, Vec<u64>)> {
@@ -787,49 +816,57 @@ mod tests {
             .collect()
     }
 
+    /// The search's level table of `view`.
+    fn level_table(view: &MultiView<u64>) -> LevelTable {
+        LevelTable::new(view).expect("u64 views carry levels")
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// On distinct engine-shaped inputs with the scaled engine's
-        /// consumption levels, the filter keeps exactly what the all-pairs
-        /// scan keeps.
+        /// On distinct engine-shaped inputs with the search's consumption
+        /// levels, at k = 1 and k = 2, the filter keeps exactly what the
+        /// all-pairs scan keeps.
         #[test]
         fn leveled_filter_matches_the_all_pairs_scan(
             m in 1usize..=6,
+            k in 1usize..=2,
             chains in raw_chains(),
             first in raw_configs(),
             second in raw_configs(),
         ) {
-            let mut filter = DominanceFilter::new(m, 1);
+            let mut filter = DominanceFilter::new(m, k);
             for raw in [&first, &second] {
-                let (scaled, configs) = engine_shaped(m, &chains, raw);
+                let (view, configs) = engine_shaped(m, k, &chains, raw);
                 let configs = distinct(configs);
-                let table = LevelTable::new(&scaled);
+                let table = level_table(&view);
                 let levels: Vec<Level> = configs.iter().map(|c| table.level(c)).collect();
                 let candidates = split(m, &configs);
-                let want = all_pairs_keep(m, 1, &candidates);
+                let want = all_pairs_keep(m, k, &candidates);
                 prop_assert_eq!(
-                    &leveled_keep(m, 1, &candidates, Some(&levels), &mut filter),
+                    &leveled_keep(m, k, &candidates, Some(&levels), &mut filter),
                     &want
                 );
             }
         }
 
-        /// Consumption levels rise strictly along domination: the contract
-        /// that lets the filter settle a round's top-level candidates and
-        /// pass over groups at or below a candidate's level.
+        /// Consumption levels rise strictly along domination, at k = 1 and
+        /// k = 2: the contract that lets the filter settle a round's
+        /// top-level candidates and pass over groups at or below a
+        /// candidate's level.
         #[test]
         fn levels_rise_strictly_along_domination(
             m in 1usize..=6,
+            k in 1usize..=2,
             chains in raw_chains(),
             raw in raw_configs(),
         ) {
-            let (scaled, configs) = engine_shaped(m, &chains, &raw);
-            let table = LevelTable::new(&scaled);
+            let (view, configs) = engine_shaped(m, k, &chains, &raw);
+            let table = level_table(&view);
             let candidates = split(m, &configs);
             for (a, config_a) in candidates.iter().zip(&configs) {
                 for (b, config_b) in candidates.iter().zip(&configs) {
-                    if a != b && dominates(m, 1, a, b) {
+                    if a != b && dominates(m, k, a, b) {
                         prop_assert!(table.level(config_a) > table.level(config_b));
                     }
                 }
@@ -874,8 +911,8 @@ mod tests {
 
         /// The push order is only a numbering: a permutation of the
         /// candidates permutes the keep mask and leaves the counts alone,
-        /// without levels (m ≤ 6, k ≤ 3) and with the engine's levels, over
-        /// `u64` and `Ratio` spent values.
+        /// without levels (m ≤ 6, k ≤ 3) and with the search's levels
+        /// (k ≤ 2), over `u64` and `Ratio` spent values.
         #[test]
         fn pushing_a_permutation_permutes_the_keep_mask(
             m in 1usize..=6,
@@ -890,14 +927,15 @@ mod tests {
             assert_permutes(m, k, &candidates, None, &perm)?;
             assert_permutes(m, k, &as_ratios(&candidates), None, &perm)?;
 
-            let (scaled, configs) = engine_shaped(m, &chains, &configs);
+            let k = k.min(2);
+            let (view, configs) = engine_shaped(m, k, &chains, &configs);
             let configs = distinct(configs);
-            let table = LevelTable::new(&scaled);
+            let table = level_table(&view);
             let levels: Vec<Level> = configs.iter().map(|c| table.level(c)).collect();
             let candidates = split(m, &configs);
             let perm = permutation(&keys, candidates.len());
-            assert_permutes(m, 1, &candidates, Some(&levels), &perm)?;
-            assert_permutes(m, 1, &as_ratios(&candidates), Some(&levels), &perm)?;
+            assert_permutes(m, k, &candidates, Some(&levels), &perm)?;
+            assert_permutes(m, k, &as_ratios(&candidates), Some(&levels), &perm)?;
         }
     }
 
@@ -906,12 +944,9 @@ mod tests {
         // Processor 0 starts with a zero-requirement job: completing it
         // consumes no units, so only the free-job count tells the two
         // configurations apart, and the one ahead dominates the other.
-        let scaled = ScaledInstance::try_new(&cr_core::Instance::unit_from_percentages(&[
-            &[0, 50],
-            &[30],
-        ]))
-        .unwrap();
-        let table = LevelTable::new(&scaled);
+        let scaled =
+            ScaledInstance::try_new(&Instance::unit_from_percentages(&[&[0, 50], &[30]])).unwrap();
+        let table = level_table(&MultiView::from_scaled(&scaled));
         let ahead: &[u64] = &[1, 0, 0, 0];
         let start: &[u64] = &[0, 0, 0, 0];
         assert_eq!(table.level(ahead), (0, 1));

@@ -39,7 +39,6 @@ pub mod opt_two;
 #[cfg(test)]
 mod pinned;
 pub mod round_robin;
-mod scaled_engine;
 mod scaled_sched;
 pub mod solver;
 mod subset_enum;
@@ -53,10 +52,10 @@ pub use greedy_balance::GreedyBalance;
 pub use heuristics::{
     EqualShare, LargestRequirementFirst, ProportionalShare, SmallestRequirementFirst,
 };
+pub use multi_engine::SearchError;
 pub use opt_m::{opt_m_makespan, opt_m_makespan_rational, try_opt_m_makespan, OptM};
 pub use opt_two::{opt_two_makespan, opt_two_makespan_rational, opt_two_makespan_sparse, OptTwo};
 pub use round_robin::{phase_length, round_robin_upper_bound, RoundRobin};
-pub use scaled_engine::SearchError;
 pub use solver::{
     registry, Budget, Engine, EnginePreference, LowerBounds, Prepared, Registry, SolveError,
     SolveOutcome, SolveRequest, Solver,

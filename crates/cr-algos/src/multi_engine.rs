@@ -1,19 +1,26 @@
-//! The generic configuration search behind every `Ratio` answer and every
-//! multi-resource (`k ≥ 2`) answer of the exact solvers.
+//! The configuration search behind every exact `OptM` and `BruteForce`
+//! answer: one engine for every unit and every number of resources.
 //!
 //! A [`MultiView`] fixes the arithmetic of one search: `u64` units on
 //! per-resource LCM grids ([`MultiView::from_scaled`]) or exact [`Ratio`]s
-//! with capacity `1` per resource ([`MultiView::rational`], and
-//! [`MultiView::base_rational`] for the base resource alone).  Over it run
-//! Algorithm 2's round-by-round search (`OptResAssignment2`, Theorem 6,
-//! generalized to `k` layers) and the memoized brute force.  The scalar
-//! `scaled_engine` stays the `k = 1` `u64` hot path; this module answers
-//! `EnginePreference::Rational`, the `k = 1` fallback when a grid overflows
-//! `u64` or a scaled round outgrows its `u32` positions, and every `k ≥ 2`
-//! request.  A configuration records, per processor, the completed-job
-//! count plus the resource already spent on the frontier job **on every
-//! layer** (see [`Instance::extra_layers`]), and one normalized time step
-//! distributes each resource's full capacity independently.
+//! with capacity `1` per resource ([`MultiView::rational`]).  The base
+//! views ([`MultiView::base_scaled`], [`MultiView::base_rational`]) keep the
+//! base resource alone: the single-resource problem of Theorem 6, which
+//! every `k = 1` entry point solves even on an instance with extra layers.
+//! Over a view run Algorithm 2's round-by-round search (`OptResAssignment2`,
+//! Theorem 6, generalized to `k` layers) and the memoized brute force.  The
+//! search is monomorphised per unit: the `u64` view is the hot path, the
+//! `Ratio` view answers `EnginePreference::Rational` and instances whose
+//! grid overflows `u64`.
+//!
+//! # Nodes
+//!
+//! A configuration (a *node*) is one row of `m + m·k` values: each
+//! processor's completed-job count, then, processor-major, what its
+//! frontier job has already received on every layer (see
+//! [`Instance::extra_layers`]); on the `u64` view at `k = 1`, `2m` words.
+//! A search round is one flat arena of nodes plus `u32` parent positions,
+//! so a round costs two allocations however many nodes it holds.
 //!
 //! # The normalized step class
 //!
@@ -30,59 +37,241 @@
 //!
 //! For `k = 1` this class is precisely the Lemma 1 class (non-wasting,
 //! progressive, one partial receiver), and the successors come from the
-//! sorted break-prune DFS shared with the scaled engine (the internal
-//! `subset_enum` module), so both engines enumerate the same successor
-//! sets.  For `k ≥ 2` Lemma 1's exchange argument does not carry over
-//! verbatim — a prior counterexample shows a single *overall* receiver is
-//! not WLOG, which is why receivers are per-resource here — so the search
-//! is documented as **exact within this normalized class** (and conjectured
-//! optimal); the scaled and rational views run the identical enumeration,
-//! making their cross-check a genuine test of the per-layer grids rather
-//! than of the class.  Its enumeration is a plain subset DFS with an
-//! all-layer overflow-checked fit test and an odometer over the
-//! per-resource receivers: the break-prune does *not* generalize, since
-//! requirement vectors have no total order, so a candidate that fails the
-//! fit test cannot end its level — the DFS skips it and keeps descending.
+//! sorted break-prune DFS of the internal `subset_enum` module.  For
+//! `k ≥ 2` Lemma 1's exchange argument does not carry over verbatim — a
+//! prior counterexample shows a single *overall* receiver is not WLOG,
+//! which is why receivers are per-resource here — so the search is
+//! documented as **exact within this normalized class**; the `u64` and
+//! `Ratio` views run the identical enumeration, making their cross-check a
+//! genuine test of the per-layer grids rather than of the class.  Its
+//! enumeration is a plain subset DFS with an all-layer overflow-checked fit
+//! test and an odometer over the per-resource receivers: requirement
+//! vectors have no total order, so a candidate that fails the fit test
+//! cannot end its level — the DFS skips it and keeps descending.  Every
+//! successor, on every `k`, is written into one reusable scratch row and
+//! handed out as a slice, so a candidate allocates nothing.
 //!
 //! # Search structure
 //!
-//! Round-by-round BFS with exact-duplicate removal and the per-processor
-//! domination filter of Lemma 4, run through the grouped filter shared with
-//! the scaled engine (the internal `dominance` module): configuration `a`
-//! dominates `b` when every processor has completed more jobs, or equally
-//! many with at least as much spent on **every** layer of the frontier job.
-//! Every emitted choice completes at least one job (singletons always fit:
-//! remaining ≤ requirement ≤ capacity on every layer), so the search
-//! terminates within `total_jobs + 1` rounds.  Each round keeps its
-//! survivors in insertion order (successors in parent order, the first
-//! representative of every exact duplicate) with their parents' positions
-//! in the previous round, and [`Search::schedule`] replays a `k = 1`
-//! schedule from parent/child differences, as the scaled engine does.
-//! Multi-resource schedules are not reconstructed; the solver layer reports
-//! makespans and rejects `want_schedule` with a structured error.
+//! [`run_search_cancellable`] runs every round serially.  Expansion streams
+//! the previous round's successors, in parent order, into one candidate
+//! arena and drops exact duplicates through an open-addressing
+//! [`RowIndex`] of arena positions (the first representative wins).  The
+//! Lemma 4 survivors come from the grouped filter of the internal
+//! `dominance` module: `a` dominates `b` when every processor has completed
+//! more jobs, or equally many with at least as much spent on **every**
+//! layer of the frontier job.  Every `u64` view hands the filter each
+//! node's consumption level ([`LevelTable`]: units consumed, summed over
+//! the layers, then completed all-zero jobs), so the filter keeps the
+//! round's top-level candidates without comparing them; `Ratio` views pass
+//! none.  The survivors are copied once, by (Σ completed, Σ spent, index)
+//! descending, into the next round ([`SearchUnit::emission_key`]); the same
+//! order on both units makes their `k = 1` schedules equal.  Every emitted
+//! choice completes at least one job (singletons always fit: remaining ≤
+//! requirement ≤ capacity on every layer), so the search terminates within
+//! `total_jobs + 1` rounds.
 //!
-//! [`brute_force_cancellable`] runs a memoized DFS over the same
-//! configurations and successors without the domination filter: the
-//! exponential reference of the `Ratio` brute force.
+//! A round keeps no step decisions: [`Search::schedule`] replays a `k = 1`
+//! schedule from parent/child differences (a processor whose completed
+//! count rose finished its frontier job; one whose spent value rose
+//! received the difference).  Multi-resource schedules are not
+//! reconstructed; the solver layer reports makespans and rejects
+//! `want_schedule` with a structured error.  A round that outgrows the
+//! `u32` positions surfaces as [`SearchError::RoundTooLarge`] during
+//! expansion instead of a panic; it would need more than 64 GiB of arena.
+//!
+//! [`brute_force_cancellable`] runs a memoized DFS over the same nodes and
+//! successors without the domination filter: the exponential reference.
 
-use crate::dominance::{DominanceFilter, FILTER_CHECK_STRIDE};
+use crate::dominance::{DominanceFilter, Level, RowIndex, EMPTY, FILTER_CHECK_STRIDE};
 use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
 use cr_core::{
     CancelGate, CancelReason, CancelToken, Instance, JobId, Ratio, ScaledInstance, Schedule,
-    ScheduleBuilder,
+    ScheduleBuilder, StepUnit,
 };
 use rustc_hash::FxHashMap;
-use std::collections::hash_map::Entry;
+use std::cmp::Ordering;
+use std::fmt;
 use std::hash::Hash;
+
+/// Structured failure of the configuration search.  The search is total for
+/// every realistic instance; this exists so the single capacity limit left
+/// in the engine — round positions are `u32` — degrades into a reportable
+/// error instead of a panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SearchError {
+    /// A search round holds more nodes than `u32` positions can address.
+    RoundTooLarge {
+        /// The 0-based round whose node count overflowed.
+        round: usize,
+        /// The node count it reached when expansion stopped.
+        nodes: usize,
+    },
+    /// The search's [`CancelToken`] fired (deadline passed or the request
+    /// was cancelled externally) and the loops stopped cooperatively.
+    Cancelled {
+        /// Why the token fired.
+        reason: CancelReason,
+    },
+}
+
+impl fmt::Display for SearchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SearchError::RoundTooLarge { round, nodes } => write!(
+                f,
+                "configuration-search round {round} holds {nodes} nodes, \
+                 exceeding the u32 parent-index headroom"
+            ),
+            SearchError::Cancelled { reason } => {
+                write!(f, "configuration search stopped: {reason}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SearchError {}
+
+impl From<CancelReason> for SearchError {
+    fn from(reason: CancelReason) -> Self {
+        SearchError::Cancelled { reason }
+    }
+}
 
 /// The arithmetic of one search: `u64` units on per-resource LCM grids or
 /// exact [`Ratio`]s with per-resource capacity `1`.
-pub(crate) trait SearchUnit: cr_core::StepUnit + Hash {}
-impl SearchUnit for u64 {}
-impl SearchUnit for Ratio {}
+pub(crate) trait SearchUnit: StepUnit + Hash + Default {
+    /// A node's place in the emission order.
+    type Key: Ord + Copy;
+
+    /// The slot value of a completed-job count.
+    fn from_count(count: usize) -> Self;
+
+    /// The completed-job count a slot holds.
+    fn count(self) -> usize;
+
+    /// The value in resource units, for consumption levels; `None` on a
+    /// unit that carries no levels.
+    fn units(self) -> Option<u128>;
+
+    /// The value as a share of a layer of capacity `cap`.
+    fn share(self, cap: Self) -> Ratio;
+
+    /// The emission key of a node with these completed counts and spent
+    /// values: (Σ completed, Σ spent), so that survivors leave a round by
+    /// key, then index, descending.
+    fn emission_key(completed: &[Self], spent: &[Self]) -> Self::Key;
+}
+
+impl SearchUnit for u64 {
+    /// Σ completed above bit 96, Σ spent below, so that one `u128`
+    /// comparison orders by both; exact under [`emission_key_fits`].
+    type Key = u128;
+
+    fn from_count(count: usize) -> Self {
+        count as u64
+    }
+
+    fn count(self) -> usize {
+        self as usize
+    }
+
+    fn units(self) -> Option<u128> {
+        Some(u128::from(self))
+    }
+
+    fn share(self, cap: Self) -> Ratio {
+        Ratio::new(i128::from(self), i128::from(cap))
+    }
+
+    fn emission_key(completed: &[u64], spent: &[u64]) -> u128 {
+        let completed: u64 = completed.iter().sum();
+        // Summed in u128: with the 2·D capacity headroom, three spent
+        // values may exceed u64.
+        let spent: u128 = spent.iter().map(|&units| u128::from(units)).sum();
+        u128::from(completed) << 96 | spent
+    }
+}
+
+impl SearchUnit for Ratio {
+    type Key = (u64, ExactSum);
+
+    fn from_count(count: usize) -> Self {
+        Ratio::from_integer(count as i64)
+    }
+
+    fn count(self) -> usize {
+        self.numer() as usize
+    }
+
+    fn units(self) -> Option<u128> {
+        None
+    }
+
+    fn share(self, _cap: Self) -> Ratio {
+        self
+    }
+
+    fn emission_key(completed: &[Ratio], spent: &[Ratio]) -> (u64, ExactSum) {
+        let completed = completed.iter().map(|c| c.count() as u64).sum();
+        // Most spent values are zero; adding one would still cost a gcd.
+        let spent = spent
+            .iter()
+            .filter(|value| !value.is_zero())
+            .try_fold(Ratio::ZERO, |sum, &value| sum.checked_add(value));
+        (completed, ExactSum(spent))
+    }
+}
+
+/// A checked `Ratio` sum, ordered exactly and without overflow (see
+/// [`cmp_exact`]), so the emission sort cannot panic: a sum that
+/// overflowed (`None`) sorts below every value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ExactSum(Option<Ratio>);
+
+impl Ord for ExactSum {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self.0, other.0) {
+            (Some(a), Some(b)) => cmp_exact(a, b),
+            (a, b) => a.is_some().cmp(&b.is_some()),
+        }
+    }
+}
+
+impl PartialOrd for ExactSum {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Compares two rationals exactly: by cross-multiplying when the products
+/// fit `i128`, else through their continued-fraction expansions (integer
+/// parts first, then the reciprocals of the fractional parts), which form
+/// no product at all.
+fn cmp_exact(x: Ratio, y: Ratio) -> Ordering {
+    // a/b against c/d, denominators positive.
+    let (mut a, mut b, mut c, mut d) = (x.numer(), x.denom(), y.numer(), y.denom());
+    if let (Some(ad), Some(cb)) = (a.checked_mul(d), c.checked_mul(b)) {
+        return ad.cmp(&cb);
+    }
+    // lint: allow(cancel_coverage) — bounded: a Euclidean descent, logarithmic in the denominators
+    loop {
+        let (qa, qc) = (a.div_euclid(b), c.div_euclid(d));
+        if qa != qc {
+            return qa.cmp(&qc);
+        }
+        match (a.rem_euclid(b), c.rem_euclid(d)) {
+            (0, 0) => return Ordering::Equal,
+            (0, _) => return Ordering::Less,
+            (_, 0) => return Ordering::Greater,
+            // ra/b against rc/d orders as d/rc against b/ra.
+            (ra, rc) => (a, b, c, d) = (d, rc, b, ra),
+        }
+    }
+}
 
 /// The per-resource requirement table of one search: capacities plus every
-/// job's requirement vector, in the representation `V`.
+/// job's requirement vector, in the unit `V`.
 #[derive(Debug, Clone)]
 pub(crate) struct MultiView<V> {
     /// Per-resource capacities, length `k`.
@@ -94,31 +283,23 @@ pub(crate) struct MultiView<V> {
 }
 
 impl MultiView<u64> {
-    /// The scaled-integer view: layer `r` lives on the grid of
-    /// [`ScaledInstance::layer_capacity`]`(r)`.
+    /// The scaled-integer view of every resource layer: layer `r` lives on
+    /// the grid of [`ScaledInstance::layer_capacity`]`(r)`.
     pub(crate) fn from_scaled(scaled: &ScaledInstance) -> Self {
-        let m = scaled.processors();
-        let k = scaled.resources();
-        let caps: Vec<u64> = (0..k).map(|r| scaled.layer_capacity(r)).collect();
-        let mut offsets = Vec::with_capacity(m + 1);
-        let mut reqs = Vec::with_capacity(scaled.total_jobs() * k);
-        offsets.push(0);
-        // lint: allow(cancel_coverage) — bounded: one setup pass over the instance's jobs
-        for i in 0..m {
-            // lint: allow(cancel_coverage) — bounded: the processor's jobs
-            for j in 0..scaled.jobs_on(i) {
-                // lint: allow(cancel_coverage) — bounded: k resource layers
-                for r in 0..k {
-                    reqs.push(scaled.layer_unit_req(r, i, j));
-                }
-            }
-            offsets.push(offsets[i] + scaled.jobs_on(i));
-        }
-        MultiView {
-            caps,
-            offsets,
-            reqs,
-        }
+        Self::scaled_layers(scaled, scaled.resources())
+    }
+
+    /// The scaled-integer view of the base resource alone.
+    pub(crate) fn base_scaled(scaled: &ScaledInstance) -> Self {
+        Self::scaled_layers(scaled, 1)
+    }
+
+    fn scaled_layers(scaled: &ScaledInstance, k: usize) -> Self {
+        MultiView::build(
+            (0..k).map(|r| scaled.layer_capacity(r)).collect(),
+            (0..scaled.processors()).map(|i| scaled.jobs_on(i)),
+            |i, j, r| scaled.layer_unit_req(r, i, j),
+        )
     }
 }
 
@@ -128,30 +309,39 @@ impl MultiView<Ratio> {
         Self::rational_layers(instance, instance.resources())
     }
 
-    /// The exact rational view of the base resource alone: the
-    /// single-resource problem of Theorem 6, which the scaled `k = 1`
-    /// engine solves too.
+    /// The exact rational view of the base resource alone.
     pub(crate) fn base_rational(instance: &Instance) -> Self {
         Self::rational_layers(instance, 1)
     }
 
-    /// The exact rational view of the first `k` resource layers.
     fn rational_layers(instance: &Instance, k: usize) -> Self {
-        let m = instance.processors();
-        let caps = vec![Ratio::ONE; k];
-        let mut offsets = Vec::with_capacity(m + 1);
-        let mut reqs = Vec::with_capacity(instance.total_jobs() * k);
+        MultiView::build(
+            vec![Ratio::ONE; k],
+            (0..instance.processors()).map(|i| instance.jobs_on(i)),
+            |i, j, r| instance.requirement_on(r, JobId::new(i, j)),
+        )
+    }
+}
+
+impl<V: SearchUnit> MultiView<V> {
+    /// The view of `caps.len()` layers over processors with `jobs` jobs
+    /// each, job `j` of processor `i` requiring `req(i, j, r)` on layer `r`.
+    fn build(
+        caps: Vec<V>,
+        jobs: impl ExactSizeIterator<Item = usize>,
+        req: impl Fn(usize, usize, usize) -> V,
+    ) -> Self {
+        let k = caps.len();
+        let mut offsets = Vec::with_capacity(jobs.len() + 1);
+        let mut reqs = Vec::new();
         offsets.push(0);
         // lint: allow(cancel_coverage) — bounded: one setup pass over the instance's jobs
-        for i in 0..m {
+        for (i, n) in jobs.enumerate() {
             // lint: allow(cancel_coverage) — bounded: the processor's jobs
-            for j in 0..instance.jobs_on(i) {
-                // lint: allow(cancel_coverage) — bounded: k resource layers
-                for r in 0..k {
-                    reqs.push(instance.requirement_on(r, JobId::new(i, j)));
-                }
+            for j in 0..n {
+                reqs.extend((0..k).map(|r| req(i, j, r)));
             }
-            offsets.push(offsets[i] + instance.jobs_on(i));
+            offsets.push(offsets[i] + n);
         }
         MultiView {
             caps,
@@ -159,9 +349,7 @@ impl MultiView<Ratio> {
             reqs,
         }
     }
-}
 
-impl<V: SearchUnit> MultiView<V> {
     fn processors(&self) -> usize {
         self.offsets.len() - 1
     }
@@ -178,105 +366,194 @@ impl<V: SearchUnit> MultiView<V> {
         *self.offsets.last().unwrap_or(&0)
     }
 
+    /// Values per node: `m` completed counts, then `m·k` spent values.
+    fn width(&self) -> usize {
+        self.processors() * (1 + self.resources())
+    }
+
     /// Requirement of processor `i`'s `index`-th job on resource `r`.
     fn req(&self, processor: usize, index: usize, r: usize) -> V {
         self.reqs[(self.offsets[processor] + index) * self.resources() + r]
     }
 
-    /// Whether `completed` counts every job of every processor.
-    fn is_final(&self, completed: &[u32]) -> bool {
-        completed
+    /// Whether `node` counts every job of every processor as completed.
+    fn is_final(&self, node: &[V]) -> bool {
+        node[..self.processors()]
             .iter()
             .enumerate()
-            .all(|(i, &c)| c as usize >= self.jobs_on(i))
+            .all(|(i, &done)| done.count() >= self.jobs_on(i))
     }
 }
 
-/// A multi-resource configuration: completed-job counts plus the per-layer
-/// resource already spent on each processor's frontier job.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct MConfig<V> {
-    /// Completed job count per processor.
-    completed: Vec<u32>,
-    /// Spent on the frontier job, `m × k` processor-major.
-    spent: Vec<V>,
+/// Whether the `u64` emission key is exact on every node of `view`: fewer
+/// than 2^32 jobs, and m·Σ capacities at most 2^96, since a spent value
+/// stays below its layer's capacity.  Views without units only need the
+/// job count.  Checked once per search; failing it takes 2^32 jobs or 2^32
+/// processors.
+fn emission_key_fits<V: SearchUnit>(view: &MultiView<V>) -> bool {
+    let caps: u128 = view.caps.iter().map(|cap| cap.units().unwrap_or(0)).sum();
+    (view.total_jobs() as u128) < 1 << 32
+        && caps
+            .checked_mul(view.processors() as u128)
+            .is_some_and(|bound| bound <= 1 << 96)
 }
 
-impl<V: SearchUnit> MConfig<V> {
-    fn initial(m: usize, k: usize) -> Self {
-        MConfig {
-            completed: vec![0; m],
-            spent: vec![V::ZERO; m * k],
+/// Per-processor prefix sums behind a node's consumption [`Level`]: entry
+/// `start[i] + c` holds the units of processor `i`'s first `c` jobs, summed
+/// over the layers, and how many of them require nothing on any layer.
+#[derive(Debug)]
+pub(crate) struct LevelTable {
+    /// Each processor's first entry in `prefix`.
+    start: Vec<usize>,
+    /// The prefix sums, `jobs_on(i) + 1` entries per processor.
+    prefix: Vec<Level>,
+}
+
+impl LevelTable {
+    /// The table of `view`; `None` when its unit carries no levels.
+    pub(crate) fn new<V: SearchUnit>(view: &MultiView<V>) -> Option<Self> {
+        let m = view.processors();
+        let mut start = Vec::with_capacity(m);
+        let mut prefix = Vec::with_capacity(view.total_jobs() + m);
+        // lint: allow(cancel_coverage) — bounded: one pass over the instance's jobs per search
+        for i in 0..m {
+            start.push(prefix.len());
+            let mut level = Level::default();
+            prefix.push(level);
+            // lint: allow(cancel_coverage) — bounded: one processor's chain
+            for j in 0..view.jobs_on(i) {
+                let mut units = 0u128;
+                // lint: allow(cancel_coverage) — bounded: k resource layers
+                for r in 0..view.resources() {
+                    units += view.req(i, j, r).units()?;
+                }
+                level.0 += units;
+                level.1 += u64::from(units == 0);
+                prefix.push(level);
+            }
         }
+        Some(LevelTable { start, prefix })
     }
 
-    /// Completes processor `i`'s frontier job, resetting its spent layers.
-    fn complete(&mut self, processor: usize, k: usize) {
-        self.completed[processor] += 1;
-        self.spent[processor * k..(processor + 1) * k].fill(V::ZERO);
+    /// The level of `node`: the units it has consumed (each processor's
+    /// completed requirements plus its spent values, over every layer),
+    /// then its completed all-zero jobs.  A node dominating another one it
+    /// differs from sits on a strictly higher level: on every processor it
+    /// has consumed at least as many units and completed at least as many
+    /// free jobs, and where it completed more jobs it consumed more units
+    /// (a frontier job's spent value stays below its requirement on every
+    /// positive layer) unless the extra jobs are free.
+    pub(crate) fn level<V: SearchUnit>(&self, node: &[V]) -> Level {
+        let (completed, spent) = node.split_at(self.start.len());
+        let (units, free) = self.start.iter().zip(completed).fold(
+            Level::default(),
+            |(units, free), (&start, &done)| {
+                let (done_units, done_free) = self.prefix[start + done.count()];
+                (units + done_units, free + done_free)
+            },
+        );
+        let spent = spent
+            .iter()
+            .fold(0, |sum, value| sum + value.units().unwrap_or(0));
+        (units + spent, free)
     }
-}
-
-/// The makespan and expansion count of one finished search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct MultiSearch {
-    /// The optimal makespan within the normalized step class.
-    pub makespan: usize,
-    /// Configurations expanded over the whole search.
-    pub expanded: usize,
 }
 
 /// Reusable buffers of the successor enumeration (one per search, not one
 /// per expansion).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SuccScratch<V> {
     /// The active processors.
     active: Vec<usize>,
     /// Remaining requirement per active entry per layer, `a × k`.
     rem: Vec<V>,
+    /// The successor being written.
+    child: Vec<V>,
     /// The `k = 1` choice DFS's buffers.
     choices: EnumScratch,
+    /// The `k ≥ 2` subset DFS's buffers.
+    layers: LayerScratch<V>,
 }
 
-impl<V> SuccScratch<V> {
-    fn new() -> Self {
-        SuccScratch {
-            active: Vec::new(),
-            rem: Vec::new(),
-            choices: EnumScratch::default(),
-        }
-    }
+/// Reusable buffers of the `k ≥ 2` subset DFS.
+#[derive(Debug, Default)]
+struct LayerScratch<V> {
+    /// Active entries with an all-zero remaining vector.
+    zeros: Vec<usize>,
+    /// The other active entries.
+    positives: Vec<usize>,
+    /// Chosen positive entries (DFS stack).
+    chosen: Vec<usize>,
+    /// Membership of the current finished set (zeros plus chosen).
+    in_set: Vec<bool>,
+    /// Per-layer sums of the chosen entries' remainings, `k` per DFS depth.
+    sums: Vec<V>,
+    /// Per-layer leftover of the current finished set.
+    leftovers: Vec<V>,
+    /// Every layer's receiver candidates back to back; `None` wastes the
+    /// layer's leftover.
+    receivers: Vec<Option<usize>>,
+    /// The end of each layer's candidates in `receivers`.
+    ends: Vec<usize>,
+    /// The odometer: each layer's current position in its candidates.
+    pick: Vec<usize>,
 }
 
-/// Streams every normalized successor of `config` into `emit`.
+/// Completes processor `p`'s frontier job in `node`: one more completed job,
+/// nothing spent on the next one.
+fn complete<V: SearchUnit>(node: &mut [V], m: usize, k: usize, p: usize) {
+    node[p] = V::from_count(node[p].count() + 1);
+    node[m + p * k..m + (p + 1) * k].fill(V::ZERO);
+}
+
+/// `spent + leftover`: what a frontier job has spent on a layer once it
+/// receives the layer's leftover.  Should the sum overflow (a `Ratio`
+/// view's intermediate products can), it is computed as requirement −
+/// (remaining − leftover) instead, where remaining > leftover keeps both
+/// subtractions in contract.
+fn received<V: SearchUnit>(spent: V, leftover: V, rem: V, req: impl FnOnce() -> V) -> V {
+    spent
+        .checked_add(leftover)
+        .unwrap_or_else(|| req().sub(rem.sub(leftover)))
+}
+
+/// Streams every normalized successor of `node` into `emit`, as a slice of
+/// the scratch that is only valid during the call.
 ///
 /// See the module docs for the choice class.  For `k = 1` the successors
-/// are distinct and come in the shared choice DFS's order; for `k ≥ 2`
-/// exact duplicates may be emitted (the search deduplicates).
-fn successors<V: SearchUnit>(
+/// are distinct and come in the choice DFS's order; for `k ≥ 2` exact
+/// duplicates may be emitted (the search deduplicates).  The enumeration
+/// consults `gate`, so even a single node with an exponentially large
+/// choice space stops promptly; successors emitted before the cut are not
+/// unwound.
+fn for_each_successor<V: SearchUnit>(
     view: &MultiView<V>,
-    config: &MConfig<V>,
+    node: &[V],
     scratch: &mut SuccScratch<V>,
     gate: &mut CancelGate,
-    emit: &mut impl FnMut(MConfig<V>),
+    emit: &mut impl FnMut(&[V]),
 ) -> Result<(), CancelReason> {
     let m = view.processors();
     let k = view.resources();
     let SuccScratch {
         active,
         rem,
+        child,
         choices,
+        layers,
     } = scratch;
     active.clear();
     rem.clear();
-    // lint: allow(cancel_coverage) — bounded: one pass over the m processors
+    // lint: allow(cancel_coverage) — bounded: one pass over the m processors per expansion; the choice enumeration below is gated
     for i in 0..m {
-        let done = config.completed[i] as usize;
+        let done = node[i].count();
         if done < view.jobs_on(i) {
             active.push(i);
-            // lint: allow(cancel_coverage) — bounded: k resource layers
-            for r in 0..k {
-                rem.push(view.req(i, done, r).sub(config.spent[i * k + r]));
+            if k == 1 {
+                // The hot path: one push, measurably cheaper than `extend`.
+                rem.push(view.req(i, done, 0).sub(node[m + i]));
+            } else {
+                rem.extend((0..k).map(|r| view.req(i, done, r).sub(node[m + i * k + r])));
             }
         }
     }
@@ -291,27 +568,42 @@ fn successors<V: SearchUnit>(
             choices,
             gate,
             &mut |finished, partial| {
-                let mut next = config.clone();
+                child.clear();
+                child.extend_from_slice(node);
                 // lint: allow(cancel_coverage) — bounded: `finished` is a subset of the <= m active processors
                 for &e in finished {
-                    next.complete(active[e as usize], 1);
+                    complete(child, m, 1, active[e as usize]);
                 }
                 if let Some((e, leftover)) = partial {
                     let i = active[e as usize];
-                    // New spent = requirement − (remaining − leftover), as
-                    // on k ≥ 2: the receiver's remaining exceeds the
-                    // leftover.
-                    let done = config.completed[i] as usize;
-                    next.spent[i] = view.req(i, done, 0).sub(rem[e as usize].sub(leftover));
+                    child[m + i] = received(node[m + i], leftover, rem[e as usize], || {
+                        view.req(i, node[i].count(), 0)
+                    });
                 }
-                emit(next);
+                emit(child);
             },
         );
     }
-    let a = active.len();
-    let all_zero = |e: usize| (0..k).all(|r| rem[e * k + r] == V::ZERO);
-    let zeros: Vec<usize> = (0..a).filter(|&e| all_zero(e)).collect();
-    let positives: Vec<usize> = (0..a).filter(|&e| !all_zero(e)).collect();
+
+    let all_zero = |e: usize| rem[e * k..(e + 1) * k].iter().all(|&r| r == V::ZERO);
+    let LayerScratch {
+        zeros,
+        positives,
+        chosen,
+        in_set,
+        sums,
+        ..
+    } = layers;
+    zeros.clear();
+    positives.clear();
+    // lint: allow(cancel_coverage) — bounded: one pass over the <= m active entries
+    for e in 0..active.len() {
+        if all_zero(e) {
+            zeros.push(e);
+        } else {
+            positives.push(e);
+        }
+    }
 
     // All-fit fast path: when every layer can absorb every active job's
     // remaining at once, completing everything dominates every other
@@ -322,76 +614,77 @@ fn successors<V: SearchUnit>(
             .try_fold(V::ZERO, |t, &e| t.checked_add(rem[e * k + r]))
             .is_some_and(|t| t <= view.caps[r])
     });
+    child.clear();
+    child.extend_from_slice(node);
     if fits_all {
-        let mut next = config.clone();
         // lint: allow(cancel_coverage) — bounded: completes the <= m active processors
-        for &e in active.iter() {
-            next.complete(e, k);
+        for &p in active.iter() {
+            complete(child, m, k, p);
         }
-        emit(next);
+        emit(child);
         return Ok(());
     }
 
-    // Plain subset DFS over the positive entries (no sorted break-prune:
-    // requirement vectors have no total order, so a failing candidate
-    // cannot end its level).  Zeros-only choices are never emitted: with
-    // positive capacities they waste a whole layer that a positive
-    // singleton (which always fits) could absorb, so they fall outside the
-    // normalized class.
-    let mut dfs = Dfs {
+    // Plain subset DFS over the positive entries.  Zeros-only choices are
+    // never emitted: with positive capacities they waste a whole layer that
+    // a positive singleton (which always fits) could absorb, so they fall
+    // outside the normalized class.
+    chosen.clear();
+    in_set.clear();
+    in_set.resize(active.len(), false);
+    // lint: allow(cancel_coverage) — bounded: marks the <= m zero entries before the gated DFS below
+    for &z in zeros.iter() {
+        in_set[z] = true;
+    }
+    sums.clear();
+    sums.resize(k, V::ZERO);
+    LayerDfs {
         view,
-        config,
+        node,
         active,
         rem,
-        zeros: &zeros,
-        positives: &positives,
-        chosen: Vec::new(),
-        in_set: vec![false; a],
-        sums: vec![V::ZERO; k],
-    };
-    // lint: allow(cancel_coverage) — bounded: marks the <= m zero entries before the gated DFS below
-    for &z in &zeros {
-        dfs.in_set[z] = true;
+        child,
+        s: layers,
     }
-    dfs.descend(0, gate, emit)
+    .descend(0, 0, gate, emit)
 }
 
-/// The DFS state of one successor enumeration.
-struct Dfs<'a, V> {
+/// The `k ≥ 2` subset DFS over one node's active entries.
+struct LayerDfs<'a, V> {
     view: &'a MultiView<V>,
-    config: &'a MConfig<V>,
+    node: &'a [V],
     active: &'a [usize],
     /// Remaining requirement per active entry per layer, `a × k`.
     rem: &'a [V],
-    zeros: &'a [usize],
-    positives: &'a [usize],
-    /// Chosen positive entries (DFS stack).
-    chosen: Vec<usize>,
-    /// Membership of the current finished set (zeros plus chosen).
-    in_set: Vec<bool>,
-    /// Per-layer sums of the chosen entries' remainings.
-    sums: Vec<V>,
+    child: &'a mut [V],
+    s: &'a mut LayerScratch<V>,
 }
 
-impl<V: SearchUnit> Dfs<'_, V> {
+impl<V: SearchUnit> LayerDfs<'_, V> {
+    /// Extends the chosen set (whose sums sit at `depth` in the sum stack)
+    /// with each positive entry from `start` on that fits every layer,
+    /// emitting each extension with every receiver combination before
+    /// descending further.
     fn descend(
         &mut self,
         start: usize,
+        depth: usize,
         gate: &mut CancelGate,
-        emit: &mut impl FnMut(MConfig<V>),
+        emit: &mut impl FnMut(&[V]),
     ) -> Result<(), CancelReason> {
         let k = self.view.resources();
-        for pos in start..self.positives.len() {
+        let base = depth * k;
+        for pos in start..self.s.positives.len() {
             gate.tick()?;
-            let e = self.positives[pos];
+            let e = self.s.positives[pos];
             // All-layer overflow-checked fit test; an overflowing sum is a
             // fortiori larger than the capacity.
+            self.s.sums.truncate(base + k);
             let mut fits = true;
-            let mut new_sums = self.sums.clone();
             // lint: allow(cancel_coverage) — bounded: k resource layers per gated DFS extension
-            for (r, slot) in new_sums.iter_mut().enumerate() {
-                match self.sums[r].checked_add(self.rem[e * k + r]) {
-                    Some(s) if s <= self.view.caps[r] => *slot = s,
+            for r in 0..k {
+                match self.s.sums[base + r].checked_add(self.rem[e * k + r]) {
+                    Some(sum) if sum <= self.view.caps[r] => self.s.sums.push(sum),
                     _ => {
                         fits = false;
                         break;
@@ -401,16 +694,14 @@ impl<V: SearchUnit> Dfs<'_, V> {
             if !fits {
                 continue;
             }
-            let old_sums = std::mem::replace(&mut self.sums, new_sums);
-            self.chosen.push(e);
-            self.in_set[e] = true;
+            self.s.chosen.push(e);
+            self.s.in_set[e] = true;
 
-            self.emit_with_receivers(gate, emit)?;
-            self.descend(pos + 1, gate, emit)?;
+            self.emit_with_receivers(depth + 1, gate, emit)?;
+            self.descend(pos + 1, depth + 1, gate, emit)?;
 
-            self.in_set[e] = false;
-            self.chosen.pop();
-            self.sums = old_sums;
+            self.s.in_set[e] = false;
+            self.s.chosen.pop();
         }
         Ok(())
     }
@@ -419,67 +710,76 @@ impl<V: SearchUnit> Dfs<'_, V> {
     /// combination (including "no receiver" on each resource).
     fn emit_with_receivers(
         &mut self,
+        depth: usize,
         gate: &mut CancelGate,
-        emit: &mut impl FnMut(MConfig<V>),
+        emit: &mut impl FnMut(&[V]),
     ) -> Result<(), CancelReason> {
-        let k = self.view.resources();
-        let a = self.active.len();
-        let leftovers: Vec<V> = (0..k)
-            .map(|r| self.view.caps[r].sub(self.sums[r]))
-            .collect();
+        let view = self.view;
+        let k = view.resources();
+        let m = view.processors();
+        let s = &mut *self.s;
+        s.leftovers.clear();
+        s.leftovers.extend(
+            s.sums[depth * k..(depth + 1) * k]
+                .iter()
+                .zip(&view.caps)
+                .map(|(&sum, &cap)| cap.sub(sum)),
+        );
         // Per resource: `None` (waste the leftover) plus every active entry
         // outside the finished set whose remaining on the layer strictly
         // exceeds the leftover (so the layer does not complete and the
         // receiver never finishes its job mid-choice).
-        let candidates: Vec<Vec<Option<usize>>> = (0..k)
-            .map(|r| {
-                let mut c: Vec<Option<usize>> = vec![None];
-                if leftovers[r] > V::ZERO {
-                    // lint: allow(cancel_coverage) — bounded: one pass over the <= m active entries per gated emission
-                    for e in 0..a {
-                        if !self.in_set[e] && self.rem[e * k + r] > leftovers[r] {
-                            c.push(Some(e));
-                        }
+        s.receivers.clear();
+        s.ends.clear();
+        // lint: allow(cancel_coverage) — bounded: k resource layers per gated emission
+        for r in 0..k {
+            s.receivers.push(None);
+            let leftover = s.leftovers[r];
+            if leftover > V::ZERO {
+                // lint: allow(cancel_coverage) — bounded: one pass over the <= m active entries per gated emission
+                for e in 0..self.active.len() {
+                    if !s.in_set[e] && self.rem[e * k + r] > leftover {
+                        s.receivers.push(Some(e));
                     }
                 }
-                c
-            })
-            .collect();
+            }
+            s.ends.push(s.receivers.len());
+        }
 
         // Odometer over the product of the per-resource candidate lists.
-        let mut pick = vec![0usize; k];
+        s.pick.clear();
+        s.pick.resize(k, 0);
         loop {
             gate.tick()?;
-            let mut next = self.config.clone();
+            self.child.copy_from_slice(self.node);
             // lint: allow(cancel_coverage) — bounded: completes the <= m finished entries per gated emission
-            for &e in self.zeros.iter().chain(self.chosen.iter()) {
-                next.complete(self.active[e], k);
+            for &e in s.zeros.iter().chain(s.chosen.iter()) {
+                complete(self.child, m, k, self.active[e]);
             }
             // lint: allow(cancel_coverage) — bounded: k resource layers per gated emission
             for r in 0..k {
-                if let Some(e) = candidates[r][pick[r]] {
+                let first = if r == 0 { 0 } else { s.ends[r - 1] };
+                if let Some(e) = s.receivers[first + s.pick[r]] {
                     let i = self.active[e];
-                    let done = self.config.completed[i] as usize;
-                    // New spent = requirement − (remaining − leftover);
-                    // remaining > leftover keeps both subtractions in
-                    // contract.
-                    next.spent[i * k + r] = self
-                        .view
-                        .req(i, done, r)
-                        .sub(self.rem[e * k + r].sub(leftovers[r]));
+                    let slot = m + i * k + r;
+                    self.child[slot] =
+                        received(self.node[slot], s.leftovers[r], self.rem[e * k + r], || {
+                            view.req(i, self.node[i].count(), r)
+                        });
                 }
             }
-            emit(next);
+            emit(self.child);
 
             // Advance the odometer.
             let mut carry = 0usize;
             // lint: allow(cancel_coverage) — bounded: k odometer digits per gated emission
             while carry < k {
-                pick[carry] += 1;
-                if pick[carry] < candidates[carry].len() {
+                s.pick[carry] += 1;
+                let first = if carry == 0 { 0 } else { s.ends[carry - 1] };
+                if first + s.pick[carry] < s.ends[carry] {
                     break;
                 }
-                pick[carry] = 0;
+                s.pick[carry] = 0;
                 carry += 1;
             }
             if carry == k {
@@ -489,76 +789,176 @@ impl<V: SearchUnit> Dfs<'_, V> {
     }
 }
 
-/// One round of the search, stored flat: node `i` is the `m` completed
-/// counts at `completed[i·m..]` and the `m·k` spent values at
-/// `spent[i·m·k..]`, reached from position `parents[i]` of the previous
-/// round (`usize::MAX` for the initial configuration).  Flat rows keep the
-/// rounds a schedule replay needs at a few words per node.
-#[derive(Debug)]
-struct MRound<V> {
-    /// Processors per node.
-    m: usize,
-    /// Spent values per node (`m·k`).
+/// One round of the configuration search, stored flat: node `i` is the
+/// `width` values at `i · width` of `nodes`, reached from position
+/// `parents[i]` of the previous round (`u32::MAX` for the initial node).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Round<V> {
+    /// Values per node.
     width: usize,
-    completed: Vec<u32>,
-    spent: Vec<V>,
-    parents: Vec<usize>,
+    /// The nodes, back to back.
+    nodes: Vec<V>,
+    /// Each node's parent position in the previous round.
+    parents: Vec<u32>,
 }
 
-impl<V: SearchUnit> MRound<V> {
-    /// An empty round over `m` processors and `k` resources with room for
-    /// `nodes` nodes.
-    fn with_capacity(m: usize, k: usize, nodes: usize) -> Self {
-        MRound {
-            m,
-            width: m * k,
-            completed: Vec::with_capacity(nodes * m),
-            spent: Vec::with_capacity(nodes * m * k),
+impl<V: SearchUnit> Round<V> {
+    /// An empty round of `width`-value nodes with room for `nodes` of them.
+    fn with_capacity(width: usize, nodes: usize) -> Self {
+        Round {
+            width,
+            nodes: Vec::with_capacity(nodes * width),
             parents: Vec::with_capacity(nodes),
         }
     }
 
-    fn len(&self) -> usize {
+    /// The round holding only the initial node: nothing completed, nothing
+    /// spent.
+    fn initial(width: usize) -> Self {
+        let mut round = Round::with_capacity(width, 1);
+        round.nodes.resize(width, V::ZERO);
+        round.parents.push(u32::MAX);
+        round
+    }
+
+    /// The number of nodes.
+    pub(crate) fn len(&self) -> usize {
         self.parents.len()
     }
 
-    fn clear(&mut self) {
-        self.completed.clear();
-        self.spent.clear();
-        self.parents.clear();
+    /// Node `i`.
+    fn node(&self, i: usize) -> &[V] {
+        &self.nodes[i * self.width..(i + 1) * self.width]
     }
 
-    /// Node `i`'s completed counts.
-    fn completed(&self, i: usize) -> &[u32] {
-        &self.completed[i * self.m..(i + 1) * self.m]
-    }
-
-    /// Node `i`'s spent values.
-    fn spent(&self, i: usize) -> &[V] {
-        &self.spent[i * self.width..(i + 1) * self.width]
-    }
-
-    /// Appends a node reached from position `parent` of the previous round.
-    fn push(&mut self, completed: &[u32], spent: &[V], parent: usize) {
-        self.completed.extend_from_slice(completed);
-        self.spent.extend_from_slice(spent);
+    /// Appends `node`, reached from position `parent` of the previous
+    /// round.
+    fn push(&mut self, node: &[V], parent: u32) {
+        self.nodes.extend_from_slice(node);
         self.parents.push(parent);
-    }
-
-    /// Copies node `i` into `config`.
-    fn load(&self, i: usize, config: &mut MConfig<V>) {
-        config.completed.clear();
-        config.completed.extend_from_slice(self.completed(i));
-        config.spent.clear();
-        config.spent.extend_from_slice(self.spent(i));
     }
 }
 
-/// A finished search: every round's survivors, the initial round first,
-/// and the position of the first final configuration in the last round.
+/// One round's candidates while it is expanded and filtered: an arena in
+/// the flat layout of a [`Round`] plus a [`RowIndex`] of arena positions
+/// that finds exact duplicates.  One `Candidates` lives for a whole search
+/// and is cleared, not freed, between rounds.
 #[derive(Debug)]
+struct Candidates<V> {
+    /// The candidates, in insertion order.
+    arena: Round<V>,
+    /// The arena's nodes by content.
+    index: RowIndex,
+}
+
+impl<V: SearchUnit> Candidates<V> {
+    fn new(width: usize) -> Self {
+        Candidates {
+            arena: Round::with_capacity(width, 0),
+            index: RowIndex::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.arena.nodes.clear();
+        self.arena.parents.clear();
+        self.index.clear();
+    }
+
+    /// Adds `node`, reached from `parent`, unless an exact duplicate is
+    /// already present (the first representative wins).
+    ///
+    /// # Errors
+    ///
+    /// The candidate count it would reach once the positions no longer fit
+    /// `u32` (below the [`EMPTY`] marker).
+    fn insert(&mut self, node: &[V], parent: u32) -> Result<(), usize> {
+        let width = self.arena.width;
+        let Err(slot) = self.index.find(&self.arena.nodes, width, node) else {
+            return Ok(());
+        };
+        let len = self.arena.len();
+        let position = u32::try_from(len)
+            .ok()
+            .filter(|&position| position != EMPTY)
+            .ok_or(len + 1)?;
+        self.arena.push(node, parent);
+        self.index.occupy(slot, position, &self.arena.nodes, width);
+        Ok(())
+    }
+}
+
+/// Expands `prev` into `candidates`: successors in parent order, exact
+/// duplicates dropped (the first representative wins).
+///
+/// # Errors
+///
+/// [`SearchError::Cancelled`] once the gate's token fires, and
+/// [`SearchError::RoundTooLarge`] (for round `round`) when the candidates
+/// outgrow `u32` positions.
+fn expand_round<V: SearchUnit>(
+    view: &MultiView<V>,
+    prev: &Round<V>,
+    round: usize,
+    candidates: &mut Candidates<V>,
+    scratch: &mut SuccScratch<V>,
+    gate: &mut CancelGate,
+) -> Result<(), SearchError> {
+    candidates.clear();
+    let mut overflow = None;
+    // `prev` holds fewer than u32::MAX nodes, so `0u32..` (zipped second,
+    // advanced only while `prev` yields) cannot overflow.
+    for (index, parent) in (0..prev.len()).zip(0u32..) {
+        for_each_successor(view, prev.node(index), scratch, gate, &mut |child| {
+            if overflow.is_none() {
+                overflow = candidates.insert(child, parent).err();
+            }
+        })?;
+        if let Some(nodes) = overflow {
+            return Err(SearchError::RoundTooLarge { round, nodes });
+        }
+    }
+    Ok(())
+}
+
+/// The kept candidates of `arena` (nodes over `m` processors) in emission
+/// order, key then index descending: keys with arena positions, written to
+/// `order`.
+fn emission_order<V: SearchUnit>(
+    arena: &Round<V>,
+    m: usize,
+    keep: &[bool],
+    order: &mut Vec<(V::Key, u32)>,
+) {
+    order.clear();
+    // The arena holds fewer than u32::MAX candidates (`Candidates::insert`),
+    // so `0u32..`, zipped second, cannot overflow.
+    order.extend(
+        keep.iter()
+            .zip(0u32..)
+            .filter(|&(&kept, _)| kept)
+            .map(|(_, i)| {
+                let (completed, spent) = arena.node(i as usize).split_at(m);
+                (V::emission_key(completed, spent), i)
+            }),
+    );
+    order.sort_unstable_by(|a, b| b.cmp(a));
+}
+
+/// The makespan and expansion count of one finished search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MultiSearch {
+    /// The optimal makespan within the normalized step class.
+    pub makespan: usize,
+    /// Nodes expanded over the whole search.
+    pub expanded: usize,
+}
+
+/// A finished search: every round's survivors, the initial round first,
+/// and the position of the first final node in the last round.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Search<V> {
-    rounds: Vec<MRound<V>>,
+    rounds: Vec<Round<V>>,
     winner: usize,
 }
 
@@ -569,35 +969,40 @@ impl<V: SearchUnit> Search<V> {
         self.rounds.len() - 1
     }
 
-    /// The makespan and the configurations expanded: every round's
-    /// survivors but the last's.
+    /// The makespan and the nodes expanded: every round's survivors but
+    /// the last's.
     fn summary(&self) -> MultiSearch {
         let makespan = self.makespan();
         MultiSearch {
             makespan,
-            expanded: self.rounds[..makespan].iter().map(MRound::len).sum(),
+            expanded: self.rounds[..makespan].iter().map(Round::len).sum(),
         }
     }
-}
 
-impl Search<Ratio> {
-    /// Reconstructs an optimal schedule from a single-resource search by
-    /// back-tracing the winner and replaying each step, recovered from its
-    /// parent and child configurations: a processor whose completed count
-    /// rose finished its frontier job, and one whose spent rose received
-    /// the difference.
+    /// The survivor count of every round, the initial round first.
+    #[cfg(test)]
+    pub(crate) fn round_sizes(&self) -> Vec<usize> {
+        self.rounds.iter().map(Round::len).collect()
+    }
+
+    /// Reconstructs an optimal schedule from a single-resource search over
+    /// `view` by back-tracing the winner and replaying each step, recovered
+    /// from its parent and child nodes, through the exact `Ratio`-based
+    /// [`ScheduleBuilder`]: a processor whose completed count rose finished
+    /// its frontier job, and one whose spent value rose received the
+    /// difference.
     ///
     /// # Panics
     ///
     /// Panics if the search ran over more than one resource, or over
     /// another instance than `instance`.
-    pub(crate) fn schedule(&self, instance: &Instance) -> Schedule {
-        let m = instance.processors();
+    pub(crate) fn schedule(&self, view: &MultiView<V>, instance: &Instance) -> Schedule {
         assert_eq!(
-            (self.rounds[0].m, self.rounds[0].width),
-            (m, m),
+            view.resources(),
+            1,
             "schedules are replayed from single-resource searches"
         );
+        let m = view.processors();
         let last = self.makespan();
         if last == 0 {
             return Schedule::empty();
@@ -607,20 +1012,22 @@ impl Search<Ratio> {
         path[last] = self.winner;
         // lint: allow(cancel_coverage) — bounded: the back-trace visits one node per round of the already-gated search
         for round in (1..=last).rev() {
-            path[round - 1] = self.rounds[round].parents[path[round]];
+            path[round - 1] = self.rounds[round].parents[path[round]] as usize;
         }
 
         let mut builder = ScheduleBuilder::new(instance);
         // lint: allow(cancel_coverage) — bounded: replays one already-gated search round per step
         for round in 1..=last {
-            let (before, after) = (&self.rounds[round - 1], &self.rounds[round]);
-            let (parent, child) = (path[round - 1], path[round]);
+            let parent = self.rounds[round - 1].node(path[round - 1]);
+            let child = self.rounds[round].node(path[round]);
             let shares: Vec<Ratio> = (0..m)
                 .map(|p| {
-                    if after.completed(child)[p] > before.completed(parent)[p] {
+                    if child[p] > parent[p] {
                         builder.remaining_workload(p)
+                    } else if child[m + p] > parent[m + p] {
+                        child[m + p].sub(parent[m + p]).share(view.caps[0])
                     } else {
-                        after.spent(child)[p] - before.spent(parent)[p]
+                        Ratio::ZERO
                     }
                 })
                 .collect();
@@ -630,108 +1037,117 @@ impl Search<Ratio> {
     }
 }
 
-/// Runs the configuration search to the first round holding a final
-/// configuration, keeping every round.
+/// Runs the configuration search to the first round holding a final node,
+/// keeping every round.
 ///
-/// `Ok(None)` when `round_cap` cut the search off before any final
-/// configuration appeared; `Err` when the token fired mid-search.  The
-/// token is checked at every round boundary and (through the shared
+/// `Ok(None)` when `round_cap` cut the search off before any final node
+/// appeared.  The token is checked at every round boundary and (through the
 /// gates) inside the successor enumeration and the filter, so even a single
 /// huge round observes the deadline within
 /// [`cr_core::cancel::CHECK_INTERVAL_MS`].
+///
+/// # Errors
+///
+/// [`SearchError::Cancelled`] once the token fires, and
+/// [`SearchError::RoundTooLarge`] when a round outgrows `u32` positions.
+///
+/// # Panics
+///
+/// Panics if the instance holds 2^32 or more jobs, or so many processors
+/// that m·Σ capacities exceeds 2^96 (see [`emission_key_fits`]).
 pub(crate) fn run_search_cancellable<V: SearchUnit>(
     view: &MultiView<V>,
     round_cap: Option<usize>,
     token: &CancelToken,
-) -> Result<Option<Search<V>>, CancelReason> {
+) -> Result<Option<Search<V>>, SearchError> {
     let _search_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_SEARCH);
     let m = view.processors();
-    let k = view.resources();
-    let mut node = MConfig::initial(m, k);
-    let mut initial = MRound::with_capacity(m, k, 1);
-    initial.push(&node.completed, &node.spent, usize::MAX);
-    let mut rounds = vec![initial];
-    if view.is_final(&node.completed) {
+    let width = view.width();
+    let mut rounds = vec![Round::initial(width)];
+    if view.is_final(rounds[0].node(0)) {
         return Ok(Some(Search { rounds, winner: 0 }));
     }
-    let mut scratch = SuccScratch::new();
+    assert!(
+        emission_key_fits(view),
+        "2^32 jobs or an m·D above 2^96 overflow the packed emission key"
+    );
+
+    let levels = LevelTable::new(view);
+    let mut candidates = Candidates::new(width);
+    let mut scratch = SuccScratch::default();
+    let mut filter = DominanceFilter::new(m, view.resources());
+    let mut order: Vec<(V::Key, u32)> = Vec::new();
     let mut gate = token.gate(CHOICE_CHECK_STRIDE);
     let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
-    let mut filter = DominanceFilter::new(m, k);
-    // The round's candidates in insertion order, and the same
-    // configurations by content, to drop exact duplicates.
-    let mut candidates = MRound::with_capacity(m, k, 0);
-    let mut seen: FxHashMap<MConfig<V>, ()> = FxHashMap::default();
     let max_rounds = view.total_jobs() + 1;
     let round_limit = round_cap.map_or(max_rounds, |cap| cap.min(max_rounds));
     for _round in 0..round_limit {
         token.check()?;
         let mut round_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_ROUND);
         crate::obs::optm_rounds().inc();
-        let prev = &rounds[rounds.len() - 1];
-        candidates.clear();
-        seen.clear();
-        for parent in 0..prev.len() {
-            prev.load(parent, &mut node);
-            successors(view, &node, &mut scratch, &mut gate, &mut |cfg| {
-                if let Entry::Vacant(slot) = seen.entry(cfg) {
-                    candidates.push(&slot.key().completed, &slot.key().spent, parent);
-                    slot.insert(());
-                }
-            })?;
-        }
+        // lint: allow(panic_hygiene) — `rounds` is seeded with the initial round before this loop
+        let prev = rounds.last().expect("at least the initial round");
+        expand_round(
+            view,
+            prev,
+            rounds.len(),
+            &mut candidates,
+            &mut scratch,
+            &mut gate,
+        )?;
         round_span.lap(cr_obs::names::SPAN_OPTM_EXPAND);
 
-        // The Lemma 4 domination filter, extended componentwise over the
-        // layers.
+        // Keep the Lemma 4 survivors, emitted by (Σ completed, Σ spent,
+        // index) descending.
+        let arena = &candidates.arena;
         filter.clear();
         // lint: allow(cancel_coverage) — bounded: one O(m·k) copy per candidate; the filter ticks its gate per candidate
-        for i in 0..candidates.len() {
+        for i in 0..arena.len() {
+            let node = arena.node(i);
             filter.push(
-                candidates.completed(i).iter().map(|&c| u64::from(c)),
-                candidates.spent(i),
-                None,
+                node[..m].iter().map(|&done| done.count() as u64),
+                &node[m..],
+                levels.as_ref().map(|levels| levels.level(node)),
             );
         }
         let keep = filter.survivors(&mut filter_gate)?;
-        let kept = keep.iter().filter(|&&kept| kept).count();
-        let mut survivors = MRound::with_capacity(m, k, kept);
-        // lint: allow(cancel_coverage) — bounded: one O(m·k) copy per candidate of the gated filter
-        for (i, _) in keep.iter().enumerate().filter(|&(_, &kept)| kept) {
-            survivors.push(
-                candidates.completed(i),
-                candidates.spent(i),
-                candidates.parents[i],
-            );
+        emission_order(arena, m, keep, &mut order);
+        let mut next = Round::with_capacity(width, order.len());
+        // lint: allow(cancel_coverage) — bounded: one O(m·k) copy per survivor of the gated filter
+        for &(_, i) in &order {
+            let i = i as usize;
+            next.push(arena.node(i), arena.parents[i]);
         }
         round_span.lap(cr_obs::names::SPAN_OPTM_FILTER);
         crate::obs::record_round_filter(
-            candidates.len(),
-            survivors.len(),
+            arena.len(),
+            next.len(),
             filter.checked(),
             filter.settled(),
         );
 
-        let winner = (0..survivors.len()).find(|&i| view.is_final(survivors.completed(i)));
-        rounds.push(survivors);
+        let winner = (0..next.len()).find(|&i| view.is_final(next.node(i)));
+        rounds.push(next);
         if let Some(winner) = winner {
             return Ok(Some(Search { rounds, winner }));
         }
     }
-    debug_assert!(
-        round_cap.is_some(),
-        "every choice completes a job, so the uncapped search must terminate"
-    );
+    // Only a round cap can leave the search unfinished: the uncapped limit
+    // of `total_jobs + 1` rounds always suffices (every normalized step
+    // completes at least one job).
+    debug_assert!(round_cap.is_some(), "uncapped search must terminate");
     Ok(None)
 }
 
 /// [`run_search_cancellable`] without a round cap or a token.
-pub(crate) fn run_search<V: SearchUnit>(view: &MultiView<V>) -> Search<V> {
+///
+/// # Errors
+///
+/// [`SearchError::RoundTooLarge`] when a round outgrows `u32` positions.
+pub(crate) fn run_search<V: SearchUnit>(view: &MultiView<V>) -> Result<Search<V>, SearchError> {
     run_search_cancellable(view, None, &CancelToken::never())
-        .ok()
-        .flatten()
-        // lint: allow(panic_hygiene) — a never-token cannot fire, and only a round cap leaves the search unfinished
-        .expect("the uncapped search reaches a final configuration")
+        // lint: allow(panic_hygiene) — with no round cap the search only reports None when capped
+        .map(|search| search.expect("the uncapped search reaches a final configuration"))
 }
 
 /// [`run_search_cancellable`] reduced to the makespan and the expansion
@@ -740,33 +1156,25 @@ pub(crate) fn search_cancellable<V: SearchUnit>(
     view: &MultiView<V>,
     round_cap: Option<usize>,
     token: &CancelToken,
-) -> Result<Option<MultiSearch>, CancelReason> {
+) -> Result<Option<MultiSearch>, SearchError> {
     Ok(run_search_cancellable(view, round_cap, token)?.map(|search| search.summary()))
 }
 
-/// The survivor count of every round of an uncapped search, the initial
-/// round first.
-#[cfg(test)]
-pub(crate) fn round_sizes<V: SearchUnit>(view: &MultiView<V>) -> Vec<usize> {
-    run_search(view).rounds.iter().map(MRound::len).collect()
-}
-
-/// Memoized exhaustive search over the same configurations and successors,
-/// without the domination filter.  Returns `(optimal makespan, memoized
-/// states, expansions)`.  The token is checked up front, then on every
-/// expansion and (through the shared gate) inside the successor
-/// enumeration, so even an exponential search stops within one check
-/// stride of the token firing.
+/// Memoized exhaustive search over the same nodes and successors, without
+/// the domination filter.  Returns `(optimal makespan, memoized states,
+/// expansions)`.  The token is checked up front, then on every expansion
+/// and (through the gate) inside the successor enumeration, so even an
+/// exponential search stops within one check stride of the token firing.
 pub(crate) fn brute_force_cancellable<V: SearchUnit>(
     view: &MultiView<V>,
     token: &CancelToken,
 ) -> Result<(usize, usize, usize), CancelReason> {
     token.check()?;
     let mut memo = FxHashMap::default();
-    let mut scratch = SuccScratch::new();
+    let mut scratch = SuccScratch::default();
     let mut gate = token.gate(CHOICE_CHECK_STRIDE);
     let mut expansions = 0usize;
-    let initial = MConfig::initial(view.processors(), view.resources());
+    let initial = Round::initial(view.width()).nodes.into_boxed_slice();
     let best = brute_force_dfs(
         view,
         initial,
@@ -778,27 +1186,27 @@ pub(crate) fn brute_force_cancellable<V: SearchUnit>(
     Ok((best, memo.len(), expansions))
 }
 
-/// One memoized DFS step; `config` becomes its own memo key.
+/// One memoized DFS step; `node` becomes its own memo key.
 fn brute_force_dfs<V: SearchUnit>(
     view: &MultiView<V>,
-    config: MConfig<V>,
-    memo: &mut FxHashMap<MConfig<V>, usize>,
+    node: Box<[V]>,
+    memo: &mut FxHashMap<Box<[V]>, usize>,
     scratch: &mut SuccScratch<V>,
     gate: &mut CancelGate,
     expansions: &mut usize,
 ) -> Result<usize, CancelReason> {
-    if view.is_final(&config.completed) {
+    if view.is_final(&node) {
         return Ok(0);
     }
-    if let Some(&v) = memo.get(&config) {
+    if let Some(&v) = memo.get(&node) {
         return Ok(v);
     }
     gate.tick()?;
     *expansions += 1;
     // Collect the successors first: the recursive calls reuse the scratch.
-    let mut children = Vec::new();
-    successors(view, &config, scratch, gate, &mut |child| {
-        children.push(child);
+    let mut children: Vec<Box<[V]>> = Vec::new();
+    for_each_successor(view, &node, scratch, gate, &mut |child| {
+        children.push(Box::from(child));
     })?;
     let mut best = usize::MAX;
     for child in children {
@@ -807,7 +1215,7 @@ fn brute_force_dfs<V: SearchUnit>(
             best = best.min(sub + 1);
         }
     }
-    memo.insert(config, best);
+    memo.insert(node, best);
     Ok(best)
 }
 
@@ -815,6 +1223,8 @@ fn brute_force_dfs<V: SearchUnit>(
 mod tests {
     use super::*;
     use cr_core::{ratio, InstanceBuilder};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn never() -> CancelToken {
         CancelToken::never()
@@ -835,6 +1245,324 @@ mod tests {
             .expect("never token")
             .expect("uncapped")
             .makespan
+    }
+
+    /// The base `u64` view of a percentage instance.
+    fn scaled_view(rows: &[&[i64]]) -> MultiView<u64> {
+        let inst = Instance::unit_from_percentages(rows);
+        MultiView::base_scaled(&ScaledInstance::try_new(&inst).unwrap())
+    }
+
+    /// Every successor of `node`, in emission order.
+    fn successors<V: SearchUnit>(view: &MultiView<V>, node: &[V]) -> Vec<Vec<V>> {
+        let mut scratch = SuccScratch::default();
+        let mut gate = never().gate(CHOICE_CHECK_STRIDE);
+        let mut out = Vec::new();
+        for_each_successor(view, node, &mut scratch, &mut gate, &mut |child| {
+            out.push(child.to_vec());
+        })
+        .expect("a never token cannot fire");
+        out
+    }
+
+    /// One `k = 1` successor as a comparable value: node, sorted finished
+    /// processors, partial receiver.
+    type ChoiceKey = (Vec<u64>, Vec<u32>, Option<(u32, u64)>);
+
+    /// A `k = 1` successor with its step as the replay recovers it: the
+    /// processors whose completed count rose, and the one whose spent
+    /// units rose, with the difference.
+    fn choice_key(parent: &[u64], child: &[u64]) -> ChoiceKey {
+        let m = parent.len() / 2;
+        let mut finished = Vec::new();
+        let mut partial = None;
+        for p in 0..m {
+            let id = u32::try_from(p).unwrap();
+            if child[p] > parent[p] {
+                finished.push(id);
+            } else if child[m + p] > parent[m + p] {
+                assert!(partial.is_none(), "a step has one partial receiver");
+                partial = Some((id, child[m + p] - parent[m + p]));
+            }
+        }
+        (child.to_vec(), finished, partial)
+    }
+
+    fn enumerator_choices(view: &MultiView<u64>, node: &[u64]) -> BTreeSet<ChoiceKey> {
+        let mut out = BTreeSet::new();
+        for child in successors(view, node) {
+            assert!(
+                out.insert(choice_key(node, &child)),
+                "the enumerator must not emit a choice twice"
+            );
+        }
+        out
+    }
+
+    /// The reference `2^k` bitmask scan (the pre-ISSUE-4 algorithm),
+    /// normalized to the Lemma 4 rule that zero-remaining frontiers always
+    /// complete (the variants that skip them are strictly dominated and the
+    /// pruned enumerator no longer emits them).  Only valid for `k ≤ 31`.
+    fn mask_scan_choices(view: &MultiView<u64>, node: &[u64]) -> BTreeSet<ChoiceKey> {
+        let m = view.processors();
+        let mut active = Vec::new();
+        let mut remaining = Vec::new();
+        for i in 0..m {
+            let done = node[i] as usize;
+            if done < view.jobs_on(i) {
+                active.push(i);
+                remaining.push(view.req(i, done, 0) - node[m + i]);
+            }
+        }
+        let mut out = BTreeSet::new();
+        if active.is_empty() {
+            return out;
+        }
+        let k = active.len();
+        assert!(k < 32, "the reference mask scan is limited to 31 actives");
+        let cap = view.caps[0];
+        let build = |mask: u32, partial: Option<(u32, u64)>| -> ChoiceKey {
+            let mut child = node.to_vec();
+            let mut finished = Vec::new();
+            for (bit, &p) in active.iter().enumerate() {
+                if mask & (1 << bit) != 0 {
+                    child[p] += 1;
+                    child[m + p] = 0;
+                    finished.push(u32::try_from(p).unwrap());
+                }
+            }
+            if let Some((p, amount)) = partial {
+                child[m + p as usize] += amount;
+            }
+            finished.sort_unstable();
+            (child, finished, partial)
+        };
+        let total: u128 = remaining.iter().map(|&r| u128::from(r)).sum();
+        if total <= u128::from(cap) {
+            out.insert(build((1u32 << k) - 1, None));
+            return out;
+        }
+        for mask in 1u32..(1u32 << k) {
+            // Normalization: every zero-remaining frontier completes.
+            if remaining
+                .iter()
+                .enumerate()
+                .any(|(bit, &r)| r == 0 && mask & (1 << bit) == 0)
+            {
+                continue;
+            }
+            let sum: u128 = remaining
+                .iter()
+                .enumerate()
+                .filter(|&(bit, _)| mask & (1 << bit) != 0)
+                .map(|(_, &r)| u128::from(r))
+                .sum();
+            if sum > u128::from(cap) {
+                continue;
+            }
+            let leftover = cap - u64::try_from(sum).unwrap();
+            if leftover == 0 {
+                out.insert(build(mask, None));
+                continue;
+            }
+            for (bit, &p) in active.iter().enumerate() {
+                if mask & (1 << bit) == 0 && remaining[bit] > leftover {
+                    out.insert(build(mask, Some((u32::try_from(p).unwrap(), leftover))));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn successor_streaming_matches_manual_enumeration() {
+        let view = scaled_view(&[&[60, 40], &[60, 40]]);
+        let init = vec![0; view.width()];
+        let seen: Vec<ChoiceKey> = successors(&view, &init)
+            .iter()
+            .map(|child| choice_key(&init, child))
+            .collect();
+        // 60 + 60 > 100: either frontier may finish, the other carries 40.
+        assert_eq!(seen.len(), 2);
+        for (child, finished, partial) in &seen {
+            assert_eq!(finished.len(), 1);
+            let (p, amount) = partial.unwrap();
+            assert_eq!(amount.share(view.caps[0]), Ratio::from_percent(40));
+            assert_eq!(child[2 + p as usize], amount);
+            assert_ne!(finished[0], p);
+        }
+    }
+
+    #[test]
+    fn all_fit_step_finishes_everything() {
+        let view = scaled_view(&[&[30], &[30], &[40]]);
+        let init = vec![0; view.width()];
+        let children = successors(&view, &init);
+        assert_eq!(children.len(), 1);
+        let (_, finished, partial) = choice_key(&init, &children[0]);
+        assert_eq!(finished, &[0, 1, 2]);
+        assert!(partial.is_none());
+        assert!(view.is_final(&children[0]));
+    }
+
+    #[test]
+    fn wide_active_sets_no_longer_assert() {
+        // 40 active processors: 4 oversubscribed heavies plus 36 free
+        // (zero-requirement) frontiers.  The pre-ISSUE-4 engine asserted
+        // `k < 32` here.
+        let mut rows: Vec<&[i64]> = vec![&[90]; 4];
+        rows.extend(std::iter::repeat(&[0i64][..]).take(36));
+        let view = scaled_view(&rows);
+        let init = vec![0; view.width()];
+        let children = successors(&view, &init);
+        // The 36 free frontiers complete in every choice, exactly one heavy
+        // completes, and another heavy carries the leftover.
+        assert_eq!(children.len(), 4 * 3);
+        for child in &children {
+            let (_, finished, partial) = choice_key(&init, child);
+            assert_eq!(finished.len(), 37);
+            assert!(partial.is_some());
+        }
+    }
+
+    #[test]
+    fn near_max_capacity_sums_are_checked_not_wrapped() {
+        // Largest prime below 2^63: the capacity consumes all but one bit of
+        // u64, so the three-fold remaining sum overflows and must be treated
+        // as oversubscribed (pre-ISSUE-4: silent wraparound in release).
+        let p: i128 = 9_223_372_036_854_775_783;
+        let inst = InstanceBuilder::new()
+            .processor([Ratio::new(p - 1, p)])
+            .processor([Ratio::new(p - 1, p)])
+            .processor([Ratio::new(p - 1, p)])
+            .build();
+        let s = ScaledInstance::try_new(&inst).expect("2·D headroom admits capacities up to 2^63");
+        assert_eq!(s.capacity(), 9_223_372_036_854_775_783u64);
+        let view = MultiView::base_scaled(&s);
+        let search = run_search(&view).unwrap();
+        // One job finishes per step; the one-unit leftover barely helps.
+        assert_eq!(search.makespan(), 3);
+        assert_eq!(search.schedule(&view, &inst).makespan(&inst).unwrap(), 3);
+    }
+
+    #[test]
+    fn packed_emission_keys_order_spent_sums_beyond_u64() {
+        // The instance of `near_max_capacity_sums_are_checked_not_wrapped`:
+        // three spent values just below the capacity sum past u64::MAX, two
+        // stay below it, and the packed key must still emit by (Σc, Σs,
+        // index) descending.
+        let p: i128 = 9_223_372_036_854_775_783;
+        let inst = InstanceBuilder::new()
+            .processor([Ratio::new(p - 1, p)])
+            .processor([Ratio::new(p - 1, p)])
+            .processor([Ratio::new(p - 1, p)])
+            .build();
+        let view = MultiView::base_scaled(&ScaledInstance::try_new(&inst).unwrap());
+        assert!(emission_key_fits(&view));
+        let d = view.caps[0];
+        let nodes: [[u64; 6]; 7] = [
+            [0, 0, 0, d - 2, d - 2, d - 2],
+            [1, 0, 0, 0, d - 2, d - 2],
+            [0, 0, 0, d - 2, d - 3, d - 2],
+            [0, 0, 0, d - 3, d - 2, d - 2],
+            [0, 1, 1, 7, 0, 0],
+            [0, 0, 0, d - 2, d - 2, d - 3],
+            [0, 0, 0, d - 2, d - 2, 0],
+        ];
+        let keep = [true, true, true, false, true, true, true];
+        let mut arena = Round::with_capacity(6, nodes.len());
+        for node in &nodes {
+            arena.push(node, 0);
+        }
+        let mut order = Vec::new();
+        emission_order(&arena, 3, &keep, &mut order);
+        let mut want: Vec<(u64, u128, usize)> = (0..nodes.len())
+            .filter(|&i| keep[i])
+            .map(|i| {
+                let (completed, spent) = nodes[i].split_at(3);
+                let spent: u128 = spent.iter().map(|&units| u128::from(units)).sum();
+                (completed.iter().sum(), spent, i)
+            })
+            .collect();
+        want.sort_unstable_by(|a, b| b.cmp(a));
+        assert!(want[2..5]
+            .iter()
+            .all(|&(_, spent, _)| spent > u128::from(u64::MAX)));
+        let got: Vec<usize> = order.iter().map(|&(_, i)| i as usize).collect();
+        assert_eq!(got, [4, 1, 0, 5, 2, 6]);
+        assert_eq!(got, want.iter().map(|&(_, _, i)| i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn exact_sums_order_without_overflow() {
+        let big = i128::MAX / 3;
+        let cases = [
+            (ratio(1, 3), ratio(1, 2), Ordering::Less),
+            (ratio(2, 4), ratio(1, 2), Ordering::Equal),
+            (ratio(7, 5), ratio(4, 3), Ordering::Greater),
+            (Ratio::ZERO, ratio(1, big), Ordering::Less),
+            // Cross-multiplying these overflows i128.
+            (
+                ratio(big - 1, big),
+                ratio(big - 2, big - 1),
+                Ordering::Greater,
+            ),
+            (ratio(big - 2, big - 1), ratio(big - 1, big), Ordering::Less),
+        ];
+        for (a, b, want) in cases {
+            assert_eq!(
+                ExactSum(Some(a)).cmp(&ExactSum(Some(b))),
+                want,
+                "{a} vs {b}"
+            );
+        }
+        // An overflowed sum sorts below every value.
+        assert!(ExactSum(None) < ExactSum(Some(Ratio::ZERO)));
+        assert_eq!(ExactSum(None).cmp(&ExactSum(None)), Ordering::Equal);
+    }
+
+    /// The keep mask the search's filter computes for `u64` nodes over
+    /// `view`, levels included.
+    fn survivors(view: &MultiView<u64>, nodes: &[&[u64]]) -> Vec<bool> {
+        let m = view.processors();
+        let levels = LevelTable::new(view).expect("u64 views carry levels");
+        let mut filter = DominanceFilter::new(m, 1);
+        for node in nodes {
+            filter.push(
+                node[..m].iter().copied(),
+                &node[m..],
+                Some(levels.level(node)),
+            );
+        }
+        let mut gate = never().gate(FILTER_CHECK_STRIDE);
+        filter.survivors(&mut gate).unwrap().to_vec()
+    }
+
+    #[test]
+    fn domination_is_reflexive_and_ordered() {
+        // completed = [2, 1] / spent = [0, 30] dominates [1, 1] / [90, 10]
+        // and, on an equal spent value, [2, 1] / [0, 20], in either push
+        // order.
+        let view = scaled_view(&[&[99, 99, 99], &[97, 97]]);
+        let a: &[u64] = &[2, 1, 0, 30];
+        let b: &[u64] = &[1, 1, 90, 10];
+        let c: &[u64] = &[2, 1, 0, 20];
+        assert_eq!(survivors(&view, &[a, c]), [true, false]);
+        assert_eq!(survivors(&view, &[c, a]), [false, true]);
+        assert_eq!(survivors(&view, &[a, b]), [true, false]);
+        assert_eq!(survivors(&view, &[b, a]), [false, true]);
+    }
+
+    #[test]
+    fn search_solves_known_instances() {
+        let cases: [(&[&[i64]], usize); 3] = [
+            (&[&[100], &[100], &[100]], 3),
+            (&[&[50, 20], &[30, 30], &[20, 50]], 2),
+            (&[&[50, 50, 50, 50], &[100], &[100]], 4),
+        ];
+        for (rows, want) in cases {
+            assert_eq!(run_search(&scaled_view(rows)).unwrap().makespan(), want);
+        }
     }
 
     #[test]
@@ -905,11 +1633,57 @@ mod tests {
             .build();
         let token = CancelToken::new();
         token.cancel();
-        let view = MultiView::rational(&inst);
+        for search in [
+            search_cancellable(&MultiView::rational(&inst), None, &token),
+            search_cancellable(
+                &MultiView::from_scaled(&ScaledInstance::try_new(&inst).unwrap()),
+                None,
+                &token,
+            ),
+        ] {
+            assert_eq!(
+                search,
+                Err(SearchError::Cancelled {
+                    reason: CancelReason::Cancelled
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn cancelled_search_surfaces_a_structured_error() {
+        let view = scaled_view(&[&[100], &[100], &[100]]);
+        let token = CancelToken::new();
+        token.cancel();
+        let err = run_search_cancellable(&view, None, &token).unwrap_err();
         assert_eq!(
-            search_cancellable(&view, None, &token),
-            Err(CancelReason::Cancelled)
+            err,
+            SearchError::Cancelled {
+                reason: CancelReason::Cancelled
+            }
         );
+        assert!(err.to_string().contains("cancelled externally"));
+        let err = brute_force_cancellable(&view, &token).unwrap_err();
+        assert_eq!(err, CancelReason::Cancelled);
+        // An unfired token changes nothing: same rounds as the plain entry.
+        let live = CancelToken::new();
+        let cancellable = run_search_cancellable(&view, None, &live).unwrap();
+        assert_eq!(cancellable, Some(run_search(&view).unwrap()));
+    }
+
+    #[test]
+    fn brute_force_agrees_with_search() {
+        let cases: [&[&[i64]]; 2] = [
+            &[&[50, 20], &[30, 30], &[20, 50]],
+            &[&[90, 5], &[80, 15], &[70, 25]],
+        ];
+        for rows in cases {
+            let view = scaled_view(rows);
+            let (best, states, expansions) = brute_force_cancellable(&view, &never()).unwrap();
+            assert_eq!(best, run_search(&view).unwrap().makespan());
+            assert!(states > 0);
+            assert!(expansions > 0);
+        }
     }
 
     #[test]
@@ -932,6 +1706,13 @@ mod tests {
                 brute_force_cancellable(&MultiView::rational(&inst), &never()).unwrap();
             assert_eq!(best, rational_makespan(&inst), "{inst}");
             assert!(states > 0 && expansions > 0);
+            // One brute force on two units: the same configurations.
+            let units = MultiView::from_scaled(&ScaledInstance::try_new(&inst).unwrap());
+            assert_eq!(
+                brute_force_cancellable(&units, &never()).unwrap(),
+                (best, states, expansions),
+                "{inst}"
+            );
             let token = CancelToken::new();
             token.cancel();
             assert_eq!(
@@ -948,9 +1729,12 @@ mod tests {
             .processor([ratio(1, 10)])
             .extra_layer([vec![ratio(3, 4)], vec![ratio(3, 4)]])
             .build();
-        let search = run_search(&MultiView::base_rational(&inst));
+        let view = MultiView::base_rational(&inst);
+        let search = run_search(&view).unwrap();
         assert_eq!(search.makespan(), 1);
-        assert_eq!(search.schedule(&inst).num_steps(), 1);
+        assert_eq!(search.schedule(&view, &inst).num_steps(), 1);
+        let view = MultiView::base_scaled(&ScaledInstance::try_new(&inst).unwrap());
+        assert_eq!(run_search(&view).unwrap().makespan(), 1);
         assert_eq!(rational_makespan(&inst), 2);
     }
 
@@ -964,5 +1748,197 @@ mod tests {
         let out = search_cancellable(&view, None, &never()).unwrap().unwrap();
         assert_eq!(out.makespan, 0);
         assert_eq!(out.expanded, 0);
+    }
+
+    #[test]
+    fn empty_instance_is_final_immediately() {
+        let inst = InstanceBuilder::new()
+            .empty_processor()
+            .empty_processor()
+            .build();
+        let view = MultiView::base_scaled(&ScaledInstance::try_new(&inst).unwrap());
+        let search = run_search(&view).unwrap();
+        assert_eq!(search.makespan(), 0);
+        assert_eq!(search.schedule(&view, &inst).num_steps(), 0);
+    }
+
+    #[test]
+    fn search_error_displays_the_offending_round() {
+        let err = SearchError::RoundTooLarge {
+            round: 7,
+            nodes: 5_000_000_000,
+        };
+        assert!(err.to_string().contains("round 7"));
+        assert!(err.to_string().contains("5000000000"));
+    }
+
+    /// One pinned case: percentage rows and the replayed schedule's steps.
+    type PinnedCase = (
+        &'static [&'static [i64]],
+        &'static [&'static [&'static str]],
+    );
+
+    /// Replays every case on both units and compares the steps.
+    fn assert_pinned_schedules(cases: &[PinnedCase]) {
+        for &(rows, want) in cases {
+            let inst = Instance::unit_from_percentages(rows);
+            let units = MultiView::base_scaled(&ScaledInstance::try_new(&inst).unwrap());
+            let ratios = MultiView::base_rational(&inst);
+            let want: Vec<Vec<String>> = want
+                .iter()
+                .map(|step| step.iter().map(|&share| share.to_string()).collect())
+                .collect();
+            for schedule in [
+                run_search(&units).unwrap().schedule(&units, &inst),
+                run_search(&ratios).unwrap().schedule(&ratios, &inst),
+            ] {
+                let got: Vec<Vec<String>> = schedule
+                    .steps()
+                    .iter()
+                    .map(|step| step.iter().map(ToString::to_string).collect())
+                    .collect();
+                assert_eq!(got, want, "{inst}");
+            }
+        }
+    }
+
+    /// The search's emitted order decides which optimal schedule is
+    /// replayed (the last round's first final node, the first
+    /// representative of every duplicate, the parents it points back to).
+    /// These schedules were recorded from the kept-prefix filter the
+    /// bucketed one replaced, on four `Uniform m=4 n=3` instances
+    /// (`cr_instances::random_unit_instance` seeds 1000, 1001, 1002 and 7),
+    /// and must not move.
+    #[test]
+    fn pinned_uniform_schedules_are_unchanged() {
+        assert_pinned_schedules(&[
+            (
+                &[&[72, 96, 3], &[8, 86, 77], &[50, 56, 37], &[33, 54, 21]],
+                &[
+                    &["9/100", "2/25", "1/2", "33/100"],
+                    &["63/100", "37/100", "0", "0"],
+                    &["24/25", "0", "0", "1/25"],
+                    &["1/100", "49/100", "0", "1/2"],
+                    &["1/50", "21/100", "14/25", "21/100"],
+                    &["0", "14/25", "37/100", "0"],
+                ],
+            ),
+            (
+                &[&[81, 72, 66], &[85, 90, 91], &[5, 63, 62], &[55, 70, 63]],
+                &[
+                    &["2/5", "0", "1/20", "11/20"],
+                    &["0", "0", "63/100", "37/100"],
+                    &["0", "17/20", "3/20", "0"],
+                    &["0", "9/10", "1/10", "0"],
+                    &["41/100", "13/50", "0", "33/100"],
+                    &["18/25", "0", "0", "7/25"],
+                    &["7/25", "0", "37/100", "7/20"],
+                    &["19/50", "31/50", "0", "0"],
+                    &["0", "3/100", "0", "0"],
+                ],
+            ),
+            (
+                &[&[63, 88, 40], &[56, 21, 19], &[40, 8, 51], &[64, 59, 53]],
+                &[
+                    &["0", "14/25", "2/5", "1/25"],
+                    &["11/100", "21/100", "2/25", "3/5"],
+                    &["13/25", "0", "0", "12/25"],
+                    &["22/25", "0", "1/100", "11/100"],
+                    &["2/5", "19/100", "0", "41/100"],
+                    &["0", "0", "1/2", "3/25"],
+                ],
+            ),
+            (
+                &[&[97, 40, 90], &[51, 86, 45], &[85, 21, 24], &[53, 38, 24]],
+                &[
+                    &["0", "51/100", "0", "49/100"],
+                    &["0", "11/100", "17/20", "1/25"],
+                    &["97/100", "0", "0", "3/100"],
+                    &["1/25", "3/4", "21/100", "0"],
+                    &["9/25", "1/20", "6/25", "7/20"],
+                    &["9/25", "2/5", "0", "6/25"],
+                    &["27/50", "0", "0", "0"],
+                ],
+            ),
+        ]);
+    }
+
+    /// Replay derives each step from a parent and child node, so free
+    /// (zero-requirement) jobs, which complete without moving a unit, and
+    /// empty processors are pinned too.  Recorded from the engine that
+    /// stored each node's step decision: a small `WideOversub`-style
+    /// instance (three 90% chains beside three free chains) and a mix of
+    /// free jobs, an empty processor and a partial receiver.
+    #[test]
+    fn pinned_zero_job_schedules_are_unchanged() {
+        assert_pinned_schedules(&[
+            (
+                &[
+                    &[90, 90],
+                    &[90, 90],
+                    &[90, 90],
+                    &[0, 0, 0],
+                    &[0, 0, 0],
+                    &[0, 0, 0],
+                ],
+                &[
+                    &["1/10", "9/10", "0", "0", "0", "0"],
+                    &["0", "1/10", "9/10", "0", "0", "0"],
+                    &["4/5", "0", "1/5", "0", "0", "0"],
+                    &["1/5", "4/5", "0", "0", "0", "0"],
+                    &["7/10", "0", "3/10", "0", "0", "0"],
+                    &["0", "0", "2/5", "0", "0", "0"],
+                ],
+            ),
+            (
+                &[&[0, 60, 0, 40], &[], &[30, 0, 70, 0], &[55, 45, 0], &[0, 0]],
+                &[
+                    &["0", "0", "3/10", "11/20", "0"],
+                    &["3/5", "0", "0", "2/5", "0"],
+                    &["0", "0", "7/10", "1/20", "0"],
+                    &["2/5", "0", "0", "0", "0"],
+                ],
+            ),
+        ]);
+    }
+
+    fn percent_instance(den: u64, rows: &[Vec<u64>]) -> Instance {
+        let reqs = rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&pct| Ratio::from_parts(pct * den / 100, den))
+                    .collect()
+            })
+            .collect();
+        Instance::unit_from_requirements(reqs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The pruned DFS enumerator emits exactly the successor set of the
+        /// reference mask scan for active widths up to k = 12, on the
+        /// initial node and on a sample of first-round successors.
+        #[test]
+        fn enumerator_matches_reference_mask_scan(
+            den in 1u64..=24,
+            rows in prop::collection::vec(prop::collection::vec(0u64..=100, 1..=2), 1..=12),
+        ) {
+            let inst = percent_instance(den, &rows);
+            let s = ScaledInstance::try_new(&inst).expect("small denominators always scale");
+            let view = MultiView::base_scaled(&s);
+            let init = vec![0; view.width()];
+            prop_assert_eq!(enumerator_choices(&view, &init), mask_scan_choices(&view, &init));
+            // Wide oversubscribed frontiers can have hundreds of first-round
+            // successors; re-checking a prefix keeps the reference 2^k scan
+            // affordable while still covering non-initial spent states.
+            for (node, _, _) in enumerator_choices(&view, &init).into_iter().take(16) {
+                prop_assert_eq!(
+                    enumerator_choices(&view, &node),
+                    mask_scan_choices(&view, &node)
+                );
+            }
+        }
     }
 }

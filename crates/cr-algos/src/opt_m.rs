@@ -12,39 +12,33 @@
 //! appears.  The number of surviving configurations is polynomial in `n` for
 //! fixed `m`, which yields Theorem 6's polynomial running time.
 //!
-//! Two engines run this search; this module only routes between them.  The
-//! hot path runs on a [`ScaledInstance`] through the internal
-//! `scaled_engine` module (integer units, flat rounds of packed
-//! configurations, an open-addressing duplicate index).  Everything else
-//! runs the generic `multi_engine` search over exact [`Ratio`]s: the
-//! reference [`opt_m_makespan_rational`] the property tests cross-check
-//! against, and the fallback when scaling would overflow (or a search round
-//! outgrows the scaled engine's `u32` positions, surfaced as a structured
-//! [`crate::SearchError`]).  Both enumerate successors through the shared
-//! pruned DFS (the internal `subset_enum` module), so any number of
-//! simultaneously active processors is supported.
+//! One engine runs this search, the internal `multi_engine` module,
+//! monomorphised per unit; this module only picks the view.  Whenever the
+//! instance's requirement denominators admit a `u64` LCM it searches the
+//! instance's integer grid (flat rounds of packed nodes, an open-addressing
+//! duplicate index, consumption levels for the filter); otherwise it
+//! searches exact [`Ratio`]s.  [`opt_m_makespan_rational`] forces the
+//! `Ratio` view, the reference the property tests cross-check against.
+//! Successors come from the pruned DFS of the internal `subset_enum`
+//! module, so any number of simultaneously active processors is supported.
 //!
-//! Both run their rounds serially and remove dominated configurations
-//! through the one grouped Lemma 4 filter (the internal `dominance`
-//! module), which compares a candidate only against the kept members of
-//! the completed-vector groups that are at least its own.  On the dense
-//! `Uniform m=4 n=3` class ~99% of the candidates survive, so the
-//! kept-prefix and all-pairs scans it replaced were quadratic in practice.
-//! `BENCH_exact`'s scaled cell for that class went from a median of 1024 ms
-//! to 118 ms per ten instances (three alternating runs, 2-vCPU host), and
-//! its rational cell from 9.2–11.5 s to 0.56–1.04 s; once the filter no
-//! longer dominated, the scaled engine's per-round rayon fan-out no longer
-//! paid for its threads.  The scaled engine also hands the filter each
-//! candidate's consumption level (units consumed, then completed
-//! zero-requirement jobs), so the filter keeps the round's top-level
-//! candidates without comparing them; with its flat rounds that took the
-//! same cell from 125–158 ms to 56–80 ms (four alternating runs).  The
-//! generic search passes no levels.
+//! Rounds run serially and remove dominated configurations through the
+//! grouped Lemma 4 filter (the internal `dominance` module), which compares
+//! a candidate only against the kept members of the completed-vector
+//! groups that are at least its own.  On the dense `Uniform m=4 n=3` class
+//! ~99% of the candidates survive, so the kept-prefix and all-pairs scans
+//! it replaced were quadratic in practice.  `BENCH_exact`'s scaled cell for
+//! that class went from a median of 1024 ms to 118 ms per ten instances
+//! (three alternating runs, 2-vCPU host), and its rational cell from
+//! 9.2–11.5 s to 0.56–1.04 s.  On the `u64` grid the filter also receives
+//! each candidate's consumption level (units consumed, then completed
+//! zero-requirement jobs) and keeps the round's top-level candidates
+//! without comparing them; with flat rounds that took the same scaled cell
+//! from 125–158 ms to 56–80 ms (four alternating runs).
 //!
 //! [`Ratio`]: cr_core::Ratio
 
-use crate::multi_engine::{self, MultiView};
-use crate::scaled_engine;
+use crate::multi_engine::{self, MultiView, SearchError};
 use crate::traits::Scheduler;
 use cr_core::{Instance, ScaledInstance, Schedule};
 
@@ -57,62 +51,55 @@ fn assert_unit(instance: &Instance) {
 
 /// The optimal makespan computed by the configuration search.
 ///
-/// Runs on the scaled-integer engine whenever the instance's requirement
+/// Searches the instance's `u64` grid whenever its requirement
 /// denominators admit a `u64` LCM (always, for the families in this
-/// repository), and falls back to the exact rational search otherwise —
-/// either when scaling overflows or when the engine reports a structured
-/// [`crate::SearchError`] because a search round outgrew its `u32`
-/// parent-index headroom.
+/// repository), and exact `Ratio`s otherwise.
 ///
 /// # Panics
 ///
-/// Panics if the instance contains non-unit job sizes.
+/// Panics if the instance contains non-unit job sizes, or if a search
+/// round outgrows its `u32` positions (see [`try_opt_m_makespan`]).
 #[must_use]
 pub fn opt_m_makespan(instance: &Instance) -> usize {
-    try_opt_m_makespan(instance).unwrap_or_else(|_| opt_m_makespan_rational(instance))
+    try_opt_m_makespan(instance)
+        // lint: allow(panic_hygiene) — documented panic: a round of 2^32 nodes needs more than 64 GiB of arena
+        .unwrap_or_else(|err| panic!("{err}"))
 }
 
-/// Like [`opt_m_makespan`], but surfaces the scaled engine's structured
-/// failure instead of silently recovering through the rational search.
-///
-/// Instances whose denominators do not scale at all still run (and succeed)
-/// on the rational path; the only `Err` is a
-/// [`SearchError`](crate::SearchError) from the scaled configuration search
-/// itself — a round outgrowing the `u32` parent-index headroom — which
-/// callers can either report or recover from via
-/// [`opt_m_makespan_rational`] (exactly what [`opt_m_makespan`] does).
+/// Like [`opt_m_makespan`], but surfaces the search's structured failure
+/// instead of panicking.
 ///
 /// # Errors
 ///
-/// [`crate::SearchError::RoundTooLarge`] when a scaled search round holds
-/// more nodes than `u32` parent indices can address.
+/// [`SearchError::RoundTooLarge`] when a search round holds more nodes than
+/// `u32` parent indices can address; on either unit that needs more than
+/// 64 GiB of arena.
 ///
 /// # Panics
 ///
 /// Panics if the instance contains non-unit job sizes.
-pub fn try_opt_m_makespan(instance: &Instance) -> Result<usize, crate::SearchError> {
+pub fn try_opt_m_makespan(instance: &Instance) -> Result<usize, SearchError> {
     assert_unit(instance);
-    match ScaledInstance::try_new(instance) {
-        Some(scaled) => {
-            let rounds = scaled_engine::run_search(&scaled)?;
-            Ok(scaled_engine::search_makespan(&scaled, &rounds))
-        }
-        None => Ok(opt_m_makespan_rational(instance)),
-    }
+    Ok(match ScaledInstance::try_new(instance) {
+        Some(scaled) => multi_engine::run_search(&MultiView::base_scaled(&scaled))?.makespan(),
+        None => multi_engine::run_search(&MultiView::base_rational(instance))?.makespan(),
+    })
 }
 
-/// The configuration search in exact `Ratio` arithmetic, on the generic
-/// search engine: the reference the property tests cross-check the scaled
-/// engine against, and the fallback for instances whose denominator LCM
-/// overflows `u64`.
+/// The configuration search in exact `Ratio` arithmetic: the reference the
+/// property tests cross-check the `u64` grid against.
 ///
 /// # Panics
 ///
-/// Panics if the instance contains non-unit job sizes.
+/// Panics if the instance contains non-unit job sizes, or if a search
+/// round outgrows its `u32` positions.
 #[must_use]
 pub fn opt_m_makespan_rational(instance: &Instance) -> usize {
     assert_unit(instance);
-    multi_engine::run_search(&MultiView::base_rational(instance)).makespan()
+    multi_engine::run_search(&MultiView::base_rational(instance))
+        // lint: allow(panic_hygiene) — documented panic: a round of 2^32 nodes needs more than 64 GiB of arena
+        .unwrap_or_else(|err| panic!("{err}"))
+        .makespan()
 }
 
 /// The exact algorithm for an arbitrary fixed number of processors.
@@ -142,21 +129,25 @@ impl Scheduler for OptM {
         "OptResAssignment2"
     }
 
+    /// # Panics
+    ///
+    /// Panics if the instance contains non-unit job sizes, or if a search
+    /// round outgrows its `u32` positions.
     fn schedule(&self, instance: &Instance) -> Schedule {
         assert_unit(instance);
-        if let Some(scaled) = ScaledInstance::try_new(instance) {
-            if let Ok(rounds) = scaled_engine::run_search(&scaled) {
-                return scaled_engine::search_schedule(instance, &scaled, &rounds);
-            }
+        match ScaledInstance::try_new(instance) {
+            Some(scaled) => schedule_on(&MultiView::base_scaled(&scaled), instance),
+            None => schedule_on(&MultiView::base_rational(instance), instance),
         }
-        schedule_rational(instance)
     }
 }
 
-/// Runs the generic `Ratio` search and replays an optimal schedule (the
-/// reference / fallback path of [`OptM::schedule`]).
-pub(crate) fn schedule_rational(instance: &Instance) -> Schedule {
-    multi_engine::run_search(&MultiView::base_rational(instance)).schedule(instance)
+/// Searches `view` and replays an optimal schedule.
+fn schedule_on<V: multi_engine::SearchUnit>(view: &MultiView<V>, instance: &Instance) -> Schedule {
+    multi_engine::run_search(view)
+        // lint: allow(panic_hygiene) — documented panic: a round of 2^32 nodes needs more than 64 GiB of arena
+        .unwrap_or_else(|err| panic!("{err}"))
+        .schedule(view, instance)
 }
 
 #[cfg(test)]
@@ -299,7 +290,9 @@ mod tests {
         token.cancel();
         assert_eq!(
             multi_engine::run_search_cancellable(&view, None, &token).err(),
-            Some(CancelReason::Cancelled)
+            Some(SearchError::Cancelled {
+                reason: CancelReason::Cancelled
+            })
         );
         // A live token reproduces the plain path exactly.
         let live = CancelToken::new();
@@ -308,12 +301,12 @@ mod tests {
             .unwrap();
         assert_eq!(search.makespan(), opt_m_makespan_rational(&inst));
         assert_eq!(
-            search.schedule(&inst).makespan(&inst).unwrap(),
+            search.schedule(&view, &inst).makespan(&inst).unwrap(),
             search.makespan()
         );
     }
 
-    /// The keep mask the generic search's filter computes for rational
+    /// The keep mask the search's filter computes for rational
     /// configurations, given as (completed counts, spent).
     fn survivors(configs: &[(&[u64], &[Ratio])]) -> Vec<bool> {
         let mut filter = DominanceFilter::new(2, 1);

@@ -21,14 +21,12 @@
 //! * or vice versa.
 //!
 //! The hot path runs the dense DP on a flat integer table over a
-//! [`ScaledInstance`] (see the internal `scaled_engine` module); the original
-//! `Ratio`-based table is retained as [`opt_two_makespan_rational`] for
-//! cross-checking and as the overflow fallback.  The DP's cell values —
-//! one frontier requirement plus one carried leftover, each at most the
-//! capacity `D` — are exactly what the `2·D` headroom of
-//! [`ScaledInstance::try_new`] reserves.
+//! [`ScaledInstance`] (`ScaledDpTable`); the original `Ratio`-based table is
+//! retained as [`opt_two_makespan_rational`] for cross-checking and as the
+//! overflow fallback.  The DP's cell values — one frontier requirement plus
+//! one carried leftover, each at most the capacity `D` — are exactly what
+//! the `2·D` headroom of [`ScaledInstance::try_new`] reserves.
 
-use crate::scaled_engine::{ScaledDpTable, DP_BOTH, DP_FIRST, DP_SECOND};
 use crate::traits::Scheduler;
 use cr_core::{
     CancelReason, CancelToken, Instance, Ratio, ScaledInstance, Schedule, ScheduleBuilder,
@@ -38,6 +36,11 @@ use rustc_hash::FxHashMap;
 /// How many rational DP cells between token checks (each cell does a few
 /// `Ratio` comparisons, so the stride can be generous).
 const DP_CHECK_STRIDE: u32 = 1024;
+
+/// How many scaled DP cells between token checks: cells are a handful of
+/// integer ops each, so the gate overhead must be amortized further than
+/// the rational table's.
+const SCALED_DP_CHECK_STRIDE: u32 = 4096;
 
 /// Which jobs complete in a time step of the reconstructed schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +92,165 @@ impl OptTwo {
     #[must_use]
     pub fn new() -> Self {
         OptTwo
+    }
+}
+
+const UNREACHED: u32 = u32::MAX;
+
+/// One cell of the flat two-processor DP table.
+#[derive(Debug, Clone, Copy)]
+struct FlatCell {
+    /// Earliest step count reaching this cell (`UNREACHED` if not yet).
+    t: u32,
+    /// Smallest achievable frontier-remainder sum at time `t`, in units.
+    /// Bounded by `2·D` (one requirement plus one carried leftover) — the
+    /// exact headroom [`ScaledInstance::try_new`] reserves.
+    r: u64,
+    /// Decision taken on the best path into this cell (`None` at the
+    /// origin).
+    decision: Option<Decision>,
+}
+
+/// The Algorithm 1 dynamic program on a flat `(n1+1)·(n2+1)` table of
+/// integer cells (no hashing, no rational arithmetic, contiguous memory).
+#[derive(Debug)]
+pub(crate) struct ScaledDpTable {
+    cells: Vec<FlatCell>,
+    n1: usize,
+    n2: usize,
+}
+
+impl ScaledDpTable {
+    /// Runs the dense DP for a two-processor scaled instance.
+    pub(crate) fn compute(scaled: &ScaledInstance) -> Self {
+        Self::compute_cancellable(scaled, &CancelToken::never())
+            // lint: allow(panic_hygiene) — a never-token cannot fire
+            .expect("never-token cannot fire")
+    }
+
+    /// [`Self::compute`] under a [`CancelToken`]: the `O(n1·n2)` cell loop
+    /// polls the token every [`SCALED_DP_CHECK_STRIDE`] cells and stops
+    /// cooperatively once it fires.
+    pub(crate) fn compute_cancellable(
+        scaled: &ScaledInstance,
+        token: &CancelToken,
+    ) -> Result<Self, CancelReason> {
+        assert_eq!(scaled.processors(), 2, "scaled DP needs two processors");
+        let _dp_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPT_TWO_DP);
+        let n1 = scaled.jobs_on(0);
+        let n2 = scaled.jobs_on(1);
+        let cap = scaled.capacity();
+        let row1 = scaled.row(0);
+        let row2 = scaled.row(1);
+        let req1 = |c: usize| -> u64 { row1.get(c).copied().unwrap_or(0) };
+        let req2 = |c: usize| -> u64 { row2.get(c).copied().unwrap_or(0) };
+
+        let stride = n2 + 1;
+        let mut cells = vec![
+            FlatCell {
+                t: UNREACHED,
+                r: 0,
+                decision: None,
+            };
+            (n1 + 1) * stride
+        ];
+        cells[0] = FlatCell {
+            t: 0,
+            r: req1(0) + req2(0),
+            decision: None,
+        };
+
+        // Row-major order visits every predecessor before its successors:
+        // all three transitions strictly increase (c1, c2) lexicographically.
+        let mut gate = token.gate(SCALED_DP_CHECK_STRIDE);
+        for c1 in 0..=n1 {
+            for c2 in 0..=n2 {
+                gate.tick()?;
+                let cell = cells[c1 * stride + c2];
+                if cell.t == UNREACHED || (c1 == n1 && c2 == n2) {
+                    continue;
+                }
+                let (t, r) = (cell.t + 1, cell.r);
+                if c1 < n1 && c2 == n2 {
+                    relax(
+                        &mut cells[(c1 + 1) * stride + c2],
+                        t,
+                        req1(c1 + 1),
+                        Decision::FinishFirst,
+                    );
+                } else if c1 == n1 {
+                    relax(
+                        &mut cells[c1 * stride + c2 + 1],
+                        t,
+                        req2(c2 + 1),
+                        Decision::FinishSecond,
+                    );
+                } else if r <= cap {
+                    relax(
+                        &mut cells[(c1 + 1) * stride + c2 + 1],
+                        t,
+                        req1(c1 + 1) + req2(c2 + 1),
+                        Decision::AdvanceBoth,
+                    );
+                } else {
+                    let carried = r - cap;
+                    relax(
+                        &mut cells[(c1 + 1) * stride + c2],
+                        t,
+                        req1(c1 + 1) + carried,
+                        Decision::FinishFirst,
+                    );
+                    relax(
+                        &mut cells[c1 * stride + c2 + 1],
+                        t,
+                        carried + req2(c2 + 1),
+                        Decision::FinishSecond,
+                    );
+                }
+            }
+        }
+        Ok(ScaledDpTable { cells, n1, n2 })
+    }
+
+    /// The optimal makespan (value of the final cell).
+    pub(crate) fn makespan(&self) -> usize {
+        let cell = &self.cells[self.n1 * (self.n2 + 1) + self.n2];
+        assert!(cell.t != UNREACHED, "final DP cell is always reachable");
+        cell.t as usize
+    }
+
+    /// Back-traces the decisions from the final cell to the origin, in
+    /// forward (replay) order.
+    pub(crate) fn decisions(&self) -> Vec<Decision> {
+        let stride = self.n2 + 1;
+        let mut decisions = Vec::with_capacity(self.makespan());
+        let (mut c1, mut c2) = (self.n1, self.n2);
+        // lint: allow(cancel_coverage) — back-trace: every step decrements c1 + c2, so at most n1 + n2 iterations after the gated DP fill
+        while let Some(decision) = self.cells[c1 * stride + c2].decision {
+            match decision {
+                Decision::AdvanceBoth => {
+                    c1 -= 1;
+                    c2 -= 1;
+                }
+                Decision::FinishFirst => c1 -= 1,
+                Decision::FinishSecond => c2 -= 1,
+            }
+            decisions.push(decision);
+        }
+        assert_eq!((c1, c2), (0, 0), "back-trace must reach the origin");
+        decisions.reverse();
+        decisions
+    }
+}
+
+#[inline]
+fn relax(cell: &mut FlatCell, t: u32, r: u64, decision: Decision) {
+    if cell.t == UNREACHED || t < cell.t || (t == cell.t && r < cell.r) {
+        *cell = FlatCell {
+            t,
+            r,
+            decision: Some(decision),
+        };
     }
 }
 
@@ -288,12 +450,14 @@ pub fn opt_two_makespan_sparse(instance: &Instance) -> usize {
         }
     };
 
+    // lint: allow(cancel_coverage) — bounded: the uncancellable reference variant, one pass per anti-diagonal of an O(n1·n2) table
     for diag in 0..=(n1 + n2) {
         let keys: Vec<(usize, usize)> = cells
             .keys()
             .copied()
             .filter(|&(c1, c2)| c1 + c2 == diag)
             .collect();
+        // lint: allow(cancel_coverage) — bounded: the reachable cells of one anti-diagonal
         for (c1, c2) in keys {
             let (t, r) = cells[&(c1, c2)];
             if c1 == n1 && c2 == n2 {
@@ -354,24 +518,14 @@ pub(crate) fn scaled_decisions_cancellable(
     scaled: &ScaledInstance,
     token: &CancelToken,
 ) -> Result<Vec<Decision>, CancelReason> {
-    Ok(ScaledDpTable::compute_cancellable(scaled, token)?
-        .decisions()
-        .into_iter()
-        .map(|byte| match byte {
-            DP_BOTH => Decision::AdvanceBoth,
-            DP_FIRST => Decision::FinishFirst,
-            DP_SECOND => Decision::FinishSecond,
-            // lint: allow(panic_hygiene) — ScaledDpTable::decisions only
-            // emits the three decision constants matched above
-            other => unreachable!("invalid DP decision byte {other}"),
-        })
-        .collect())
+    Ok(ScaledDpTable::compute_cancellable(scaled, token)?.decisions())
 }
 
 /// Replays a DP decision sequence into an explicit resource assignment,
 /// tracking the exact remaining requirement of both frontier jobs.
 pub(crate) fn replay_decisions(instance: &Instance, decisions: Vec<Decision>) -> Schedule {
     let mut builder = ScheduleBuilder::new(instance);
+    // lint: allow(cancel_coverage) — bounded: replays one step per decision of the already-gated DP
     for decision in decisions {
         let v0 = builder.remaining_workload(0);
         let v1 = builder.remaining_workload(1);
@@ -413,6 +567,7 @@ pub(crate) fn rational_decisions_cancellable(
     let table = run_dp_cancellable(instance, token)?;
     let mut decisions = Vec::new();
     let (mut c1, mut c2) = (n1, n2);
+    // lint: allow(cancel_coverage) — back-trace: every step decrements c1 + c2, so at most n1 + n2 iterations after the gated DP fill
     while let Some(cell) = table[c1][c2] {
         let Some(decision) = cell.decision else { break };
         decisions.push(decision);
@@ -546,6 +701,20 @@ mod tests {
             rational_decisions_cancellable(&inst, &CancelToken::never()).unwrap(),
             rational_decisions(&inst)
         );
+    }
+
+    #[test]
+    fn flat_dp_matches_search_on_two_processors() {
+        for rows in [
+            &[&[60i64, 40][..], &[60, 40][..]][..],
+            &[&[100, 1, 100][..], &[1, 100, 1][..]][..],
+            &[&[55, 45, 35][..], &[65, 75, 85][..]][..],
+        ] {
+            let inst = Instance::unit_from_percentages(rows);
+            let dp = ScaledDpTable::compute(&ScaledInstance::try_new(&inst).unwrap());
+            assert_eq!(dp.makespan(), crate::opt_m::opt_m_makespan(&inst));
+            assert_eq!(dp.decisions().len(), dp.makespan());
+        }
     }
 
     #[test]

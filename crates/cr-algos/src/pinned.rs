@@ -1,20 +1,19 @@
 //! Answers pinned across changes to the OPT(m) search internals.
 //!
-//! Every engine keeps the survivors of its Lemma 4 filter in a fixed
-//! emission order, and that order decides which optimal schedule is
+//! The configuration search keeps the survivors of its Lemma 4 filter in a
+//! fixed emission order, and that order decides which optimal schedule is
 //! replayed and how many configurations a search expands.  These tests
 //! digest the answers of a few hundred small random searches, so a change
 //! to the filter or to the emission order that moves any survivor set,
 //! round size, schedule or expansion count fails here.  The digests were
 //! recorded from the sorted-order filter, before it was regrouped by hash;
-//! the rational brute-force digest was recorded from the `Ratio` search
-//! that `multi_engine` replaced.
+//! the rational brute-force digest from the `Ratio` search that preceded
+//! the generic one, and the single-resource digest from the scalar `u64`
+//! engine the generic search absorbed.
 
 use crate::brute_force::brute_force_with_stats_rational;
-use crate::multi_engine::{round_sizes, search_cancellable, MultiView};
-use crate::opt_m::schedule_rational;
-use crate::scaled_engine::{run_search, search_makespan, search_schedule, Round};
-use cr_core::{CancelToken, Instance, InstanceBuilder, Ratio, ScaledInstance, Schedule};
+use crate::multi_engine::{run_search, search_cancellable, MultiView};
+use cr_core::{CancelToken, Instance, InstanceBuilder, Ratio, ScaledInstance};
 
 /// SplitMix64: a fixed, dependency-free generator for the pinned inputs.
 struct SplitMix(u64);
@@ -118,34 +117,39 @@ fn two_resource_instances() -> Vec<Instance> {
         .collect()
 }
 
-/// The scaled search's makespans, per-round survivor counts and replayed
-/// schedules on [`single_resource_instances`], and the schedules the
-/// rational search replays.
+/// The `u64` search's makespans, per-round survivor counts and replayed
+/// schedules on [`single_resource_instances`]; the `Ratio` search replays
+/// the same schedules.
 #[test]
 fn single_resource_searches_are_unchanged() {
     let mut digest = Digest::new();
     let mut makespans = 0;
     for instance in single_resource_instances() {
         let scaled = ScaledInstance::try_new(&instance).expect("percent grids scale");
-        let rounds = run_search(&scaled).expect("small searches fit");
-        let makespan = search_makespan(&scaled, &rounds);
+        let units = MultiView::base_scaled(&scaled);
+        let search = run_search(&units).expect("small searches fit");
+        let makespan = search.makespan();
         makespans += makespan;
         digest.word(makespan as u64);
-        for round in &rounds {
-            digest.word(round.len() as u64);
+        for size in search.round_sizes() {
+            digest.word(size as u64);
         }
-        let schedules = [
-            search_schedule(&instance, &scaled, &rounds),
-            schedule_rational(&instance),
-        ];
-        for step in schedules.iter().flat_map(Schedule::steps) {
+        let schedule = search.schedule(&units, &instance);
+        for step in schedule.steps() {
             for share in step {
                 digest.text(&share.to_string());
             }
         }
+        let ratios = MultiView::base_rational(&instance);
+        let rational = run_search(&ratios).expect("small searches fit");
+        assert_eq!(
+            rational.schedule(&ratios, &instance),
+            schedule,
+            "{instance}"
+        );
     }
     assert_eq!(makespans, 642);
-    assert_eq!(digest.0, 0x10cf_e13d_947f_f234);
+    assert_eq!(digest.0, 0xdb0d_1425_4def_89fe);
 }
 
 /// The multi-resource search's makespans and expansion counts on
@@ -187,19 +191,14 @@ fn single_resource_rational_brute_force_is_unchanged() {
     assert_eq!(digest.0, 0xdea5_f807_a6ea_019d);
 }
 
-/// On one resource the generic multi-resource search keeps as many
-/// survivors per round as the scaled engine: the two enumerate the same
-/// successor sets, only in different orders.
+/// On one resource the `u64` and `Ratio` searches keep as many survivors
+/// per round: the two enumerate the same successor sets.
 #[test]
-fn generic_search_keeps_the_scaled_round_sizes() {
+fn both_units_keep_the_same_round_sizes() {
     for instance in single_resource_instances() {
         let scaled = ScaledInstance::try_new(&instance).expect("percent grids scale");
-        let rounds = run_search(&scaled).expect("small searches fit");
-        let want: Vec<usize> = rounds.iter().map(Round::len).collect();
-        assert_eq!(
-            round_sizes(&MultiView::from_scaled(&scaled)),
-            want,
-            "{instance}"
-        );
+        let units = run_search(&MultiView::base_scaled(&scaled)).expect("small searches fit");
+        let ratios = run_search(&MultiView::base_rational(&instance)).expect("small searches fit");
+        assert_eq!(units.round_sizes(), ratios.round_sizes(), "{instance}");
     }
 }

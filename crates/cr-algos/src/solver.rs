@@ -25,32 +25,30 @@
 //!
 //! Every offline method has two interchangeable cores: the scaled-integer
 //! hot path (`u64` units on the instance's denominator-LCM grid) and the
-//! exact `Ratio` reference path.  For `"OptM"` and `"BruteForce"` the
-//! `Ratio` core is the generic configuration search of the internal
-//! `multi_engine` module, which also answers every multi-resource
-//! (`k ≥ 2`) request of the exact methods on either unit; the scaled core
-//! of a single-resource search is the internal `scaled_engine`.
-//! [`EnginePreference`] selects between them:
+//! exact `Ratio` reference path.  For `"OptM"` and `"BruteForce"` the two
+//! cores are one configuration search, the internal `multi_engine` module,
+//! run on either unit; it also answers every multi-resource (`k ≥ 2`)
+//! request of the exact methods.  [`EnginePreference`] selects between
+//! them:
 //!
 //! * [`EnginePreference::Auto`] (the default) runs the scaled core whenever
 //!   the instance's grid fits `u64` and transparently falls back to the
-//!   rational core otherwise — or when the scaled configuration search
-//!   reports a structured [`SearchError`].  Every fallback taken is recorded
-//!   in [`SolveOutcome::fallbacks`], and [`SolveOutcome::engine`] names the
-//!   core that actually produced the result.  `Auto` never fails for engine
-//!   reasons.
+//!   rational core otherwise.  Every fallback taken is recorded in
+//!   [`SolveOutcome::fallbacks`], and [`SolveOutcome::engine`] names the
+//!   core that actually produced the result.
 //! * [`EnginePreference::Scaled`] demands the scaled core: if the grid
-//!   overflows the request fails with [`SolveError::GridOverflow`], and a
-//!   [`SearchError`] surfaces as [`SolveError::RoundTooLarge`] instead of
-//!   falling back.
+//!   overflows the request fails with [`SolveError::GridOverflow`].
 //! * [`EnginePreference::Rational`] runs the exact `Ratio` core — the
 //!   cross-checking path of the property-test suites.  The online simulator
 //!   methods in `cr-sim` are integer-native and reject this preference with
 //!   [`SolveError::EngineUnavailable`].
 //!
 //! Both cores produce identical makespans (enforced by the `proptest_scaled`
-//! suites), so the preference changes performance and failure modes, never
-//! values.
+//! suites), and `"OptM"` replays identical single-resource schedules on
+//! both, so the preference changes performance and failure modes, never
+//! values.  A configuration-search round that outgrows its `u32` positions
+//! fails with [`SolveError::RoundTooLarge`] on every preference: the two
+//! units share the positions, so there is nothing to fall back to.
 //!
 //! # Budgets
 //!
@@ -83,9 +81,9 @@
 //!    [`LowerBounds::trivial`] (`LB ≤ OPT ≤ UB = LB`).  The outcome equals
 //!    the scaled search's, field for field, and the `optm.certified`
 //!    counter records it;
-//! 5. the scaled configuration search (Algorithm 2, Theorem 6);
-//! 6. the generic `Ratio` search: requested, the `Auto` grid fallback, or
-//!    the recovery from a [`SearchError`].
+//! 5. the configuration search (Algorithm 2, Theorem 6) on the scaled
+//!    grid, or on exact `Ratio`s when requested or as the `Auto` grid
+//!    fallback.
 //!
 //! [`Budget::max_wall_ms`] is the one *time*-shaped knob: it derives a
 //! [`CancelToken`] deadline that every long-running loop observes within
@@ -100,11 +98,10 @@ use crate::greedy_balance::GreedyBalance;
 use crate::heuristics::{
     EqualShare, LargestRequirementFirst, ProportionalShare, SmallestRequirementFirst,
 };
-use crate::multi_engine::{self, MultiView};
+use crate::multi_engine::{self, MultiView, SearchError, SearchUnit};
 use crate::multi_sched::{self, PolyKind};
 use crate::opt_two;
 use crate::round_robin::RoundRobin;
-use crate::scaled_engine::{self, SearchError};
 use crate::traits::Scheduler;
 use crate::OptM;
 use crate::OptTwo;
@@ -122,8 +119,8 @@ pub enum EnginePreference {
     /// (fallbacks recorded in [`SolveOutcome::fallbacks`]).  The default.
     #[default]
     Auto,
-    /// Scaled-integer core only; fails with [`SolveError::GridOverflow`] /
-    /// [`SolveError::RoundTooLarge`] instead of falling back.
+    /// Scaled-integer core only; fails with [`SolveError::GridOverflow`]
+    /// instead of falling back.
     Scaled,
     /// The exact `Ratio` reference core only.
     Rational,
@@ -330,9 +327,9 @@ impl BudgetKind {
 
 /// Structured failure of one solve request.
 ///
-/// Absorbs every failure mode of the pre-redesign surfaces: the scaled
-/// search's [`SearchError`], grid overflow (previously a silent internal
-/// fallback or a panic), infeasible schedules (previously
+/// Absorbs every failure mode of the pre-redesign surfaces: the
+/// configuration search's [`SearchError`], grid overflow (previously a
+/// silent internal fallback or a panic), infeasible schedules (previously
 /// `Scheduler::makespan`'s `expect`), exhausted budgets and malformed
 /// requests.
 #[derive(Debug, Clone, PartialEq)]
@@ -371,8 +368,8 @@ pub enum SolveError {
         /// The unavailable preference.
         engine: EnginePreference,
     },
-    /// The scaled configuration search outgrew its `u32` parent-index
-    /// headroom (absorbs [`SearchError::RoundTooLarge`]).
+    /// A configuration-search round outgrew its `u32` parent-index
+    /// headroom, on either core (absorbs [`SearchError::RoundTooLarge`]).
     RoundTooLarge {
         /// The 0-based round whose node count overflowed.
         round: usize,
@@ -924,12 +921,7 @@ fn solve_exact_multi(
         }
     };
     let Some(found) = result else {
-        return Err(SolveError::BudgetExhausted {
-            method: method.to_string(),
-            kind: BudgetKind::Rounds,
-            // lint: allow(panic_hygiene) — Ok(None) is only produced when the max_rounds cap cut the search, so the cap is present
-            limit: request.budget.max_rounds.expect("cap produced the cutoff"),
-        });
+        return Err(rounds_exhausted(method, &request.budget));
     };
     check_steps_budget(method, &request.budget, found.makespan)?;
     Ok(SolveOutcome {
@@ -1168,110 +1160,86 @@ fn certify_opt_m(request: &SolveRequest, prepared: &Prepared) -> Option<SolveOut
     })
 }
 
-/// The `k = 1` `"OptM"` configuration search: the scaled engine when the
-/// preference and the grid allow it, the generic `Ratio` search otherwise
-/// (requested, the `Auto` grid fallback, or the recovery from a
-/// [`SearchError`]).
+/// The `k = 1` `"OptM"` configuration search: on the instance's `u64` grid
+/// when the preference and the grid allow it, over exact `Ratio`s otherwise
+/// (requested, or the `Auto` grid fallback).
 fn search_opt_m(
     request: &SolveRequest,
     prepared: &Prepared,
     token: &CancelToken,
 ) -> Result<SolveOutcome, SolveError> {
+    let rational = || MultiView::base_rational(&request.instance);
+    match (request.engine, &prepared.scaled) {
+        (EnginePreference::Scaled, None) => Err(SolveError::GridOverflow {
+            method: "OptM".to_string(),
+        }),
+        (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => opt_m_outcome(
+            &MultiView::base_scaled(scaled),
+            Engine::Scaled,
+            Vec::new(),
+            request,
+            prepared,
+            token,
+        ),
+        (EnginePreference::Auto, None) => opt_m_outcome(
+            &rational(),
+            Engine::Rational,
+            vec![grid_fallback_note()],
+            request,
+            prepared,
+            token,
+        ),
+        (EnginePreference::Rational, _) => opt_m_outcome(
+            &rational(),
+            Engine::Rational,
+            Vec::new(),
+            request,
+            prepared,
+            token,
+        ),
+    }
+}
+
+/// Runs the `k = 1` `"OptM"` search on `view`, round-capped and
+/// interruptible, and reports it as produced by `engine`.
+fn opt_m_outcome<V: SearchUnit>(
+    view: &MultiView<V>,
+    engine: Engine,
+    fallbacks: Vec<String>,
+    request: &SolveRequest,
+    prepared: &Prepared,
+    token: &CancelToken,
+) -> Result<SolveOutcome, SolveError> {
     const METHOD: &str = "OptM";
-    let instance = &request.instance;
-    // The scaled configuration search, budget-capped when requested and
-    // interruptible through the request's token.
-    let run_scaled =
-        |scaled: &ScaledInstance| -> Result<Option<Vec<scaled_engine::Round>>, SearchError> {
-            scaled_engine::run_search_cancellable(scaled, request.budget.max_rounds, token)
-        };
-
-    let scaled_result = match (request.engine, &prepared.scaled) {
-        (EnginePreference::Rational, _) | (EnginePreference::Auto, None) => None,
-        (EnginePreference::Scaled, None) => {
-            return Err(SolveError::GridOverflow {
-                method: METHOD.to_string(),
-            })
-        }
-        (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => {
-            Some((scaled, run_scaled(scaled)))
-        }
+    let Some(search) =
+        multi_engine::run_search_cancellable(view, request.budget.max_rounds, token)?
+    else {
+        return Err(rounds_exhausted(METHOD, &request.budget));
     };
+    let makespan = search.makespan();
+    check_steps_budget(METHOD, &request.budget, makespan)?;
+    let schedule = request
+        .want_schedule
+        .then(|| search.schedule(view, &request.instance));
+    Ok(SolveOutcome {
+        method: METHOD.to_string(),
+        engine,
+        fallbacks,
+        makespan: Some(makespan),
+        steps: schedule.as_ref().map_or(0, Schedule::num_steps),
+        rounds: makespan,
+        schedule,
+        lower_bounds: prepared.lower_bounds,
+    })
+}
 
-    let mut fallbacks = Vec::new();
-    match scaled_result {
-        Some((scaled, Ok(Some(rounds)))) => {
-            let makespan = scaled_engine::search_makespan(scaled, &rounds);
-            check_steps_budget(METHOD, &request.budget, makespan)?;
-            let schedule = request
-                .want_schedule
-                .then(|| scaled_engine::search_schedule(instance, scaled, &rounds));
-            Ok(SolveOutcome {
-                method: METHOD.to_string(),
-                engine: Engine::Scaled,
-                fallbacks,
-                makespan: Some(makespan),
-                steps: schedule.as_ref().map_or(0, Schedule::num_steps),
-                rounds: rounds.len() - 1,
-                schedule,
-                lower_bounds: prepared.lower_bounds,
-            })
-        }
-        Some((_, Ok(None))) => {
-            // lint: allow(panic_hygiene) — Ok(None) is only produced when the max_rounds cap cut the search, so the cap is present
-            let limit = request.budget.max_rounds.expect("cap produced the cutoff");
-            Err(SolveError::BudgetExhausted {
-                method: METHOD.to_string(),
-                kind: BudgetKind::Rounds,
-                limit,
-            })
-        }
-        Some((_, Err(SearchError::Cancelled { reason }))) => {
-            // A fired deadline is terminal: recovering through the (even
-            // slower) rational search would only blow through it again.
-            Err(SolveError::DeadlineExceeded { reason })
-        }
-        Some((_, Err(err))) if request.engine == EnginePreference::Scaled => {
-            Err(SolveError::from(err))
-        }
-        other => {
-            // The rational reference search: requested explicitly, the
-            // grid fallback, or the recovery from a SearchError.
-            if let Some((_, Err(err))) = other {
-                fallbacks.push(format!("{err}: fell back to the rational search"));
-            } else if request.engine == EnginePreference::Auto {
-                fallbacks.push(grid_fallback_note());
-            }
-            // One generic `Ratio` search answers both makespan and
-            // schedule; it honors the round cap too, stopping after
-            // `cap` rounds instead of running to completion.
-            let Some(search) = multi_engine::run_search_cancellable(
-                &MultiView::base_rational(instance),
-                request.budget.max_rounds,
-                token,
-            )?
-            else {
-                return Err(SolveError::BudgetExhausted {
-                    method: METHOD.to_string(),
-                    kind: BudgetKind::Rounds,
-                    // lint: allow(panic_hygiene) — Ok(None) is only produced when the max_rounds cap cut the search, so the cap is present
-                    limit: request.budget.max_rounds.expect("cap produced the cutoff"),
-                });
-            };
-            let makespan = search.makespan();
-            check_steps_budget(METHOD, &request.budget, makespan)?;
-            let schedule = request.want_schedule.then(|| search.schedule(instance));
-            Ok(SolveOutcome {
-                method: METHOD.to_string(),
-                engine: Engine::Rational,
-                fallbacks,
-                makespan: Some(makespan),
-                steps: schedule.as_ref().map_or(0, Schedule::num_steps),
-                rounds: makespan,
-                schedule,
-                lower_bounds: prepared.lower_bounds,
-            })
-        }
+/// The error of a search that the `max_rounds` cap cut off.
+fn rounds_exhausted(method: &str, budget: &Budget) -> SolveError {
+    SolveError::BudgetExhausted {
+        method: method.to_string(),
+        kind: BudgetKind::Rounds,
+        // lint: allow(panic_hygiene) — only a max_rounds cap cuts a search off, so the cap is present
+        limit: budget.max_rounds.expect("cap produced the cutoff"),
     }
 }
 
@@ -1321,7 +1289,7 @@ impl Solver for BruteForceSolver {
             }
             (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => {
                 let (value, states, expansions) =
-                    scaled_engine::brute_force_cancellable(scaled, &token)?;
+                    multi_engine::brute_force_cancellable(&MultiView::base_scaled(scaled), &token)?;
                 (
                     Engine::Scaled,
                     Vec::new(),

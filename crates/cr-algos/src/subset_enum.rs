@@ -1,23 +1,23 @@
-//! The shared pruned successor-choice enumerator behind both exact engines.
+//! The pruned successor-choice enumerator behind the single-resource
+//! configuration search.
 //!
 //! One normalized time step of the single-resource configuration search
 //! (Lemma 1) is a *choice*: a subset of the active frontier jobs whose
 //! remaining requirements fit into the resource and all complete, plus at
 //! most one further active job that receives the leftover without
-//! completing.  The scaled-integer engine ([`crate::scaled_engine`], values
-//! in `u64` units) and the generic search ([`crate::multi_engine`], `u64`
-//! units or exact [`Ratio`](cr_core::Ratio)s) enumerate exactly this choice
-//! space whenever the instance has one resource, so the enumeration lives
-//! here once, generic over [`StepUnit`].  With `k ≥ 2` resources the sorted
-//! break-prune below no longer applies (requirement vectors have no total
-//! order), and `multi_engine` enumerates with its own subset DFS.
+//! completing.  The configuration search ([`crate::multi_engine`], `u64`
+//! units or exact [`Ratio`](cr_core::Ratio)s) and its brute force enumerate
+//! exactly this choice space whenever they run over one resource, generic
+//! over [`StepUnit`].  With `k ≥ 2` resources the sorted break-prune below
+//! no longer applies to the current step class (requirement vectors have
+//! no total order), and `multi_engine` enumerates with its own subset DFS.
 //!
 //! # Pruned DFS instead of a bitmask scan
 //!
 //! The previous implementations scanned `1u32 << k` bitmasks over the `k`
 //! active processors, which capped the engines at 31 simultaneously active
-//! processors (an assert in the scaled engine; a silent shift overflow in
-//! the rational one).  This module enumerates fitting subsets by a
+//! processors (an assert in the scaled one; a silent shift overflow in the
+//! rational one).  This module enumerates fitting subsets by a
 //! depth-first descent over the active jobs sorted by ascending remaining
 //! requirement: a branch is extended only while the partial sum still fits
 //! the capacity, and because candidates are sorted, the first candidate
@@ -29,7 +29,7 @@
 //!
 //! All additions are overflow-checked: a sum that overflows the value type
 //! is, a fortiori, larger than the capacity, so the branch is pruned
-//! instead of wrapping around (the scaled engine feeds `u64` units whose
+//! instead of wrapping around (the `u64` search feeds units whose
 //! *m*-fold sums may exceed `u64::MAX` — see the headroom notes on
 //! [`cr_core::ScaledInstance::try_new`]).
 //!
@@ -74,8 +74,8 @@ pub(crate) struct EnumScratch {
 ///
 /// The emitted choice set equals the reference bitmask scan restricted to
 /// choices that complete every zero-remaining frontier (see the module docs
-/// for why the rest are dominated), which the enumerator property tests in
-/// `scaled_engine` assert.
+/// for why the rest are dominated), which the enumerator property test in
+/// `multi_engine` asserts.
 #[cfg(test)]
 pub(crate) fn for_each_choice<V: StepUnit>(
     remaining: &[V],

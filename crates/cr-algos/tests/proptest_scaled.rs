@@ -9,7 +9,8 @@
 
 use cr_algos::{
     brute_force_makespan, brute_force_makespan_rational, opt_m_makespan, opt_m_makespan_rational,
-    opt_two_makespan, opt_two_makespan_rational, opt_two_makespan_sparse, OptM, OptTwo, Scheduler,
+    opt_two_makespan, opt_two_makespan_rational, opt_two_makespan_sparse, registry,
+    EnginePreference, OptM, OptTwo, Scheduler, SolveRequest,
 };
 use cr_core::{Instance, Ratio, ScaledInstance};
 use proptest::prelude::*;
@@ -69,7 +70,15 @@ proptest! {
         let inst = instance_from(den, &rows);
         let scaled = opt_m_makespan(&inst);
         prop_assert_eq!(scaled, opt_m_makespan_rational(&inst));
-        prop_assert_eq!(OptM::new().schedule(&inst).makespan(&inst).unwrap(), scaled);
+        let schedule = OptM::new().schedule(&inst);
+        prop_assert_eq!(schedule.makespan(&inst).unwrap(), scaled);
+        // One search on two units: the `Ratio` view replays the very
+        // schedule the `u64` view does.
+        let request = SolveRequest::new("OptM", inst)
+            .with_schedule()
+            .with_engine(EnginePreference::Rational);
+        let rational = registry().solve(&request).unwrap();
+        prop_assert_eq!(rational.schedule, Some(schedule));
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! comparison is one registry registration plus one entry in a method list
 //! here.
 //!
-//! For `OptM` and `BruteForce` the rational column times the generic
-//! configuration search (`cr-algos`' internal `multi_engine`, run over
-//! `Ratio`s), the same code that answers every multi-resource request; the
-//! scaled column times the `k = 1` scaled engine.  `OptTwo`, the heuristics
-//! and the simulator keep their own `Ratio` paths.  Both columns of every
+//! For `OptM` and `BruteForce` the two columns time one engine on two
+//! units: the configuration search (`cr-algos`' internal `multi_engine`,
+//! the code that also answers every multi-resource request) over `u64`
+//! units in the scaled column and over `Ratio`s in the rational column.
+//! `OptTwo`, the heuristics and the simulator keep their own `Ratio`
+//! paths.  Both columns of every
 //! `OptM` cell request the schedule: a makespan-only `k = 1` request may be
 //! answered by the bound certificate without any search, and these cells
 //! time the configuration search plus the replay of its schedule.

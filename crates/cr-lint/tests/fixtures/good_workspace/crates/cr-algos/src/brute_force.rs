@@ -1,0 +1,2 @@
+//! Fixture hot module stand-in: it has no loops, but the scan must find
+//! it, as it finds every listed hot module.

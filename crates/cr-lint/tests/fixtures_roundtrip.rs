@@ -32,7 +32,7 @@ fn good_workspace_is_clean() {
         "unexpected findings: {:#?}",
         report.diagnostics
     );
-    assert_eq!(report.files_scanned, 7);
+    assert_eq!(report.files_scanned, 14);
 }
 
 #[test]
@@ -50,13 +50,26 @@ fn bad_workspace_trips_every_rule() {
     // rustc-style path:line anchor.
     assert!(
         report.diagnostics.iter().any(|d| {
-            d.path == "crates/cr-algos/src/scaled_engine.rs"
+            d.path == "crates/cr-algos/src/multi_engine.rs"
                 && d.line == 7
                 && d.rule == "cancel_coverage"
         }),
         "missing the ungated-loop finding: {:#?}",
         report.diagnostics
     );
+    // Every listed hot module the tree lacks is reported, so moving or
+    // deleting one cannot silently drop its loops from the rule.
+    let missing: BTreeSet<&str> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "cancel_coverage" && d.message.contains("hot module is missing"))
+        .map(|d| d.path.as_str())
+        .collect();
+    let want: BTreeSet<&str> = cr_lint::HOT_MODULES
+        .into_iter()
+        .filter(|&path| path != "crates/cr-algos/src/multi_engine.rs")
+        .collect();
+    assert_eq!(missing, want);
     // Both directions of vocabulary drift are reported.
     assert!(report
         .diagnostics
