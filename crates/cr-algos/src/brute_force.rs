@@ -11,11 +11,11 @@
 //! experiments.
 //!
 //! The memoized search runs in the internal `multi_engine` module, over the
-//! same nodes and successor function as the configuration search: on the
-//! instance's `u64` grid whenever it fits, in exact `Ratio` arithmetic
-//! otherwise and for [`brute_force_makespan_rational`].
+//! same nodes and successor function as the configuration search, on the
+//! instance's `u64` grid whenever it fits and on its `u128` grid otherwise.
 
 use crate::multi_engine::{self, MultiView};
+use crate::solver::{auto_grid, on_grid};
 use cr_core::{bounds, CancelReason, CancelToken, Instance, ScaledInstance};
 
 /// Search statistics of a brute-force run (useful for reporting how much
@@ -32,7 +32,8 @@ pub struct SearchStats {
 ///
 /// # Panics
 ///
-/// Panics if the instance contains non-unit size jobs.
+/// Panics if the instance contains non-unit size jobs, or if its unit grid
+/// overflows `u128`.
 #[must_use]
 pub fn brute_force_makespan(instance: &Instance) -> usize {
     brute_force_with_stats(instance).0
@@ -41,7 +42,11 @@ pub fn brute_force_makespan(instance: &Instance) -> usize {
 /// Like [`brute_force_makespan`] but also reports search statistics.
 ///
 /// Searches the instance's `u64` grid whenever its requirement denominators
-/// admit a `u64` LCM, and exact `Ratio`s otherwise.
+/// admit one, and its `u128` grid otherwise.
+///
+/// # Panics
+///
+/// Panics as [`brute_force_makespan`] does.
 #[must_use]
 pub fn brute_force_with_stats(instance: &Instance) -> (usize, SearchStats) {
     brute_force_with_stats_cancellable(instance, &CancelToken::never())
@@ -49,12 +54,13 @@ pub fn brute_force_with_stats(instance: &Instance) -> (usize, SearchStats) {
         .expect("a never token cannot fire")
 }
 
-/// [`brute_force_with_stats`] with cooperative cancellation on both
-/// units.
+/// [`brute_force_with_stats`] with cooperative cancellation: the token is
+/// checked per expansion and (through the shared gate) per DFS extension
+/// inside the successor enumeration.
 ///
 /// # Panics
 ///
-/// Panics if the instance contains non-unit size jobs.
+/// Panics as [`brute_force_makespan`] does.
 pub(crate) fn brute_force_with_stats_cancellable(
     instance: &Instance,
     token: &CancelToken,
@@ -63,51 +69,11 @@ pub(crate) fn brute_force_with_stats_cancellable(
         instance.is_unit_size(),
         "brute force solver requires unit-size jobs"
     );
-    match ScaledInstance::try_new(instance) {
-        Some(scaled) => {
-            let (result, states, expansions) =
-                multi_engine::brute_force_cancellable(&MultiView::base_scaled(&scaled), token)?;
-            Ok((result, SearchStats { states, expansions }))
-        }
-        None => brute_force_with_stats_rational_cancellable(instance, token),
-    }
-}
-
-/// The exhaustive search in exact `Ratio` arithmetic (reference path).
-///
-/// # Panics
-///
-/// Panics if the instance contains non-unit size jobs.
-#[must_use]
-pub fn brute_force_makespan_rational(instance: &Instance) -> usize {
-    brute_force_with_stats_rational(instance).0
-}
-
-/// Like [`brute_force_makespan_rational`] but also reports statistics.
-#[must_use]
-pub fn brute_force_with_stats_rational(instance: &Instance) -> (usize, SearchStats) {
-    brute_force_with_stats_rational_cancellable(instance, &CancelToken::never())
-        // lint: allow(panic_hygiene) — a never-token cannot fire
-        .expect("a never token cannot fire")
-}
-
-/// [`brute_force_with_stats_rational`] with cooperative cancellation: the
-/// token is checked per expansion and (through the shared gate) per DFS
-/// extension inside the successor enumeration.
-///
-/// # Panics
-///
-/// Panics if the instance contains non-unit size jobs.
-pub(crate) fn brute_force_with_stats_rational_cancellable(
-    instance: &Instance,
-    token: &CancelToken,
-) -> Result<(usize, SearchStats), CancelReason> {
-    assert!(
-        instance.is_unit_size(),
-        "brute force solver requires unit-size jobs"
-    );
-    let (result, states, expansions) =
-        multi_engine::brute_force_cancellable(&MultiView::base_rational(instance), token)?;
+    let narrow = ScaledInstance::try_new(instance);
+    let (result, states, expansions) = on_grid!(
+        auto_grid("BruteForce", instance, narrow.as_ref()),
+        |scaled| { multi_engine::brute_force_cancellable(&MultiView::base_scaled(scaled), token) }
+    )?;
     Ok((result, SearchStats { states, expansions }))
 }
 
@@ -218,13 +184,18 @@ mod tests {
         assert!(stats.expansions > 0);
     }
 
+    /// The `u128` grid's base view of `inst`.
+    fn wide_view(inst: &Instance) -> MultiView<u128> {
+        MultiView::base_scaled(&ScaledInstance::try_on_grid(inst).expect("grid fits u128"))
+    }
+
     #[test]
-    fn cancelled_rational_brute_force_stops_early() {
+    fn cancelled_wide_brute_force_stops_early() {
         let inst = Instance::unit_from_percentages(&[&[80, 20], &[70, 30], &[10, 90]]);
         let token = CancelToken::new();
         token.cancel();
         assert_eq!(
-            brute_force_with_stats_rational_cancellable(&inst, &token),
+            multi_engine::brute_force_cancellable(&wide_view(&inst), &token),
             Err(CancelReason::Cancelled)
         );
         assert_eq!(
@@ -239,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn scaled_and_rational_paths_agree() {
+    fn both_grid_widths_agree() {
         let instances = vec![
             Instance::unit_from_percentages(&[&[60, 40], &[60, 40]]),
             Instance::unit_from_percentages(&[&[80, 20], &[70, 30], &[10, 90]]),
@@ -247,9 +218,10 @@ mod tests {
             Instance::unit_from_percentages(&[&[50, 50, 50, 50], &[100], &[100]]),
         ];
         for inst in instances {
+            let (makespan, stats) = brute_force_with_stats(&inst);
             assert_eq!(
-                brute_force_makespan(&inst),
-                brute_force_makespan_rational(&inst),
+                multi_engine::brute_force_cancellable(&wide_view(&inst), &CancelToken::never()),
+                Ok((makespan, stats.states, stats.expansions)),
                 "{inst}"
             );
         }

@@ -6,7 +6,7 @@
 //! completed more jobs, or equally many with at least as much spent on every
 //! resource layer of the frontier job.  The survivors are the unique maximal
 //! antichain of that order, so every correct filter keeps the same set; the
-//! configuration search runs this one on every unit (`u64` or `Ratio`) and
+//! configuration search runs this one on every unit (`u64` or `u128`) and
 //! every number of layers.
 //!
 //! # Contract: distinct candidates
@@ -18,14 +18,14 @@
 //!
 //! # Settled candidates
 //!
-//! A candidate may carry a [`Level`]: any key that rises strictly along
-//! domination (`a` dominates `b ≠ a` ⇒ `level(a) > level(b)`).  When every
-//! candidate of a round carries one, a candidate on the round's top level
-//! is *settled*: nothing can dominate it, so it is kept without being
-//! compared.  Every `u64` search passes the resource units a configuration
-//! has consumed (its completed jobs' requirements plus its spent units,
-//! summed over the layers), then its count of completed all-zero jobs,
-//! which breaks the ties that free jobs leave in the units.  Single-resource
+//! Every candidate carries a [`Level`]: any key that rises strictly along
+//! domination (`a` dominates `b ≠ a` ⇒ `level(a) > level(b)`).  A candidate
+//! on the round's top level is *settled*: nothing can dominate it, so it is
+//! kept without being compared.  The search passes the resource units a
+//! configuration has consumed (its completed jobs' requirements plus its
+//! spent units, summed over the layers), then its count of completed
+//! all-zero jobs, which breaks the ties that free jobs leave in the units.
+//! Single-resource
 //! steps are non-wasting (Lemma 1), so nearly every `k = 1` candidate of
 //! round `r` has consumed exactly `r` capacities: over the 45 `Uniform m=4
 //! n=3` searches of the `exact-frontier` benchmark, 184,015 of 186,274
@@ -33,8 +33,7 @@
 //! their round's top level.  At `k ≥ 2` a step may waste part of a layer,
 //! so candidates bunch less: over 200 random 3×3 `k = 2` searches (percents
 //! 1–100) 7,273 of 144,655 candidates (5.0%) are settled, with the same
-//! 32,584 survivors and round sizes as without levels.  `Ratio` searches pass no
-//! levels, and without levels nothing is settled.
+//! 32,584 survivors and round sizes as without levels.
 //!
 //! # Completed-vector groups
 //!
@@ -189,7 +188,7 @@ struct Group {
     kept: usize,
     /// Whether a member sits below the round's top level.
     unsettled: bool,
-    /// The highest level among the kept members (unused without levels).
+    /// The highest level among the kept members.
     top: Level,
     /// Whether the group's row of [`DominanceFilter::group_max`] holds its
     /// kept members' per-slot maximum.
@@ -221,7 +220,7 @@ pub(crate) struct DominanceFilter<V> {
     completed: Vec<u64>,
     /// Spent values, `len × m·k`, processor-major.
     spent: Vec<V>,
-    /// Levels, one per candidate when every candidate was pushed with one.
+    /// Levels, one per candidate.
     levels: Vec<Level>,
     /// Candidates the last [`survivors`](Self::survivors) call compared
     /// against at least one kept row.
@@ -285,18 +284,17 @@ impl<V: StepUnit> DominanceFilter<V> {
     }
 
     /// Adds one candidate: `m` completed counts, `m·k` spent values,
-    /// processor-major, and optionally its level.  Candidates are numbered
-    /// in push order and must be pairwise distinct.  Levels take effect
-    /// only when every candidate of the round carries one.
+    /// processor-major, and its level.  Candidates are numbered in push
+    /// order and must be pairwise distinct.
     pub(crate) fn push(
         &mut self,
         completed: impl IntoIterator<Item = u64>,
         spent: &[V],
-        level: Option<Level>,
+        level: Level,
     ) {
         self.completed.extend(completed);
         self.spent.extend_from_slice(spent);
-        self.levels.extend(level);
+        self.levels.push(level);
         self.len += 1;
         debug_assert_eq!(self.completed.len(), self.len * self.m);
         debug_assert_eq!(self.spent.len(), self.len * self.m * self.k);
@@ -366,15 +364,10 @@ impl<V: StepUnit> DominanceFilter<V> {
         assert!(n < EMPTY as usize, "a round's candidates are u32-indexed");
         let completed_of = |i: usize| &completed[i * m..(i + 1) * m];
         let spent_of = |i: usize| &spent[i * w..(i + 1) * w];
-        debug_assert!(
-            levels.is_empty() || levels.len() == n,
-            "levels for some candidates only"
-        );
-        let leveled = levels.len() == n;
         // Domination strictly raises the level, so nothing dominates a
         // candidate on the round's top level.
-        let top = levels.iter().max().copied().filter(|_| leveled);
-        let is_settled = |i: usize| top.is_some_and(|top| levels[i] == top);
+        let top = levels.iter().max().copied().unwrap_or_default();
+        let is_settled = |i: usize| levels[i] == top;
         *checked = 0;
         *settled = 0;
 
@@ -435,7 +428,7 @@ impl<V: StepUnit> DominanceFilter<V> {
             if !groups[current].unsettled {
                 let group = &mut groups[current];
                 group.kept = group.members.len();
-                group.top = top.unwrap_or_default();
+                group.top = top;
                 continue;
             }
 
@@ -488,7 +481,7 @@ impl<V: StepUnit> DominanceFilter<V> {
             let mut own_top = Level::default();
             for read in range.clone() {
                 let candidate = members[read];
-                let level = leveled.then(|| levels[candidate]);
+                let level = levels[candidate];
                 if !is_settled(candidate) {
                     gate.tick()?;
                     if outright {
@@ -497,7 +490,7 @@ impl<V: StepUnit> DominanceFilter<V> {
                     let s = spent_of(candidate);
                     // Only a kept member on a strictly higher level can
                     // dominate.
-                    let above = |top: Level| level.map_or(true, |l| top > l);
+                    let above = |top: Level| top > level;
                     let mut scanned = false;
                     let beaten_by_rival = rivals.iter().any(|rival| {
                         let group = &groups[rival.group];
@@ -534,7 +527,7 @@ impl<V: StepUnit> DominanceFilter<V> {
                 }
                 members[kept_end] = candidate;
                 kept_end += 1;
-                own_top = own_top.max(level.unwrap_or_default());
+                own_top = own_top.max(level);
                 raise(&mut group_max[own.clone()], spent_of(candidate));
             }
             let group = &mut groups[current];
@@ -567,7 +560,7 @@ fn covers_on<V: StepUnit>(row: &[V], spent: &[V], slots: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi_engine::{LevelTable, MultiView};
+    use crate::multi_engine::{LevelTable, MultiView, SearchUnit};
     use cr_core::{CancelToken, Instance, InstanceBuilder, Ratio, ScaledInstance};
     use proptest::prelude::*;
 
@@ -606,30 +599,40 @@ mod tests {
         keep
     }
 
-    fn bucketed_keep<V: StepUnit>(
+    /// (Σ completed, Σ spent) of every candidate: a level, since it rises
+    /// strictly along domination.
+    fn sum_levels<V: SearchUnit>(candidates: &[(Vec<u64>, Vec<V>)]) -> Vec<Level> {
+        candidates
+            .iter()
+            .map(|(completed, spent)| {
+                let spent: u128 = spent.iter().map(|&value| value.units()).sum();
+                let spent = u64::try_from(spent).expect("small test values");
+                (u128::from(completed.iter().sum::<u64>()), spent)
+            })
+            .collect()
+    }
+
+    /// The filter's keep mask under (Σ completed, Σ spent) levels.
+    fn bucketed_keep<V: SearchUnit>(
         m: usize,
         k: usize,
         candidates: &[(Vec<u64>, Vec<V>)],
         filter: &mut DominanceFilter<V>,
     ) -> Vec<bool> {
-        leveled_keep(m, k, candidates, None, filter)
+        leveled_keep(m, k, candidates, &sum_levels(candidates), filter)
     }
 
-    /// The filter's keep mask, with `levels` (one per candidate) if given.
+    /// The filter's keep mask under `levels`, one per candidate.
     fn leveled_keep<V: StepUnit>(
         m: usize,
         k: usize,
         candidates: &[(Vec<u64>, Vec<V>)],
-        levels: Option<&[Level]>,
+        levels: &[Level],
         filter: &mut DominanceFilter<V>,
     ) -> Vec<bool> {
         filter.clear();
-        for (index, (completed, spent)) in candidates.iter().enumerate() {
-            filter.push(
-                completed.iter().copied(),
-                spent,
-                levels.map(|levels| levels[index]),
-            );
+        for ((completed, spent), &level) in candidates.iter().zip(levels) {
+            filter.push(completed.iter().copied(), spent, level);
         }
         assert_eq!((filter.m, filter.k, filter.len), (m, k, candidates.len()));
         let mut gate = CancelToken::never().gate(FILTER_CHECK_STRIDE);
@@ -684,11 +687,11 @@ mod tests {
         out
     }
 
-    fn as_ratios(candidates: &[(Vec<u64>, Vec<u64>)]) -> Vec<(Vec<u64>, Vec<Ratio>)> {
+    fn as_wide(candidates: &[(Vec<u64>, Vec<u64>)]) -> Vec<(Vec<u64>, Vec<u128>)> {
         candidates
             .iter()
             .map(|(completed, spent)| {
-                let spent = spent.iter().map(|&s| Ratio::from_parts(s, 3)).collect();
+                let spent = spent.iter().map(|&s| u128::from(s)).collect();
                 (completed.clone(), spent)
             })
             .collect()
@@ -698,9 +701,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The grouped filter keeps exactly what the all-pairs scan keeps on
-        /// distinct candidates, over `u64` and `Ratio` spent values, for m
-        /// in 1..=6 and k in 1..=3, with one filter reused across two
-        /// inputs as the engines reuse it across rounds.
+        /// distinct candidates under (Σ completed, Σ spent) levels, over
+        /// `u64` and `u128` spent values, for m in 1..=6 and k in 1..=3,
+        /// with one filter reused across two inputs as the engines reuse it
+        /// across rounds.
         #[test]
         fn bucketed_filter_matches_the_all_pairs_scan(
             m in 1usize..=6,
@@ -709,14 +713,14 @@ mod tests {
             second in raw_candidates(),
         ) {
             let mut units = DominanceFilter::new(m, k);
-            let mut ratios = DominanceFilter::new(m, k);
+            let mut wide = DominanceFilter::new(m, k);
             for raw in [&first, &second] {
                 let candidates = distinct(shape(m, k, raw));
                 let want = all_pairs_keep(m, k, &candidates);
                 prop_assert_eq!(&bucketed_keep(m, k, &candidates, &mut units), &want);
-                let candidates = as_ratios(&candidates);
+                let candidates = as_wide(&candidates);
                 prop_assert_eq!(&all_pairs_keep(m, k, &candidates), &want);
-                prop_assert_eq!(&bucketed_keep(m, k, &candidates, &mut ratios), &want);
+                prop_assert_eq!(&bucketed_keep(m, k, &candidates, &mut wide), &want);
             }
         }
     }
@@ -755,16 +759,17 @@ mod tests {
     }
 
     /// The first `m` processors and `k` layers of `chains` as the `u64`
-    /// view the search runs on, and the raw configurations made valid for
-    /// it: completed counts within each chain, and spent units strictly
-    /// below the frontier requirement on each layer (zero on a free layer or
-    /// a finished chain), packed as the search packs its nodes.
+    /// and `u128` views the search runs on, and the raw configurations made
+    /// valid for them: completed counts within each chain, and spent units
+    /// strictly below the frontier requirement on each layer (zero on a
+    /// free layer or a finished chain), packed as the search packs its
+    /// nodes.
     fn engine_shaped(
         m: usize,
         k: usize,
         chains: &RawChains,
         raw: &[RawConfig],
-    ) -> (MultiView<u64>, Vec<Vec<u64>>) {
+    ) -> (MultiView<u64>, MultiView<u128>, Vec<Vec<u64>>) {
         let layer = |r: usize| -> Vec<Vec<Ratio>> {
             (0..m)
                 .map(|i| {
@@ -806,7 +811,12 @@ mod tests {
             }
             configs.push(config);
         }
-        (MultiView::from_scaled(&scaled), configs)
+        let wide = ScaledInstance::try_on_grid(&instance).expect("percent grids scale");
+        (
+            MultiView::from_scaled(&scaled),
+            MultiView::from_scaled(&wide),
+            configs,
+        )
     }
 
     fn split(m: usize, configs: &[Vec<u64>]) -> Vec<(Vec<u64>, Vec<u64>)> {
@@ -816,17 +826,12 @@ mod tests {
             .collect()
     }
 
-    /// The search's level table of `view`.
-    fn level_table(view: &MultiView<u64>) -> LevelTable {
-        LevelTable::new(view).expect("u64 views carry levels")
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// On distinct engine-shaped inputs with the search's consumption
-        /// levels, at k = 1 and k = 2, the filter keeps exactly what the
-        /// all-pairs scan keeps.
+        /// levels, at k = 1 and k = 2, on `u64` and `u128` rows, the filter
+        /// keeps exactly what the all-pairs scan keeps.
         #[test]
         fn leveled_filter_matches_the_all_pairs_scan(
             m in 1usize..=6,
@@ -835,16 +840,29 @@ mod tests {
             first in raw_configs(),
             second in raw_configs(),
         ) {
-            let mut filter = DominanceFilter::new(m, k);
+            let mut units = DominanceFilter::new(m, k);
+            let mut wide = DominanceFilter::new(m, k);
             for raw in [&first, &second] {
-                let (view, configs) = engine_shaped(m, k, &chains, raw);
+                let (view, wide_view, configs) = engine_shaped(m, k, &chains, raw);
                 let configs = distinct(configs);
-                let table = level_table(&view);
+                let table = LevelTable::new(&view);
                 let levels: Vec<Level> = configs.iter().map(|c| table.level(c)).collect();
                 let candidates = split(m, &configs);
                 let want = all_pairs_keep(m, k, &candidates);
                 prop_assert_eq!(
-                    &leveled_keep(m, k, &candidates, Some(&levels), &mut filter),
+                    &leveled_keep(m, k, &candidates, &levels, &mut units),
+                    &want
+                );
+                let wide_configs: Vec<Vec<u128>> = configs
+                    .iter()
+                    .map(|config| config.iter().map(|&value| u128::from(value)).collect())
+                    .collect();
+                let wide_table = LevelTable::new(&wide_view);
+                let wide_levels: Vec<Level> =
+                    wide_configs.iter().map(|c| wide_table.level(c)).collect();
+                prop_assert_eq!(&wide_levels, &levels);
+                prop_assert_eq!(
+                    &leveled_keep(m, k, &as_wide(&candidates), &wide_levels, &mut wide),
                     &want
                 );
             }
@@ -861,8 +879,8 @@ mod tests {
             chains in raw_chains(),
             raw in raw_configs(),
         ) {
-            let (view, configs) = engine_shaped(m, k, &chains, &raw);
-            let table = level_table(&view);
+            let (view, _, configs) = engine_shaped(m, k, &chains, &raw);
+            let table = LevelTable::new(&view);
             let candidates = split(m, &configs);
             for (a, config_a) in candidates.iter().zip(&configs) {
                 for (b, config_b) in candidates.iter().zip(&configs) {
@@ -881,25 +899,24 @@ mod tests {
         order
     }
 
-    /// Pushing `candidates` (with `levels`, if given) in the order `perm`
-    /// yields the keep mask permuted the same way, and the same `checked`
-    /// and `settled` counts.
+    /// Pushing `candidates` with `levels` in the order `perm` yields the
+    /// keep mask permuted the same way, and the same `checked` and
+    /// `settled` counts.
     fn assert_permutes<V: StepUnit>(
         m: usize,
         k: usize,
         candidates: &[(Vec<u64>, Vec<V>)],
-        levels: Option<&[Level]>,
+        levels: &[Level],
         perm: &[usize],
     ) -> Result<(), TestCaseError> {
         let mut filter = DominanceFilter::new(m, k);
         let keep = leveled_keep(m, k, candidates, levels, &mut filter);
         let counts = (filter.checked(), filter.settled());
         let permuted: Vec<_> = perm.iter().map(|&i| candidates[i].clone()).collect();
-        let permuted_levels: Option<Vec<Level>> =
-            levels.map(|levels| perm.iter().map(|&i| levels[i]).collect());
+        let permuted_levels: Vec<Level> = perm.iter().map(|&i| levels[i]).collect();
         let want: Vec<bool> = perm.iter().map(|&i| keep[i]).collect();
         prop_assert_eq!(
-            leveled_keep(m, k, &permuted, permuted_levels.as_deref(), &mut filter),
+            leveled_keep(m, k, &permuted, &permuted_levels, &mut filter),
             want
         );
         prop_assert_eq!((filter.checked(), filter.settled()), counts);
@@ -911,8 +928,8 @@ mod tests {
 
         /// The push order is only a numbering: a permutation of the
         /// candidates permutes the keep mask and leaves the counts alone,
-        /// without levels (m ≤ 6, k ≤ 3) and with the search's levels
-        /// (k ≤ 2), over `u64` and `Ratio` spent values.
+        /// under (Σ completed, Σ spent) levels (m ≤ 6, k ≤ 3) and under the
+        /// search's levels (k ≤ 2), over `u64` and `u128` spent values.
         #[test]
         fn pushing_a_permutation_permutes_the_keep_mask(
             m in 1usize..=6,
@@ -924,18 +941,19 @@ mod tests {
         ) {
             let candidates = distinct(shape(m, k, &raw));
             let perm = permutation(&keys, candidates.len());
-            assert_permutes(m, k, &candidates, None, &perm)?;
-            assert_permutes(m, k, &as_ratios(&candidates), None, &perm)?;
+            let levels = sum_levels(&candidates);
+            assert_permutes(m, k, &candidates, &levels, &perm)?;
+            assert_permutes(m, k, &as_wide(&candidates), &levels, &perm)?;
 
             let k = k.min(2);
-            let (view, configs) = engine_shaped(m, k, &chains, &configs);
+            let (view, _, configs) = engine_shaped(m, k, &chains, &configs);
             let configs = distinct(configs);
-            let table = level_table(&view);
+            let table = LevelTable::new(&view);
             let levels: Vec<Level> = configs.iter().map(|c| table.level(c)).collect();
             let candidates = split(m, &configs);
             let perm = permutation(&keys, candidates.len());
-            assert_permutes(m, k, &candidates, Some(&levels), &perm)?;
-            assert_permutes(m, k, &as_ratios(&candidates), Some(&levels), &perm)?;
+            assert_permutes(m, k, &candidates, &levels, &perm)?;
+            assert_permutes(m, k, &as_wide(&candidates), &levels, &perm)?;
         }
     }
 
@@ -946,7 +964,7 @@ mod tests {
         // configurations apart, and the one ahead dominates the other.
         let scaled =
             ScaledInstance::try_new(&Instance::unit_from_percentages(&[&[0, 50], &[30]])).unwrap();
-        let table = level_table(&MultiView::from_scaled(&scaled));
+        let table = LevelTable::new(&MultiView::from_scaled(&scaled));
         let ahead: &[u64] = &[1, 0, 0, 0];
         let start: &[u64] = &[0, 0, 0, 0];
         assert_eq!(table.level(ahead), (0, 1));
@@ -954,10 +972,10 @@ mod tests {
         let candidates = split(2, &[ahead.to_vec(), start.to_vec()]);
         let levels = [table.level(ahead), table.level(start)];
         let mut filter = DominanceFilter::new(2, 1);
-        let keep = leveled_keep(2, 1, &candidates, Some(&levels), &mut filter);
+        let keep = leveled_keep(2, 1, &candidates, &levels, &mut filter);
         assert_eq!(keep, [true, false]);
         let reversed = [candidates[1].clone(), candidates[0].clone()];
-        let keep = leveled_keep(2, 1, &reversed, Some(&[levels[1], levels[0]]), &mut filter);
+        let keep = leveled_keep(2, 1, &reversed, &[levels[1], levels[0]], &mut filter);
         assert_eq!(keep, [false, true]);
     }
 
@@ -986,7 +1004,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut filter = DominanceFilter::<u64>::new(1, 1);
-        filter.push([0], &[0], None);
+        filter.push([0], &[0], (0, 0));
         let mut gate = token.gate(1);
         assert_eq!(filter.survivors(&mut gate), Err(CancelReason::Cancelled));
     }

@@ -44,17 +44,14 @@ pub mod solver;
 mod subset_enum;
 pub mod traits;
 
-pub use brute_force::{
-    brute_force_makespan, brute_force_makespan_rational, brute_force_with_stats,
-    brute_force_with_stats_rational, SearchStats,
-};
+pub use brute_force::{brute_force_makespan, brute_force_with_stats, SearchStats};
 pub use greedy_balance::GreedyBalance;
 pub use heuristics::{
     EqualShare, LargestRequirementFirst, ProportionalShare, SmallestRequirementFirst,
 };
 pub use multi_engine::SearchError;
-pub use opt_m::{opt_m_makespan, opt_m_makespan_rational, try_opt_m_makespan, OptM};
-pub use opt_two::{opt_two_makespan, opt_two_makespan_rational, opt_two_makespan_sparse, OptTwo};
+pub use opt_m::{opt_m_makespan, try_opt_m_makespan, OptM};
+pub use opt_two::{opt_two_makespan, opt_two_makespan_sparse, OptTwo};
 pub use round_robin::{phase_length, round_robin_upper_bound, RoundRobin};
 pub use solver::{
     registry, Budget, Engine, EnginePreference, LowerBounds, Prepared, Registry, SolveError,

@@ -1,24 +1,25 @@
 //! The configuration search behind every exact `OptM` and `BruteForce`
 //! answer: one engine for every unit and every number of resources.
 //!
-//! A [`MultiView`] fixes the arithmetic of one search: `u64` units on
-//! per-resource LCM grids ([`MultiView::from_scaled`]) or exact [`Ratio`]s
-//! with capacity `1` per resource ([`MultiView::rational`]).  The base
-//! views ([`MultiView::base_scaled`], [`MultiView::base_rational`]) keep the
-//! base resource alone: the single-resource problem of Theorem 6, which
-//! every `k = 1` entry point solves even on an instance with extra layers.
-//! Over a view run Algorithm 2's round-by-round search (`OptResAssignment2`,
-//! Theorem 6, generalized to `k` layers) and the memoized brute force.  The
-//! search is monomorphised per unit: the `u64` view is the hot path, the
-//! `Ratio` view answers `EnginePreference::Rational` and instances whose
-//! grid overflows `u64`.
+//! A [`MultiView`] fixes the arithmetic of one search: integer units on
+//! the per-resource LCM grids of a [`ScaledInstance`]
+//! ([`MultiView::from_scaled`]).  The base view
+//! ([`MultiView::base_scaled`]) keeps the base resource alone: the
+//! single-resource problem of Theorem 6, which every `k = 1` entry point
+//! solves even on an instance with extra layers.  Over a view run
+//! Algorithm 2's round-by-round search (`OptResAssignment2`, Theorem 6,
+//! generalized to `k` layers) and the memoized brute force.  The search is
+//! monomorphised per unit: `u64` is the hot path, and `u128` answers the
+//! instances whose grid overflows `u64` (the solver's grid choice).  The
+//! paper's exact algorithms only add, subtract and compare requirements, so
+//! an integer grid solves every instance it admits exactly.
 //!
 //! # Nodes
 //!
 //! A configuration (a *node*) is one row of `m + m·k` values: each
 //! processor's completed-job count, then, processor-major, what its
-//! frontier job has already received on every layer (see
-//! [`Instance::extra_layers`]); on the `u64` view at `k = 1`, `2m` words.
+//! frontier job has already been given on every layer (see
+//! [`cr_core::Instance::extra_layers`]); on the `u64` view at `k = 1`, `2m` words.
 //! A search round is one flat arena of nodes plus `u32` parent positions,
 //! so a round costs two allocations however many nodes it holds.
 //!
@@ -41,9 +42,7 @@
 //! `k ≥ 2` Lemma 1's exchange argument does not carry over verbatim — a
 //! prior counterexample shows a single *overall* receiver is not WLOG,
 //! which is why receivers are per-resource here — so the search is
-//! documented as **exact within this normalized class**; the `u64` and
-//! `Ratio` views run the identical enumeration, making their cross-check a
-//! genuine test of the per-layer grids rather than of the class.  Its
+//! documented as **exact within this normalized class**.  Its
 //! enumeration is a plain subset DFS with an all-layer overflow-checked fit
 //! test and an odometer over the per-resource receivers: requirement
 //! vectors have no total order, so a candidate that fails the fit test
@@ -60,21 +59,21 @@
 //! Lemma 4 survivors come from the grouped filter of the internal
 //! `dominance` module: `a` dominates `b` when every processor has completed
 //! more jobs, or equally many with at least as much spent on **every**
-//! layer of the frontier job.  Every `u64` view hands the filter each
-//! node's consumption level ([`LevelTable`]: units consumed, summed over
-//! the layers, then completed all-zero jobs), so the filter keeps the
-//! round's top-level candidates without comparing them; `Ratio` views pass
-//! none.  The survivors are copied once, by (Σ completed, Σ spent, index)
-//! descending, into the next round ([`SearchUnit::emission_key`]); the same
-//! order on both units makes their `k = 1` schedules equal.  Every emitted
+//! layer of the frontier job.  Every search hands the filter each node's
+//! consumption level ([`LevelTable`]: units consumed, summed over the
+//! layers, then completed all-zero jobs), so the filter keeps the round's
+//! top-level candidates without comparing them.  The survivors are copied
+//! once, by (Σ completed, Σ spent, index) descending, into the next round
+//! ([`SearchUnit::emission_key`]); the same order on both units makes their
+//! `k = 1` schedules equal.  Every emitted
 //! choice completes at least one job (singletons always fit: remaining ≤
 //! requirement ≤ capacity on every layer), so the search terminates within
 //! `total_jobs + 1` rounds.
 //!
 //! A round keeps no step decisions: [`Search::schedule`] replays a `k = 1`
-//! schedule from parent/child differences (a processor whose completed
-//! count rose finished its frontier job; one whose spent value rose
-//! received the difference).  Multi-resource schedules are not
+//! schedule in units from parent/child differences (a processor whose
+//! completed count rose finished its frontier job; one whose spent value
+//! rose was given the difference).  Multi-resource schedules are not
 //! reconstructed; the solver layer reports makespans and rejects
 //! `want_schedule` with a structured error.  A round that outgrows the
 //! `u32` positions surfaces as [`SearchError::RoundTooLarge`] during
@@ -85,14 +84,11 @@
 
 use crate::dominance::{DominanceFilter, Level, RowIndex, EMPTY, FILTER_CHECK_STRIDE};
 use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
-use cr_core::{
-    CancelGate, CancelReason, CancelToken, Instance, JobId, Ratio, ScaledInstance, Schedule,
-    ScheduleBuilder, StepUnit,
-};
+use cr_core::{CancelGate, CancelReason, CancelToken, GridUnit, ScaledInstance, Schedule};
 use rustc_hash::FxHashMap;
-use std::cmp::Ordering;
 use std::fmt;
 use std::hash::Hash;
+use std::ops::Add;
 
 /// Structured failure of the configuration search.  The search is total for
 /// every realistic instance; this exists so the single capacity limit left
@@ -138,9 +134,9 @@ impl From<CancelReason> for SearchError {
     }
 }
 
-/// The arithmetic of one search: `u64` units on per-resource LCM grids or
-/// exact [`Ratio`]s with per-resource capacity `1`.
-pub(crate) trait SearchUnit: StepUnit + Hash + Default {
+/// The arithmetic of one search: integer units on per-resource LCM grids,
+/// `u64` or `u128`.
+pub(crate) trait SearchUnit: GridUnit + Hash + Default + Add<Output = Self> {
     /// A node's place in the emission order.
     type Key: Ord + Copy;
 
@@ -150,22 +146,24 @@ pub(crate) trait SearchUnit: StepUnit + Hash + Default {
     /// The completed-job count a slot holds.
     fn count(self) -> usize;
 
-    /// The value in resource units, for consumption levels; `None` on a
-    /// unit that carries no levels.
-    fn units(self) -> Option<u128>;
-
-    /// The value as a share of a layer of capacity `cap`.
-    fn share(self, cap: Self) -> Ratio;
+    /// The value in resource units, widened for levels and sums.
+    fn units(self) -> u128 {
+        self.into()
+    }
 
     /// The emission key of a node with these completed counts and spent
     /// values: (Σ completed, Σ spent), so that survivors leave a round by
     /// key, then index, descending.
     fn emission_key(completed: &[Self], spent: &[Self]) -> Self::Key;
+
+    /// Whether [`SearchUnit::emission_key`] is exact on every node of
+    /// `view`.
+    fn emission_key_fits(view: &MultiView<Self>) -> bool;
 }
 
 impl SearchUnit for u64 {
     /// Σ completed above bit 96, Σ spent below, so that one `u128`
-    /// comparison orders by both; exact under [`emission_key_fits`].
+    /// comparison orders by both; exact under `emission_key_fits`.
     type Key = u128;
 
     fn from_count(count: usize) -> Self {
@@ -176,14 +174,6 @@ impl SearchUnit for u64 {
         self as usize
     }
 
-    fn units(self) -> Option<u128> {
-        Some(u128::from(self))
-    }
-
-    fn share(self, cap: Self) -> Ratio {
-        Ratio::new(i128::from(self), i128::from(cap))
-    }
-
     fn emission_key(completed: &[u64], spent: &[u64]) -> u128 {
         let completed: u64 = completed.iter().sum();
         // Summed in u128: with the 2·D capacity headroom, three spent
@@ -191,82 +181,42 @@ impl SearchUnit for u64 {
         let spent: u128 = spent.iter().map(|&units| u128::from(units)).sum();
         u128::from(completed) << 96 | spent
     }
+
+    /// Fewer than 2^32 jobs, and m·Σ capacities at most 2^96, since a spent
+    /// value stays below its layer's capacity.  Failing it takes 2^32 jobs
+    /// or 2^32 processors.
+    fn emission_key_fits(view: &MultiView<u64>) -> bool {
+        let caps: u128 = view.caps.iter().map(|&cap| u128::from(cap)).sum();
+        (view.total_jobs() as u128) < 1 << 32
+            && caps
+                .checked_mul(view.processors() as u128)
+                .is_some_and(|bound| bound <= 1 << 96)
+    }
 }
 
-impl SearchUnit for Ratio {
-    type Key = (u64, ExactSum);
+impl SearchUnit for u128 {
+    /// (Σ completed, Σ spent).
+    type Key = (u64, u128);
 
     fn from_count(count: usize) -> Self {
-        Ratio::from_integer(count as i64)
+        count as u128
     }
 
     fn count(self) -> usize {
-        self.numer() as usize
+        self as usize
     }
 
-    fn units(self) -> Option<u128> {
-        None
+    fn emission_key(completed: &[u128], spent: &[u128]) -> (u64, u128) {
+        (
+            completed.iter().map(|&done| done as u64).sum(),
+            spent.iter().sum(),
+        )
     }
 
-    fn share(self, _cap: Self) -> Ratio {
-        self
-    }
-
-    fn emission_key(completed: &[Ratio], spent: &[Ratio]) -> (u64, ExactSum) {
-        let completed = completed.iter().map(|c| c.count() as u64).sum();
-        // Most spent values are zero; adding one would still cost a gcd.
-        let spent = spent
-            .iter()
-            .filter(|value| !value.is_zero())
-            .try_fold(Ratio::ZERO, |sum, &value| sum.checked_add(value));
-        (completed, ExactSum(spent))
-    }
-}
-
-/// A checked `Ratio` sum, ordered exactly and without overflow (see
-/// [`cmp_exact`]), so the emission sort cannot panic: a sum that
-/// overflowed (`None`) sorts below every value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ExactSum(Option<Ratio>);
-
-impl Ord for ExactSum {
-    fn cmp(&self, other: &Self) -> Ordering {
-        match (self.0, other.0) {
-            (Some(a), Some(b)) => cmp_exact(a, b),
-            (a, b) => a.is_some().cmp(&b.is_some()),
-        }
-    }
-}
-
-impl PartialOrd for ExactSum {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Compares two rationals exactly: by cross-multiplying when the products
-/// fit `i128`, else through their continued-fraction expansions (integer
-/// parts first, then the reciprocals of the fractional parts), which form
-/// no product at all.
-fn cmp_exact(x: Ratio, y: Ratio) -> Ordering {
-    // a/b against c/d, denominators positive.
-    let (mut a, mut b, mut c, mut d) = (x.numer(), x.denom(), y.numer(), y.denom());
-    if let (Some(ad), Some(cb)) = (a.checked_mul(d), c.checked_mul(b)) {
-        return ad.cmp(&cb);
-    }
-    // lint: allow(cancel_coverage) — bounded: a Euclidean descent, logarithmic in the denominators
-    loop {
-        let (qa, qc) = (a.div_euclid(b), c.div_euclid(d));
-        if qa != qc {
-            return qa.cmp(&qc);
-        }
-        match (a.rem_euclid(b), c.rem_euclid(d)) {
-            (0, 0) => return Ordering::Equal,
-            (0, _) => return Ordering::Less,
-            (_, 0) => return Ordering::Greater,
-            // ra/b against rc/d orders as d/rc against b/ra.
-            (ra, rc) => (a, b, c, d) = (d, rc, b, ra),
-        }
+    /// Always: the `u128` grid admits `(total_jobs + m) · Σ D_r`, and a
+    /// node's m·k spent values stay below m · Σ D_r.
+    fn emission_key_fits(_view: &MultiView<u128>) -> bool {
+        true
     }
 }
 
@@ -282,69 +232,34 @@ pub(crate) struct MultiView<V> {
     reqs: Vec<V>,
 }
 
-impl MultiView<u64> {
-    /// The scaled-integer view of every resource layer: layer `r` lives on
-    /// the grid of [`ScaledInstance::layer_capacity`]`(r)`.
-    pub(crate) fn from_scaled(scaled: &ScaledInstance) -> Self {
+impl<V: SearchUnit> MultiView<V> {
+    /// The view of every resource layer: layer `r` lives on the grid of
+    /// [`ScaledInstance::layer_capacity`]`(r)`.
+    pub(crate) fn from_scaled(scaled: &ScaledInstance<V>) -> Self {
         Self::scaled_layers(scaled, scaled.resources())
     }
 
-    /// The scaled-integer view of the base resource alone.
-    pub(crate) fn base_scaled(scaled: &ScaledInstance) -> Self {
+    /// The view of the base resource alone.
+    pub(crate) fn base_scaled(scaled: &ScaledInstance<V>) -> Self {
         Self::scaled_layers(scaled, 1)
     }
 
-    fn scaled_layers(scaled: &ScaledInstance, k: usize) -> Self {
-        MultiView::build(
-            (0..k).map(|r| scaled.layer_capacity(r)).collect(),
-            (0..scaled.processors()).map(|i| scaled.jobs_on(i)),
-            |i, j, r| scaled.layer_unit_req(r, i, j),
-        )
-    }
-}
-
-impl MultiView<Ratio> {
-    /// The exact rational view of every resource layer: capacity `1` each.
-    pub(crate) fn rational(instance: &Instance) -> Self {
-        Self::rational_layers(instance, instance.resources())
-    }
-
-    /// The exact rational view of the base resource alone.
-    pub(crate) fn base_rational(instance: &Instance) -> Self {
-        Self::rational_layers(instance, 1)
-    }
-
-    fn rational_layers(instance: &Instance, k: usize) -> Self {
-        MultiView::build(
-            vec![Ratio::ONE; k],
-            (0..instance.processors()).map(|i| instance.jobs_on(i)),
-            |i, j, r| instance.requirement_on(r, JobId::new(i, j)),
-        )
-    }
-}
-
-impl<V: SearchUnit> MultiView<V> {
-    /// The view of `caps.len()` layers over processors with `jobs` jobs
-    /// each, job `j` of processor `i` requiring `req(i, j, r)` on layer `r`.
-    fn build(
-        caps: Vec<V>,
-        jobs: impl ExactSizeIterator<Item = usize>,
-        req: impl Fn(usize, usize, usize) -> V,
-    ) -> Self {
-        let k = caps.len();
-        let mut offsets = Vec::with_capacity(jobs.len() + 1);
-        let mut reqs = Vec::new();
+    /// The view of the first `k` layers of `scaled`.
+    fn scaled_layers(scaled: &ScaledInstance<V>, k: usize) -> Self {
+        let m = scaled.processors();
+        let mut offsets = Vec::with_capacity(m + 1);
+        let mut reqs = Vec::with_capacity(scaled.total_jobs() * k);
         offsets.push(0);
         // lint: allow(cancel_coverage) — bounded: one setup pass over the instance's jobs
-        for (i, n) in jobs.enumerate() {
+        for i in 0..m {
             // lint: allow(cancel_coverage) — bounded: the processor's jobs
-            for j in 0..n {
-                reqs.extend((0..k).map(|r| req(i, j, r)));
+            for j in 0..scaled.jobs_on(i) {
+                reqs.extend((0..k).map(|r| scaled.layer_unit_req(r, i, j)));
             }
-            offsets.push(offsets[i] + n);
+            offsets.push(offsets[i] + scaled.jobs_on(i));
         }
         MultiView {
-            caps,
+            caps: (0..k).map(|r| scaled.layer_capacity(r)).collect(),
             offsets,
             reqs,
         }
@@ -385,19 +300,6 @@ impl<V: SearchUnit> MultiView<V> {
     }
 }
 
-/// Whether the `u64` emission key is exact on every node of `view`: fewer
-/// than 2^32 jobs, and m·Σ capacities at most 2^96, since a spent value
-/// stays below its layer's capacity.  Views without units only need the
-/// job count.  Checked once per search; failing it takes 2^32 jobs or 2^32
-/// processors.
-fn emission_key_fits<V: SearchUnit>(view: &MultiView<V>) -> bool {
-    let caps: u128 = view.caps.iter().map(|cap| cap.units().unwrap_or(0)).sum();
-    (view.total_jobs() as u128) < 1 << 32
-        && caps
-            .checked_mul(view.processors() as u128)
-            .is_some_and(|bound| bound <= 1 << 96)
-}
-
 /// Per-processor prefix sums behind a node's consumption [`Level`]: entry
 /// `start[i] + c` holds the units of processor `i`'s first `c` jobs, summed
 /// over the layers, and how many of them require nothing on any layer.
@@ -410,8 +312,8 @@ pub(crate) struct LevelTable {
 }
 
 impl LevelTable {
-    /// The table of `view`; `None` when its unit carries no levels.
-    pub(crate) fn new<V: SearchUnit>(view: &MultiView<V>) -> Option<Self> {
+    /// The table of `view`.
+    pub(crate) fn new<V: SearchUnit>(view: &MultiView<V>) -> Self {
         let m = view.processors();
         let mut start = Vec::with_capacity(m);
         let mut prefix = Vec::with_capacity(view.total_jobs() + m);
@@ -425,14 +327,14 @@ impl LevelTable {
                 let mut units = 0u128;
                 // lint: allow(cancel_coverage) — bounded: k resource layers
                 for r in 0..view.resources() {
-                    units += view.req(i, j, r).units()?;
+                    units += view.req(i, j, r).units();
                 }
                 level.0 += units;
                 level.1 += u64::from(units == 0);
                 prefix.push(level);
             }
         }
-        Some(LevelTable { start, prefix })
+        LevelTable { start, prefix }
     }
 
     /// The level of `node`: the units it has consumed (each processor's
@@ -452,9 +354,7 @@ impl LevelTable {
                 (units + done_units, free + done_free)
             },
         );
-        let spent = spent
-            .iter()
-            .fold(0, |sum, value| sum + value.units().unwrap_or(0));
+        let spent = spent.iter().fold(0, |sum, value| sum + value.units());
         (units + spent, free)
     }
 }
@@ -504,17 +404,6 @@ struct LayerScratch<V> {
 fn complete<V: SearchUnit>(node: &mut [V], m: usize, k: usize, p: usize) {
     node[p] = V::from_count(node[p].count() + 1);
     node[m + p * k..m + (p + 1) * k].fill(V::ZERO);
-}
-
-/// `spent + leftover`: what a frontier job has spent on a layer once it
-/// receives the layer's leftover.  Should the sum overflow (a `Ratio`
-/// view's intermediate products can), it is computed as requirement −
-/// (remaining − leftover) instead, where remaining > leftover keeps both
-/// subtractions in contract.
-fn received<V: SearchUnit>(spent: V, leftover: V, rem: V, req: impl FnOnce() -> V) -> V {
-    spent
-        .checked_add(leftover)
-        .unwrap_or_else(|| req().sub(rem.sub(leftover)))
 }
 
 /// Streams every normalized successor of `node` into `emit`, as a slice of
@@ -575,10 +464,10 @@ fn for_each_successor<V: SearchUnit>(
                     complete(child, m, 1, active[e as usize]);
                 }
                 if let Some((e, leftover)) = partial {
+                    // The receiver's remaining exceeds the leftover, so its
+                    // new spent value stays below its requirement ≤ D.
                     let i = active[e as usize];
-                    child[m + i] = received(node[m + i], leftover, rem[e as usize], || {
-                        view.req(i, node[i].count(), 0)
-                    });
+                    child[m + i] = node[m + i] + leftover;
                 }
                 emit(child);
             },
@@ -760,12 +649,9 @@ impl<V: SearchUnit> LayerDfs<'_, V> {
             for r in 0..k {
                 let first = if r == 0 { 0 } else { s.ends[r - 1] };
                 if let Some(e) = s.receivers[first + s.pick[r]] {
-                    let i = self.active[e];
-                    let slot = m + i * k + r;
-                    self.child[slot] =
-                        received(self.node[slot], s.leftovers[r], self.rem[e * k + r], || {
-                            view.req(i, self.node[i].count(), r)
-                        });
+                    // Below the requirement ≤ D_r, as at k = 1.
+                    let slot = m + self.active[e] * k + r;
+                    self.child[slot] = self.node[slot] + s.leftovers[r];
                 }
             }
             emit(self.child);
@@ -986,27 +872,27 @@ impl<V: SearchUnit> Search<V> {
     }
 
     /// Reconstructs an optimal schedule from a single-resource search over
-    /// `view` by back-tracing the winner and replaying each step, recovered
-    /// from its parent and child nodes, through the exact `Ratio`-based
-    /// [`ScheduleBuilder`]: a processor whose completed count rose finished
-    /// its frontier job, and one whose spent value rose received the
-    /// difference.
+    /// `view` by back-tracing the winner and replaying each step, in units,
+    /// from its parent and child nodes: a processor whose completed count
+    /// rose finished its frontier job and was given what that job still
+    /// needed, and one whose spent value rose was given the difference.
+    /// Each share is converted to a [`cr_core::Ratio`] once, as `units / D`.
     ///
     /// # Panics
     ///
-    /// Panics if the search ran over more than one resource, or over
-    /// another instance than `instance`.
-    pub(crate) fn schedule(&self, view: &MultiView<V>, instance: &Instance) -> Schedule {
+    /// Panics if the search ran over more than one resource, or if a
+    /// replayed step hands a processor, or all of them together, more than
+    /// the capacity (the checks the `Ratio` schedule builder of `cr_core`
+    /// makes on every step).
+    pub(crate) fn schedule(&self, view: &MultiView<V>) -> Schedule {
         assert_eq!(
             view.resources(),
             1,
             "schedules are replayed from single-resource searches"
         );
         let m = view.processors();
+        let cap = view.caps[0];
         let last = self.makespan();
-        if last == 0 {
-            return Schedule::empty();
-        }
         // The winner's position in every round, walked back from the last.
         let mut path = vec![0usize; last + 1];
         path[last] = self.winner;
@@ -1015,25 +901,34 @@ impl<V: SearchUnit> Search<V> {
             path[round - 1] = self.rounds[round].parents[path[round]] as usize;
         }
 
-        let mut builder = ScheduleBuilder::new(instance);
+        let mut steps = Vec::with_capacity(last);
         // lint: allow(cancel_coverage) — bounded: replays one already-gated search round per step
         for round in 1..=last {
             let parent = self.rounds[round - 1].node(path[round - 1]);
             let child = self.rounds[round].node(path[round]);
-            let shares: Vec<Ratio> = (0..m)
+            let shares: Vec<V> = (0..m)
                 .map(|p| {
                     if child[p] > parent[p] {
-                        builder.remaining_workload(p)
-                    } else if child[m + p] > parent[m + p] {
-                        child[m + p].sub(parent[m + p]).share(view.caps[0])
+                        view.req(p, parent[p].count(), 0).sub(parent[m + p])
                     } else {
-                        Ratio::ZERO
+                        child[m + p].sub(parent[m + p])
                     }
                 })
                 .collect();
-            builder.push_step(shares);
+            let total: u128 = shares.iter().map(|&share| share.units()).sum();
+            assert!(
+                shares.iter().all(|&share| share <= cap) && total <= cap.units(),
+                "replayed step {round} overuses the resource: {total} units assigned, \
+                 capacity {cap:?}"
+            );
+            steps.push(
+                shares
+                    .into_iter()
+                    .map(|share| share.ratio_of(cap))
+                    .collect(),
+            );
         }
-        builder.finish()
+        Schedule::new(steps)
     }
 }
 
@@ -1053,8 +948,8 @@ impl<V: SearchUnit> Search<V> {
 ///
 /// # Panics
 ///
-/// Panics if the instance holds 2^32 or more jobs, or so many processors
-/// that m·Σ capacities exceeds 2^96 (see [`emission_key_fits`]).
+/// Panics if a `u64` view holds 2^32 or more jobs, or so many processors
+/// that m·Σ capacities exceeds 2^96 (see [`SearchUnit::emission_key_fits`]).
 pub(crate) fn run_search_cancellable<V: SearchUnit>(
     view: &MultiView<V>,
     round_cap: Option<usize>,
@@ -1068,7 +963,7 @@ pub(crate) fn run_search_cancellable<V: SearchUnit>(
         return Ok(Some(Search { rounds, winner: 0 }));
     }
     assert!(
-        emission_key_fits(view),
+        V::emission_key_fits(view),
         "2^32 jobs or an m·D above 2^96 overflow the packed emission key"
     );
 
@@ -1107,7 +1002,7 @@ pub(crate) fn run_search_cancellable<V: SearchUnit>(
             filter.push(
                 node[..m].iter().map(|&done| done.count() as u64),
                 &node[m..],
-                levels.as_ref().map(|levels| levels.level(node)),
+                levels.level(node),
             );
         }
         let keep = filter.survivors(&mut filter_gate)?;
@@ -1222,7 +1117,7 @@ fn brute_force_dfs<V: SearchUnit>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cr_core::{ratio, InstanceBuilder};
+    use cr_core::{ratio, Instance, InstanceBuilder, Ratio};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -1239,8 +1134,13 @@ mod tests {
             .makespan
     }
 
-    fn rational_makespan(inst: &Instance) -> usize {
-        let view = MultiView::rational(inst);
+    /// The `u128` grid of `inst`.
+    fn wide(inst: &Instance) -> ScaledInstance<u128> {
+        ScaledInstance::try_on_grid(inst).expect("grid fits u128")
+    }
+
+    fn wide_makespan(inst: &Instance) -> usize {
+        let view = MultiView::from_scaled(&wide(inst));
         search_cancellable(&view, None, &never())
             .expect("never token")
             .expect("uncapped")
@@ -1387,7 +1287,7 @@ mod tests {
         for (child, finished, partial) in &seen {
             assert_eq!(finished.len(), 1);
             let (p, amount) = partial.unwrap();
-            assert_eq!(amount.share(view.caps[0]), Ratio::from_percent(40));
+            assert_eq!(amount.ratio_of(view.caps[0]), Ratio::from_percent(40));
             assert_eq!(child[2 + p as usize], amount);
             assert_ne!(finished[0], p);
         }
@@ -1442,7 +1342,7 @@ mod tests {
         let search = run_search(&view).unwrap();
         // One job finishes per step; the one-unit leftover barely helps.
         assert_eq!(search.makespan(), 3);
-        assert_eq!(search.schedule(&view, &inst).makespan(&inst).unwrap(), 3);
+        assert_eq!(search.schedule(&view).makespan(&inst).unwrap(), 3);
     }
 
     #[test]
@@ -1458,7 +1358,7 @@ mod tests {
             .processor([Ratio::new(p - 1, p)])
             .build();
         let view = MultiView::base_scaled(&ScaledInstance::try_new(&inst).unwrap());
-        assert!(emission_key_fits(&view));
+        assert!(u64::emission_key_fits(&view));
         let d = view.caps[0];
         let nodes: [[u64; 6]; 7] = [
             [0, 0, 0, d - 2, d - 2, d - 2],
@@ -1493,46 +1393,14 @@ mod tests {
         assert_eq!(got, want.iter().map(|&(_, _, i)| i).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn exact_sums_order_without_overflow() {
-        let big = i128::MAX / 3;
-        let cases = [
-            (ratio(1, 3), ratio(1, 2), Ordering::Less),
-            (ratio(2, 4), ratio(1, 2), Ordering::Equal),
-            (ratio(7, 5), ratio(4, 3), Ordering::Greater),
-            (Ratio::ZERO, ratio(1, big), Ordering::Less),
-            // Cross-multiplying these overflows i128.
-            (
-                ratio(big - 1, big),
-                ratio(big - 2, big - 1),
-                Ordering::Greater,
-            ),
-            (ratio(big - 2, big - 1), ratio(big - 1, big), Ordering::Less),
-        ];
-        for (a, b, want) in cases {
-            assert_eq!(
-                ExactSum(Some(a)).cmp(&ExactSum(Some(b))),
-                want,
-                "{a} vs {b}"
-            );
-        }
-        // An overflowed sum sorts below every value.
-        assert!(ExactSum(None) < ExactSum(Some(Ratio::ZERO)));
-        assert_eq!(ExactSum(None).cmp(&ExactSum(None)), Ordering::Equal);
-    }
-
     /// The keep mask the search's filter computes for `u64` nodes over
     /// `view`, levels included.
     fn survivors(view: &MultiView<u64>, nodes: &[&[u64]]) -> Vec<bool> {
         let m = view.processors();
-        let levels = LevelTable::new(view).expect("u64 views carry levels");
+        let levels = LevelTable::new(view);
         let mut filter = DominanceFilter::new(m, 1);
         for node in nodes {
-            filter.push(
-                node[..m].iter().copied(),
-                &node[m..],
-                Some(levels.level(node)),
-            );
+            filter.push(node[..m].iter().copied(), &node[m..], levels.level(node));
         }
         let mut gate = never().gate(FILTER_CHECK_STRIDE);
         filter.survivors(&mut gate).unwrap().to_vec()
@@ -1576,7 +1444,7 @@ mod tests {
         assert_eq!(with_layer.resources(), 2);
         let scalar = crate::opt_m_makespan(&base);
         assert_eq!(scaled_makespan(&with_layer), scalar);
-        assert_eq!(rational_makespan(&with_layer), scalar);
+        assert_eq!(wide_makespan(&with_layer), scalar);
     }
 
     #[test]
@@ -1589,7 +1457,7 @@ mod tests {
             .extra_layer([vec![ratio(3, 4)], vec![ratio(3, 4)]])
             .build();
         assert_eq!(scaled_makespan(&inst), 2);
-        assert_eq!(rational_makespan(&inst), 2);
+        assert_eq!(wide_makespan(&inst), 2);
     }
 
     #[test]
@@ -1604,7 +1472,7 @@ mod tests {
             .extra_layer([vec![ratio(1, 100)], vec![Ratio::ONE], vec![ratio(3, 5)]])
             .build();
         let value = scaled_makespan(&inst);
-        assert_eq!(value, rational_makespan(&inst));
+        assert_eq!(value, wide_makespan(&inst));
         // Workload: layer 0 and 1 both sum to 1.61 → lower bound 2.
         assert_eq!(value, 2);
     }
@@ -1616,7 +1484,7 @@ mod tests {
             .processor([Ratio::ONE])
             .extra_layer([vec![Ratio::ONE], vec![Ratio::ONE]])
             .build();
-        let view = MultiView::rational(&inst);
+        let view = MultiView::from_scaled(&wide(&inst));
         assert_eq!(search_cancellable(&view, Some(1), &never()).unwrap(), None);
         let full = search_cancellable(&view, Some(2), &never())
             .unwrap()
@@ -1634,7 +1502,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for search in [
-            search_cancellable(&MultiView::rational(&inst), None, &token),
+            search_cancellable(&MultiView::from_scaled(&wide(&inst)), None, &token),
             search_cancellable(
                 &MultiView::from_scaled(&ScaledInstance::try_new(&inst).unwrap()),
                 None,
@@ -1703,10 +1571,10 @@ mod tests {
         ];
         for inst in instances {
             let (best, states, expansions) =
-                brute_force_cancellable(&MultiView::rational(&inst), &never()).unwrap();
-            assert_eq!(best, rational_makespan(&inst), "{inst}");
+                brute_force_cancellable(&MultiView::from_scaled(&wide(&inst)), &never()).unwrap();
+            assert_eq!(best, wide_makespan(&inst), "{inst}");
             assert!(states > 0 && expansions > 0);
-            // One brute force on two units: the same configurations.
+            // One brute force on two widths: the same configurations.
             let units = MultiView::from_scaled(&ScaledInstance::try_new(&inst).unwrap());
             assert_eq!(
                 brute_force_cancellable(&units, &never()).unwrap(),
@@ -1716,7 +1584,7 @@ mod tests {
             let token = CancelToken::new();
             token.cancel();
             assert_eq!(
-                brute_force_cancellable(&MultiView::rational(&inst), &token),
+                brute_force_cancellable(&MultiView::from_scaled(&wide(&inst)), &token),
                 Err(CancelReason::Cancelled)
             );
         }
@@ -1729,13 +1597,13 @@ mod tests {
             .processor([ratio(1, 10)])
             .extra_layer([vec![ratio(3, 4)], vec![ratio(3, 4)]])
             .build();
-        let view = MultiView::base_rational(&inst);
+        let view = MultiView::base_scaled(&wide(&inst));
         let search = run_search(&view).unwrap();
         assert_eq!(search.makespan(), 1);
-        assert_eq!(search.schedule(&view, &inst).num_steps(), 1);
+        assert_eq!(search.schedule(&view).num_steps(), 1);
         let view = MultiView::base_scaled(&ScaledInstance::try_new(&inst).unwrap());
         assert_eq!(run_search(&view).unwrap().makespan(), 1);
-        assert_eq!(rational_makespan(&inst), 2);
+        assert_eq!(wide_makespan(&inst), 2);
     }
 
     #[test]
@@ -1744,7 +1612,7 @@ mod tests {
             .empty_processor()
             .empty_processor()
             .build();
-        let view = MultiView::rational(&inst);
+        let view = MultiView::from_scaled(&wide(&inst));
         let out = search_cancellable(&view, None, &never()).unwrap().unwrap();
         assert_eq!(out.makespan, 0);
         assert_eq!(out.expanded, 0);
@@ -1759,7 +1627,7 @@ mod tests {
         let view = MultiView::base_scaled(&ScaledInstance::try_new(&inst).unwrap());
         let search = run_search(&view).unwrap();
         assert_eq!(search.makespan(), 0);
-        assert_eq!(search.schedule(&view, &inst).num_steps(), 0);
+        assert_eq!(search.schedule(&view).num_steps(), 0);
     }
 
     #[test]
@@ -1778,19 +1646,19 @@ mod tests {
         &'static [&'static [&'static str]],
     );
 
-    /// Replays every case on both units and compares the steps.
+    /// Replays every case on both widths and compares the steps.
     fn assert_pinned_schedules(cases: &[PinnedCase]) {
         for &(rows, want) in cases {
             let inst = Instance::unit_from_percentages(rows);
             let units = MultiView::base_scaled(&ScaledInstance::try_new(&inst).unwrap());
-            let ratios = MultiView::base_rational(&inst);
+            let wide = MultiView::base_scaled(&wide(&inst));
             let want: Vec<Vec<String>> = want
                 .iter()
                 .map(|step| step.iter().map(|&share| share.to_string()).collect())
                 .collect();
             for schedule in [
-                run_search(&units).unwrap().schedule(&units, &inst),
-                run_search(&ratios).unwrap().schedule(&ratios, &inst),
+                run_search(&units).unwrap().schedule(&units),
+                run_search(&wide).unwrap().schedule(&wide),
             ] {
                 let got: Vec<Vec<String>> = schedule
                     .steps()
@@ -1902,16 +1770,19 @@ mod tests {
         ]);
     }
 
-    fn percent_instance(den: u64, rows: &[Vec<u64>]) -> Instance {
-        let reqs = rows
-            .iter()
+    /// Percent rows snapped onto the grid `1/den`.
+    fn percent_layer(den: u64, rows: &[Vec<u64>]) -> Vec<Vec<Ratio>> {
+        rows.iter()
             .map(|row| {
                 row.iter()
                     .map(|&pct| Ratio::from_parts(pct * den / 100, den))
                     .collect()
             })
-            .collect();
-        Instance::unit_from_requirements(reqs)
+            .collect()
+    }
+
+    fn percent_instance(den: u64, rows: &[Vec<u64>]) -> Instance {
+        Instance::unit_from_requirements(percent_layer(den, rows))
     }
 
     proptest! {
@@ -1938,6 +1809,45 @@ mod tests {
                     enumerator_choices(&view, &node),
                     mask_scan_choices(&view, &node)
                 );
+            }
+        }
+
+        /// The `u64` and `u128` grids of one instance run one search: equal
+        /// makespans and round sizes, equal brute-force (states,
+        /// expansions), and at `k = 1` equal schedules, on random percent
+        /// grids with one or two resource layers.
+        #[test]
+        fn both_widths_search_alike(
+            den in 1u64..=24,
+            k in 1usize..=2,
+            rows in prop::collection::vec(prop::collection::vec(0u64..=100, 1..=3), 2..=3),
+            extra in prop::collection::vec(0u64..=100, 9),
+        ) {
+            let inst = if k == 1 {
+                percent_instance(den, &rows)
+            } else {
+                let extra: Vec<Vec<u64>> = rows
+                    .iter()
+                    .enumerate()
+                    .map(|(i, row)| extra[3 * i..3 * i + row.len()].to_vec())
+                    .collect();
+                Instance::multi_unit_from_requirements(vec![
+                    percent_layer(den, &rows),
+                    percent_layer(den, &extra),
+                ])
+                .expect("the layers share one shape")
+            };
+            let units = MultiView::from_scaled(&ScaledInstance::try_new(&inst).unwrap());
+            let wide = MultiView::from_scaled(&wide(&inst));
+            let (narrow_search, wide_search) = (run_search(&units).unwrap(), run_search(&wide).unwrap());
+            prop_assert_eq!(narrow_search.makespan(), wide_search.makespan());
+            prop_assert_eq!(narrow_search.round_sizes(), wide_search.round_sizes());
+            prop_assert_eq!(
+                brute_force_cancellable(&units, &never()).unwrap(),
+                brute_force_cancellable(&wide, &never()).unwrap()
+            );
+            if k == 1 {
+                prop_assert_eq!(narrow_search.schedule(&units), wide_search.schedule(&wide));
             }
         }
     }

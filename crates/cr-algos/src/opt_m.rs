@@ -13,32 +13,17 @@
 //! fixed `m`, which yields Theorem 6's polynomial running time.
 //!
 //! One engine runs this search, the internal `multi_engine` module,
-//! monomorphised per unit; this module only picks the view.  Whenever the
-//! instance's requirement denominators admit a `u64` LCM it searches the
-//! instance's integer grid (flat rounds of packed nodes, an open-addressing
-//! duplicate index, consumption levels for the filter); otherwise it
-//! searches exact [`Ratio`]s.  [`opt_m_makespan_rational`] forces the
-//! `Ratio` view, the reference the property tests cross-check against.
+//! monomorphised per unit; this module only picks the grid.  It searches
+//! the instance's `u64` grid whenever the requirement denominators admit
+//! one, and its `u128` grid otherwise (flat rounds of packed nodes, an
+//! open-addressing duplicate index, consumption levels for the filter).
 //! Successors come from the pruned DFS of the internal `subset_enum`
 //! module, so any number of simultaneously active processors is supported.
-//!
 //! Rounds run serially and remove dominated configurations through the
-//! grouped Lemma 4 filter (the internal `dominance` module), which compares
-//! a candidate only against the kept members of the completed-vector
-//! groups that are at least its own.  On the dense `Uniform m=4 n=3` class
-//! ~99% of the candidates survive, so the kept-prefix and all-pairs scans
-//! it replaced were quadratic in practice.  `BENCH_exact`'s scaled cell for
-//! that class went from a median of 1024 ms to 118 ms per ten instances
-//! (three alternating runs, 2-vCPU host), and its rational cell from
-//! 9.2–11.5 s to 0.56–1.04 s.  On the `u64` grid the filter also receives
-//! each candidate's consumption level (units consumed, then completed
-//! zero-requirement jobs) and keeps the round's top-level candidates
-//! without comparing them; with flat rounds that took the same scaled cell
-//! from 125–158 ms to 56–80 ms (four alternating runs).
-//!
-//! [`Ratio`]: cr_core::Ratio
+//! grouped Lemma 4 filter (the internal `dominance` module).
 
 use crate::multi_engine::{self, MultiView, SearchError};
+use crate::solver::{auto_grid, on_grid};
 use crate::traits::Scheduler;
 use cr_core::{Instance, ScaledInstance, Schedule};
 
@@ -49,16 +34,14 @@ fn assert_unit(instance: &Instance) {
     );
 }
 
-/// The optimal makespan computed by the configuration search.
-///
-/// Searches the instance's `u64` grid whenever its requirement
-/// denominators admit a `u64` LCM (always, for the families in this
-/// repository), and exact `Ratio`s otherwise.
+/// The optimal makespan computed by the configuration search on the
+/// instance's unit grid (`u64`, widened to `u128` when it overflows).
 ///
 /// # Panics
 ///
-/// Panics if the instance contains non-unit job sizes, or if a search
-/// round outgrows its `u32` positions (see [`try_opt_m_makespan`]).
+/// Panics if the instance contains non-unit job sizes, if its unit grid
+/// overflows `u128`, or if a search round outgrows its `u32` positions
+/// (see [`try_opt_m_makespan`]).
 #[must_use]
 pub fn opt_m_makespan(instance: &Instance) -> usize {
     try_opt_m_makespan(instance)
@@ -72,34 +55,18 @@ pub fn opt_m_makespan(instance: &Instance) -> usize {
 /// # Errors
 ///
 /// [`SearchError::RoundTooLarge`] when a search round holds more nodes than
-/// `u32` parent indices can address; on either unit that needs more than
-/// 64 GiB of arena.
+/// `u32` parent indices can address; that needs more than 64 GiB of arena.
 ///
 /// # Panics
 ///
-/// Panics if the instance contains non-unit job sizes.
+/// Panics if the instance contains non-unit job sizes, or if its unit grid
+/// overflows `u128`.
 pub fn try_opt_m_makespan(instance: &Instance) -> Result<usize, SearchError> {
     assert_unit(instance);
-    Ok(match ScaledInstance::try_new(instance) {
-        Some(scaled) => multi_engine::run_search(&MultiView::base_scaled(&scaled))?.makespan(),
-        None => multi_engine::run_search(&MultiView::base_rational(instance))?.makespan(),
+    let narrow = ScaledInstance::try_new(instance);
+    on_grid!(auto_grid("OptM", instance, narrow.as_ref()), |scaled| {
+        Ok(multi_engine::run_search(&MultiView::base_scaled(scaled))?.makespan())
     })
-}
-
-/// The configuration search in exact `Ratio` arithmetic: the reference the
-/// property tests cross-check the `u64` grid against.
-///
-/// # Panics
-///
-/// Panics if the instance contains non-unit job sizes, or if a search
-/// round outgrows its `u32` positions.
-#[must_use]
-pub fn opt_m_makespan_rational(instance: &Instance) -> usize {
-    assert_unit(instance);
-    multi_engine::run_search(&MultiView::base_rational(instance))
-        // lint: allow(panic_hygiene) — documented panic: a round of 2^32 nodes needs more than 64 GiB of arena
-        .unwrap_or_else(|err| panic!("{err}"))
-        .makespan()
 }
 
 /// The exact algorithm for an arbitrary fixed number of processors.
@@ -131,23 +98,19 @@ impl Scheduler for OptM {
 
     /// # Panics
     ///
-    /// Panics if the instance contains non-unit job sizes, or if a search
-    /// round outgrows its `u32` positions.
+    /// Panics if the instance contains non-unit job sizes, if its unit grid
+    /// overflows `u128`, or if a search round outgrows its `u32` positions.
     fn schedule(&self, instance: &Instance) -> Schedule {
         assert_unit(instance);
-        match ScaledInstance::try_new(instance) {
-            Some(scaled) => schedule_on(&MultiView::base_scaled(&scaled), instance),
-            None => schedule_on(&MultiView::base_rational(instance), instance),
-        }
+        let narrow = ScaledInstance::try_new(instance);
+        on_grid!(auto_grid("OptM", instance, narrow.as_ref()), |scaled| {
+            let view = MultiView::base_scaled(scaled);
+            multi_engine::run_search(&view)
+                // lint: allow(panic_hygiene) — documented panic: a round of 2^32 nodes needs more than 64 GiB of arena
+                .unwrap_or_else(|err| panic!("{err}"))
+                .schedule(&view)
+        })
     }
-}
-
-/// Searches `view` and replays an optimal schedule.
-fn schedule_on<V: multi_engine::SearchUnit>(view: &MultiView<V>, instance: &Instance) -> Schedule {
-    multi_engine::run_search(view)
-        // lint: allow(panic_hygiene) — documented panic: a round of 2^32 nodes needs more than 64 GiB of arena
-        .unwrap_or_else(|err| panic!("{err}"))
-        .schedule(view, instance)
 }
 
 #[cfg(test)]
@@ -157,6 +120,18 @@ mod tests {
     use crate::greedy_balance::GreedyBalance;
     use crate::opt_two::opt_two_makespan;
     use cr_core::{bounds, CancelReason, CancelToken, Ratio};
+
+    /// The `u128` grid's base view of `inst`.
+    fn wide_view(inst: &Instance) -> MultiView<u128> {
+        MultiView::base_scaled(&ScaledInstance::try_on_grid(inst).expect("grid fits u128"))
+    }
+
+    /// The makespan of the search on the `u128` grid.
+    fn wide_makespan(inst: &Instance) -> usize {
+        multi_engine::run_search(&wide_view(inst))
+            .unwrap()
+            .makespan()
+    }
 
     #[test]
     fn matches_two_processor_dp() {
@@ -223,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn scaled_and_rational_paths_agree() {
+    fn both_grid_widths_agree() {
         let instances = vec![
             Instance::unit_from_percentages(&[&[60, 40, 80], &[30, 90, 10]]),
             Instance::unit_from_percentages(&[&[100], &[100], &[100]]),
@@ -233,8 +208,7 @@ mod tests {
         ];
         for inst in instances {
             let scaled = opt_m_makespan(&inst);
-            let rational = opt_m_makespan_rational(&inst);
-            assert_eq!(scaled, rational, "{inst}");
+            assert_eq!(scaled, wide_makespan(&inst), "{inst}");
             assert_eq!(OptM::new().schedule(&inst).makespan(&inst).unwrap(), scaled);
         }
     }
@@ -266,7 +240,7 @@ mod tests {
         // the growing leftover to the next (10, 20, 30 units).
         let scaled = opt_m_makespan(&inst);
         assert_eq!(scaled, 4);
-        assert_eq!(opt_m_makespan_rational(&inst), 4);
+        assert_eq!(wide_makespan(&inst), 4);
         assert_eq!(crate::brute_force::brute_force_makespan(&inst), 4);
         let schedule = OptM::new().schedule(&inst);
         assert_eq!(schedule.makespan(&inst).unwrap(), 4);
@@ -283,9 +257,9 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_rational_search_stops_early() {
+    fn cancelled_wide_search_stops_early() {
         let inst = Instance::unit_from_percentages(&[&[60, 40, 80], &[30, 90, 10]]);
-        let view = MultiView::base_rational(&inst);
+        let view = wide_view(&inst);
         let token = CancelToken::new();
         token.cancel();
         assert_eq!(
@@ -299,19 +273,40 @@ mod tests {
         let search = multi_engine::run_search_cancellable(&view, None, &live)
             .unwrap()
             .unwrap();
-        assert_eq!(search.makespan(), opt_m_makespan_rational(&inst));
+        assert_eq!(search.makespan(), opt_m_makespan(&inst));
         assert_eq!(
-            search.schedule(&view, &inst).makespan(&inst).unwrap(),
+            search.schedule(&view).makespan(&inst).unwrap(),
             search.makespan()
         );
     }
 
-    /// The keep mask the search's filter computes for rational
-    /// configurations, given as (completed counts, spent).
-    fn survivors(configs: &[(&[u64], &[Ratio])]) -> Vec<bool> {
+    #[test]
+    fn wide_grids_solve_what_u64_cannot() {
+        // Three primes near 2^22: their LCM (~2^66) overflows the u64 grid.
+        let [p, q, r]: [i128; 3] = [4_194_271, 4_194_277, 4_194_287];
+        let inst = cr_core::InstanceBuilder::new()
+            .processor([Ratio::new(p - 1, p), Ratio::new(1, q)])
+            .processor([Ratio::new(2, r), Ratio::new(q - 2, q)])
+            .processor([Ratio::new(r - 3, r)])
+            .build();
+        assert!(ScaledInstance::try_new(&inst).is_none());
+        let makespan = opt_m_makespan(&inst);
+        assert_eq!(makespan, crate::brute_force::brute_force_makespan(&inst));
+        let schedule = OptM::new().schedule(&inst);
+        assert_eq!(schedule.makespan(&inst).unwrap(), makespan);
+    }
+
+    /// The keep mask the search's filter computes for `u128`
+    /// configurations, given as (completed counts, spent), under
+    /// (Σ completed, Σ spent) levels.
+    fn survivors(configs: &[(&[u64], &[u128])]) -> Vec<bool> {
         let mut filter = DominanceFilter::new(2, 1);
         for &(completed, spent) in configs {
-            filter.push(completed.iter().copied(), spent, None);
+            let level = (
+                u128::from(completed.iter().sum::<u64>()),
+                u64::try_from(spent.iter().sum::<u128>()).unwrap(),
+            );
+            filter.push(completed.iter().copied(), spent, level);
         }
         let mut gate = CancelToken::never().gate(FILTER_CHECK_STRIDE);
         filter.survivors(&mut gate).unwrap().to_vec()
@@ -319,9 +314,9 @@ mod tests {
 
     #[test]
     fn domination_is_reflexive_and_ordered() {
-        let a: (&[u64], &[Ratio]) = (&[2, 1], &[Ratio::ZERO, Ratio::from_percent(30)]);
-        let b: (&[u64], &[Ratio]) = (&[1, 1], &[Ratio::from_percent(90), Ratio::from_percent(10)]);
-        let c: (&[u64], &[Ratio]) = (&[2, 1], &[Ratio::ZERO, Ratio::from_percent(20)]);
+        let a: (&[u64], &[u128]) = (&[2, 1], &[0, 30]);
+        let b: (&[u64], &[u128]) = (&[1, 1], &[90, 10]);
+        let c: (&[u64], &[u128]) = (&[2, 1], &[0, 20]);
         // `a` dominates `b` and, on an equal spent value, `c`, in either
         // push order.
         assert_eq!(survivors(&[a, c]), [true, false]);

@@ -20,26 +20,23 @@
 //!   leftover resource to the second processor's frontier job;
 //! * or vice versa.
 //!
-//! The hot path runs the dense DP on a flat integer table over a
-//! [`ScaledInstance`] (`ScaledDpTable`); the original `Ratio`-based table is
-//! retained as [`opt_two_makespan_rational`] for cross-checking and as the
-//! overflow fallback.  The DP's cell values — one frontier requirement plus
-//! one carried leftover, each at most the capacity `D` — are exactly what
-//! the `2·D` headroom of [`ScaledInstance::try_new`] reserves.
+//! The DP runs on a flat integer table over the instance's unit grid
+//! (`ScaledDpTable`): `u64` when it fits, `u128` otherwise (the solver's
+//! grid choice).  Its cell values — one frontier requirement plus one
+//! carried leftover, each at most the capacity `D` — are exactly what the
+//! `2·D` headroom of [`ScaledInstance::try_new`] reserves, and the `u128`
+//! grid admits them too.  The schedule is replayed from the back-traced
+//! decisions in units as well.  [`opt_two_makespan_sparse`] keeps the
+//! `Ratio` arithmetic, an independent reference for the tests.
 
+use crate::multi_engine::SearchUnit;
+use crate::solver::{auto_grid, on_grid};
 use crate::traits::Scheduler;
-use cr_core::{
-    CancelReason, CancelToken, Instance, Ratio, ScaledInstance, Schedule, ScheduleBuilder,
-};
+use cr_core::{CancelReason, CancelToken, Instance, Ratio, ScaledInstance, Schedule};
 use rustc_hash::FxHashMap;
 
-/// How many rational DP cells between token checks (each cell does a few
-/// `Ratio` comparisons, so the stride can be generous).
-const DP_CHECK_STRIDE: u32 = 1024;
-
-/// How many scaled DP cells between token checks: cells are a handful of
-/// integer ops each, so the gate overhead must be amortized further than
-/// the rational table's.
+/// How many DP cells between token checks: cells are a handful of integer
+/// ops each, so the gate overhead must be amortized over many of them.
 const SCALED_DP_CHECK_STRIDE: u32 = 4096;
 
 /// Which jobs complete in a time step of the reconstructed schedule.
@@ -53,17 +50,6 @@ pub(crate) enum Decision {
     /// Only processor 1's frontier job finishes; the leftover goes to
     /// processor 0's frontier job.
     FinishSecond,
-}
-
-/// Value stored per DP cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CellValue {
-    /// Earliest step count by which the cell's job sets can be completed.
-    t: usize,
-    /// Smallest achievable sum of remaining frontier requirements at time `t`.
-    r: Ratio,
-    /// Decision taken in the last step on the best path into this cell.
-    decision: Option<Decision>,
 }
 
 /// Exact two-processor solver.
@@ -99,13 +85,13 @@ const UNREACHED: u32 = u32::MAX;
 
 /// One cell of the flat two-processor DP table.
 #[derive(Debug, Clone, Copy)]
-struct FlatCell {
+struct FlatCell<V> {
     /// Earliest step count reaching this cell (`UNREACHED` if not yet).
     t: u32,
     /// Smallest achievable frontier-remainder sum at time `t`, in units.
-    /// Bounded by `2·D` (one requirement plus one carried leftover) — the
-    /// exact headroom [`ScaledInstance::try_new`] reserves.
-    r: u64,
+    /// Bounded by `2·D` (one requirement plus one carried leftover), which
+    /// every admitted grid fits.
+    r: V,
     /// Decision taken on the best path into this cell (`None` at the
     /// origin).
     decision: Option<Decision>,
@@ -114,15 +100,15 @@ struct FlatCell {
 /// The Algorithm 1 dynamic program on a flat `(n1+1)·(n2+1)` table of
 /// integer cells (no hashing, no rational arithmetic, contiguous memory).
 #[derive(Debug)]
-pub(crate) struct ScaledDpTable {
-    cells: Vec<FlatCell>,
+pub(crate) struct ScaledDpTable<V> {
+    cells: Vec<FlatCell<V>>,
     n1: usize,
     n2: usize,
 }
 
-impl ScaledDpTable {
+impl<V: SearchUnit> ScaledDpTable<V> {
     /// Runs the dense DP for a two-processor scaled instance.
-    pub(crate) fn compute(scaled: &ScaledInstance) -> Self {
+    pub(crate) fn compute(scaled: &ScaledInstance<V>) -> Self {
         Self::compute_cancellable(scaled, &CancelToken::never())
             // lint: allow(panic_hygiene) — a never-token cannot fire
             .expect("never-token cannot fire")
@@ -132,7 +118,7 @@ impl ScaledDpTable {
     /// polls the token every [`SCALED_DP_CHECK_STRIDE`] cells and stops
     /// cooperatively once it fires.
     pub(crate) fn compute_cancellable(
-        scaled: &ScaledInstance,
+        scaled: &ScaledInstance<V>,
         token: &CancelToken,
     ) -> Result<Self, CancelReason> {
         assert_eq!(scaled.processors(), 2, "scaled DP needs two processors");
@@ -142,14 +128,14 @@ impl ScaledDpTable {
         let cap = scaled.capacity();
         let row1 = scaled.row(0);
         let row2 = scaled.row(1);
-        let req1 = |c: usize| -> u64 { row1.get(c).copied().unwrap_or(0) };
-        let req2 = |c: usize| -> u64 { row2.get(c).copied().unwrap_or(0) };
+        let req1 = |c: usize| -> V { row1.get(c).copied().unwrap_or(V::ZERO) };
+        let req2 = |c: usize| -> V { row2.get(c).copied().unwrap_or(V::ZERO) };
 
         let stride = n2 + 1;
         let mut cells = vec![
             FlatCell {
                 t: UNREACHED,
-                r: 0,
+                r: V::ZERO,
                 decision: None,
             };
             (n1 + 1) * stride
@@ -193,7 +179,7 @@ impl ScaledDpTable {
                         Decision::AdvanceBoth,
                     );
                 } else {
-                    let carried = r - cap;
+                    let carried = r.sub(cap);
                     relax(
                         &mut cells[(c1 + 1) * stride + c2],
                         t,
@@ -244,7 +230,7 @@ impl ScaledDpTable {
 }
 
 #[inline]
-fn relax(cell: &mut FlatCell, t: u32, r: u64, decision: Decision) {
+fn relax<V: Ord>(cell: &mut FlatCell<V>, t: u32, r: V, decision: Decision) {
     if cell.t == UNREACHED || t < cell.t || (t == cell.t && r < cell.r) {
         *cell = FlatCell {
             t,
@@ -276,155 +262,27 @@ fn assert_two_unit_processors(instance: &Instance) {
     );
 }
 
-/// Runs the dense dynamic program and returns the full table.
-fn run_dp(instance: &Instance) -> Vec<Vec<Option<CellValue>>> {
-    run_dp_cancellable(instance, &CancelToken::never())
-        // lint: allow(panic_hygiene) — a never-token cannot fire
-        .expect("never-token cannot fire")
-}
-
-/// [`run_dp`] under a [`CancelToken`]: the `O(n1·n2)` diagonal sweep polls
-/// the token every [`DP_CHECK_STRIDE`] cells and stops cooperatively once
-/// it fires.
-fn run_dp_cancellable(
-    instance: &Instance,
-    token: &CancelToken,
-) -> Result<Vec<Vec<Option<CellValue>>>, CancelReason> {
-    let n1 = instance.jobs_on(0);
-    let n2 = instance.jobs_on(1);
-    let mut table: Vec<Vec<Option<CellValue>>> = vec![vec![None; n2 + 1]; n1 + 1];
-    table[0][0] = Some(CellValue {
-        t: 0,
-        r: req_or_zero(instance, 0, 0) + req_or_zero(instance, 1, 0),
-        decision: None,
-    });
-
-    let relax = |table: &mut Vec<Vec<Option<CellValue>>>,
-                 c1: usize,
-                 c2: usize,
-                 t: usize,
-                 r: Ratio,
-                 decision: Decision| {
-        let better = match &table[c1][c2] {
-            None => true,
-            Some(old) => t < old.t || (t == old.t && r < old.r),
-        };
-        if better {
-            table[c1][c2] = Some(CellValue {
-                t,
-                r,
-                decision: Some(decision),
-            });
-        }
-    };
-
-    let mut gate = token.gate(DP_CHECK_STRIDE);
-    for diag in 0..=(n1 + n2) {
-        let lo = diag.saturating_sub(n2);
-        for c1 in lo..=diag.min(n1) {
-            gate.tick()?;
-            let c2 = diag - c1;
-            let Some(cell) = table[c1][c2] else { continue };
-            let (t, r) = (cell.t, cell.r);
-
-            if c1 == n1 && c2 == n2 {
-                continue;
-            }
-            if c1 < n1 && c2 == n2 {
-                let r_next = req_or_zero(instance, 0, c1 + 1);
-                relax(&mut table, c1 + 1, c2, t + 1, r_next, Decision::FinishFirst);
-                continue;
-            }
-            if c1 == n1 && c2 < n2 {
-                let r_next = req_or_zero(instance, 1, c2 + 1);
-                relax(
-                    &mut table,
-                    c1,
-                    c2 + 1,
-                    t + 1,
-                    r_next,
-                    Decision::FinishSecond,
-                );
-                continue;
-            }
-
-            // Both processors still have a frontier job.
-            if r <= Ratio::ONE {
-                let r_next = req_or_zero(instance, 0, c1 + 1) + req_or_zero(instance, 1, c2 + 1);
-                relax(
-                    &mut table,
-                    c1 + 1,
-                    c2 + 1,
-                    t + 1,
-                    r_next,
-                    Decision::AdvanceBoth,
-                );
-            } else {
-                let carried = r - Ratio::ONE;
-                relax(
-                    &mut table,
-                    c1 + 1,
-                    c2,
-                    t + 1,
-                    req_or_zero(instance, 0, c1 + 1) + carried,
-                    Decision::FinishFirst,
-                );
-                relax(
-                    &mut table,
-                    c1,
-                    c2 + 1,
-                    t + 1,
-                    carried + req_or_zero(instance, 1, c2 + 1),
-                    Decision::FinishSecond,
-                );
-            }
-        }
-    }
-    Ok(table)
-}
-
 /// The optimal makespan for a two-processor unit-size instance, computed by
-/// the dense dynamic program of Algorithm 1.
-///
-/// Runs on the flat scaled-integer table whenever the instance's requirement
-/// denominators admit a `u64` LCM, falling back to the rational table
-/// otherwise.
+/// the dense dynamic program of Algorithm 1 on the instance's unit grid
+/// (`u64`, widened to `u128` when it overflows).
 ///
 /// # Panics
 ///
 /// Panics if the instance does not have exactly two processors or contains
-/// non-unit job sizes.
+/// non-unit job sizes, or if its unit grid overflows `u128`.
 #[must_use]
 pub fn opt_two_makespan(instance: &Instance) -> usize {
     assert_two_unit_processors(instance);
-    match ScaledInstance::try_new(instance) {
-        Some(scaled) => ScaledDpTable::compute(&scaled).makespan(),
-        None => opt_two_makespan_rational(instance),
-    }
-}
-
-/// The original `Ratio`-arithmetic dense dynamic program (reference path).
-///
-/// Kept so property tests can cross-check the scaled table and as the
-/// fallback for instances whose denominator LCM overflows `u64`.
-///
-/// # Panics
-///
-/// Panics if the instance does not have exactly two processors or contains
-/// non-unit job sizes.
-#[must_use]
-pub fn opt_two_makespan_rational(instance: &Instance) -> usize {
-    assert_two_unit_processors(instance);
-    let table = run_dp(instance);
-    table[instance.jobs_on(0)][instance.jobs_on(1)]
-        .expect("final DP cell is always reachable")
-        .t
+    let narrow = ScaledInstance::try_new(instance);
+    on_grid!(auto_grid("OptTwo", instance, narrow.as_ref()), |scaled| {
+        ScaledDpTable::compute(scaled).makespan()
+    })
 }
 
 /// Sparse variant of [`opt_two_makespan`]: cells are held in a hash map and
 /// only reachable cells are expanded, mirroring the priority-queue
-/// implementation discussed after Theorem 5.  Produces the same value as the
-/// dense dynamic program.
+/// implementation discussed after Theorem 5.  It runs in exact `Ratio`
+/// arithmetic, so it shares no code with the integer DP it cross-checks.
 #[must_use]
 pub fn opt_two_makespan_sparse(instance: &Instance) -> usize {
     assert_two_unit_processors(instance);
@@ -504,85 +362,60 @@ pub fn opt_two_makespan_sparse(instance: &Instance) -> usize {
     cells[&(n1, n2)].0
 }
 
-/// Back-traces the scaled DP table into the forward decision sequence (the
-/// hot path of [`OptTwo::schedule`]).
-pub(crate) fn scaled_decisions(scaled: &ScaledInstance) -> Vec<Decision> {
-    scaled_decisions_cancellable(scaled, &CancelToken::never())
-        // lint: allow(panic_hygiene) — a never-token cannot fire
-        .expect("never-token cannot fire")
-}
-
-/// [`scaled_decisions`] under a [`CancelToken`] (the DP fill polls it; the
-/// back-trace itself is `O(n1 + n2)`).
-pub(crate) fn scaled_decisions_cancellable(
-    scaled: &ScaledInstance,
-    token: &CancelToken,
-) -> Result<Vec<Decision>, CancelReason> {
-    Ok(ScaledDpTable::compute_cancellable(scaled, token)?.decisions())
-}
-
-/// Replays a DP decision sequence into an explicit resource assignment,
-/// tracking the exact remaining requirement of both frontier jobs.
-pub(crate) fn replay_decisions(instance: &Instance, decisions: Vec<Decision>) -> Schedule {
-    let mut builder = ScheduleBuilder::new(instance);
+/// Replays a DP decision sequence, in units of `scaled`'s grid, into an
+/// explicit resource assignment: each step hands a finishing frontier job
+/// what it still needs and the other one the leftover, capped at its need.
+/// Each share is converted to a [`Ratio`] once, as `units / D`.
+///
+/// # Panics
+///
+/// Panics if a step hands out more than the capacity, or if the decisions
+/// leave a job unfinished (the checks the `Ratio` schedule builder of
+/// `cr_core` makes).
+pub(crate) fn replay_decisions<V: SearchUnit>(
+    scaled: &ScaledInstance<V>,
+    decisions: &[Decision],
+) -> Schedule {
+    let cap = scaled.capacity();
+    let req = |p: usize, c: usize| scaled.row(p).get(c).copied().unwrap_or(V::ZERO);
+    let mut done = [0usize; 2];
+    // What each processor's frontier job still needs.
+    let mut rem = [req(0, 0), req(1, 0)];
+    let mut steps = Vec::with_capacity(decisions.len());
     // lint: allow(cancel_coverage) — bounded: replays one step per decision of the already-gated DP
-    for decision in decisions {
-        let v0 = builder.remaining_workload(0);
-        let v1 = builder.remaining_workload(1);
+    for &decision in decisions {
         let shares = match decision {
-            Decision::AdvanceBoth => {
-                debug_assert!(v0 + v1 <= Ratio::ONE);
-                vec![v0, v1]
-            }
-            Decision::FinishFirst => {
-                let leftover = (Ratio::ONE - v0).min(v1).max(Ratio::ZERO);
-                vec![v0, leftover]
-            }
-            Decision::FinishSecond => {
-                let leftover = (Ratio::ONE - v1).min(v0).max(Ratio::ZERO);
-                vec![leftover, v1]
-            }
+            Decision::AdvanceBoth => rem,
+            Decision::FinishFirst => [rem[0], cap.sub(rem[0]).min(rem[1])],
+            Decision::FinishSecond => [cap.sub(rem[1]).min(rem[0]), rem[1]],
         };
-        builder.push_step(shares);
-    }
-    builder.finish()
-}
-
-/// Back-traces the rational DP table into the forward decision sequence
-/// (reference / fallback path of [`OptTwo::schedule`]).
-pub(crate) fn rational_decisions(instance: &Instance) -> Vec<Decision> {
-    rational_decisions_cancellable(instance, &CancelToken::never())
-        // lint: allow(panic_hygiene) — a never-token cannot fire
-        .expect("never-token cannot fire")
-}
-
-/// [`rational_decisions`] under a [`CancelToken`] (the DP fill polls it;
-/// the back-trace itself is `O(n1 + n2)`).
-pub(crate) fn rational_decisions_cancellable(
-    instance: &Instance,
-    token: &CancelToken,
-) -> Result<Vec<Decision>, CancelReason> {
-    let n1 = instance.jobs_on(0);
-    let n2 = instance.jobs_on(1);
-    let table = run_dp_cancellable(instance, token)?;
-    let mut decisions = Vec::new();
-    let (mut c1, mut c2) = (n1, n2);
-    // lint: allow(cancel_coverage) — back-trace: every step decrements c1 + c2, so at most n1 + n2 iterations after the gated DP fill
-    while let Some(cell) = table[c1][c2] {
-        let Some(decision) = cell.decision else { break };
-        decisions.push(decision);
-        match decision {
-            Decision::AdvanceBoth => {
-                c1 -= 1;
-                c2 -= 1;
+        let total = shares[0].units() + shares[1].units();
+        assert!(
+            shares.iter().all(|&share| share <= cap) && total <= cap.units(),
+            "replayed step overuses the resource: {total} units assigned, capacity {cap:?}"
+        );
+        // lint: allow(cancel_coverage) — bounded: the two processors
+        for p in 0..2 {
+            if done[p] == scaled.jobs_on(p) {
+                continue;
             }
-            Decision::FinishFirst => c1 -= 1,
-            Decision::FinishSecond => c2 -= 1,
+            // A free job finishes in any step; any other job once its
+            // share covers what it still needs.
+            if req(p, done[p]) == V::ZERO || shares[p] >= rem[p] {
+                done[p] += 1;
+                rem[p] = req(p, done[p]);
+            } else {
+                rem[p] = rem[p].sub(shares[p]);
+            }
         }
+        steps.push(shares.iter().map(|&share| share.ratio_of(cap)).collect());
     }
-    assert_eq!((c1, c2), (0, 0), "back-trace must reach the origin");
-    decisions.reverse();
-    Ok(decisions)
+    assert_eq!(
+        done,
+        [scaled.jobs_on(0), scaled.jobs_on(1)],
+        "the replayed decisions must finish every job"
+    );
+    Schedule::new(steps)
 }
 
 impl Scheduler for OptTwo {
@@ -590,15 +423,19 @@ impl Scheduler for OptTwo {
         "OptResAssignment(m=2)"
     }
 
-    /// Runs the dynamic program and reconstructs an optimal schedule by
-    /// back-tracing the table and replaying the per-step decisions.
+    /// Runs the dynamic program on the instance's unit grid and
+    /// reconstructs an optimal schedule by back-tracing the table and
+    /// replaying the per-step decisions.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`opt_two_makespan`] does.
     fn schedule(&self, instance: &Instance) -> Schedule {
         assert_two_unit_processors(instance);
-        let decisions = match ScaledInstance::try_new(instance) {
-            Some(scaled) => scaled_decisions(&scaled),
-            None => rational_decisions(instance),
-        };
-        replay_decisions(instance, decisions)
+        let narrow = ScaledInstance::try_new(instance);
+        on_grid!(auto_grid("OptTwo", instance, narrow.as_ref()), |scaled| {
+            replay_decisions(scaled, &ScaledDpTable::compute(scaled).decisions())
+        })
     }
 }
 
@@ -665,8 +502,15 @@ mod tests {
         }
     }
 
+    /// The `u128` grid of `inst`.
+    fn wide(inst: &Instance) -> ScaledInstance<u128> {
+        ScaledInstance::try_on_grid(inst).expect("grid fits u128")
+    }
+
     #[test]
     fn scaled_and_rational_paths_agree() {
+        // The integer DP on both grid widths against the sparse DP, which
+        // runs in `Ratio` arithmetic; both widths replay one schedule.
         let instances = vec![
             Instance::unit_from_percentages(&[&[60, 40, 80], &[30, 90, 10]]),
             Instance::unit_from_percentages(&[&[100, 1, 100, 1], &[1, 100, 1, 100]]),
@@ -675,32 +519,52 @@ mod tests {
         ];
         for inst in instances {
             let scaled = opt_two_makespan(&inst);
-            assert_eq!(scaled, opt_two_makespan_rational(&inst), "{inst}");
-            assert_eq!(
-                OptTwo::new().schedule(&inst).makespan(&inst).unwrap(),
-                scaled
-            );
+            assert_eq!(scaled, opt_two_makespan_sparse(&inst), "{inst}");
+            let wide = wide(&inst);
+            let table = ScaledDpTable::compute(&wide);
+            assert_eq!(table.makespan(), scaled, "{inst}");
+            let schedule = OptTwo::new().schedule(&inst);
+            assert_eq!(schedule.makespan(&inst).unwrap(), scaled);
+            assert_eq!(replay_decisions(&wide, &table.decisions()), schedule);
         }
     }
 
     #[test]
     fn dp_sweeps_poll_cancellation_mid_table() {
         // Deterministic mid-sweep check: a pre-cancelled token on a table
-        // larger than the poll stride must stop both DP engines inside the
-        // cell loop (neither back-trace entry point re-checks up front).
+        // larger than the poll stride must stop the DP on both grid widths
+        // inside the cell loop (the fill does not re-check up front).
         let reqs: Vec<i64> = (0..120).map(|j| 1 + j % 97).collect();
         let chain: Vec<&[i64]> = vec![&reqs, &reqs];
         let inst = Instance::unit_from_percentages(&chain);
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        assert!(rational_decisions_cancellable(&inst, &cancelled).is_err());
         let scaled = ScaledInstance::try_new(&inst).unwrap();
-        assert!(scaled_decisions_cancellable(&scaled, &cancelled).is_err());
+        assert!(ScaledDpTable::compute_cancellable(&scaled, &cancelled).is_err());
+        let wide = wide(&inst);
+        assert!(ScaledDpTable::compute_cancellable(&wide, &cancelled).is_err());
         // A never-token reproduces the ungated result.
         assert_eq!(
-            rational_decisions_cancellable(&inst, &CancelToken::never()).unwrap(),
-            rational_decisions(&inst)
+            ScaledDpTable::compute_cancellable(&wide, &CancelToken::never())
+                .unwrap()
+                .decisions(),
+            ScaledDpTable::compute(&scaled).decisions()
         );
+    }
+
+    #[test]
+    fn wide_grids_solve_what_u64_cannot() {
+        // Three primes near 2^22: their LCM (~2^66) overflows the u64 grid.
+        let [p, q, r]: [i128; 3] = [4_194_271, 4_194_277, 4_194_287];
+        let inst = InstanceBuilder::new()
+            .processor([Ratio::new(p - 1, p), Ratio::new(1, q)])
+            .processor([Ratio::new(2, r), Ratio::new(q - 2, q)])
+            .build();
+        assert!(ScaledInstance::try_new(&inst).is_none());
+        let makespan = opt_two_makespan(&inst);
+        assert_eq!(makespan, opt_two_makespan_sparse(&inst));
+        let schedule = OptTwo::new().schedule(&inst);
+        assert_eq!(schedule.makespan(&inst).unwrap(), makespan);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! to the filter or to the emission order that moves any survivor set,
 //! round size, schedule or expansion count fails here.  The digests were
 //! recorded from the sorted-order filter, before it was regrouped by hash;
-//! the rational brute-force digest from the `Ratio` search that preceded
-//! the generic one, and the single-resource digest from the scalar `u64`
-//! engine the generic search absorbed.
+//! the brute-force digest from the `Ratio` search that preceded the generic
+//! one, and the single-resource digest from the scalar `u64` engine the
+//! generic search absorbed.  Each pin also runs the `u128` grid, which must
+//! reproduce what the retired `Ratio` view recorded.
 
-use crate::brute_force::brute_force_with_stats_rational;
-use crate::multi_engine::{run_search, search_cancellable, MultiView};
+use crate::multi_engine::{brute_force_cancellable, run_search, search_cancellable, MultiView};
 use cr_core::{CancelToken, Instance, InstanceBuilder, Ratio, ScaledInstance};
 
 /// SplitMix64: a fixed, dependency-free generator for the pinned inputs.
@@ -72,8 +72,8 @@ fn percents(row: &[u64]) -> Vec<Ratio> {
 
 /// 200 single-resource instances: 1–5 processors, chains of 0–4 jobs, ~30%
 /// zero-requirement jobs, so empty processors and free jobs are common.
-/// Instances of more than 12 jobs are redrawn, which keeps the rational
-/// search cheap in debug builds.
+/// Instances of more than 12 jobs are redrawn, which keeps the brute force
+/// cheap in debug builds.
 fn single_resource_instances() -> Vec<Instance> {
     let mut rng = SplitMix(0x5eed_0016);
     let mut instances = Vec::with_capacity(200);
@@ -117,8 +117,17 @@ fn two_resource_instances() -> Vec<Instance> {
         .collect()
 }
 
+/// The `u128` grid of `instance`.
+///
+/// # Panics
+///
+/// Panics if the grid overflows `u128`; no percent grid does.
+fn wide(instance: &Instance) -> ScaledInstance<u128> {
+    ScaledInstance::try_on_grid(instance).expect("percent grids scale")
+}
+
 /// The `u64` search's makespans, per-round survivor counts and replayed
-/// schedules on [`single_resource_instances`]; the `Ratio` search replays
+/// schedules on [`single_resource_instances`]; the `u128` search replays
 /// the same schedules.
 #[test]
 fn single_resource_searches_are_unchanged() {
@@ -134,26 +143,23 @@ fn single_resource_searches_are_unchanged() {
         for size in search.round_sizes() {
             digest.word(size as u64);
         }
-        let schedule = search.schedule(&units, &instance);
+        let schedule = search.schedule(&units);
         for step in schedule.steps() {
             for share in step {
                 digest.text(&share.to_string());
             }
         }
-        let ratios = MultiView::base_rational(&instance);
-        let rational = run_search(&ratios).expect("small searches fit");
-        assert_eq!(
-            rational.schedule(&ratios, &instance),
-            schedule,
-            "{instance}"
-        );
+        let wide = MultiView::base_scaled(&wide(&instance));
+        let wide_search = run_search(&wide).expect("small searches fit");
+        assert_eq!(wide_search.schedule(&wide), schedule, "{instance}");
     }
     assert_eq!(makespans, 642);
     assert_eq!(digest.0, 0xdb0d_1425_4def_89fe);
 }
 
 /// The multi-resource search's makespans and expansion counts on
-/// [`two_resource_instances`], on the unit grids and in exact rationals.
+/// [`two_resource_instances`], on the `u64` and the `u128` grids (the
+/// second half of the digest was recorded from the `Ratio` view).
 #[test]
 fn two_resource_searches_are_unchanged() {
     let never = CancelToken::never();
@@ -162,8 +168,8 @@ fn two_resource_searches_are_unchanged() {
     for instance in two_resource_instances() {
         let scaled = ScaledInstance::try_new(&instance).expect("percent grids scale");
         let units = search_cancellable(&MultiView::from_scaled(&scaled), None, &never);
-        let ratios = search_cancellable(&MultiView::rational(&instance), None, &never);
-        for search in [units, ratios] {
+        let wide = search_cancellable(&MultiView::from_scaled(&wide(&instance)), None, &never);
+        for search in [units, wide] {
             let search = search.expect("never token").expect("uncapped");
             makespans += search.makespan;
             digest.word(search.makespan as u64);
@@ -174,31 +180,35 @@ fn two_resource_searches_are_unchanged() {
     assert_eq!(digest.0, 0x171b_0fa2_a11f_c015);
 }
 
-/// The rational brute force's makespans, memoized states and expansions
-/// (reported on the wire as `rounds`) on [`single_resource_instances`].
+/// The brute force's makespans, memoized states and expansions (reported
+/// on the wire as `rounds`) on [`single_resource_instances`], on the
+/// `u128` grid; recorded from the `Ratio` view.
 #[test]
-fn single_resource_rational_brute_force_is_unchanged() {
+fn single_resource_wide_brute_force_is_unchanged() {
+    let never = CancelToken::never();
     let mut digest = Digest::new();
     let mut makespans = 0;
     for instance in single_resource_instances() {
-        let (makespan, stats) = brute_force_with_stats_rational(&instance);
+        let view = MultiView::base_scaled(&wide(&instance));
+        let (makespan, states, expansions) = brute_force_cancellable(&view, &never).unwrap();
         makespans += makespan;
         digest.word(makespan as u64);
-        digest.word(stats.states as u64);
-        digest.word(stats.expansions as u64);
+        digest.word(states as u64);
+        digest.word(expansions as u64);
     }
     assert_eq!(makespans, 642);
     assert_eq!(digest.0, 0xdea5_f807_a6ea_019d);
 }
 
-/// On one resource the `u64` and `Ratio` searches keep as many survivors
+/// On one resource the `u64` and `u128` searches keep as many survivors
 /// per round: the two enumerate the same successor sets.
 #[test]
 fn both_units_keep_the_same_round_sizes() {
     for instance in single_resource_instances() {
         let scaled = ScaledInstance::try_new(&instance).expect("percent grids scale");
         let units = run_search(&MultiView::base_scaled(&scaled)).expect("small searches fit");
-        let ratios = run_search(&MultiView::base_rational(&instance)).expect("small searches fit");
-        assert_eq!(units.round_sizes(), ratios.round_sizes(), "{instance}");
+        let wide =
+            run_search(&MultiView::base_scaled(&wide(&instance))).expect("small searches fit");
+        assert_eq!(units.round_sizes(), wide.round_sizes(), "{instance}");
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Historically each algorithm family had its own entry points: the
 //! infallible [`Scheduler`] trait for the polynomial schedulers, free
-//! functions (`opt_m_makespan` / `try_opt_m_makespan` /
-//! `opt_m_makespan_rational`, and the `opt_two_*` / `brute_force_*` twins)
-//! for the exact engines, and ad-hoc bound helpers.  This module replaces
+//! functions (`opt_m_makespan` / `try_opt_m_makespan`, and the
+//! `opt_two_*` / `brute_force_*` twins) for the exact engines, and ad-hoc
+//! bound helpers.  This module replaces
 //! that patchwork with one request/response interface:
 //!
 //! * [`SolveRequest`] — the instance, a string method selector (a registry
@@ -23,13 +23,10 @@
 //!
 //! # Engine preference and fallback contract
 //!
-//! Every offline method has two interchangeable cores: the scaled-integer
-//! hot path (`u64` units on the instance's denominator-LCM grid) and the
-//! exact `Ratio` reference path.  For `"OptM"` and `"BruteForce"` the two
-//! cores are one configuration search, the internal `multi_engine` module,
-//! run on either unit; it also answers every multi-resource (`k ≥ 2`)
-//! request of the exact methods.  [`EnginePreference`] selects between
-//! them:
+//! The six polynomial schedulers have two interchangeable cores: the
+//! scaled-integer hot path (`u64` units on the instance's denominator-LCM
+//! grid) and the exact `Ratio` reference path.  [`EnginePreference`]
+//! selects between them:
 //!
 //! * [`EnginePreference::Auto`] (the default) runs the scaled core whenever
 //!   the instance's grid fits `u64` and transparently falls back to the
@@ -43,12 +40,21 @@
 //!   methods in `cr-sim` are integer-native and reject this preference with
 //!   [`SolveError::EngineUnavailable`].
 //!
-//! Both cores produce identical makespans (enforced by the `proptest_scaled`
-//! suites), and `"OptM"` replays identical single-resource schedules on
-//! both, so the preference changes performance and failure modes, never
-//! values.  A configuration-search round that outgrows its `u32` positions
-//! fails with [`SolveError::RoundTooLarge`] on every preference: the two
-//! units share the positions, so there is nothing to fall back to.
+//! Both cores produce identical makespans (enforced by the
+//! `proptest_scaled_sched` suite), so the preference changes performance
+//! and failure modes, never values.
+//!
+//! The exact methods (`"OptTwo"`, `"OptM"`, `"BruteForce"`) run on integer
+//! grids only.  One grid choice serves every exact entry point: the
+//! instance's `u64` grid when it fits, else its `u128` grid, built per
+//! request and recorded in [`SolveOutcome::fallbacks`], else
+//! [`SolveError::GridOverflow`] ([`SolveError::ResourceOverflow`] at
+//! `k ≥ 2`).  `Scaled` takes the `u64` grid only; `Rational` runs like
+//! `Auto`; [`SolveOutcome::engine`] is [`Engine::Scaled`] on every answer.
+//! `"OptM"` and `"BruteForce"` run one configuration search, the internal
+//! `multi_engine` module, which also answers every multi-resource (`k ≥ 2`)
+//! request of the exact methods.  A configuration-search round that
+//! outgrows its `u32` positions fails with [`SolveError::RoundTooLarge`].
 //!
 //! # Budgets
 //!
@@ -58,13 +64,12 @@
 //! trivial lower bound, so a provably over-budget request fails before any
 //! work runs.  [`Budget::max_rounds`] applies only to the `"OptM"`
 //! configuration search (the one method with rounds; everyone else ignores
-//! it): both the scaled and the rational search genuinely stop expanding
-//! after that many rounds, so a deliberately over-budget request costs at
-//! most the capped expansion.  The polynomial schedulers always terminate
-//! in linear time, so their `max_steps` budget is verified on the finished
-//! schedule (a response-size contract, not a watchdog); the online
-//! simulator methods enforce `max_steps` as a hard step limit while
-//! simulating.
+//! it): the search genuinely stops expanding after that many rounds, so a
+//! deliberately over-budget request costs at most the capped expansion.
+//! The polynomial schedulers always terminate in linear time, so their
+//! `max_steps` budget is verified on the finished schedule (a
+//! response-size contract, not a watchdog); the online simulator methods
+//! enforce `max_steps` as a hard step limit while simulating.
 //!
 //! # OPT(m): the bound certificate before the search
 //!
@@ -75,15 +80,13 @@
 //! 2. `k ≥ 2` requests go to the multi-resource configuration search;
 //! 3. the request's [`CancelToken`] is checked once, so a fired token wins
 //!    over everything below;
-//! 4. the certificate: a makespan-only request on the `Auto` or `Scaled`
-//!    preference whose grid fits `u64` is answered without a search when a
-//!    GreedyBalance run on the integer grid ends exactly at
-//!    [`LowerBounds::trivial`] (`LB ≤ OPT ≤ UB = LB`).  The outcome equals
-//!    the scaled search's, field for field, and the `optm.certified`
-//!    counter records it;
-//! 5. the configuration search (Algorithm 2, Theorem 6) on the scaled
-//!    grid, or on exact `Ratio`s when requested or as the `Auto` grid
-//!    fallback.
+//! 4. the certificate: a makespan-only request whose grid fits `u64` is
+//!    answered without a search when a GreedyBalance run on the integer
+//!    grid ends exactly at [`LowerBounds::trivial`] (`LB ≤ OPT ≤ UB = LB`).
+//!    The outcome equals the search's, field for field, and the
+//!    `optm.certified` counter records it;
+//! 5. the configuration search (Algorithm 2, Theorem 6) on the grid choice
+//!    above.
 //!
 //! [`Budget::max_wall_ms`] is the one *time*-shaped knob: it derives a
 //! [`CancelToken`] deadline that every long-running loop observes within
@@ -93,14 +96,13 @@
 //! [`Solver::solve_cancellable`], so a dying connection also stops its
 //! in-flight work.
 
-use crate::brute_force::{brute_force_with_stats_rational_cancellable, SearchStats};
 use crate::greedy_balance::GreedyBalance;
 use crate::heuristics::{
     EqualShare, LargestRequirementFirst, ProportionalShare, SmallestRequirementFirst,
 };
 use crate::multi_engine::{self, MultiView, SearchError, SearchUnit};
 use crate::multi_sched::{self, PolyKind};
-use crate::opt_two;
+use crate::opt_two::{replay_decisions, ScaledDpTable};
 use crate::round_robin::RoundRobin;
 use crate::traits::Scheduler;
 use crate::OptM;
@@ -112,17 +114,19 @@ use cr_core::{
 use std::fmt;
 use std::sync::Arc;
 
-/// Which of a method's two cores a request may run on.
+/// Which of a method's two cores a request may run on (see the module docs
+/// for the exact methods, which run on integer grids only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnginePreference {
     /// Scaled-integer core when the grid fits, rational core otherwise
     /// (fallbacks recorded in [`SolveOutcome::fallbacks`]).  The default.
     #[default]
     Auto,
-    /// Scaled-integer core only; fails with [`SolveError::GridOverflow`]
-    /// instead of falling back.
+    /// Scaled-integer core on the `u64` grid only; fails with
+    /// [`SolveError::GridOverflow`] instead of falling back.
     Scaled,
-    /// The exact `Ratio` reference core only.
+    /// The exact `Ratio` reference core only; the exact methods run it like
+    /// [`EnginePreference::Auto`].
     Rational,
 }
 
@@ -141,7 +145,8 @@ impl EnginePreference {
 /// The core that actually produced a [`SolveOutcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The scaled-integer hot path.
+    /// The scaled-integer hot path (every exact answer, on either grid
+    /// width).
     Scaled,
     /// The exact `Ratio` reference path.
     Rational,
@@ -354,8 +359,9 @@ pub enum SolveError {
         /// The instance's processor count.
         found: usize,
     },
-    /// [`EnginePreference::Scaled`] was demanded but the instance's unit
-    /// grid overflows `u64`.
+    /// The instance's unit grid overflows the width the request may run
+    /// on: `u64` when [`EnginePreference::Scaled`] was demanded, `u128` for
+    /// an exact method on any preference.
     GridOverflow {
         /// The rejecting method.
         method: String,
@@ -427,9 +433,9 @@ pub enum SolveError {
         /// The instance's resource count.
         resources: usize,
     },
-    /// [`EnginePreference::Scaled`] was demanded but a resource layer's
-    /// unit grid overflows `u64` (the multi-resource analogue of
-    /// [`SolveError::GridOverflow`], which keeps naming the base grid).
+    /// A resource layer's unit grid overflows the width the request may run
+    /// on (the multi-resource analogue of [`SolveError::GridOverflow`],
+    /// which keeps naming the base grid).
     ResourceOverflow {
         /// The rejecting method.
         method: String,
@@ -506,8 +512,8 @@ impl fmt::Display for SolveError {
             ),
             SolveError::GridOverflow { method } => write!(
                 f,
-                "method {method}: the instance's unit grid overflows u64 and the scaled engine \
-                 was demanded (use the auto or rational engine preference)"
+                "method {method}: the instance's unit grid is too wide (past u64 on the scaled \
+                 engine preference, past u128 for an exact method on any preference)"
             ),
             SolveError::EngineUnavailable { method, engine } => {
                 write!(f, "method {method} has no {} engine core", engine.as_str())
@@ -550,8 +556,8 @@ impl fmt::Display for SolveError {
             ),
             SolveError::ResourceOverflow { method } => write!(
                 f,
-                "method {method}: a resource layer's unit grid overflows u64 and the scaled \
-                 engine was demanded (use the auto or rational engine preference)"
+                "method {method}: a resource layer's unit grid is too wide (past u64 on the \
+                 scaled engine preference, past u128 for an exact method on any preference)"
             ),
         }
     }
@@ -591,7 +597,8 @@ impl From<ScheduleError> for SolveError {
 /// for the conversion once.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    /// The exact engines' scaled conversion (`None`: grid overflows `u64`).
+    /// The exact engines' `u64` grid (`None`: it overflows, and the exact
+    /// methods widen to `u128` per request).
     pub scaled: Option<Arc<ScaledInstance>>,
     /// Whether the scheduling layer's (requirement × workload) unit grid is
     /// representable — the gate the polynomial schedulers route on.
@@ -731,6 +738,81 @@ fn reject_multi_schedule(method: &str, request: &SolveRequest) -> Result<(), Sol
         });
     }
     Ok(())
+}
+
+/// The integer grid an exact method solves one request on.
+pub(crate) enum ExactGrid<'a> {
+    /// The instance's `u64` grid ([`Prepared::scaled`]).
+    Narrow(&'a ScaledInstance),
+    /// Its `u128` grid, built per request when the `u64` grid overflows.
+    Wide(ScaledInstance<u128>),
+}
+
+/// Evaluates `$body` with `$scaled` bound to an [`ExactGrid`]'s
+/// `&ScaledInstance<V>`, monomorphised once per unit (`u64` and `u128`).
+macro_rules! on_grid {
+    ($grid:expr, |$scaled:ident| $body:expr) => {
+        match $grid {
+            $crate::solver::ExactGrid::Narrow($scaled) => $body,
+            $crate::solver::ExactGrid::Wide(ref $scaled) => $body,
+        }
+    };
+}
+pub(crate) use on_grid;
+
+/// The one grid choice of the exact methods: `narrow` (the `u64` grid)
+/// when present; else, unless `engine` demands the scaled `u64` core, the
+/// instance's `u128` grid, with the widening recorded as a fallback; else
+/// [`SolveError::GridOverflow`], or [`SolveError::ResourceOverflow`] on a
+/// multi-resource instance.
+pub(crate) fn exact_grid<'a>(
+    method: &str,
+    engine: EnginePreference,
+    instance: &Instance,
+    narrow: Option<&'a ScaledInstance>,
+) -> Result<(ExactGrid<'a>, Vec<String>), SolveError> {
+    if let Some(narrow) = narrow {
+        return Ok((ExactGrid::Narrow(narrow), Vec::new()));
+    }
+    let multi = instance.resources() > 1;
+    let wide = match engine {
+        EnginePreference::Scaled => None,
+        EnginePreference::Auto | EnginePreference::Rational => {
+            ScaledInstance::try_on_grid(instance)
+        }
+    };
+    match (wide, multi) {
+        (Some(wide), false) => Ok((
+            ExactGrid::Wide(wide),
+            vec!["unit grid overflows u64: widened to u128".to_string()],
+        )),
+        (Some(wide), true) => Ok((
+            ExactGrid::Wide(wide),
+            vec!["a resource layer's unit grid overflows u64: widened to u128".to_string()],
+        )),
+        (None, false) => Err(SolveError::GridOverflow {
+            method: method.to_string(),
+        }),
+        (None, true) => Err(SolveError::ResourceOverflow {
+            method: method.to_string(),
+        }),
+    }
+}
+
+/// [`exact_grid`] on the `Auto` preference: the grid of the exact free
+/// functions, given the instance's `u64` grid if it has one.
+///
+/// # Panics
+///
+/// Panics if the instance's unit grid overflows `u128`.
+pub(crate) fn auto_grid<'a>(
+    method: &str,
+    instance: &Instance,
+    narrow: Option<&'a ScaledInstance>,
+) -> ExactGrid<'a> {
+    exact_grid(method, EnginePreference::Auto, instance, narrow)
+        .map(|(grid, _)| grid)
+        .unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// The shared engine-routing contract of the scheduling-layer methods:
@@ -877,7 +959,6 @@ fn solve_exact_multi(
     token: &CancelToken,
 ) -> Result<SolveOutcome, SolveError> {
     reject_multi_schedule(method, request)?;
-    let instance = &request.instance;
     let round_cap = if method == "OptM" {
         precheck_cap(
             method,
@@ -889,44 +970,24 @@ fn solve_exact_multi(
     } else {
         None
     };
-    let (engine, fallbacks, result) = match (request.engine, &prepared.scaled) {
-        (EnginePreference::Scaled, None) => {
-            return Err(SolveError::ResourceOverflow {
-                method: method.to_string(),
-            })
-        }
-        (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => {
-            let view = MultiView::from_scaled(scaled);
-            (
-                Engine::Scaled,
-                Vec::new(),
-                multi_engine::search_cancellable(&view, round_cap, token)?,
-            )
-        }
-        (EnginePreference::Auto, None) => {
-            let view = MultiView::rational(instance);
-            (
-                Engine::Rational,
-                vec![multi_grid_fallback_note()],
-                multi_engine::search_cancellable(&view, round_cap, token)?,
-            )
-        }
-        (EnginePreference::Rational, _) => {
-            let view = MultiView::rational(instance);
-            (
-                Engine::Rational,
-                Vec::new(),
-                multi_engine::search_cancellable(&view, round_cap, token)?,
-            )
-        }
-    };
+    let (grid, fallbacks) = exact_grid(
+        method,
+        request.engine,
+        &request.instance,
+        prepared.scaled.as_deref(),
+    )?;
+    let result = on_grid!(grid, |scaled| multi_engine::search_cancellable(
+        &MultiView::from_scaled(scaled),
+        round_cap,
+        token
+    ))?;
     let Some(found) = result else {
         return Err(rounds_exhausted(method, &request.budget));
     };
     check_steps_budget(method, &request.budget, found.makespan)?;
     Ok(SolveOutcome {
         method: method.to_string(),
-        engine,
+        engine: Engine::Scaled,
         fallbacks,
         makespan: Some(found.makespan),
         steps: 0,
@@ -1037,36 +1098,20 @@ impl Solver for OptTwo {
             return solve_exact_multi(METHOD, request, prepared, &token);
         }
 
-        let (engine, fallbacks, decisions) = match (request.engine, &prepared.scaled) {
-            (EnginePreference::Scaled, None) => {
-                return Err(SolveError::GridOverflow {
-                    method: METHOD.to_string(),
-                })
-            }
-            (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => (
-                Engine::Scaled,
-                Vec::new(),
-                opt_two::scaled_decisions_cancellable(scaled, &token)?,
-            ),
-            (EnginePreference::Auto, None) => (
-                Engine::Rational,
-                vec![grid_fallback_note()],
-                opt_two::rational_decisions_cancellable(instance, &token)?,
-            ),
-            (EnginePreference::Rational, _) => (
-                Engine::Rational,
-                Vec::new(),
-                opt_two::rational_decisions_cancellable(instance, &token)?,
-            ),
-        };
-        let makespan = decisions.len();
-        check_steps_budget(METHOD, &request.budget, makespan)?;
-        let schedule = request
-            .want_schedule
-            .then(|| opt_two::replay_decisions(instance, decisions));
+        let (grid, fallbacks) =
+            exact_grid(METHOD, request.engine, instance, prepared.scaled.as_deref())?;
+        let (makespan, schedule) = on_grid!(grid, |scaled| {
+            let table = ScaledDpTable::compute_cancellable(scaled, &token)?;
+            let makespan = table.makespan();
+            check_steps_budget(METHOD, &request.budget, makespan)?;
+            let schedule = request
+                .want_schedule
+                .then(|| replay_decisions(scaled, &table.decisions()));
+            (makespan, schedule)
+        });
         Ok(SolveOutcome {
             method: METHOD.to_string(),
-            engine,
+            engine: Engine::Scaled,
             fallbacks,
             makespan: Some(makespan),
             steps: schedule.as_ref().map_or(0, Schedule::num_steps),
@@ -1133,16 +1178,12 @@ impl Solver for OptM {
 /// ends exactly at the trivial bound, `LB ≤ OPT ≤ UB = LB` proves it
 /// optimal without the configuration search.  The outcome is the one the
 /// scaled search would report: that search reaches the makespan in exactly
-/// as many rounds.  `None` — search instead — for schedule requests, the
-/// rational preference, an overflowing grid, instances whose bounds do not
-/// meet, and `k ≥ 2`: that step class is not yet exact, so its answers
-/// stay the class search's, on which the exact methods agree.
+/// as many rounds.  `None` — search instead — for schedule requests, a
+/// grid that overflows `u64`, instances whose bounds do not meet, and
+/// `k ≥ 2`: that step class is not yet exact, so its answers stay the class
+/// search's, on which the exact methods agree.
 fn certify_opt_m(request: &SolveRequest, prepared: &Prepared) -> Option<SolveOutcome> {
-    if request.instance.resources() > 1
-        || request.want_schedule
-        || request.engine == EnginePreference::Rational
-        || prepared.scaled.is_none()
-    {
+    if request.instance.resources() > 1 || request.want_schedule || prepared.scaled.is_none() {
         return None;
     }
     let makespan = multi_sched::multi_makespan_scaled(PolyKind::GreedyBalance, &request.instance)?;
@@ -1160,51 +1201,31 @@ fn certify_opt_m(request: &SolveRequest, prepared: &Prepared) -> Option<SolveOut
     })
 }
 
-/// The `k = 1` `"OptM"` configuration search: on the instance's `u64` grid
-/// when the preference and the grid allow it, over exact `Ratio`s otherwise
-/// (requested, or the `Auto` grid fallback).
+/// The `k = 1` `"OptM"` configuration search on the grid choice.
 fn search_opt_m(
     request: &SolveRequest,
     prepared: &Prepared,
     token: &CancelToken,
 ) -> Result<SolveOutcome, SolveError> {
-    let rational = || MultiView::base_rational(&request.instance);
-    match (request.engine, &prepared.scaled) {
-        (EnginePreference::Scaled, None) => Err(SolveError::GridOverflow {
-            method: "OptM".to_string(),
-        }),
-        (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => opt_m_outcome(
-            &MultiView::base_scaled(scaled),
-            Engine::Scaled,
-            Vec::new(),
-            request,
-            prepared,
-            token,
-        ),
-        (EnginePreference::Auto, None) => opt_m_outcome(
-            &rational(),
-            Engine::Rational,
-            vec![grid_fallback_note()],
-            request,
-            prepared,
-            token,
-        ),
-        (EnginePreference::Rational, _) => opt_m_outcome(
-            &rational(),
-            Engine::Rational,
-            Vec::new(),
-            request,
-            prepared,
-            token,
-        ),
-    }
+    let (grid, fallbacks) = exact_grid(
+        "OptM",
+        request.engine,
+        &request.instance,
+        prepared.scaled.as_deref(),
+    )?;
+    on_grid!(grid, |scaled| opt_m_outcome(
+        &MultiView::base_scaled(scaled),
+        fallbacks,
+        request,
+        prepared,
+        token
+    ))
 }
 
 /// Runs the `k = 1` `"OptM"` search on `view`, round-capped and
-/// interruptible, and reports it as produced by `engine`.
+/// interruptible.
 fn opt_m_outcome<V: SearchUnit>(
     view: &MultiView<V>,
-    engine: Engine,
     fallbacks: Vec<String>,
     request: &SolveRequest,
     prepared: &Prepared,
@@ -1218,12 +1239,10 @@ fn opt_m_outcome<V: SearchUnit>(
     };
     let makespan = search.makespan();
     check_steps_budget(METHOD, &request.budget, makespan)?;
-    let schedule = request
-        .want_schedule
-        .then(|| search.schedule(view, &request.instance));
+    let schedule = request.want_schedule.then(|| search.schedule(view));
     Ok(SolveOutcome {
         method: METHOD.to_string(),
-        engine,
+        engine: Engine::Scaled,
         fallbacks,
         makespan: Some(makespan),
         steps: schedule.as_ref().map_or(0, Schedule::num_steps),
@@ -1281,39 +1300,19 @@ impl Solver for BruteForceSolver {
             return solve_exact_multi(METHOD, request, prepared, &token);
         }
 
-        let (engine, fallbacks, makespan, stats) = match (request.engine, &prepared.scaled) {
-            (EnginePreference::Scaled, None) => {
-                return Err(SolveError::GridOverflow {
-                    method: METHOD.to_string(),
-                })
-            }
-            (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => {
-                let (value, states, expansions) =
-                    multi_engine::brute_force_cancellable(&MultiView::base_scaled(scaled), &token)?;
-                (
-                    Engine::Scaled,
-                    Vec::new(),
-                    value,
-                    SearchStats { states, expansions },
-                )
-            }
-            (EnginePreference::Auto, None) => {
-                let (value, stats) = brute_force_with_stats_rational_cancellable(instance, &token)?;
-                (Engine::Rational, vec![grid_fallback_note()], value, stats)
-            }
-            (EnginePreference::Rational, _) => {
-                let (value, stats) = brute_force_with_stats_rational_cancellable(instance, &token)?;
-                (Engine::Rational, Vec::new(), value, stats)
-            }
-        };
+        let (grid, fallbacks) =
+            exact_grid(METHOD, request.engine, instance, prepared.scaled.as_deref())?;
+        let (makespan, _states, expansions) = on_grid!(grid, |scaled| {
+            multi_engine::brute_force_cancellable(&MultiView::base_scaled(scaled), &token)
+        })?;
         check_steps_budget(METHOD, &request.budget, makespan)?;
         Ok(SolveOutcome {
             method: METHOD.to_string(),
-            engine,
+            engine: Engine::Scaled,
             fallbacks,
             makespan: Some(makespan),
             steps: 0,
-            rounds: stats.expansions,
+            rounds: expansions,
             schedule: None,
             lower_bounds: prepared.lower_bounds,
         })
@@ -1605,7 +1604,14 @@ mod tests {
                 .unwrap();
             assert_eq!(auto.makespan, scaled.makespan, "{method}");
             assert_eq!(auto.makespan, rational.makespan, "{method}");
-            assert_eq!(rational.engine, Engine::Rational);
+            // The exact methods run on integer grids only: `rational` runs
+            // like `auto` there.
+            let want = if method == "GreedyBalance" {
+                Engine::Rational
+            } else {
+                Engine::Scaled
+            };
+            assert_eq!(rational.engine, want, "{method}");
             assert_eq!(scaled.engine, Engine::Scaled);
         }
     }
@@ -1654,11 +1660,11 @@ mod tests {
             .unwrap();
         assert_eq!(ok.makespan, Some(3));
 
-        // The rational reference search honors the cap too — the capped
-        // entry point (checked directly, below the precheck layer) stops
-        // expanding at the cap instead of running to completion, and the
-        // registry path reports the same structured error.
-        let view = MultiView::base_rational(&inst);
+        // The u128 search honors the cap too — the capped entry point
+        // (checked directly, below the precheck layer) stops expanding at
+        // the cap instead of running to completion, and the registry path
+        // reports the same structured error.
+        let view = MultiView::base_scaled(&ScaledInstance::<u128>::try_on_grid(&inst).unwrap());
         let never = CancelToken::never();
         let capped = |cap| multi_engine::search_cancellable(&view, Some(cap), &never).unwrap();
         assert_eq!(capped(1), None);
@@ -1763,10 +1769,54 @@ mod tests {
         assert_eq!(err.kind(), "grid_overflow");
 
         let auto = reg
-            .solve(&SolveRequest::new("GreedyBalance", inst))
+            .solve(&SolveRequest::new("GreedyBalance", inst.clone()))
             .unwrap();
         assert_eq!(auto.engine, Engine::Rational);
         assert_eq!(auto.fallbacks.len(), 1, "fallback recorded");
+
+        // The exact methods widen to the u128 grid instead, on auto and on
+        // rational alike, and record the widening.
+        for method in ["OptM", "BruteForce"] {
+            let request = SolveRequest::new(method, inst.clone());
+            let err = reg
+                .solve(&request.clone().with_engine(EnginePreference::Scaled))
+                .unwrap_err();
+            assert_eq!(err.kind(), "grid_overflow", "{method}");
+            for engine in [EnginePreference::Auto, EnginePreference::Rational] {
+                let wide = reg.solve(&request.clone().with_engine(engine)).unwrap();
+                assert_eq!(wide.engine, Engine::Scaled, "{method}");
+                assert_eq!(wide.makespan, Some(1), "{method}");
+                assert_eq!(
+                    wide.fallbacks,
+                    ["unit grid overflows u64: widened to u128"],
+                    "{method}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exact_methods_refuse_grids_past_u128() {
+        // The grid 1/(2^127 − 1) fits i128, but (jobs + m) = 5 times it
+        // overflows u128.
+        let inst = Instance::unit_from_requirements(vec![
+            vec![Ratio::new(1, i128::MAX), Ratio::ZERO],
+            vec![Ratio::ZERO],
+        ]);
+        assert!(ScaledInstance::<u128>::try_on_grid(&inst).is_none());
+        let reg = registry();
+        for method in ["OptTwo", "OptM", "BruteForce"] {
+            for engine in [
+                EnginePreference::Auto,
+                EnginePreference::Scaled,
+                EnginePreference::Rational,
+            ] {
+                let err = reg
+                    .solve(&SolveRequest::new(method, inst.clone()).with_engine(engine))
+                    .unwrap_err();
+                assert_eq!(err.kind(), "grid_overflow", "{method}/{engine:?}");
+            }
+        }
     }
 
     #[test]
@@ -1844,8 +1894,8 @@ mod tests {
             assert_eq!(err.kind(), "deadline_exceeded", "{method}");
             assert!(err.to_string().contains("cancelled externally"));
         }
-        // A zero-millisecond wall budget fires the deadline reason, and the
-        // rational core observes it too (no fallback-and-retry).
+        // A zero-millisecond wall budget fires the deadline reason on every
+        // preference (no fallback-and-retry).
         for engine in [EnginePreference::Auto, EnginePreference::Rational] {
             let req = SolveRequest::new("OptM", inst.clone())
                 .with_engine(engine)
@@ -1884,10 +1934,9 @@ mod tests {
     fn opt_two_honors_deadlines_mid_dp() {
         // Regression: OptTwo used to inherit the default entry-check-only
         // cancellation, so a deadline that fired after the first cell never
-        // stopped the `O(n1·n2)` table fill.  Both DP engines now poll a
-        // strided gate inside the sweep: on a ~9M-cell table a 1ms deadline
-        // passes the entry check but must be caught mid-fill (the rational
-        // Ratio-arithmetic sweep alone would otherwise run for seconds).
+        // stopped the `O(n1·n2)` table fill.  The DP now polls a strided
+        // gate inside the sweep: on a ~9M-cell table a 1ms deadline passes
+        // the entry check but must be caught mid-fill, on every preference.
         let reg = registry();
         let reqs: Vec<i64> = (0..3000).map(|j| 1 + j % 97).collect();
         let chain: Vec<&[i64]> = vec![&reqs, &reqs];
@@ -2035,9 +2084,10 @@ mod tests {
 
     #[test]
     fn multi_resource_layer_overflow_routes_like_grid_overflow() {
-        // A layer requirement with a 2^63 denominator makes the layer grid
-        // unrepresentable: Scaled fails with resource_overflow, Auto falls
-        // back to the rational stepper and records the fallback.
+        // A layer requirement with a 2^63 denominator makes the layer's u64
+        // grid unrepresentable: Scaled fails with resource_overflow, Auto
+        // falls back to the rational stepper (heuristics) or widens to the
+        // u128 grid (exact methods) and records it.
         let huge = Ratio::new(1, 1i128 << 63);
         let inst = cr_core::InstanceBuilder::new()
             .processor([Ratio::from_percent(50)])
@@ -2045,7 +2095,7 @@ mod tests {
             .extra_layer([vec![huge], vec![huge]])
             .build();
         let reg = registry();
-        for method in ["EqualShare", "OptM"] {
+        for (method, engine) in [("EqualShare", Engine::Rational), ("OptM", Engine::Scaled)] {
             let err = reg
                 .solve(
                     &SolveRequest::new(method, inst.clone()).with_engine(EnginePreference::Scaled),
@@ -2053,7 +2103,7 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err.kind(), "resource_overflow", "{method}");
             let auto = reg.solve(&SolveRequest::new(method, inst.clone())).unwrap();
-            assert_eq!(auto.engine, Engine::Rational, "{method}");
+            assert_eq!(auto.engine, engine, "{method}");
             assert_eq!(auto.fallbacks.len(), 1, "{method}");
         }
     }
@@ -2102,7 +2152,7 @@ mod tests {
     }
 
     #[test]
-    fn certificate_skips_schedule_rational_and_multi_resource_requests() {
+    fn certificate_skips_schedule_and_multi_resource_requests() {
         let inst = fig_like();
         let prepared = Prepared::new(&inst);
         let plain = SolveRequest::new("OptM", inst);
@@ -2111,8 +2161,9 @@ mod tests {
             "fig_like certifies"
         );
         assert!(certify_opt_m(&plain.clone().with_schedule(), &prepared).is_none());
+        // `rational` runs like `auto` on the exact methods.
         let rational = plain.with_engine(EnginePreference::Rational);
-        assert!(certify_opt_m(&rational, &prepared).is_none());
+        assert!(certify_opt_m(&rational, &prepared).is_some());
 
         // GreedyBalance meets the trivial bound here too, but a k ≥ 2
         // answer comes from the class search.

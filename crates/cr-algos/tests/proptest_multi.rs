@@ -7,10 +7,11 @@
 //!   paths, so every registry method must produce a byte-identical
 //!   [`Result`] (outcome *or* error) to the legacy construction, under both
 //!   the scaled and the rational engine preference, schedules included;
-//! * **cross-engine agreement** — on genuine `k = 2` instances the scaled
-//!   per-layer grids and the exact rational arithmetic must report the same
-//!   makespan for OPT(m), OptTwo and brute force (all three share one
-//!   generic search, so agreement exercises the grids, not the class);
+//! * **exact-method agreement** — on genuine `k = 2` instances OPT(m) and
+//!   OptTwo must report the makespan of the memoized brute force, which
+//!   explores the same step class without the domination filter, on every
+//!   engine preference (the `u64` and `u128` grids are compared in
+//!   `multi_engine`'s own tests);
 //! * **zero-layer neutrality** — an all-zero extra layer adds no
 //!   constraints, so the exact multi optimum equals the scalar optimum.
 
@@ -77,7 +78,7 @@ proptest! {
     }
 
     #[test]
-    fn multi_exact_engines_agree_across_grids(
+    fn multi_exact_methods_agree_with_brute_force(
         den in 1u64..=12,
         base in prop::collection::vec(prop::collection::vec(0u64..=100, 2..=2), 2..=3),
         extra_pcts in prop::collection::vec(0u64..=100, 6..=6),
@@ -90,22 +91,21 @@ proptest! {
         ])
         .expect("layers share the 2-job grid");
         let reg = registry();
-        let methods: &[&str] = if m == 2 { &["OptM", "BruteForce", "OptTwo"] } else { &["OptM", "BruteForce"] };
-        let mut first: Option<usize> = None;
+        let solve = |method: &str, engine: EnginePreference| {
+            reg.solve(&SolveRequest::new(method, inst.clone()).with_engine(engine))
+                .unwrap_or_else(|e| panic!("{method}/{engine:?}: {e}"))
+                .makespan
+                .expect("exact methods report makespans")
+        };
+        let brute = solve("BruteForce", EnginePreference::Scaled);
+        let methods: &[&str] = if m == 2 { &["OptM", "OptTwo"] } else { &["OptM"] };
         for &method in methods {
             for engine in [EnginePreference::Scaled, EnginePreference::Rational] {
-                let value = reg
-                    .solve(&SolveRequest::new(method, inst.clone()).with_engine(engine))
-                    .unwrap_or_else(|e| panic!("{method}/{engine:?}: {e}"))
-                    .makespan
-                    .expect("exact methods report makespans");
-                match first {
-                    None => first = Some(value),
-                    Some(expected) => prop_assert!(
-                        value == expected,
-                        "{method}/{engine:?} diverged: {value} vs {expected}"
-                    ),
-                }
+                let value = solve(method, engine);
+                prop_assert!(
+                    value == brute,
+                    "{method}/{engine:?} diverged: {value} vs BruteForce {brute}"
+                );
             }
         }
     }

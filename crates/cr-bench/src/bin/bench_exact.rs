@@ -1,38 +1,36 @@
-//! Scaled-core vs. rational-core timing for the exact solvers, the
-//! scheduling heuristics and the online simulator.
+//! Solver timing: the exact solvers on their integer grid, and scaled-core
+//! vs. rational-core timing for the scheduling heuristics and the online
+//! simulator.
 //!
 //! Every case dispatches through the shared solver registry (the same
-//! `cr_algos::solver` surface `cr-serve` exposes): the scaled column pins
-//! [`EnginePreference::Scaled`], the rational column pins
+//! `cr_algos::solver` surface `cr-serve` exposes).  The scaled column pins
+//! [`EnginePreference::Scaled`].  The exact solvers (`OptM`, `OptTwo`,
+//! `BruteForce`) run on integer grids only, so their cells time that one
+//! core and carry no rational column; their cross-checks live in the
+//! `cr-algos` tests.  Every `OptM` cell requests the schedule: a
+//! makespan-only `k = 1` request may be answered by the bound certificate
+//! without any search, and these cells time the configuration search plus
+//! the replay of its schedule.
+//!
+//! The heuristic and simulator cells add a rational column that pins
 //! [`EnginePreference::Rational`], and the two columns must agree on the
 //! summed makespans — the binary asserts this.  Adding a solver to the
 //! comparison is one registry registration plus one entry in a method list
-//! here.
-//!
-//! For `OptM` and `BruteForce` the two columns time one engine on two
-//! units: the configuration search (`cr-algos`' internal `multi_engine`,
-//! the code that also answers every multi-resource request) over `u64`
-//! units in the scaled column and over `Ratio`s in the rational column.
-//! `OptTwo`, the heuristics and the simulator keep their own `Ratio`
-//! paths.  Both columns of every
-//! `OptM` cell request the schedule: a makespan-only `k = 1` request may be
-//! answered by the bound certificate without any search, and these cells
-//! time the configuration search plus the replay of its schedule.
-//!
-//! The online simulator methods (`sim:*`) are integer-native, so their
-//! rational column runs the *offline* twin's rational reference on the same
-//! workload — the cost model of the pre-ISSUE-3 engine.  The workloads have
-//! equal phase counts per task, so every online policy reproduces its
-//! offline twin's makespan exactly and the equality assert still holds.
+//! here.  The online simulator methods (`sim:*`) are integer-native, so
+//! their rational column runs the *offline* twin's rational reference on
+//! the same workload — the cost model of the pre-ISSUE-3 engine.  The
+//! workloads have equal phase counts per task, so every online policy
+//! reproduces its offline twin's makespan exactly and the equality assert
+//! still holds.
 //!
 //! Each cell runs in a fresh process — the binary re-executes itself with
 //! the internal `--cell INDEX` argument and reads back one result line — so
 //! a cell's time does not depend on the heap that earlier cells left
 //! behind.
 //!
-//! Writes `BENCH_exact.json` with per-case medians and speedup factors
-//! (the solver-granularity record of the ISSUE-2 ≥5× acceptance target; the
-//! pipeline-level number lives in `BENCH_pipeline.json`).
+//! Writes `BENCH_exact.json` with per-case medians, and `rational_ms` and
+//! `speedup` on exactly the cells with two columns (the pipeline-level
+//! number lives in `BENCH_pipeline.json`).
 //!
 //! Usage: `cargo run --release -p cr-bench --bin bench_exact --
 //! [--out-dir DIR] [--iters N]`
@@ -124,14 +122,14 @@ fn method_makespan(method: &str, engine: EnginePreference, instance: &Instance) 
         .expect("bench methods report makespans")
 }
 
-/// One timed (case, method) pair: the method's scaled core against a
-/// rational reference method (usually itself; the offline twin for `sim:`
-/// methods).  The instances are built only in the process that times the
-/// cell.
+/// One timed (case, method) pair: the method's scaled core, against a
+/// rational reference method when the cell has one (the method itself for
+/// the heuristics, the offline twin for `sim:` methods).  The instances are
+/// built only in the process that times the cell.
 struct Cell {
     case: String,
     scaled_method: &'static str,
-    rational_method: &'static str,
+    rational_method: Option<&'static str>,
     instances: Box<dyn Fn() -> Vec<Instance>>,
 }
 
@@ -139,7 +137,7 @@ impl Cell {
     fn new(
         case: impl Into<String>,
         scaled_method: &'static str,
-        rational_method: &'static str,
+        rational_method: Option<&'static str>,
         instances: impl Fn() -> Vec<Instance> + 'static,
     ) -> Self {
         Cell {
@@ -156,7 +154,7 @@ struct CaseResult {
     solver: String,
     instances: usize,
     scaled_ms: f64,
-    rational_ms: f64,
+    rational_ms: Option<f64>,
 }
 
 /// Every cell, in report order.
@@ -173,7 +171,7 @@ fn cells() -> Vec<Cell> {
             cells.push(Cell::new(
                 format!("{profile:?} m={m} n={n}"),
                 "OptM",
-                "OptM",
+                None,
                 move || {
                     (0..10)
                         .map(|rep| random_unit_instance(&cfg, 1000 + rep))
@@ -193,7 +191,7 @@ fn cells() -> Vec<Cell> {
         cells.push(Cell::new(
             format!("WideOversub m={m}"),
             "OptM",
-            "OptM",
+            None,
             move || vec![wide_oversubscribed_instance(m, 4, 3, 12, 90)],
         ));
     }
@@ -203,22 +201,17 @@ fn cells() -> Vec<Cell> {
         cells.push(Cell::new(
             format!("Uniform m=2 n={n}"),
             "OptTwo",
-            "OptTwo",
+            None,
             move || vec![random_unit_instance(&RandomConfig::uniform(2, n), 11)],
         ));
     }
 
     // Brute force on a three-processor reference workload.
-    cells.push(Cell::new(
-        "Uniform m=3 n=4",
-        "BruteForce",
-        "BruteForce",
-        || {
-            (0..5)
-                .map(|rep| random_unit_instance(&RandomConfig::uniform(3, 4), 2000 + rep))
-                .collect()
-        },
-    ));
+    cells.push(Cell::new("Uniform m=3 n=4", "BruteForce", None, || {
+        (0..5)
+            .map(|rep| random_unit_instance(&RandomConfig::uniform(3, 4), 2000 + rep))
+            .collect()
+    }));
 
     // The scheduling layer: the scaled production path vs. the rational
     // reference of all six polynomial methods, straight off the registry.
@@ -227,7 +220,7 @@ fn cells() -> Vec<Cell> {
             cells.push(Cell::new(
                 format!("Uniform m={m} n={n}"),
                 method,
-                method,
+                Some(method),
                 move || {
                     (0..8)
                         .map(|rep| random_unit_instance(&RandomConfig::uniform(m, n), 3000 + rep))
@@ -255,7 +248,7 @@ fn cells() -> Vec<Cell> {
             cells.push(Cell::new(
                 format!("{mix:?} cores={cores}"),
                 sim_method,
-                offline_twin,
+                Some(offline_twin),
                 move || {
                     (0..4)
                         .map(|rep| generate_workload(&cfg, 9000 + cores as u64 + rep))
@@ -268,8 +261,9 @@ fn cells() -> Vec<Cell> {
 }
 
 /// Times `cell` in this process, asserting value equality of the columns.
-/// Returns (instances, scaled ms, rational ms).
-fn measure(cell: &Cell, iters: usize) -> (usize, f64, f64) {
+/// Returns (instances, scaled ms, rational ms if the cell has a rational
+/// column).
+fn measure(cell: &Cell, iters: usize) -> (usize, f64, Option<f64>) {
     let instances = (cell.instances)();
     let sum_over = |method: &str, engine: EnginePreference| -> usize {
         instances
@@ -279,20 +273,23 @@ fn measure(cell: &Cell, iters: usize) -> (usize, f64, f64) {
     };
     // The sim:* methods have no rational core; their scaled column runs the
     // integer engine through Auto.
-    let scaled_engine = if cell.scaled_method == cell.rational_method {
-        EnginePreference::Scaled
-    } else {
+    let scaled_engine = if cell.scaled_method.starts_with("sim:") {
         EnginePreference::Auto
+    } else {
+        EnginePreference::Scaled
     };
     let (scaled_ms, scaled_sum) = median_ms(iters, || sum_over(cell.scaled_method, scaled_engine));
-    let (rational_ms, rational_sum) = median_ms(iters, || {
-        sum_over(cell.rational_method, EnginePreference::Rational)
+    let rational_ms = cell.rational_method.map(|rational_method| {
+        let (rational_ms, rational_sum) = median_ms(iters, || {
+            sum_over(rational_method, EnginePreference::Rational)
+        });
+        assert_eq!(
+            scaled_sum, rational_sum,
+            "scaled and rational cores disagree on a makespan ({} vs {rational_method})",
+            cell.scaled_method
+        );
+        rational_ms
     });
-    assert_eq!(
-        scaled_sum, rational_sum,
-        "scaled and rational cores disagree on a makespan ({} vs {})",
-        cell.scaled_method, cell.rational_method
-    );
     (instances.len(), scaled_ms, rational_ms)
 }
 
@@ -320,7 +317,7 @@ fn measure_in_child(index: usize, cell: &Cell, iters: usize) -> CaseResult {
         solver: cell.scaled_method.to_string(),
         instances: instances.parse().expect("instance count"),
         scaled_ms: scaled_ms.parse().expect("scaled ms"),
-        rational_ms: rational_ms.parse().expect("rational ms"),
+        rational_ms: (rational_ms != "-").then(|| rational_ms.parse().expect("rational ms")),
     }
 }
 
@@ -330,6 +327,7 @@ fn main() {
     if let Some(index) = args.cell {
         let cell = cells.get(index).expect("cell index in range");
         let (instances, scaled_ms, rational_ms) = measure(cell, args.iters);
+        let rational_ms = rational_ms.map_or("-".to_string(), |ms| ms.to_string());
         println!("{instances} {scaled_ms} {rational_ms}");
         return;
     }
@@ -344,14 +342,16 @@ fn main() {
         "case", "solver", "insts", "scaled ms", "rational ms", "speedup"
     );
     for r in &results {
+        let (rational, speedup) = match r.rational_ms {
+            Some(ms) => (
+                format!("{ms:.3}"),
+                format!("{:.1}x", ms / r.scaled_ms.max(1e-9)),
+            ),
+            None => ("-".to_string(), "-".to_string()),
+        };
         println!(
-            "{:<24} {:<24} {:>6} {:>12.3} {:>12.3} {:>8.1}x",
-            r.case,
-            r.solver,
-            r.instances,
-            r.scaled_ms,
-            r.rational_ms,
-            r.rational_ms / r.scaled_ms.max(1e-9)
+            "{:<24} {:<24} {:>6} {:>12.3} {:>12} {:>9}",
+            r.case, r.solver, r.instances, r.scaled_ms, rational, speedup
         );
     }
 
@@ -364,37 +364,36 @@ fn main() {
 
 fn results_json(results: &[CaseResult]) -> String {
     let round = |x: f64| (x * 1000.0).round() / 1000.0;
+    let float = |x: f64| serde::Value::Number(serde::Number::Float(round(x)));
     let cases: Vec<serde::Value> = results
         .iter()
         .map(|r| {
-            serde::Value::Object(vec![
+            let mut fields = vec![
                 ("case".to_string(), serde::Value::String(r.case.clone())),
                 ("solver".to_string(), serde::Value::String(r.solver.clone())),
                 (
                     "instances".to_string(),
                     serde::Value::Number(serde::Number::Int(r.instances as i128)),
                 ),
-                (
-                    "scaled_ms".to_string(),
-                    serde::Value::Number(serde::Number::Float(round(r.scaled_ms))),
-                ),
-                (
-                    "rational_ms".to_string(),
-                    serde::Value::Number(serde::Number::Float(round(r.rational_ms))),
-                ),
-                (
+                ("scaled_ms".to_string(), float(r.scaled_ms)),
+            ];
+            if let Some(rational_ms) = r.rational_ms {
+                fields.push(("rational_ms".to_string(), float(rational_ms)));
+                fields.push((
                     "speedup".to_string(),
-                    serde::Value::Number(serde::Number::Float(round(
-                        r.rational_ms / r.scaled_ms.max(1e-9),
-                    ))),
-                ),
-            ])
+                    float(rational_ms / r.scaled_ms.max(1e-9)),
+                ));
+            }
+            serde::Value::Object(fields)
         })
         .collect();
     let root = serde::Value::Object(vec![
         (
             "benchmark".to_string(),
-            serde::Value::String("exact solver cores: scaled vs rational".to_string()),
+            serde::Value::String(
+                "solver cores: exact methods scaled, heuristics and simulator scaled vs rational"
+                    .to_string(),
+            ),
         ),
         ("cases".to_string(), serde::Value::Array(cases)),
     ]);

@@ -13,7 +13,8 @@
 //! * [`Ratio`] — exact rational arithmetic (all scheduling decisions in this
 //!   repository are made exactly, never in floating point);
 //! * [`ScaledInstance`] / [`ScaledScheduleBuilder`] — the same requirements
-//!   (and workloads) as scaled `u64` units on the denominators' LCM grid,
+//!   (and workloads) as scaled integer units on the denominators' LCM grid
+//!   (`u64`, or a [`GridUnit`] of `u128` for the exact solvers' wide grids),
 //!   the representation the exact solver cores *and* the scheduling /
 //!   simulation layer in `cr-algos` / `cr-sim` run on (see the `rational`
 //!   module docs for the two-representation design);
@@ -71,7 +72,7 @@ pub use job::{Job, JobId};
 pub use multi::{MultiStepper, StepUnit};
 pub use properties::{PropertyReport, PropertyViolation};
 pub use rational::{ratio, Ratio};
-pub use scaled::{ScaledInstance, ScaledScheduleBuilder};
+pub use scaled::{GridUnit, ScaledInstance, ScaledScheduleBuilder};
 pub use schedule::{Schedule, ScheduleBuilder, ScheduleTrace};
 
 /// Commonly used items, for glob import in examples and downstream crates.

@@ -7,9 +7,10 @@
 //! [`Instance::extra_layers`]); this module provides the forward-simulation
 //! machinery for such instances:
 //!
-//! * [`StepUnit`] — the shared arithmetic surface of the two exact
-//!   representations: `u64` units on a per-resource LCM grid (the fast
-//!   production path) and [`Ratio`] (the exact rational reference path).
+//! * [`StepUnit`] — the shared arithmetic surface of the exact
+//!   representations: integer units on a per-resource LCM grid (`u64`, the
+//!   fast production path, or `u128` for the exact solvers' wide grids) and
+//!   [`Ratio`] (the exact rational reference path).
 //! * [`MultiStepper`] — the `k`-resource twin of
 //!   [`ScaledScheduleBuilder`](crate::scaled::ScaledScheduleBuilder): per
 //!   step, every resource `r` hands out its own capacity `D_r`, and a job
@@ -47,11 +48,12 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 /// The arithmetic a per-resource quantity must support: exact comparison,
 /// overflow-checked addition and (contract-guarded) subtraction.
 ///
-/// Implemented by `u64` (units on a per-resource LCM grid) and [`Ratio`]
-/// (exact rational arithmetic with per-resource capacity `1`).  The generic
-/// engines in `cr-algos` and the stepper below are written once against
-/// this trait so the scaled and rational paths share every line of search
-/// and scheduling logic — which is what makes their cross-check meaningful.
+/// Implemented by `u64` and `u128` (units on a per-resource LCM grid) and
+/// [`Ratio`] (exact rational arithmetic with per-resource capacity `1`).
+/// The stepper below is written once against this trait, so the heuristics'
+/// scaled and rational paths share every line of stepping logic, which is
+/// what makes their cross-check meaningful; the exact engines in `cr-algos`
+/// run on the integer units only.
 pub trait StepUnit: Copy + Ord + std::fmt::Debug {
     /// The additive identity.
     const ZERO: Self;
@@ -65,6 +67,16 @@ impl StepUnit for u64 {
     const ZERO: Self = 0;
     fn checked_add(self, other: Self) -> Option<Self> {
         u64::checked_add(self, other)
+    }
+    fn sub(self, other: Self) -> Self {
+        self - other
+    }
+}
+
+impl StepUnit for u128 {
+    const ZERO: Self = 0;
+    fn checked_add(self, other: Self) -> Option<Self> {
+        u128::checked_add(self, other)
     }
     fn sub(self, other: Self) -> Self {
         self - other

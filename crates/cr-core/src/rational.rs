@@ -26,10 +26,11 @@
 //! units on the common grid `1/D` (`D` = the denominators' LCM), where sums,
 //! capacity comparisons and share splits are single integer ops with no gcd.
 //! The conversion round-trips exactly in both directions, so the two
-//! representations never disagree; when the LCM would overflow the scaled
-//! form's `u64` headroom, solvers and schedulers simply stay on the `Ratio`
-//! path.  Property tests in `cr-algos` cross-check the two paths on random
-//! instances.
+//! representations never disagree.  When the LCM would overflow the scaled
+//! form's `u64` headroom, the exact solvers widen to a `u128` grid and the
+//! schedulers stay on the `Ratio` path.  Property tests in `cr-algos`
+//! cross-check the schedulers' two paths, and the exact solvers' two grid
+//! widths, on random instances.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;

@@ -2,21 +2,28 @@
 //! scaled scheduling layer built on top of it.
 //!
 //! The exact solvers spend essentially all of their time comparing and
-//! summing [`Ratio`] requirements: every `Ratio` addition runs Euclid's gcd
-//! on `i128` operands, and every comparison cross-multiplies.  For a *fixed*
-//! instance none of that generality is needed — all requirements live on the
-//! common grid `1/D`, where `D` is the least common multiple of their
-//! denominators (bounded, for every instance family shipped in this
-//! repository, by a few million — see the `rational` module docs).
+//! summing requirements.  In [`Ratio`] arithmetic every addition runs
+//! Euclid's gcd on `i128` operands and every comparison cross-multiplies.
+//! For a *fixed* instance none of that generality is needed — all
+//! requirements live on the common grid `1/D`, where `D` is the least
+//! common multiple of their denominators (bounded, for every instance
+//! family shipped in this repository, by a few million — see the
+//! `rational` module docs).
 //!
 //! [`ScaledInstance`] precomputes `D` once and re-expresses every requirement
-//! as a plain `u64` number of *units* with resource capacity `D`.  Sums,
+//! as a plain integer number of *units* with resource capacity `D`.  Sums,
 //! "does it exceed the resource?" tests and leftover computations then become
 //! single integer operations with no gcd anywhere.  The conversion is exact
 //! in both directions: [`ScaledInstance::to_ratio`] returns the original
 //! requirement value bit-for-bit (same reduced fraction), which is what lets
 //! the solver cores run on units internally while the public API keeps
 //! speaking exact [`Ratio`]s.
+//!
+//! The unit is a [`GridUnit`]: `u64` ([`ScaledInstance::try_new`]), or
+//! `u128` ([`ScaledInstance::try_on_grid`]) for the instances whose grid
+//! overflows `u64`.  One conversion serves both widths; each width decides
+//! which grids it admits ([`GridUnit::admits`]), so that every value the
+//! exact solvers form on an admitted grid fits the unit.
 //!
 //! # The scaled scheduling layer
 //!
@@ -45,22 +52,89 @@
 //! demands to a zero share and starve a core.
 //!
 //! Construction is fallible ([`ScaledInstance::try_new`],
-//! [`ScaledScheduleBuilder::try_new`]): if the LCM blows past the
-//! overflow-safe bound, callers fall back to the rational-arithmetic path.
-//! The two layers reserve different headroom above the LCM `D`:
-//! [`ScaledInstance`] only needs `2 · D` (the two-processor DP's
-//! requirement-plus-carry cells; the wide configuration engines in
-//! `cr-algos` overflow-check their own `m`-fold sums), while
+//! [`ScaledScheduleBuilder::try_new`]): past the overflow-safe bound the
+//! exact solvers widen to the `u128` grid, and the heuristics fall back to
+//! their rational twins.  The two layers reserve different headroom above
+//! the LCM `D`: a `u64` [`ScaledInstance`] only needs `2 · D` (the
+//! two-processor DP's requirement-plus-carry cells; the wide configuration
+//! engines in `cr-algos` overflow-check their own `m`-fold sums), while
 //! [`ScaledScheduleBuilder`] keeps `(m + 1) · D` because its step
 //! application accumulates `m` shares unchecked.
 
 use crate::instance::Instance;
 use crate::job::JobId;
+use crate::multi::StepUnit;
 use crate::rational::Ratio;
 use crate::schedule::Schedule;
+use std::ops::{Div, Rem};
+
+/// The integer unit of a [`ScaledInstance`]'s grid: `u64`, or `u128` for
+/// the instances whose grid overflows `u64`.
+pub trait GridUnit:
+    StepUnit + Into<u128> + TryFrom<i128> + Div<Output = Self> + Rem<Output = Self>
+{
+    /// The multiplicative identity.
+    const ONE: Self;
+
+    /// Overflow-checked multiplication.
+    fn checked_mul(self, other: Self) -> Option<Self>;
+
+    /// Whether this unit admits per-layer grids of the given capacities on
+    /// an instance of `processors` processors and `jobs` jobs: every value
+    /// the exact solvers form on such a grid then fits the unit.
+    fn admits(capacities: &[Self], processors: usize, jobs: usize) -> bool;
+
+    /// `self / capacity` as an exact, reduced [`Ratio`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either value exceeds `i128::MAX`; no admitted grid holds
+    /// such a value.
+    #[must_use]
+    fn ratio_of(self, capacity: Self) -> Ratio {
+        let wide = |value: Self| i128::try_from(value.into()).expect("admitted grids fit i128");
+        Ratio::new(wide(self), wide(capacity))
+    }
+}
+
+impl GridUnit for u64 {
+    const ONE: Self = 1;
+
+    fn checked_mul(self, other: Self) -> Option<Self> {
+        u64::checked_mul(self, other)
+    }
+
+    /// `2 · D_r` fits on every layer: the two-processor DP's cells hold one
+    /// requirement plus one carried leftover.
+    fn admits(capacities: &[u64], _processors: usize, _jobs: usize) -> bool {
+        capacities.iter().all(|d| d.checked_mul(2).is_some())
+    }
+}
+
+impl GridUnit for u128 {
+    const ONE: Self = 1;
+
+    fn checked_mul(self, other: Self) -> Option<Self> {
+        u128::checked_mul(self, other)
+    }
+
+    /// `(jobs + processors) · Σ_r D_r` fits, which bounds every consumption
+    /// level, spent sum, fit-test sum and DP cell; and every `D_r` fits
+    /// `i128`, so that each share converts to a [`Ratio`].
+    fn admits(capacities: &[u128], processors: usize, jobs: usize) -> bool {
+        let total = capacities
+            .iter()
+            .try_fold(0u128, |sum, &d| sum.checked_add(d));
+        let nodes = (jobs as u128).checked_add(processors as u128);
+        capacities.iter().all(|&d| i128::try_from(d).is_ok())
+            && total
+                .zip(nodes)
+                .is_some_and(|(total, nodes)| total.checked_mul(nodes).is_some())
+    }
+}
 
 /// An instance's requirements re-expressed as integer units on the common
-/// grid `1/capacity`.
+/// grid `1/capacity`, in the unit `U` (`u64` unless named).
 ///
 /// Rows are stored in one flat buffer (CSR-style) so iterating a processor's
 /// chain is a contiguous slice scan.
@@ -79,35 +153,35 @@ use crate::schedule::Schedule;
 /// assert_eq!(scaled.to_ratio(6), Ratio::from_percent(60));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScaledInstance {
+pub struct ScaledInstance<U = u64> {
     /// The shared resource capacity `D` (the requirement denominators' LCM).
-    capacity: u64,
+    capacity: U,
     /// Row start offsets into `units`; length `processors + 1`.
     offsets: Vec<u32>,
     /// All requirements in units, processor-major.
-    units: Vec<u64>,
+    units: Vec<U>,
     /// Extra resource layers (`extra[r − 1]` is resource `r`), each on its
     /// **own** per-resource LCM grid and sharing `offsets`.  Empty for
     /// single-resource instances, whose representation is bit-for-bit what
     /// it was before the multi-resource generalization.
-    extra: Vec<ScaledLayer>,
+    extra: Vec<ScaledLayer<U>>,
 }
 
 /// One extra resource layer of a [`ScaledInstance`]: its own unit grid plus
 /// the per-job requirements in units, addressed through the instance's
 /// shared CSR offsets.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct ScaledLayer {
+struct ScaledLayer<U> {
     /// The layer's capacity `D_r` (LCM of the layer's requirement
-    /// denominators, with the same `2 · D_r` headroom as the base grid).
-    capacity: u64,
+    /// denominators, admitted by the same rule as the base grid).
+    capacity: U,
     /// The layer's requirements in units, processor-major.
-    units: Vec<u64>,
+    units: Vec<U>,
 }
 
-/// Greatest common divisor (Euclid) on `u64`.
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
+/// Greatest common divisor (Euclid).
+fn gcd<U: GridUnit>(mut a: U, mut b: U) -> U {
+    while b != U::ZERO {
         let t = a % b;
         a = b;
         b = t;
@@ -115,10 +189,29 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
     a
 }
 
+/// The LCM of the denominators of `requirements`, or `None` past `U`.
+fn lcm_of<U: GridUnit>(requirements: impl Iterator<Item = Ratio>) -> Option<U> {
+    let mut capacity = U::ONE;
+    for requirement in requirements {
+        let den = U::try_from(requirement.denom()).ok()?;
+        capacity = capacity.checked_mul(den / gcd(capacity, den))?;
+    }
+    Some(capacity)
+}
+
+/// `requirement` in units of a grid whose capacity its denominator divides.
+fn units_of<U: GridUnit>(requirement: Ratio, capacity: U) -> Option<U> {
+    let num = U::try_from(requirement.numer()).ok()?;
+    let den = U::try_from(requirement.denom()).ok()?;
+    // num ≤ den divides capacity, so num · (capacity / den) ≤ capacity.
+    num.checked_mul(capacity / den)
+}
+
 impl ScaledInstance {
-    /// Builds the scaled view, or `None` when the denominators' LCM `D` is
-    /// so large that `2 · D` would overflow `u64`.  Callers treat `None` as
-    /// "use the rational path".
+    /// Builds the `u64` view, or `None` when some layer's denominator LCM
+    /// `D_r` is so large that `2 · D_r` would overflow `u64` (see
+    /// [`GridUnit::admits`]).  Callers then widen to the `u128` grid
+    /// ([`ScaledInstance::try_on_grid`]).
     ///
     /// # Headroom invariant
     ///
@@ -137,59 +230,55 @@ impl ScaledInstance {
     /// application accumulates `m` shares unchecked.
     #[must_use]
     pub fn try_new(instance: &Instance) -> Option<Self> {
+        Self::try_on_grid(instance)
+    }
+}
+
+impl<U: GridUnit> ScaledInstance<U> {
+    /// Builds the view on `U` units, or `None` when some layer's
+    /// denominator LCM overflows `U` or `U` does not admit the grids
+    /// ([`GridUnit::admits`]).  Each resource layer gets its own LCM grid.
+    #[must_use]
+    pub fn try_on_grid(instance: &Instance) -> Option<Self> {
         let m = instance.processors();
-        // LCM of all requirement denominators.  Denominators are positive and
-        // requirements lie in [0, 1], so they fit u64.
-        let mut capacity: u64 = 1;
-        for (_, job) in instance.iter_jobs() {
-            let den = u64::try_from(job.requirement.denom()).ok()?;
-            let g = gcd(capacity, den);
-            capacity = capacity.checked_mul(den / g)?;
-            // Keep headroom for one requirement plus one carried leftover.
-            capacity.checked_mul(2)?;
+        let layer = |r: usize| {
+            (0..m).flat_map(move |i| {
+                (0..instance.jobs_on(i)).map(move |j| instance.requirement_on(r, JobId::new(i, j)))
+            })
+        };
+        let capacities = (0..instance.resources())
+            .map(|r| lcm_of(layer(r)))
+            .collect::<Option<Vec<U>>>()?;
+        if !U::admits(&capacities, m, instance.total_jobs()) {
+            return None;
         }
         let mut offsets = Vec::with_capacity(m + 1);
-        let mut units = Vec::with_capacity(instance.total_jobs());
         offsets.push(0u32);
+        let mut jobs = 0usize;
         for i in 0..m {
-            for job in instance.processor_jobs(i) {
-                let num = u64::try_from(job.requirement.numer()).ok()?;
-                let den = u64::try_from(job.requirement.denom()).ok()?;
-                // num ≤ den divides capacity, so num · (capacity / den) ≤ capacity.
-                units.push(num * (capacity / den));
-            }
-            offsets.push(u32::try_from(units.len()).ok()?);
+            jobs += instance.jobs_on(i);
+            offsets.push(u32::try_from(jobs).ok()?);
         }
-        // Each extra resource layer gets its own denominator-LCM grid with
-        // the same factor-two headroom discipline as the base resource.
-        let mut extra = Vec::with_capacity(instance.extra_layers().len());
-        for layer in instance.extra_layers() {
-            let mut layer_capacity: u64 = 1;
-            for row in layer {
-                for req in row {
-                    let den = u64::try_from(req.denom()).ok()?;
-                    let g = gcd(layer_capacity, den);
-                    layer_capacity = layer_capacity.checked_mul(den / g)?;
-                    layer_capacity.checked_mul(2)?;
-                }
+        // Exact capacities: a serving cache holds thousands of these.
+        let mut extra = Vec::with_capacity(capacities.len() - 1);
+        let mut base = None;
+        for (r, &capacity) in capacities.iter().enumerate() {
+            let mut units = Vec::with_capacity(jobs);
+            for requirement in layer(r) {
+                units.push(units_of(requirement, capacity)?);
             }
-            let mut layer_units = Vec::with_capacity(units.len());
-            for row in layer {
-                for req in row {
-                    let num = u64::try_from(req.numer()).ok()?;
-                    let den = u64::try_from(req.denom()).ok()?;
-                    layer_units.push(num * (layer_capacity / den));
-                }
+            let layer = ScaledLayer { capacity, units };
+            if r == 0 {
+                base = Some(layer);
+            } else {
+                extra.push(layer);
             }
-            extra.push(ScaledLayer {
-                capacity: layer_capacity,
-                units: layer_units,
-            });
         }
+        let base = base?;
         Some(ScaledInstance {
-            capacity,
+            capacity: base.capacity,
             offsets,
-            units,
+            units: base.units,
             extra,
         })
     }
@@ -204,7 +293,7 @@ impl ScaledInstance {
     /// resource): a full time step hands out `layer_capacity(r)` units *of
     /// resource `r`*.  Each resource lives on its own grid.
     #[must_use]
-    pub fn layer_capacity(&self, resource: usize) -> u64 {
+    pub fn layer_capacity(&self, resource: usize) -> U {
         if resource == 0 {
             self.capacity
         } else {
@@ -215,7 +304,7 @@ impl ScaledInstance {
     /// Requirements of processor `i` on resource `resource` in that
     /// resource's units, in chain order.
     #[must_use]
-    pub fn layer_row(&self, resource: usize, processor: usize) -> &[u64] {
+    pub fn layer_row(&self, resource: usize, processor: usize) -> &[U] {
         let range = self.offsets[processor] as usize..self.offsets[processor + 1] as usize;
         if resource == 0 {
             &self.units[range]
@@ -227,7 +316,7 @@ impl ScaledInstance {
     /// Requirement of job `(processor, index)` on resource `resource` in
     /// that resource's units.
     #[must_use]
-    pub fn layer_unit_req(&self, resource: usize, processor: usize, index: usize) -> u64 {
+    pub fn layer_unit_req(&self, resource: usize, processor: usize, index: usize) -> U {
         let slot = self.offsets[processor] as usize + index;
         if resource == 0 {
             self.units[slot]
@@ -240,14 +329,14 @@ impl ScaledInstance {
     /// rational share `units / D_r` (reduced — round-trips the original
     /// requirement).
     #[must_use]
-    pub fn to_ratio_on(&self, resource: usize, units: u64) -> Ratio {
-        Ratio::new(i128::from(units), i128::from(self.layer_capacity(resource)))
+    pub fn to_ratio_on(&self, resource: usize, units: U) -> Ratio {
+        units.ratio_of(self.layer_capacity(resource))
     }
 
     /// The resource capacity `D`: a full time step hands out exactly
     /// `capacity` units.
     #[must_use]
-    pub fn capacity(&self) -> u64 {
+    pub fn capacity(&self) -> U {
         self.capacity
     }
 
@@ -271,21 +360,21 @@ impl ScaledInstance {
 
     /// Requirements of processor `i` in units, in chain order.
     #[must_use]
-    pub fn row(&self, processor: usize) -> &[u64] {
+    pub fn row(&self, processor: usize) -> &[U] {
         &self.units[self.offsets[processor] as usize..self.offsets[processor + 1] as usize]
     }
 
     /// Requirement of job `(processor, index)` in units.
     #[must_use]
-    pub fn unit_req(&self, processor: usize, index: usize) -> u64 {
+    pub fn unit_req(&self, processor: usize, index: usize) -> U {
         self.units[self.offsets[processor] as usize + index]
     }
 
     /// Converts a unit count back to the exact rational share
     /// `units / capacity` (reduced — round-trips the original requirement).
     #[must_use]
-    pub fn to_ratio(&self, units: u64) -> Ratio {
-        Ratio::new(i128::from(units), i128::from(self.capacity))
+    pub fn to_ratio(&self, units: U) -> Ratio {
+        units.ratio_of(self.capacity)
     }
 }
 
@@ -760,6 +849,37 @@ mod tests {
         assert!(ScaledInstance::try_new(&inst).is_none());
         assert!(schedule_unit_grid(&inst).is_none());
         assert!(ScaledScheduleBuilder::try_new(&inst).is_none());
+    }
+
+    #[test]
+    fn wide_grid_admits_up_to_its_bound() {
+        // One processor with jobs 1/D and 0: the u128 grid admits D iff
+        // (jobs + m) · D = 3 · D fits u128, and (2^128 − 1) / 3 is exact.
+        let edge = (u128::MAX / 3) as i128;
+        let instance = |d: i128| {
+            InstanceBuilder::new()
+                .processor([ratio(1, d), Ratio::ZERO])
+                .build()
+        };
+        let inside = instance(edge);
+        assert!(ScaledInstance::try_new(&inside).is_none());
+        let wide = ScaledInstance::<u128>::try_on_grid(&inside).expect("3·D = u128::MAX fits");
+        assert_eq!(wide.capacity(), edge as u128);
+        assert_eq!(wide.row(0), &[1, 0]);
+        assert_eq!(wide.to_ratio(1), ratio(1, edge));
+        let outside = instance(edge + 1);
+        assert!(ScaledInstance::<u128>::try_on_grid(&outside).is_none());
+        // Every capacity fits i128 too: with one job, 2 · i128::MAX fits.
+        let single = InstanceBuilder::new()
+            .processor([ratio(1, i128::MAX)])
+            .build();
+        assert!(ScaledInstance::<u128>::try_on_grid(&single).is_some());
+        // The u64 grid's own rule is unchanged: 2 · D fits u64.
+        let small = Instance::unit_from_percentages(&[&[60, 40], &[50]]);
+        assert_eq!(
+            ScaledInstance::<u128>::try_on_grid(&small).map(|wide| wide.row(0).to_vec()),
+            Some(vec![6, 4])
+        );
     }
 
     #[test]

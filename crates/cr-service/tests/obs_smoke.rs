@@ -33,16 +33,32 @@ const GOLDEN_PATH: &str = concat!(
     "/tests/data/metrics_golden.jsonl"
 );
 
-/// Spawns `cr-serve --listen 127.0.0.1:0` and returns (child, address).
-fn spawn_server() -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_cr-serve"))
-        .args(["--listen", "127.0.0.1:0"])
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn cr-serve");
-    let stdout = child.stdout.take().expect("child stdout");
+/// A spawned `cr-serve` that is killed and reaped when dropped, so a failed
+/// assertion cannot leave the server running.
+struct Server(Child);
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        // Both are harmless once the server has exited on its own.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Spawns `cr-serve --listen 127.0.0.1:0` and returns (server, address).
+/// The guard exists before the listening line is read, so a bad line
+/// cannot leak the server either.
+fn spawn_server() -> (Server, String) {
+    let mut server = Server(
+        Command::new(env!("CARGO_BIN_EXE_cr-serve"))
+            .args(["--listen", "127.0.0.1:0"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn cr-serve"),
+    );
+    let stdout = server.0.stdout.take().expect("child stdout");
     let mut line = String::new();
     BufReader::new(stdout)
         .read_line(&mut line)
@@ -53,7 +69,7 @@ fn spawn_server() -> (Child, String) {
         .and_then(|rest| rest.strip_suffix("\"}"))
         .unwrap_or_else(|| panic!("unexpected listening line: {line:?}"))
         .to_string();
-    (child, addr)
+    (server, addr)
 }
 
 /// Sends `line` and reads exactly one reply line.
@@ -82,7 +98,7 @@ fn normalize_total_ns(line: &str) -> String {
 
 #[test]
 fn smoke_batch_telemetry_matches_the_golden() {
-    let (mut child, addr) = spawn_server();
+    let (mut server, addr) = spawn_server();
     let stream = TcpStream::connect(&addr).expect("connect");
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
@@ -151,6 +167,6 @@ fn smoke_batch_telemetry_matches_the_golden() {
     // Graceful drain, then the process must exit cleanly.
     let ack = roundtrip(&mut writer, &mut reader, "{\"control\":\"shutdown\"}");
     assert!(ack.contains("\"draining\":true"), "{ack}");
-    let status = child.wait().expect("wait for cr-serve");
+    let status = server.0.wait().expect("wait for cr-serve");
     assert!(status.success(), "cr-serve exited {status}");
 }

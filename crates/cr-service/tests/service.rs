@@ -112,8 +112,10 @@ fn engine_preference_rides_the_wire() {
     let parsed = wire::parse_request(line, 7).unwrap();
     assert_eq!(parsed.id, 7);
     assert_eq!(parsed.request.engine, EnginePreference::Rational);
+    // The exact methods run on integer grids only: `rational` runs like
+    // `auto`, and the answer names the arithmetic that ran.
     let outcome = service.solve(&parsed.request).unwrap();
-    assert_eq!(outcome.engine.as_str(), "rational");
+    assert_eq!(outcome.engine.as_str(), "scaled");
     assert!(outcome.schedule.is_some());
 }
 
