@@ -62,7 +62,7 @@
 //! cleared, not freed, between rounds, so a round only allocates when it
 //! outgrows every earlier one.
 
-use cr_core::{CancelGate, CancelReason, StepUnit};
+use cr_core::{CancelGate, CancelReason, GridUnit};
 use rustc_hash::FxHasher;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -250,7 +250,7 @@ pub(crate) struct DominanceFilter<V> {
     tied: Vec<usize>,
 }
 
-impl<V: StepUnit> DominanceFilter<V> {
+impl<V: GridUnit> DominanceFilter<V> {
     /// An empty filter for configurations over `m` processors and `k`
     /// resource layers.
     pub(crate) fn new(m: usize, k: usize) -> Self {
@@ -540,7 +540,7 @@ impl<V: StepUnit> DominanceFilter<V> {
 }
 
 /// Raises `max` to `row` on every slot.
-fn raise<V: StepUnit>(max: &mut [V], row: &[V]) {
+fn raise<V: GridUnit>(max: &mut [V], row: &[V]) {
     // lint: allow(cancel_coverage) — bounded: the m·k slots of one row
     for (max, &value) in max.iter_mut().zip(row) {
         *max = (*max).max(value);
@@ -548,12 +548,12 @@ fn raise<V: StepUnit>(max: &mut [V], row: &[V]) {
 }
 
 /// `row ≥ spent` on every slot.
-fn covers<V: StepUnit>(row: &[V], spent: &[V]) -> bool {
+fn covers<V: GridUnit>(row: &[V], spent: &[V]) -> bool {
     row.iter().zip(spent).all(|(r, s)| r >= s)
 }
 
 /// `row ≥ spent` on every one of the `slots`.
-fn covers_on<V: StepUnit>(row: &[V], spent: &[V], slots: &[usize]) -> bool {
+fn covers_on<V: GridUnit>(row: &[V], spent: &[V], slots: &[usize]) -> bool {
     slots.iter().all(|&j| row[j] >= spent[j])
 }
 
@@ -565,7 +565,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// Whether candidate `a` dominates candidate `b` (Lemma 4).
-    fn dominates<V: StepUnit>(
+    fn dominates<V: GridUnit>(
         m: usize,
         k: usize,
         a: &(Vec<u64>, Vec<V>),
@@ -580,7 +580,7 @@ mod tests {
     /// The plain all-pairs Lemma 4 scan every engine ran before the
     /// bucketed filter: each still-kept candidate drops everything it
     /// dominates, so the first of exact duplicates survives.
-    fn all_pairs_keep<V: StepUnit>(
+    fn all_pairs_keep<V: GridUnit>(
         m: usize,
         k: usize,
         candidates: &[(Vec<u64>, Vec<V>)],
@@ -623,7 +623,7 @@ mod tests {
     }
 
     /// The filter's keep mask under `levels`, one per candidate.
-    fn leveled_keep<V: StepUnit>(
+    fn leveled_keep<V: GridUnit>(
         m: usize,
         k: usize,
         candidates: &[(Vec<u64>, Vec<V>)],
@@ -902,7 +902,7 @@ mod tests {
     /// Pushing `candidates` with `levels` in the order `perm` yields the
     /// keep mask permuted the same way, and the same `checked` and
     /// `settled` counts.
-    fn assert_permutes<V: StepUnit>(
+    fn assert_permutes<V: GridUnit>(
         m: usize,
         k: usize,
         candidates: &[(Vec<u64>, Vec<V>)],

@@ -9,16 +9,16 @@
 //! (Definition 5), and therefore achieve the worst-case approximation ratio
 //! of exactly `2 − 1/m` proven in Theorems 7 and 8.
 
-use crate::scaled_sched::serve_units_in_order;
+use crate::multi_sched::{self, PolyKind};
 use crate::traits::Scheduler;
-use cr_core::{Instance, Ratio, ScaledScheduleBuilder, Schedule, ScheduleBuilder};
+use cr_core::{Instance, Ratio, Schedule, ScheduleBuilder};
 
 /// The `(2 − 1/m)`-approximation algorithm of the paper.
 ///
-/// The production path runs on the scaled-integer grid
-/// ([`ScaledScheduleBuilder`]); [`GreedyBalance::schedule_rational`] is the
-/// retained exact-[`Ratio`] reference (identical output), which also serves
-/// as the fallback for instances whose unit grid overflows `u64`.
+/// [`Scheduler::schedule`] runs the rule on the integer unit grid (a
+/// [`cr_core::MultiStepper`] over `u64`, or `u128` past it);
+/// [`GreedyBalance::schedule_rational`] is the exact-[`Ratio`] test
+/// reference (identical output, no production caller).
 ///
 /// # Examples
 ///
@@ -61,28 +61,8 @@ impl GreedyBalance {
         order
     }
 
-    /// The same priority order computed on the scaled builder (unit
-    /// comparisons instead of rational cross-multiplications).
-    fn scaled_priority_order(builder: &ScaledScheduleBuilder<'_>) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..builder.processors())
-            .filter(|&i| builder.is_active(i))
-            .collect();
-        order.sort_by(|&a, &b| {
-            builder
-                .unfinished_jobs(b)
-                .cmp(&builder.unfinished_jobs(a))
-                .then_with(|| {
-                    builder
-                        .remaining_workload_units(b)
-                        .cmp(&builder.remaining_workload_units(a))
-                })
-                .then_with(|| a.cmp(&b))
-        });
-        order
-    }
-
-    /// The exact-rational reference implementation of
-    /// [`Scheduler::schedule`] (identical output).
+    /// The exact-rational reference of [`Scheduler::schedule`] (identical
+    /// output, no production caller).
     #[must_use]
     pub fn schedule_rational(&self, instance: &Instance) -> Schedule {
         let m = instance.processors();
@@ -111,14 +91,7 @@ impl Scheduler for GreedyBalance {
     }
 
     fn schedule(&self, instance: &Instance) -> Schedule {
-        let Some(mut builder) = ScaledScheduleBuilder::try_new(instance) else {
-            return self.schedule_rational(instance);
-        };
-        while !builder.all_done() {
-            let order = Self::scaled_priority_order(&builder);
-            serve_units_in_order(&mut builder, &order);
-        }
-        builder.finish()
+        multi_sched::schedule(PolyKind::GreedyBalance, instance)
     }
 }
 

@@ -17,34 +17,34 @@
 //!   remaining requirement (maximizes the number of jobs finished per step;
 //!   this is the schedule depicted in Figure 1 of the paper).
 //!
-//! # Exact splits on the scaled grid
+//! # Exact splits on the unit grid
 //!
-//! The splitting heuristics run on a
-//! [`cr_core::ScaledScheduleBuilder`]: the resource is
-//! a pool of `D` integer units (`D` = the instance's requirement/workload
-//! denominator LCM), and uniform / demand-proportional splits are computed
-//! exactly with deterministic largest-remainder rounding
+//! The heuristics run on the one implementation of every polynomial rule
+//! (the internal `multi_sched` module): the resource is a pool of `D`
+//! integer units (`D` = the instance's requirement/workload denominator
+//! LCM, in `u64` or, past it, `u128` units), and uniform /
+//! demand-proportional splits are computed exactly with deterministic
+//! largest-remainder rounding
 //! ([`cr_core::scaled::largest_remainder_split`]).  Shares therefore always
 //! sum to exactly one pool — no sliver is wasted, and a positive demand is
 //! only ever given zero units when the whole pool went to other positive
 //! demands.  (The previous implementation floored every share onto a fixed
 //! `1/100 000` grid, which could quantize a small positive `demand/total` to
-//! a *zero* share and starve a core indefinitely.)  Each heuristic retains a
-//! `schedule_rational` reference implementation computing the identical
-//! split in exact [`Ratio`] arithmetic, cross-checked by the
-//! `proptest_scaled_sched` suite; it doubles as the fallback for instances
-//! whose unit grid overflows `u64` (where it splits exactly, without grid
-//! quantization, at the cost of growing denominators).
+//! a *zero* share and starve a core indefinitely.)  Each heuristic keeps a
+//! `schedule_rational` reference computing the identical split in exact
+//! [`Ratio`] arithmetic on the [`ScheduleBuilder`], which shares no code with
+//! the stepper; it has no production caller, and the
+//! `proptest_scaled_sched` suite cross-checks the two.
 
-use crate::scaled_sched::serve_units_in_order;
+use crate::multi_sched::{self, PolyKind};
 use crate::traits::Scheduler;
-use cr_core::scaled::{largest_remainder_split, largest_remainder_split_ratio, schedule_unit_grid};
-use cr_core::{Instance, Ratio, ScaledScheduleBuilder, Schedule, ScheduleBuilder};
+use cr_core::scaled::largest_remainder_split_ratio;
+use cr_core::{Instance, MultiStepper, Ratio, Schedule, ScheduleBuilder};
 
-/// The unit grid of `instance` as an `i128`, if representable (see
-/// [`schedule_unit_grid`]).
+/// The scheduling layer's unit grid of `instance` as an `i128`: the
+/// capacity of its base-layer stepper, if representable.
 fn unit_grid(instance: &Instance) -> Option<i128> {
-    schedule_unit_grid(instance).map(i128::from)
+    MultiStepper::<u128>::try_new_base(instance).and_then(|s| i128::try_from(s.capacity(0)).ok())
 }
 
 /// Splits the full unit pool proportionally to `weights` in exact rational
@@ -61,32 +61,6 @@ fn split_unit_pool(grid: Option<i128>, weights: &[Ratio]) -> Vec<Ratio> {
     }
 }
 
-/// Splits the instance of `builder` uniformly over its currently active
-/// processors and advances one step.
-fn push_equal_step(builder: &mut ScaledScheduleBuilder<'_>) {
-    let weights: Vec<u64> = (0..builder.processors())
-        .map(|i| u64::from(builder.is_active(i)))
-        .collect();
-    let shares = largest_remainder_split(builder.capacity(), &weights);
-    builder.push_step(shares);
-}
-
-/// Splits the instance of `builder` proportionally to the active jobs' step
-/// demands and advances one step.  When the demands fit the pool they are
-/// granted exactly.
-fn push_proportional_step(builder: &mut ScaledScheduleBuilder<'_>) {
-    let demands: Vec<u64> = (0..builder.processors())
-        .map(|i| builder.step_demand_units(i))
-        .collect();
-    let total: u128 = demands.iter().map(|&d| u128::from(d)).sum();
-    let shares = if total <= u128::from(builder.capacity()) {
-        demands
-    } else {
-        largest_remainder_split(builder.capacity(), &demands)
-    };
-    builder.push_step(shares);
-}
-
 /// Splits the resource uniformly among all active processors.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EqualShare;
@@ -98,8 +72,8 @@ impl EqualShare {
         EqualShare
     }
 
-    /// The exact-rational reference implementation of
-    /// [`EqualShare::schedule`] (identical output; see the module docs).
+    /// The exact-rational reference of [`EqualShare::schedule`] (identical
+    /// output, no production caller; see the module docs).
     #[must_use]
     pub fn schedule_rational(&self, instance: &Instance) -> Schedule {
         let grid = unit_grid(instance);
@@ -129,15 +103,7 @@ impl Scheduler for EqualShare {
     }
 
     fn schedule(&self, instance: &Instance) -> Schedule {
-        match ScaledScheduleBuilder::try_new(instance) {
-            Some(mut builder) => {
-                while !builder.all_done() {
-                    push_equal_step(&mut builder);
-                }
-                builder.finish()
-            }
-            None => self.schedule_rational(instance),
-        }
+        multi_sched::schedule(PolyKind::EqualShare, instance)
     }
 }
 
@@ -152,9 +118,8 @@ impl ProportionalShare {
         ProportionalShare
     }
 
-    /// The exact-rational reference implementation of
-    /// [`ProportionalShare::schedule`] (identical output; see the module
-    /// docs).
+    /// The exact-rational reference of [`ProportionalShare::schedule`]
+    /// (identical output, no production caller; see the module docs).
     #[must_use]
     pub fn schedule_rational(&self, instance: &Instance) -> Schedule {
         let grid = unit_grid(instance);
@@ -181,15 +146,7 @@ impl Scheduler for ProportionalShare {
     }
 
     fn schedule(&self, instance: &Instance) -> Schedule {
-        match ScaledScheduleBuilder::try_new(instance) {
-            Some(mut builder) => {
-                while !builder.all_done() {
-                    push_proportional_step(&mut builder);
-                }
-                builder.finish()
-            }
-            None => self.schedule_rational(instance),
-        }
+        multi_sched::schedule(PolyKind::ProportionalShare, instance)
     }
 }
 
@@ -204,8 +161,9 @@ impl LargestRequirementFirst {
         LargestRequirementFirst
     }
 
-    /// The exact-rational reference implementation of
-    /// [`LargestRequirementFirst::schedule`] (identical output).
+    /// The exact-rational reference of
+    /// [`LargestRequirementFirst::schedule`] (identical output, no
+    /// production caller).
     #[must_use]
     pub fn schedule_rational(&self, instance: &Instance) -> Schedule {
         serve_in_order_rational(instance, true)
@@ -225,8 +183,9 @@ impl SmallestRequirementFirst {
         SmallestRequirementFirst
     }
 
-    /// The exact-rational reference implementation of
-    /// [`SmallestRequirementFirst::schedule`] (identical output).
+    /// The exact-rational reference of
+    /// [`SmallestRequirementFirst::schedule`] (identical output, no
+    /// production caller).
     #[must_use]
     pub fn schedule_rational(&self, instance: &Instance) -> Schedule {
         serve_in_order_rational(instance, false)
@@ -260,37 +219,13 @@ fn serve_in_order_rational(instance: &Instance, order_desc: bool) -> Schedule {
     builder.finish()
 }
 
-fn serve_in_order_scaled(mut builder: ScaledScheduleBuilder<'_>, order_desc: bool) -> Schedule {
-    while !builder.all_done() {
-        let mut order: Vec<usize> = (0..builder.processors())
-            .filter(|&i| builder.is_active(i))
-            .collect();
-        order.sort_by(|&a, &b| {
-            let cmp = builder
-                .remaining_workload_units(a)
-                .cmp(&builder.remaining_workload_units(b));
-            let cmp = if order_desc { cmp.reverse() } else { cmp };
-            cmp.then_with(|| a.cmp(&b))
-        });
-        serve_units_in_order(&mut builder, &order);
-    }
-    builder.finish()
-}
-
-fn serve_in_order(instance: &Instance, order_desc: bool) -> Schedule {
-    match ScaledScheduleBuilder::try_new(instance) {
-        Some(builder) => serve_in_order_scaled(builder, order_desc),
-        None => serve_in_order_rational(instance, order_desc),
-    }
-}
-
 impl Scheduler for LargestRequirementFirst {
     fn name(&self) -> &'static str {
         "LargestRequirementFirst"
     }
 
     fn schedule(&self, instance: &Instance) -> Schedule {
-        serve_in_order(instance, true)
+        multi_sched::schedule(PolyKind::LargestRequirementFirst, instance)
     }
 }
 
@@ -300,7 +235,7 @@ impl Scheduler for SmallestRequirementFirst {
     }
 
     fn schedule(&self, instance: &Instance) -> Schedule {
-        serve_in_order(instance, false)
+        multi_sched::schedule(PolyKind::SmallestRequirementFirst, instance)
     }
 }
 

@@ -39,7 +39,6 @@ pub mod opt_two;
 #[cfg(test)]
 mod pinned;
 pub mod round_robin;
-mod scaled_sched;
 pub mod solver;
 mod subset_enum;
 pub mod traits;

@@ -88,7 +88,6 @@ use cr_core::{CancelGate, CancelReason, CancelToken, GridUnit, ScaledInstance, S
 use rustc_hash::FxHashMap;
 use std::fmt;
 use std::hash::Hash;
-use std::ops::Add;
 
 /// Structured failure of the configuration search.  The search is total for
 /// every realistic instance; this exists so the single capacity limit left
@@ -136,7 +135,7 @@ impl From<CancelReason> for SearchError {
 
 /// The arithmetic of one search: integer units on per-resource LCM grids,
 /// `u64` or `u128`.
-pub(crate) trait SearchUnit: GridUnit + Hash + Default + Add<Output = Self> {
+pub(crate) trait SearchUnit: GridUnit + Hash + Default {
     /// A node's place in the emission order.
     type Key: Ord + Copy;
 

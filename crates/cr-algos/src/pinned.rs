@@ -10,10 +10,19 @@
 //! the brute-force digest from the `Ratio` search that preceded the generic
 //! one, and the single-resource digest from the scalar `u64` engine the
 //! generic search absorbed.  Each pin also runs the `u128` grid, which must
-//! reproduce what the retired `Ratio` view recorded.
+//! reproduce what the retired `Ratio` view recorded.  The heuristic pin
+//! digests every polynomial rule's single-resource schedule and its
+//! two-resource makespan; it was recorded from the scalar `u64` schedulers
+//! and the `u64` multi-resource runners, before the rules became one
+//! implementation on the stepper.
 
 use crate::multi_engine::{brute_force_cancellable, run_search, search_cancellable, MultiView};
-use cr_core::{CancelToken, Instance, InstanceBuilder, Ratio, ScaledInstance};
+use crate::solver::{registry, SolveRequest, POLY_METHODS};
+use crate::{
+    EqualShare, GreedyBalance, LargestRequirementFirst, ProportionalShare, RoundRobin, Scheduler,
+    SmallestRequirementFirst,
+};
+use cr_core::{CancelToken, Instance, InstanceBuilder, Job, Ratio, ScaledInstance};
 
 /// SplitMix64: a fixed, dependency-free generator for the pinned inputs.
 struct SplitMix(u64);
@@ -211,4 +220,84 @@ fn both_units_keep_the_same_round_sizes() {
             run_search(&MultiView::base_scaled(&wide(&instance))).expect("small searches fit");
         assert_eq!(units.round_sizes(), wide.round_sizes(), "{instance}");
     }
+}
+
+/// 300 heuristic inputs, each a single-resource instance and the same jobs
+/// with a second layer: 1–5 processors, chains of 0–4 jobs, ~10%
+/// zero-requirement entries per layer, and half the jobs sized to a
+/// half-step volume of 1/2 to 5/2.
+///
+/// # Panics
+///
+/// Never: every drawn requirement lies in `[0, 1]` and every volume is
+/// positive.
+fn heuristic_instances() -> Vec<(Instance, Instance)> {
+    let mut rng = SplitMix(0x5eed_0024);
+    (0..300)
+        .map(|_| {
+            let m = 1 + rng.below(5);
+            let mut jobs = Vec::new();
+            let mut extra = Vec::new();
+            for _ in 0..m {
+                let n = rng.below(5);
+                let mut row = Vec::new();
+                let mut layer = Vec::new();
+                for _ in 0..n {
+                    let requirement = Ratio::from_parts(rng.percent(1), 100);
+                    let volume = if rng.below(2) == 0 {
+                        Ratio::ONE
+                    } else {
+                        Ratio::from_parts(1 + rng.below(5), 2)
+                    };
+                    row.push(Job::new(requirement, volume));
+                    layer.push(Ratio::from_parts(rng.percent(1), 100));
+                }
+                jobs.push(row);
+                extra.push(layer);
+            }
+            let single = Instance::new(jobs.clone()).expect("valid jobs");
+            let multi = Instance::with_resources(jobs, vec![extra]).expect("valid layer");
+            (single, multi)
+        })
+        .collect()
+}
+
+/// Every heuristic's single-resource schedule from [`Scheduler::schedule`]
+/// and its two-resource makespan on the default engine preference, on
+/// [`heuristic_instances`].
+#[test]
+fn heuristic_answers_are_unchanged() {
+    let rules: [&dyn Scheduler; 6] = [
+        &GreedyBalance,
+        &RoundRobin,
+        &EqualShare,
+        &ProportionalShare,
+        &LargestRequirementFirst,
+        &SmallestRequirementFirst,
+    ];
+    let reg = registry();
+    let mut digest = Digest::new();
+    let mut makespans = 0;
+    for (single, multi) in heuristic_instances() {
+        for rule in rules {
+            let schedule = rule.schedule(&single);
+            digest.word(schedule.num_steps() as u64);
+            for step in schedule.steps() {
+                for share in step {
+                    digest.text(&share.to_string());
+                }
+            }
+        }
+        for method in POLY_METHODS {
+            let makespan = reg
+                .solve(&SolveRequest::new(method, multi.clone()))
+                .unwrap_or_else(|err| panic!("{method}: {err}"))
+                .makespan
+                .expect("heuristics report a makespan");
+            makespans += makespan;
+            digest.word(makespan as u64);
+        }
+    }
+    assert_eq!(makespans, 10954);
+    assert_eq!(digest.0, 0x3aa7_f241_9861_2bb8);
 }

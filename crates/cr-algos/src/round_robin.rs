@@ -11,16 +11,16 @@
 //! the factor 2 is tight (the tight family is provided by
 //! `cr-instances::worst_case::round_robin_family`).
 
-use crate::scaled_sched::serve_units_in_order;
+use crate::multi_sched::{self, PolyKind};
 use crate::traits::Scheduler;
-use cr_core::{Instance, Ratio, ScaledScheduleBuilder, Schedule, ScheduleBuilder};
+use cr_core::{Instance, Ratio, Schedule, ScheduleBuilder};
 
 /// The phase-based RoundRobin 2-approximation.
 ///
-/// The production path runs on the scaled-integer grid
-/// ([`ScaledScheduleBuilder`]); [`RoundRobin::schedule_rational`] is the
-/// retained exact-[`Ratio`] reference (identical output), which also serves
-/// as the fallback for instances whose unit grid overflows `u64`.
+/// [`Scheduler::schedule`] runs the rule on the integer unit grid (a
+/// [`cr_core::MultiStepper`] over `u64`, or `u128` past it);
+/// [`RoundRobin::schedule_rational`] is the exact-[`Ratio`] test reference
+/// (identical output, no production caller).
 ///
 /// # Examples
 ///
@@ -42,8 +42,8 @@ impl RoundRobin {
         RoundRobin
     }
 
-    /// The exact-rational reference implementation of
-    /// [`Scheduler::schedule`] (identical output).
+    /// The exact-rational reference of [`Scheduler::schedule`] (identical
+    /// output, no production caller).
     #[must_use]
     pub fn schedule_rational(&self, instance: &Instance) -> Schedule {
         let m = instance.processors();
@@ -89,27 +89,7 @@ impl Scheduler for RoundRobin {
     }
 
     fn schedule(&self, instance: &Instance) -> Schedule {
-        let Some(mut builder) = ScaledScheduleBuilder::try_new(instance) else {
-            return self.schedule_rational(instance);
-        };
-        let m = instance.processors();
-        for phase in 0..instance.max_chain_length() {
-            loop {
-                let participants: Vec<usize> = (0..m)
-                    .filter(|&i| {
-                        builder
-                            .active_job(i)
-                            .map(|id| id.index == phase)
-                            .unwrap_or(false)
-                    })
-                    .collect();
-                if participants.is_empty() {
-                    break;
-                }
-                serve_units_in_order(&mut builder, &participants);
-            }
-        }
-        builder.finish()
+        multi_sched::schedule(PolyKind::RoundRobin, instance)
     }
 }
 

@@ -1,8 +1,8 @@
 //! The unified, fallible `Solve` surface over every algorithm in this crate.
 //!
 //! Historically each algorithm family had its own entry points: the
-//! infallible [`Scheduler`] trait for the polynomial schedulers, free
-//! functions (`opt_m_makespan` / `try_opt_m_makespan`, and the
+//! infallible [`Scheduler`](crate::Scheduler) trait for the polynomial
+//! schedulers, free functions (`opt_m_makespan` / `try_opt_m_makespan`, and the
 //! `opt_two_*` / `brute_force_*` twins) for the exact engines, and ad-hoc
 //! bound helpers.  This module replaces
 //! that patchwork with one request/response interface:
@@ -11,7 +11,7 @@
 //!   key), an [`EnginePreference`], a [`Budget`] and optional per-processor
 //!   arrival times (consumed by the online solvers in `cr-sim`);
 //! * [`SolveOutcome`] — makespan and/or schedule, the instance's
-//!   [`LowerBounds`], the [`Engine`] actually used, the fallbacks taken and
+//!   [`LowerBounds`], the [`Engine`] that ran, the fallbacks taken and
 //!   step/round counters;
 //! * [`SolveError`] — every failure the old surfaces expressed as a panic or
 //!   crate-specific error ([`SearchError`], grid overflow, infeasible
@@ -21,37 +21,33 @@
 //!   the bounds-only evaluator;
 //! * [`registry`] — the string-keyed line-up of all offline solvers.
 //!
-//! # Engine preference and fallback contract
+//! # Engine preference and grid contract
 //!
-//! The six polynomial schedulers have two interchangeable cores: the
-//! scaled-integer hot path (`u64` units on the instance's denominator-LCM
-//! grid) and the exact `Ratio` reference path.  [`EnginePreference`]
-//! selects between them:
+//! Every offline method runs on integer unit grids, and one grid choice
+//! serves them all — the six polynomial schedulers, `"Bounds"` and the
+//! exact methods: the instance's `u64` grid when it fits, else its `u128`
+//! grid, built per request and recorded in [`SolveOutcome::fallbacks`]
+//! ("unit grid overflows u64: widened to u128", or "a resource layer's unit
+//! grid overflows u64: widened to u128" at `k ≥ 2`), else
+//! [`SolveError::GridOverflow`] ([`SolveError::ResourceOverflow`] at
+//! `k ≥ 2`).  [`EnginePreference`] only bounds the widening:
 //!
-//! * [`EnginePreference::Auto`] (the default) runs the scaled core whenever
-//!   the instance's grid fits `u64` and transparently falls back to the
-//!   rational core otherwise.  Every fallback taken is recorded in
-//!   [`SolveOutcome::fallbacks`], and [`SolveOutcome::engine`] names the
-//!   core that actually produced the result.
-//! * [`EnginePreference::Scaled`] demands the scaled core: if the grid
-//!   overflows the request fails with [`SolveError::GridOverflow`].
-//! * [`EnginePreference::Rational`] runs the exact `Ratio` core — the
-//!   cross-checking path of the property-test suites.  The online simulator
-//!   methods in `cr-sim` are integer-native and reject this preference with
+//! * [`EnginePreference::Auto`] (the default) takes the `u64` grid, else the
+//!   `u128` one;
+//! * [`EnginePreference::Scaled`] takes the `u64` grid only and fails
+//!   instead of widening;
+//! * [`EnginePreference::Rational`] runs like `Auto`.  The online simulator
+//!   methods in `cr-sim` run on `u64` only and reject it with
 //!   [`SolveError::EngineUnavailable`].
 //!
-//! Both cores produce identical makespans (enforced by the
-//! `proptest_scaled_sched` suite), so the preference changes performance
-//! and failure modes, never values.
-//!
-//! The exact methods (`"OptTwo"`, `"OptM"`, `"BruteForce"`) run on integer
-//! grids only.  One grid choice serves every exact entry point: the
-//! instance's `u64` grid when it fits, else its `u128` grid, built per
-//! request and recorded in [`SolveOutcome::fallbacks`], else
-//! [`SolveError::GridOverflow`] ([`SolveError::ResourceOverflow`] at
-//! `k ≥ 2`).  `Scaled` takes the `u64` grid only; `Rational` runs like
-//! `Auto`; [`SolveOutcome::engine`] is [`Engine::Scaled`] on every answer.
-//! `"OptM"` and `"BruteForce"` run one configuration search, the internal
+//! [`SolveOutcome::engine`] is [`Engine::Scaled`] on every answer.  Both
+//! widths hold the same grid, so the preference changes failure modes,
+//! never values.  The heuristics step on the scheduling layer's grid
+//! ([`cr_core::MultiStepper`], whose grid also covers the workload
+//! denominators) and check every step in units: each share, and each
+//! step's total, is at most the layer capacity.  The exact methods search
+//! the requirement grid of a [`ScaledInstance`].  `"OptM"` and
+//! `"BruteForce"` run one configuration search, the internal
 //! `multi_engine` module, which also answers every multi-resource (`k ≥ 2`)
 //! request of the exact methods.  A configuration-search round that
 //! outgrows its `u32` positions fails with [`SolveError::RoundTooLarge`].
@@ -104,29 +100,27 @@ use crate::multi_engine::{self, MultiView, SearchError, SearchUnit};
 use crate::multi_sched::{self, PolyKind};
 use crate::opt_two::{replay_decisions, ScaledDpTable};
 use crate::round_robin::RoundRobin;
-use crate::traits::Scheduler;
 use crate::OptM;
 use crate::OptTwo;
 use cr_core::{
-    bounds, CancelReason, CancelToken, Instance, ScaledInstance, ScaledScheduleBuilder, Schedule,
+    bounds, CancelReason, CancelToken, GridUnit, Instance, MultiStepper, ScaledInstance, Schedule,
     ScheduleError, SchedulingGraph,
 };
 use std::fmt;
 use std::sync::Arc;
 
-/// Which of a method's two cores a request may run on (see the module docs
-/// for the exact methods, which run on integer grids only).
+/// How far a request may widen its integer grid (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnginePreference {
-    /// Scaled-integer core when the grid fits, rational core otherwise
-    /// (fallbacks recorded in [`SolveOutcome::fallbacks`]).  The default.
+    /// The `u64` grid when it fits, the `u128` grid otherwise (the widening
+    /// recorded in [`SolveOutcome::fallbacks`]).  The default.
     #[default]
     Auto,
-    /// Scaled-integer core on the `u64` grid only; fails with
-    /// [`SolveError::GridOverflow`] instead of falling back.
+    /// The `u64` grid only; fails with [`SolveError::GridOverflow`] (or
+    /// [`SolveError::ResourceOverflow`]) instead of widening.
     Scaled,
-    /// The exact `Ratio` reference core only; the exact methods run it like
-    /// [`EnginePreference::Auto`].
+    /// Runs like [`EnginePreference::Auto`] on every offline method; the
+    /// online simulator methods reject it.
     Rational,
 }
 
@@ -142,14 +136,11 @@ impl EnginePreference {
     }
 }
 
-/// The core that actually produced a [`SolveOutcome`].
+/// The core that produced a [`SolveOutcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The scaled-integer hot path (every exact answer, on either grid
-    /// width).
+    /// The integer-grid core, on either grid width: every answer.
     Scaled,
-    /// The exact `Ratio` reference path.
-    Rational,
 }
 
 impl Engine {
@@ -158,7 +149,6 @@ impl Engine {
     pub fn as_str(self) -> &'static str {
         match self {
             Engine::Scaled => "scaled",
-            Engine::Rational => "rational",
         }
     }
 }
@@ -289,10 +279,10 @@ impl LowerBounds {
 pub struct SolveOutcome {
     /// Registry key of the method that ran.
     pub method: String,
-    /// The engine core that actually produced the result.
+    /// The engine core that produced the result.
     pub engine: Engine,
     /// Human-readable descriptions of every fallback taken (empty when the
-    /// preferred core ran directly).
+    /// `u64` grid served the request).
     pub fallbacks: Vec<String>,
     /// The computed makespan (`None` for the bounds-only evaluator).
     pub makespan: Option<usize>,
@@ -360,8 +350,9 @@ pub enum SolveError {
         found: usize,
     },
     /// The instance's unit grid overflows the width the request may run
-    /// on: `u64` when [`EnginePreference::Scaled`] was demanded, `u128` for
-    /// an exact method on any preference.
+    /// on: `u64` when [`EnginePreference::Scaled`] was demanded (and for the
+    /// online simulator methods), `u128` for any offline method on any
+    /// preference.
     GridOverflow {
         /// The rejecting method.
         method: String,
@@ -589,8 +580,8 @@ impl From<ScheduleError> for SolveError {
 }
 
 /// Warm per-instance state shared by every solve against one instance: the
-/// scaled-integer conversion of the exact engines, the scheduling layer's
-/// grid viability, and the instance-only lower bounds.
+/// scaled-integer conversion of the exact engines and the instance-only
+/// lower bounds.
 ///
 /// [`Solver::solve`] builds one on the fly; the batch service in
 /// `cr-service` memoizes them so repeated requests against one instance pay
@@ -600,9 +591,6 @@ pub struct Prepared {
     /// The exact engines' `u64` grid (`None`: it overflows, and the exact
     /// methods widen to `u128` per request).
     pub scaled: Option<Arc<ScaledInstance>>,
-    /// Whether the scheduling layer's (requirement × workload) unit grid is
-    /// representable — the gate the polynomial schedulers route on.
-    pub sched_scaled: bool,
     /// Instance-only lower bounds ([`LowerBounds::best`] left `None`).
     pub lower_bounds: LowerBounds,
 }
@@ -613,7 +601,6 @@ impl Prepared {
     pub fn new(instance: &Instance) -> Self {
         Prepared {
             scaled: ScaledInstance::try_new(instance).map(Arc::new),
-            sched_scaled: ScaledScheduleBuilder::try_new(instance).is_some(),
             lower_bounds: LowerBounds::compute(instance),
         }
     }
@@ -716,18 +703,6 @@ fn check_steps_budget(method: &str, budget: &Budget, makespan: usize) -> Result<
     Ok(())
 }
 
-/// The standard fallback note recorded when `Auto` routes around an
-/// unrepresentable grid.
-fn grid_fallback_note() -> String {
-    "unit grid overflows u64: fell back to the rational core".to_string()
-}
-
-/// The multi-resource analogue of [`grid_fallback_note`]: some layer's
-/// per-resource grid overflowed.
-fn multi_grid_fallback_note() -> String {
-    "a resource layer's unit grid overflows u64: fell back to the rational core".to_string()
-}
-
 /// Rejects `want_schedule` on multi-resource requests: [`Schedule`] is
 /// single-resource, so `k ≥ 2` answers are makespan-and-bounds only.
 fn reject_multi_schedule(method: &str, request: &SolveRequest) -> Result<(), SolveError> {
@@ -740,54 +715,57 @@ fn reject_multi_schedule(method: &str, request: &SolveRequest) -> Result<(), Sol
     Ok(())
 }
 
-/// The integer grid an exact method solves one request on.
-pub(crate) enum ExactGrid<'a> {
-    /// The instance's `u64` grid ([`Prepared::scaled`]).
-    Narrow(&'a ScaledInstance),
-    /// Its `u128` grid, built per request when the `u64` grid overflows.
-    Wide(ScaledInstance<u128>),
+/// An integer grid at one of the two widths.
+pub(crate) enum Grid<N, W> {
+    /// The `u64` grid.
+    Narrow(N),
+    /// The `u128` grid, taken when the `u64` one overflows.
+    Wide(W),
 }
+
+/// The integer grid an exact method solves one request on: the instance's
+/// `u64` grid ([`Prepared::scaled`]), or its `u128` grid, built per request.
+pub(crate) type ExactGrid<'a> = Grid<&'a ScaledInstance, ScaledInstance<u128>>;
 
 /// Evaluates `$body` with `$scaled` bound to an [`ExactGrid`]'s
 /// `&ScaledInstance<V>`, monomorphised once per unit (`u64` and `u128`).
 macro_rules! on_grid {
     ($grid:expr, |$scaled:ident| $body:expr) => {
         match $grid {
-            $crate::solver::ExactGrid::Narrow($scaled) => $body,
-            $crate::solver::ExactGrid::Wide(ref $scaled) => $body,
+            $crate::solver::Grid::Narrow($scaled) => $body,
+            $crate::solver::Grid::Wide(ref $scaled) => $body,
         }
     };
 }
 pub(crate) use on_grid;
 
-/// The one grid choice of the exact methods: `narrow` (the `u64` grid)
-/// when present; else, unless `engine` demands the scaled `u64` core, the
-/// instance's `u128` grid, with the widening recorded as a fallback; else
+/// The one grid choice of every offline method: `narrow` (the `u64` grid)
+/// when present; else, unless `engine` demands the `u64` grid, `wide()`,
+/// with the widening recorded as a fallback; else
 /// [`SolveError::GridOverflow`], or [`SolveError::ResourceOverflow`] on a
 /// multi-resource instance.
-pub(crate) fn exact_grid<'a>(
+fn widen<N, W>(
     method: &str,
     engine: EnginePreference,
     instance: &Instance,
-    narrow: Option<&'a ScaledInstance>,
-) -> Result<(ExactGrid<'a>, Vec<String>), SolveError> {
+    narrow: Option<N>,
+    wide: impl FnOnce() -> Option<W>,
+) -> Result<(Grid<N, W>, Vec<String>), SolveError> {
     if let Some(narrow) = narrow {
-        return Ok((ExactGrid::Narrow(narrow), Vec::new()));
+        return Ok((Grid::Narrow(narrow), Vec::new()));
     }
     let multi = instance.resources() > 1;
     let wide = match engine {
         EnginePreference::Scaled => None,
-        EnginePreference::Auto | EnginePreference::Rational => {
-            ScaledInstance::try_on_grid(instance)
-        }
+        EnginePreference::Auto | EnginePreference::Rational => wide(),
     };
     match (wide, multi) {
         (Some(wide), false) => Ok((
-            ExactGrid::Wide(wide),
+            Grid::Wide(wide),
             vec!["unit grid overflows u64: widened to u128".to_string()],
         )),
         (Some(wide), true) => Ok((
-            ExactGrid::Wide(wide),
+            Grid::Wide(wide),
             vec!["a resource layer's unit grid overflows u64: widened to u128".to_string()],
         )),
         (None, false) => Err(SolveError::GridOverflow {
@@ -797,6 +775,18 @@ pub(crate) fn exact_grid<'a>(
             method: method.to_string(),
         }),
     }
+}
+
+/// The exact methods' grid choice ([`widen`] over the requirement grid).
+pub(crate) fn exact_grid<'a>(
+    method: &str,
+    engine: EnginePreference,
+    instance: &Instance,
+    narrow: Option<&'a ScaledInstance>,
+) -> Result<(ExactGrid<'a>, Vec<String>), SolveError> {
+    widen(method, engine, instance, narrow, || {
+        ScaledInstance::try_on_grid(instance)
+    })
 }
 
 /// [`exact_grid`] on the `Auto` preference: the grid of the exact free
@@ -815,55 +805,47 @@ pub(crate) fn auto_grid<'a>(
         .unwrap_or_else(|err| panic!("{err}"))
 }
 
-/// The shared engine-routing contract of the scheduling-layer methods:
-/// picks the scaled or rational schedule producer per the preference and
-/// the grid viability, recording any `Auto` fallback taken.
-fn route_schedule(
-    method: &str,
-    engine: EnginePreference,
-    sched_scaled: bool,
-    scaled_schedule: &dyn Fn() -> Schedule,
-    rational_schedule: &dyn Fn() -> Schedule,
-) -> Result<(Engine, Vec<String>, Schedule), SolveError> {
-    match engine {
-        EnginePreference::Scaled => {
-            if !sched_scaled {
-                return Err(SolveError::GridOverflow {
-                    method: method.to_string(),
-                });
-            }
-            Ok((Engine::Scaled, Vec::new(), scaled_schedule()))
-        }
-        EnginePreference::Rational => Ok((Engine::Rational, Vec::new(), rational_schedule())),
-        EnginePreference::Auto => {
-            if sched_scaled {
-                Ok((Engine::Scaled, Vec::new(), scaled_schedule()))
-            } else {
-                Ok((
-                    Engine::Rational,
-                    vec![grid_fallback_note()],
-                    rational_schedule(),
-                ))
-            }
-        }
+/// The steppers of a polynomial rule: one per width, on every layer.
+type StepGrid = Grid<MultiStepper<u64>, MultiStepper<u128>>;
+
+/// The polynomial rules' grid choice ([`widen`] over the scheduling
+/// layer's grid, on every resource layer of the request's instance).
+fn step_grid(method: &str, request: &SolveRequest) -> Result<(StepGrid, Vec<String>), SolveError> {
+    let instance = &request.instance;
+    widen(
+        method,
+        request.engine,
+        instance,
+        MultiStepper::try_new(instance),
+        || MultiStepper::try_new(instance),
+    )
+}
+
+/// Runs `kind` on `stepper`: the makespan, plus the `k = 1` schedule when
+/// `log` asks for it (a makespan-only run keeps no share log).
+fn run_rule<U: GridUnit>(
+    kind: PolyKind,
+    mut stepper: MultiStepper<U>,
+    log: bool,
+) -> (usize, Option<Schedule>) {
+    if log {
+        let schedule = multi_sched::logged(kind, stepper);
+        (schedule.num_steps(), Some(schedule))
+    } else {
+        (multi_sched::run(kind, &mut stepper), None)
     }
 }
 
-/// Shared solve logic of the six polynomial schedulers: engine routing over
-/// the (scaled schedule, rational schedule) pair, feasibility validation and
-/// budget enforcement.  `max_rounds` does not apply (there is no search);
-/// only `max_steps` is enforced.
-///
-/// Multi-resource (`k ≥ 2`) instances route to the per-resource runners in
-/// [`multi_sched`] instead; the scalar schedulers below stay the `k = 1`
-/// production fast path untouched.
+/// Shared solve logic of the six polynomial schedulers, for every `k`: the
+/// grid choice, the rule's run and budget enforcement.  `max_rounds` does
+/// not apply (there is no search); only `max_steps` is enforced.  A
+/// `k ≥ 2` request reports the makespan only
+/// ([`SolveError::ResourceMismatch`] on `want_schedule`).
 fn solve_polynomial(
     method: &str,
     kind: PolyKind,
     request: &SolveRequest,
     prepared: &Prepared,
-    scaled_schedule: &dyn Fn(&Instance) -> Schedule,
-    rational_schedule: &dyn Fn(&Instance) -> Schedule,
 ) -> Result<SolveOutcome, SolveError> {
     reject_arrivals(method, request)?;
     precheck_cap(
@@ -873,75 +855,22 @@ fn solve_polynomial(
         &prepared.lower_bounds,
     )?;
     if request.instance.resources() > 1 {
-        return solve_polynomial_multi(method, kind, request, prepared);
+        reject_multi_schedule(method, request)?;
     }
-    let instance = &request.instance;
-    let (engine, fallbacks, schedule) = route_schedule(
-        method,
-        request.engine,
-        prepared.sched_scaled,
-        &|| scaled_schedule(instance),
-        &|| rational_schedule(instance),
-    )?;
-    let makespan = schedule.makespan(instance)?;
-    check_steps_budget(method, &request.budget, makespan)?;
-    Ok(SolveOutcome {
-        method: method.to_string(),
-        engine,
-        fallbacks,
-        makespan: Some(makespan),
-        steps: schedule.num_steps(),
-        rounds: 0,
-        schedule: request.want_schedule.then_some(schedule),
-        lower_bounds: prepared.lower_bounds,
-    })
-}
-
-/// The multi-resource (`k ≥ 2`) polynomial path: runs the heuristic's
-/// per-resource share rule on the [`cr_core::MultiStepper`] and reports the
-/// makespan.  Schedules are not produced ([`SolveError::ResourceMismatch`]);
-/// the engine preference routes between the per-layer scaled grids and the
-/// exact rational stepper with the usual `Auto` fallback contract.
-fn solve_polynomial_multi(
-    method: &str,
-    kind: PolyKind,
-    request: &SolveRequest,
-    prepared: &Prepared,
-) -> Result<SolveOutcome, SolveError> {
-    reject_multi_schedule(method, request)?;
-    let instance = &request.instance;
-    let (engine, fallbacks, makespan) = match request.engine {
-        EnginePreference::Scaled => match multi_sched::multi_makespan_scaled(kind, instance) {
-            Some(value) => (Engine::Scaled, Vec::new(), value),
-            None => {
-                return Err(SolveError::ResourceOverflow {
-                    method: method.to_string(),
-                })
-            }
-        },
-        EnginePreference::Rational => (
-            Engine::Rational,
-            Vec::new(),
-            multi_sched::multi_makespan_rational(kind, instance),
-        ),
-        EnginePreference::Auto => match multi_sched::multi_makespan_scaled(kind, instance) {
-            Some(value) => (Engine::Scaled, Vec::new(), value),
-            None => (
-                Engine::Rational,
-                vec![multi_grid_fallback_note()],
-                multi_sched::multi_makespan_rational(kind, instance),
-            ),
-        },
+    let (grid, fallbacks) = step_grid(method, request)?;
+    let (makespan, schedule) = match grid {
+        Grid::Narrow(stepper) => run_rule(kind, stepper, request.want_schedule),
+        Grid::Wide(stepper) => run_rule(kind, stepper, request.want_schedule),
     };
     check_steps_budget(method, &request.budget, makespan)?;
     Ok(SolveOutcome {
         method: method.to_string(),
-        engine,
+        engine: Engine::Scaled,
         fallbacks,
         makespan: Some(makespan),
         steps: makespan,
         rounds: 0,
-        schedule: None,
+        schedule,
         lower_bounds: prepared.lower_bounds,
     })
 }
@@ -1011,14 +940,7 @@ macro_rules! impl_polynomial_solver {
                 request: &SolveRequest,
                 prepared: &Prepared,
             ) -> Result<SolveOutcome, SolveError> {
-                solve_polynomial(
-                    $name,
-                    $kind,
-                    request,
-                    prepared,
-                    &|i| Scheduler::schedule(self, i),
-                    &|i| self.schedule_rational(i),
-                )
+                solve_polynomial($name, $kind, request, prepared)
             }
         }
     };
@@ -1186,7 +1108,8 @@ fn certify_opt_m(request: &SolveRequest, prepared: &Prepared) -> Option<SolveOut
     if request.instance.resources() > 1 || request.want_schedule || prepared.scaled.is_none() {
         return None;
     }
-    let makespan = multi_sched::multi_makespan_scaled(PolyKind::GreedyBalance, &request.instance)?;
+    let mut stepper = MultiStepper::<u64>::try_new(&request.instance)?;
+    let makespan = multi_sched::run(PolyKind::GreedyBalance, &mut stepper);
     // The budget prechecks already admitted the trivial bound, so an
     // answer equal to it is within both caps.
     (makespan == prepared.lower_bounds.trivial).then(|| SolveOutcome {
@@ -1324,7 +1247,7 @@ impl Solver for BruteForceSolver {
 /// Reports no makespan; instead it fills [`LowerBounds::best`] — the best
 /// schedule-derived lower bound, computed from a GreedyBalance schedule's
 /// scheduling hypergraph (Observation 1, component and class bounds).  The
-/// engine preference routes the internal GreedyBalance schedule.
+/// GreedyBalance schedule takes the polynomial rules' grid choice.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BoundsOnly;
 
@@ -1345,7 +1268,7 @@ impl Solver for BoundsOnly {
             lower_bounds.best = Some(lower_bounds.trivial);
             return Ok(SolveOutcome {
                 method: METHOD.to_string(),
-                engine: Engine::Rational,
+                engine: Engine::Scaled,
                 fallbacks: Vec::new(),
                 makespan: None,
                 steps: 0,
@@ -1354,21 +1277,18 @@ impl Solver for BoundsOnly {
                 lower_bounds,
             });
         }
-        let greedy = GreedyBalance::new();
-        let (engine, fallbacks, schedule) = route_schedule(
-            METHOD,
-            request.engine,
-            prepared.sched_scaled,
-            &|| Scheduler::schedule(&greedy, instance),
-            &|| greedy.schedule_rational(instance),
-        )?;
+        let (grid, fallbacks) = step_grid(METHOD, request)?;
+        let schedule = match grid {
+            Grid::Narrow(stepper) => multi_sched::logged(PolyKind::GreedyBalance, stepper),
+            Grid::Wide(stepper) => multi_sched::logged(PolyKind::GreedyBalance, stepper),
+        };
         let trace = schedule.trace(instance)?;
         let graph = SchedulingGraph::build(instance, &trace);
         let mut lower_bounds = prepared.lower_bounds;
         lower_bounds.best = Some(bounds::best_lower_bound(instance, &graph));
         Ok(SolveOutcome {
             method: METHOD.to_string(),
-            engine,
+            engine: Engine::Scaled,
             fallbacks,
             makespan: None,
             steps: 0,
@@ -1589,7 +1509,10 @@ mod tests {
     fn engine_preferences_agree_on_values() {
         let reg = registry();
         let inst = fig_like();
-        for method in ["GreedyBalance", "OptM", "OptTwo", "BruteForce"] {
+        for method in POLY_METHODS
+            .into_iter()
+            .chain(["OptM", "OptTwo", "BruteForce"])
+        {
             let auto = reg.solve(&SolveRequest::new(method, inst.clone())).unwrap();
             let scaled = reg
                 .solve(
@@ -1603,15 +1526,9 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(auto.makespan, scaled.makespan, "{method}");
-            assert_eq!(auto.makespan, rational.makespan, "{method}");
-            // The exact methods run on integer grids only: `rational` runs
-            // like `auto` there.
-            let want = if method == "GreedyBalance" {
-                Engine::Rational
-            } else {
-                Engine::Scaled
-            };
-            assert_eq!(rational.engine, want, "{method}");
+            // Every method runs on integer grids only: `rational` runs like
+            // `auto`.
+            assert_eq!(auto, rational, "{method}");
             assert_eq!(scaled.engine, Engine::Scaled);
         }
     }
@@ -1754,43 +1671,65 @@ mod tests {
     #[test]
     fn grid_overflow_is_an_error_only_when_scaled_is_demanded() {
         // A denominator of exactly 2^63 makes both the exact-engine grid
-        // (2·D) and the scheduling grid ((m+1)·D) overflow u64, while the
-        // rational fallback's i128 arithmetic stays comfortably in range.
+        // (2·D) and the scheduling grid ((m+1)·D) overflow u64, well inside
+        // u128.
         let inst = Instance::unit_from_requirements(vec![vec![Ratio::new(1, 1i128 << 63)]]);
         assert!(Prepared::new(&inst).scaled.is_none());
         let reg = registry();
 
-        let err = reg
-            .solve(
-                &SolveRequest::new("GreedyBalance", inst.clone())
-                    .with_engine(EnginePreference::Scaled),
-            )
-            .unwrap_err();
-        assert_eq!(err.kind(), "grid_overflow");
-
-        let auto = reg
-            .solve(&SolveRequest::new("GreedyBalance", inst.clone()))
-            .unwrap();
-        assert_eq!(auto.engine, Engine::Rational);
-        assert_eq!(auto.fallbacks.len(), 1, "fallback recorded");
-
-        // The exact methods widen to the u128 grid instead, on auto and on
-        // rational alike, and record the widening.
-        for method in ["OptM", "BruteForce"] {
+        // Every offline method widens to the u128 grid, on auto and on
+        // rational alike, and records the widening; `scaled` refuses it.
+        for method in [
+            "GreedyBalance",
+            "EqualShare",
+            "OptM",
+            "BruteForce",
+            "Bounds",
+        ] {
             let request = SolveRequest::new(method, inst.clone());
             let err = reg
                 .solve(&request.clone().with_engine(EnginePreference::Scaled))
                 .unwrap_err();
             assert_eq!(err.kind(), "grid_overflow", "{method}");
             for engine in [EnginePreference::Auto, EnginePreference::Rational] {
-                let wide = reg.solve(&request.clone().with_engine(engine)).unwrap();
+                let wide = reg
+                    .solve(&request.clone().with_engine(engine).with_schedule())
+                    .unwrap();
                 assert_eq!(wide.engine, Engine::Scaled, "{method}");
-                assert_eq!(wide.makespan, Some(1), "{method}");
                 assert_eq!(
                     wide.fallbacks,
                     ["unit grid overflows u64: widened to u128"],
                     "{method}"
                 );
+                if method != "Bounds" {
+                    assert_eq!(wide.makespan, Some(1), "{method}");
+                }
+                if let Some(schedule) = wide.schedule {
+                    assert_eq!(schedule.makespan(&inst), Ok(1), "{method}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heuristics_refuse_grids_past_u128() {
+        // The grid 1/(2^127 − 1) fits i128, but (m + 1) = 3 times it
+        // overflows u128.
+        let inst = Instance::unit_from_requirements(vec![
+            vec![Ratio::new(1, i128::MAX)],
+            vec![Ratio::ZERO],
+        ]);
+        let reg = registry();
+        for method in POLY_METHODS.into_iter().chain(["Bounds"]) {
+            for engine in [
+                EnginePreference::Auto,
+                EnginePreference::Scaled,
+                EnginePreference::Rational,
+            ] {
+                let err = reg
+                    .solve(&SolveRequest::new(method, inst.clone()).with_engine(engine))
+                    .unwrap_err();
+                assert_eq!(err.kind(), "grid_overflow", "{method}/{engine:?}");
             }
         }
     }
@@ -2011,6 +1950,7 @@ mod tests {
             .solve_prepared(&SolveRequest::new("Bounds", inst.clone()), &prepared)
             .unwrap();
         assert!(bounds.makespan.is_none());
+        assert_eq!(bounds.engine, Engine::Scaled);
         assert_eq!(bounds.lower_bounds.best, Some(bounds.lower_bounds.trivial));
     }
 
@@ -2086,8 +2026,7 @@ mod tests {
     fn multi_resource_layer_overflow_routes_like_grid_overflow() {
         // A layer requirement with a 2^63 denominator makes the layer's u64
         // grid unrepresentable: Scaled fails with resource_overflow, Auto
-        // falls back to the rational stepper (heuristics) or widens to the
-        // u128 grid (exact methods) and records it.
+        // widens to the u128 grid and records it.
         let huge = Ratio::new(1, 1i128 << 63);
         let inst = cr_core::InstanceBuilder::new()
             .processor([Ratio::from_percent(50)])
@@ -2095,7 +2034,7 @@ mod tests {
             .extra_layer([vec![huge], vec![huge]])
             .build();
         let reg = registry();
-        for (method, engine) in [("EqualShare", Engine::Rational), ("OptM", Engine::Scaled)] {
+        for method in ["EqualShare", "OptM"] {
             let err = reg
                 .solve(
                     &SolveRequest::new(method, inst.clone()).with_engine(EnginePreference::Scaled),
@@ -2103,8 +2042,12 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err.kind(), "resource_overflow", "{method}");
             let auto = reg.solve(&SolveRequest::new(method, inst.clone())).unwrap();
-            assert_eq!(auto.engine, engine, "{method}");
-            assert_eq!(auto.fallbacks.len(), 1, "{method}");
+            assert_eq!(auto.engine, Engine::Scaled, "{method}");
+            assert_eq!(
+                auto.fallbacks,
+                ["a resource layer's unit grid overflows u64: widened to u128"],
+                "{method}"
+            );
         }
     }
 
@@ -2142,7 +2085,6 @@ mod tests {
         let inst = fig_like();
         let prepared = Prepared::new(&inst);
         assert!(prepared.scaled.is_some());
-        assert!(prepared.sched_scaled);
         let reg = registry();
         let a = reg
             .solve_prepared(&SolveRequest::new("OptM", inst.clone()), &prepared)
@@ -2169,9 +2111,10 @@ mod tests {
         // answer comes from the class search.
         let multi = multi_fig_like();
         let prepared = Prepared::new(&multi);
+        let mut stepper = MultiStepper::<u64>::try_new(&multi).unwrap();
         assert_eq!(
-            multi_sched::multi_makespan_scaled(PolyKind::GreedyBalance, &multi),
-            Some(prepared.lower_bounds.trivial)
+            multi_sched::run(PolyKind::GreedyBalance, &mut stepper),
+            prepared.lower_bounds.trivial
         );
         assert!(certify_opt_m(&SolveRequest::new("OptM", multi), &prepared).is_none());
     }
@@ -2262,15 +2205,18 @@ mod tests {
             }
         }
 
+        /// The certificate's makespan-only run keeps no share log; it
+        /// must end where the traced GreedyBalance schedule does.
         #[test]
         fn single_resource_greedy_balance_matches_the_scalar_schedule(
             inst in single_resource_instances(),
         ) {
-            let scalar = Scheduler::schedule(&GreedyBalance::new(), &inst)
+            let scalar = crate::Scheduler::schedule(&GreedyBalance::new(), &inst)
                 .makespan(&inst)
                 .unwrap();
-            let multi = multi_sched::multi_makespan_scaled(PolyKind::GreedyBalance, &inst);
-            prop_assert!(multi == Some(scalar), "{multi:?} != {scalar} on {inst}");
+            let mut stepper = MultiStepper::<u64>::try_new(&inst).unwrap();
+            let multi = multi_sched::run(PolyKind::GreedyBalance, &mut stepper);
+            prop_assert!(multi == scalar, "{multi} != {scalar} on {inst}");
         }
     }
 }

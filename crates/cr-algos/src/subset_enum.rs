@@ -6,9 +6,8 @@
 //! remaining requirements fit into the resource and all complete, plus at
 //! most one further active job that receives the leftover without
 //! completing.  The configuration search ([`crate::multi_engine`], `u64`
-//! units or exact [`Ratio`](cr_core::Ratio)s) and its brute force enumerate
-//! exactly this choice space whenever they run over one resource, generic
-//! over [`StepUnit`].  With `k ≥ 2` resources the sorted break-prune below
+//! or `u128` units) and its brute force enumerate exactly this choice space
+//! whenever they run over one resource, generic over [`GridUnit`].  With `k ≥ 2` resources the sorted break-prune below
 //! no longer applies to the current step class (requirement vectors have
 //! no total order), and `multi_engine` enumerates with its own subset DFS.
 //!
@@ -49,7 +48,7 @@
 
 #[cfg(test)]
 use cr_core::CancelToken;
-use cr_core::{CancelGate, CancelReason, StepUnit};
+use cr_core::{CancelGate, CancelReason, GridUnit};
 
 /// Reusable buffers for one enumeration (one per search, not one per
 /// expansion).
@@ -77,7 +76,7 @@ pub(crate) struct EnumScratch {
 /// for why the rest are dominated), which the enumerator property test in
 /// `multi_engine` asserts.
 #[cfg(test)]
-pub(crate) fn for_each_choice<V: StepUnit>(
+pub(crate) fn for_each_choice<V: GridUnit>(
     remaining: &[V],
     cap: V,
     scratch: &mut EnumScratch,
@@ -98,7 +97,7 @@ pub(crate) const CHOICE_CHECK_STRIDE: u32 = 1024;
 /// stops within one check stride of the token firing.  Choices already
 /// emitted before the cut are *not* unwound — callers must discard partial
 /// results on `Err`.
-pub(crate) fn for_each_choice_cancellable<V: StepUnit>(
+pub(crate) fn for_each_choice_cancellable<V: GridUnit>(
     remaining: &[V],
     cap: V,
     scratch: &mut EnumScratch,
@@ -186,7 +185,7 @@ pub(crate) fn for_each_choice_cancellable<V: StepUnit>(
 /// One DFS level: try extending the chosen subset with each not-yet-tried
 /// positive entry, emitting the completing choices along the way.
 #[allow(clippy::too_many_arguments)]
-fn descend<V: StepUnit>(
+fn descend<V: GridUnit>(
     remaining: &[V],
     cap: V,
     order: &[u32],
@@ -252,12 +251,11 @@ fn descend<V: StepUnit>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cr_core::Ratio;
 
     /// One emitted choice: sorted finished entries plus the partial receiver.
     type Choice<V> = (Vec<u32>, Option<(u32, V)>);
 
-    fn collect_choices<V: StepUnit>(remaining: &[V], cap: V) -> Vec<Choice<V>> {
+    fn collect_choices<V: GridUnit>(remaining: &[V], cap: V) -> Vec<Choice<V>> {
         let mut scratch = EnumScratch::default();
         let mut out = Vec::new();
         for_each_choice(remaining, cap, &mut scratch, &mut |finished, partial| {
@@ -323,12 +321,13 @@ mod tests {
     }
 
     #[test]
-    fn ratio_values_enumerate_like_units() {
-        let remaining = [Ratio::from_percent(60), Ratio::from_percent(60)];
-        let choices = collect_choices(&remaining, Ratio::ONE);
+    fn wide_values_enumerate_like_units() {
+        // 60% + 60% of a capacity past u64: the choices of the u64 case.
+        let cap = 5u128 << 80;
+        let choices = collect_choices(&[3u128 << 80, 3 << 80], cap);
         assert_eq!(choices.len(), 2);
         for (_, partial) in choices {
-            assert_eq!(partial.unwrap().1, Ratio::from_percent(40));
+            assert_eq!(partial.unwrap().1, 2 << 80);
         }
     }
 

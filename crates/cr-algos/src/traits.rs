@@ -19,8 +19,15 @@ pub trait Scheduler {
     /// Computes a feasible schedule for `instance`.
     ///
     /// Implementations must return a schedule that completes every job and
-    /// never overuses the resource; this is enforced by the
-    /// `cr_core::ScheduleBuilder` they are built on.
+    /// never overuses the resource; this is enforced by the stepper
+    /// (`cr_core::MultiStepper`) or builder (`cr_core::ScheduleBuilder`)
+    /// they are built on.
+    ///
+    /// # Panics
+    ///
+    /// The six polynomial schedulers panic when the instance's unit grid
+    /// overflows `u128`; the [`crate::solver`] registry answers
+    /// `grid_overflow` there instead.
     fn schedule(&self, instance: &Instance) -> Schedule;
 
     /// The makespan of the schedule this algorithm produces, validated

@@ -1,21 +1,24 @@
 //! Property tests for the multi-resource (`k ≥ 2`) generalization.
 //!
-//! Three contracts:
+//! Four contracts:
 //!
 //! * **`k = 1` identity** — an instance built through the layered
-//!   constructor with a single layer routes through the untouched scalar
-//!   paths, so every registry method must produce a byte-identical
-//!   [`Result`] (outcome *or* error) to the legacy construction, under both
-//!   the scaled and the rational engine preference, schedules included;
+//!   constructor with a single layer must produce a byte-identical
+//!   [`Result`] (outcome *or* error) to the legacy construction for every
+//!   registry method, under both the scaled and the rational engine
+//!   preference, schedules included;
 //! * **exact-method agreement** — on genuine `k = 2` instances OPT(m) and
 //!   OptTwo must report the makespan of the memoized brute force, which
 //!   explores the same step class without the domination filter, on every
 //!   engine preference (the `u64` and `u128` grids are compared in
 //!   `multi_engine`'s own tests);
+//! * **engine neutrality** — on genuine `k = 2` instances every heuristic
+//!   reports the same makespan on all three engine preferences;
 //! * **zero-layer neutrality** — an all-zero extra layer adds no
-//!   constraints, so the exact multi optimum equals the scalar optimum.
+//!   constraints, so the exact multi optimum equals the scalar optimum and
+//!   every heuristic keeps its single-resource makespan.
 
-use cr_algos::solver::{registry, EnginePreference, SolveRequest};
+use cr_algos::solver::{registry, EnginePreference, SolveRequest, POLY_METHODS};
 use cr_algos::{opt_m_makespan, opt_two_makespan};
 use cr_core::{Instance, Ratio};
 use proptest::prelude::*;
@@ -111,6 +114,34 @@ proptest! {
     }
 
     #[test]
+    fn heuristics_answer_alike_on_every_engine_preference(
+        base in prop::collection::vec(prop::collection::vec(1u64..=100, 3..=3), 3..=3),
+        extra in prop::collection::vec(prop::collection::vec(1u64..=100, 3..=3), 3..=3),
+    ) {
+        let inst = Instance::multi_unit_from_requirements(vec![
+            layer_from(100, &base),
+            layer_from(100, &extra),
+        ])
+        .expect("layers share the 3x3 grid");
+        let reg = registry();
+        for method in POLY_METHODS {
+            let solve = |engine: EnginePreference| {
+                reg.solve(&SolveRequest::new(method, inst.clone()).with_engine(engine))
+                    .unwrap_or_else(|e| panic!("{method}/{engine:?}: {e}"))
+                    .makespan
+            };
+            let auto = solve(EnginePreference::Auto);
+            for engine in [EnginePreference::Scaled, EnginePreference::Rational] {
+                let value = solve(engine);
+                prop_assert!(
+                    value == auto,
+                    "{method}/{engine:?} answered {value:?}, auto {auto:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn zero_extra_layer_never_changes_the_optimum(
         den in 1u64..=12,
         rows in prop::collection::vec(prop::collection::vec(0u64..=100, 1..=3), 2..=2),
@@ -123,12 +154,19 @@ proptest! {
         let scalar = Instance::unit_from_requirements(layer.clone());
         let multi = Instance::multi_unit_from_requirements(vec![layer, zeros])
             .expect("the zero layer mirrors the base grid");
-        let value = registry()
-            .solve(&SolveRequest::new("OptM", multi))
-            .unwrap()
-            .makespan
-            .unwrap();
+        let reg = registry();
+        let makespan = |method: &str, inst: &Instance| {
+            reg.solve(&SolveRequest::new(method, inst.clone()))
+                .unwrap_or_else(|e| panic!("{method}: {e}"))
+                .makespan
+                .expect("makespan reported")
+        };
+        let value = makespan("OptM", &multi);
         prop_assert_eq!(value, opt_m_makespan(&scalar));
         prop_assert_eq!(value, opt_two_makespan(&scalar));
+        for method in POLY_METHODS {
+            let (single, layered) = (makespan(method, &scalar), makespan(method, &multi));
+            prop_assert!(single == layered, "{method}: {layered} with the zero layer, {single} without");
+        }
     }
 }

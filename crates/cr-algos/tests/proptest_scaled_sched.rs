@@ -1,14 +1,16 @@
-//! Property tests pinning the scaled scheduling layer (ISSUE-3) to the
-//! retained rational reference paths, in the style of `proptest_scaled`.
+//! Property tests pinning the scheduling layer's unit-grid rules to their
+//! `Ratio` reference paths, in the style of `proptest_scaled`.
 //!
 //! Instances are generated on a random grid `1/den` including the 0% and
 //! 100% extremes (plus fractional volumes for the arbitrary-size variants);
-//! on every instance the scaled production path and the `schedule_rational`
+//! on every instance the production path and the `schedule_rational`
 //! reference of GreedyBalance, RoundRobin and all four heuristics must
 //! produce **bit-identical schedules** (which implies equal makespans), every
-//! schedule must be feasible, and GreedyBalance must stay non-wasting
-//! (Definition 5) and balanced.
+//! schedule must be feasible, the registry must return the same schedule
+//! with the makespan its `Ratio` trace reports, and GreedyBalance must stay
+//! non-wasting (Definition 5) and balanced.
 
+use cr_algos::solver::{registry, SolveRequest};
 use cr_algos::{
     EqualShare, GreedyBalance, LargestRequirementFirst, ProportionalShare, RoundRobin, Scheduler,
     SmallestRequirementFirst,
@@ -53,8 +55,9 @@ fn sized_instance_from(den: u64, rows: &[Vec<(u64, u64)>]) -> Instance {
     Instance::new(jobs).expect("generated instance is valid")
 }
 
-/// Asserts one scheduler's scaled production path against its rational
-/// reference and the model's feasibility constraints.
+/// Asserts one scheduler's production path against its rational reference,
+/// the model's feasibility constraints and the registry's answer (`name`
+/// is the registry key).
 fn assert_paths_agree(
     name: &str,
     instance: &Instance,
@@ -67,6 +70,23 @@ fn assert_paths_agree(
         trace.makespan() == rational.makespan(instance).unwrap(),
         "{} makespans diverged",
         name
+    );
+    // The registry reports the stepper's step count; the `Ratio` trace of
+    // the schedule it returns must end at the same step.
+    let outcome = registry()
+        .solve(&SolveRequest::new(name, instance.clone()).with_schedule())
+        .expect("the registry answers");
+    prop_assert!(
+        outcome.schedule.as_ref() == Some(scaled),
+        "{} registry schedule",
+        name
+    );
+    prop_assert!(
+        outcome.makespan == Some(trace.makespan()),
+        "{} registry makespan {:?} vs traced {}",
+        name,
+        outcome.makespan,
+        trace.makespan()
     );
     Ok(())
 }

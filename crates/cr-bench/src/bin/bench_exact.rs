@@ -1,35 +1,23 @@
-//! Solver timing: the exact solvers on their integer grid, and scaled-core
-//! vs. rational-core timing for the scheduling heuristics and the online
-//! simulator.
+//! Solver timing: the exact solvers, the scheduling heuristics and the
+//! online simulator, each on its integer grid.
 //!
 //! Every case dispatches through the shared solver registry (the same
-//! `cr_algos::solver` surface `cr-serve` exposes).  The scaled column pins
-//! [`EnginePreference::Scaled`].  The exact solvers (`OptM`, `OptTwo`,
-//! `BruteForce`) run on integer grids only, so their cells time that one
-//! core and carry no rational column; their cross-checks live in the
-//! `cr-algos` tests.  Every `OptM` cell requests the schedule: a
-//! makespan-only `k = 1` request may be answered by the bound certificate
-//! without any search, and these cells time the configuration search plus
-//! the replay of its schedule.
-//!
-//! The heuristic and simulator cells add a rational column that pins
-//! [`EnginePreference::Rational`], and the two columns must agree on the
-//! summed makespans — the binary asserts this.  Adding a solver to the
-//! comparison is one registry registration plus one entry in a method list
-//! here.  The online simulator methods (`sim:*`) are integer-native, so
-//! their rational column runs the *offline* twin's rational reference on
-//! the same workload — the cost model of the pre-ISSUE-3 engine.  The
-//! workloads have equal phase counts per task, so every online policy
-//! reproduces its offline twin's makespan exactly and the equality assert
-//! still holds.
+//! `cr_algos::solver` surface `cr-serve` exposes).  The offline methods pin
+//! [`EnginePreference::Scaled`]; the online simulator methods (`sim:*`) run
+//! through `Auto`.  Every method runs on integer grids only, so each cell
+//! times that one core: the heuristics' cross-check against their `Ratio`
+//! references lives in `cr-algos`'s `proptest_scaled_sched`, the exact
+//! solvers' in the other `cr-algos` tests.  Every `OptM` cell requests the
+//! schedule: a makespan-only `k = 1` request may be answered by the bound
+//! certificate without any search, and these cells time the configuration
+//! search plus the replay of its schedule.
 //!
 //! Each cell runs in a fresh process — the binary re-executes itself with
 //! the internal `--cell INDEX` argument and reads back one result line — so
 //! a cell's time does not depend on the heap that earlier cells left
 //! behind.
 //!
-//! Writes `BENCH_exact.json` with per-case medians, and `rational_ms` and
-//! `speedup` on exactly the cells with two columns (the pipeline-level
+//! Writes `BENCH_exact.json` with per-case medians (the pipeline-level
 //! number lives in `BENCH_pipeline.json`).
 //!
 //! Usage: `cargo run --release -p cr-bench --bin bench_exact --
@@ -112,7 +100,7 @@ fn method_makespan(method: &str, engine: EnginePreference, instance: &Instance) 
     let mut request = SolveRequest::new(method, instance.clone()).with_engine(engine);
     if method == "OptM" {
         // A makespan-only request may be answered by the bound certificate;
-        // asking for the schedule keeps both columns on the search.
+        // asking for the schedule keeps the cell on the search.
         request = request.with_schedule();
     }
     shared_service()
@@ -122,28 +110,23 @@ fn method_makespan(method: &str, engine: EnginePreference, instance: &Instance) 
         .expect("bench methods report makespans")
 }
 
-/// One timed (case, method) pair: the method's scaled core, against a
-/// rational reference method when the cell has one (the method itself for
-/// the heuristics, the offline twin for `sim:` methods).  The instances are
-/// built only in the process that times the cell.
+/// One timed (case, method) pair.  The instances are built only in the
+/// process that times the cell.
 struct Cell {
     case: String,
-    scaled_method: &'static str,
-    rational_method: Option<&'static str>,
+    method: &'static str,
     instances: Box<dyn Fn() -> Vec<Instance>>,
 }
 
 impl Cell {
     fn new(
         case: impl Into<String>,
-        scaled_method: &'static str,
-        rational_method: Option<&'static str>,
+        method: &'static str,
         instances: impl Fn() -> Vec<Instance> + 'static,
     ) -> Self {
         Cell {
             case: case.into(),
-            scaled_method,
-            rational_method,
+            method,
             instances: Box::new(instances),
         }
     }
@@ -154,7 +137,6 @@ struct CaseResult {
     solver: String,
     instances: usize,
     scaled_ms: f64,
-    rational_ms: Option<f64>,
 }
 
 /// Every cell, in report order.
@@ -171,7 +153,6 @@ fn cells() -> Vec<Cell> {
             cells.push(Cell::new(
                 format!("{profile:?} m={m} n={n}"),
                 "OptM",
-                None,
                 move || {
                     (0..10)
                         .map(|rep| random_unit_instance(&cfg, 1000 + rep))
@@ -188,12 +169,9 @@ fn cells() -> Vec<Cell> {
     // oversubscribe the resource; see
     // `cr_instances::wide_oversubscribed_instance`.
     for m in [16usize, 32, 48] {
-        cells.push(Cell::new(
-            format!("WideOversub m={m}"),
-            "OptM",
-            None,
-            move || vec![wide_oversubscribed_instance(m, 4, 3, 12, 90)],
-        ));
+        cells.push(Cell::new(format!("WideOversub m={m}"), "OptM", move || {
+            vec![wide_oversubscribed_instance(m, 4, 3, 12, 90)]
+        }));
     }
 
     // The two-processor DP at sizes where the O(n²) table dominates.
@@ -201,26 +179,24 @@ fn cells() -> Vec<Cell> {
         cells.push(Cell::new(
             format!("Uniform m=2 n={n}"),
             "OptTwo",
-            None,
             move || vec![random_unit_instance(&RandomConfig::uniform(2, n), 11)],
         ));
     }
 
     // Brute force on a three-processor reference workload.
-    cells.push(Cell::new("Uniform m=3 n=4", "BruteForce", None, || {
+    cells.push(Cell::new("Uniform m=3 n=4", "BruteForce", || {
         (0..5)
             .map(|rep| random_unit_instance(&RandomConfig::uniform(3, 4), 2000 + rep))
             .collect()
     }));
 
-    // The scheduling layer: the scaled production path vs. the rational
-    // reference of all six polynomial methods, straight off the registry.
+    // The scheduling layer: all six polynomial methods, straight off the
+    // registry.
     for (m, n) in [(8usize, 48usize), (16, 64)] {
         for method in POLY_METHODS {
             cells.push(Cell::new(
                 format!("Uniform m={m} n={n}"),
                 method,
-                Some(method),
                 move || {
                     (0..8)
                         .map(|rep| random_unit_instance(&RandomConfig::uniform(m, n), 3000 + rep))
@@ -230,7 +206,7 @@ fn cells() -> Vec<Cell> {
         }
     }
 
-    // The online simulator methods vs. their offline rational twins.
+    // The online simulator methods.
     for (cores, mix) in [(16usize, TaskMix::Mixed), (64, TaskMix::IoBound)] {
         let cfg = WorkloadConfig {
             cores,
@@ -239,16 +215,15 @@ fn cells() -> Vec<Cell> {
             denominator: 100,
             unit_phases: true,
         };
-        for (sim_method, offline_twin) in [
-            ("sim:GreedyBalance", "GreedyBalance"),
-            ("sim:RoundRobin", "RoundRobin"),
-            ("sim:EqualShare", "EqualShare"),
-            ("sim:ProportionalShare", "ProportionalShare"),
+        for sim_method in [
+            "sim:GreedyBalance",
+            "sim:RoundRobin",
+            "sim:EqualShare",
+            "sim:ProportionalShare",
         ] {
             cells.push(Cell::new(
                 format!("{mix:?} cores={cores}"),
                 sim_method,
-                Some(offline_twin),
                 move || {
                     (0..4)
                         .map(|rep| generate_workload(&cfg, 9000 + cores as u64 + rep))
@@ -260,37 +235,22 @@ fn cells() -> Vec<Cell> {
     cells
 }
 
-/// Times `cell` in this process, asserting value equality of the columns.
-/// Returns (instances, scaled ms, rational ms if the cell has a rational
-/// column).
-fn measure(cell: &Cell, iters: usize) -> (usize, f64, Option<f64>) {
+/// Times `cell` in this process: returns (instances, median ms).
+fn measure(cell: &Cell, iters: usize) -> (usize, f64) {
     let instances = (cell.instances)();
-    let sum_over = |method: &str, engine: EnginePreference| -> usize {
-        instances
-            .iter()
-            .map(|i| method_makespan(method, engine, i))
-            .sum()
-    };
-    // The sim:* methods have no rational core; their scaled column runs the
-    // integer engine through Auto.
-    let scaled_engine = if cell.scaled_method.starts_with("sim:") {
+    // The sim:* methods reject the pinned preference of the offline ones.
+    let engine = if cell.method.starts_with("sim:") {
         EnginePreference::Auto
     } else {
         EnginePreference::Scaled
     };
-    let (scaled_ms, scaled_sum) = median_ms(iters, || sum_over(cell.scaled_method, scaled_engine));
-    let rational_ms = cell.rational_method.map(|rational_method| {
-        let (rational_ms, rational_sum) = median_ms(iters, || {
-            sum_over(rational_method, EnginePreference::Rational)
-        });
-        assert_eq!(
-            scaled_sum, rational_sum,
-            "scaled and rational cores disagree on a makespan ({} vs {rational_method})",
-            cell.scaled_method
-        );
-        rational_ms
+    let (ms, _) = median_ms(iters, || {
+        instances
+            .iter()
+            .map(|i| method_makespan(cell.method, engine, i))
+            .sum()
     });
-    (instances.len(), scaled_ms, rational_ms)
+    (instances.len(), ms)
 }
 
 /// Times cell `index` in a fresh child process of this binary.
@@ -304,20 +264,19 @@ fn measure_in_child(index: usize, cell: &Cell, iters: usize) -> CaseResult {
         output.status.success(),
         "cell {index} ({} {}) failed: {}",
         cell.case,
-        cell.scaled_method,
+        cell.method,
         String::from_utf8_lossy(&output.stderr)
     );
     let stdout = String::from_utf8(output.stdout).expect("cell output is UTF-8");
     let fields: Vec<&str> = stdout.split_whitespace().collect();
-    let [instances, scaled_ms, rational_ms] = fields[..] else {
+    let [instances, scaled_ms] = fields[..] else {
         panic!("cell {index}: unexpected output {stdout:?}");
     };
     CaseResult {
         case: cell.case.clone(),
-        solver: cell.scaled_method.to_string(),
+        solver: cell.method.to_string(),
         instances: instances.parse().expect("instance count"),
         scaled_ms: scaled_ms.parse().expect("scaled ms"),
-        rational_ms: (rational_ms != "-").then(|| rational_ms.parse().expect("rational ms")),
     }
 }
 
@@ -326,9 +285,8 @@ fn main() {
     let cells = cells();
     if let Some(index) = args.cell {
         let cell = cells.get(index).expect("cell index in range");
-        let (instances, scaled_ms, rational_ms) = measure(cell, args.iters);
-        let rational_ms = rational_ms.map_or("-".to_string(), |ms| ms.to_string());
-        println!("{instances} {scaled_ms} {rational_ms}");
+        let (instances, scaled_ms) = measure(cell, args.iters);
+        println!("{instances} {scaled_ms}");
         return;
     }
     let results: Vec<CaseResult> = cells
@@ -338,20 +296,13 @@ fn main() {
         .collect();
 
     println!(
-        "{:<24} {:<24} {:>6} {:>12} {:>12} {:>9}",
-        "case", "solver", "insts", "scaled ms", "rational ms", "speedup"
+        "{:<24} {:<24} {:>6} {:>12}",
+        "case", "solver", "insts", "scaled ms"
     );
     for r in &results {
-        let (rational, speedup) = match r.rational_ms {
-            Some(ms) => (
-                format!("{ms:.3}"),
-                format!("{:.1}x", ms / r.scaled_ms.max(1e-9)),
-            ),
-            None => ("-".to_string(), "-".to_string()),
-        };
         println!(
-            "{:<24} {:<24} {:>6} {:>12.3} {:>12} {:>9}",
-            r.case, r.solver, r.instances, r.scaled_ms, rational, speedup
+            "{:<24} {:<24} {:>6} {:>12.3}",
+            r.case, r.solver, r.instances, r.scaled_ms
         );
     }
 
@@ -368,7 +319,7 @@ fn results_json(results: &[CaseResult]) -> String {
     let cases: Vec<serde::Value> = results
         .iter()
         .map(|r| {
-            let mut fields = vec![
+            serde::Value::Object(vec![
                 ("case".to_string(), serde::Value::String(r.case.clone())),
                 ("solver".to_string(), serde::Value::String(r.solver.clone())),
                 (
@@ -376,22 +327,14 @@ fn results_json(results: &[CaseResult]) -> String {
                     serde::Value::Number(serde::Number::Int(r.instances as i128)),
                 ),
                 ("scaled_ms".to_string(), float(r.scaled_ms)),
-            ];
-            if let Some(rational_ms) = r.rational_ms {
-                fields.push(("rational_ms".to_string(), float(rational_ms)));
-                fields.push((
-                    "speedup".to_string(),
-                    float(rational_ms / r.scaled_ms.max(1e-9)),
-                ));
-            }
-            serde::Value::Object(fields)
+            ])
         })
         .collect();
     let root = serde::Value::Object(vec![
         (
             "benchmark".to_string(),
             serde::Value::String(
-                "solver cores: exact methods scaled, heuristics and simulator scaled vs rational"
+                "solver cores: exact methods, heuristics and simulator on their integer grids"
                     .to_string(),
             ),
         ),

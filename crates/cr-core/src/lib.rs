@@ -12,11 +12,11 @@
 //!
 //! * [`Ratio`] — exact rational arithmetic (all scheduling decisions in this
 //!   repository are made exactly, never in floating point);
-//! * [`ScaledInstance`] / [`ScaledScheduleBuilder`] — the same requirements
-//!   (and workloads) as scaled integer units on the denominators' LCM grid
-//!   (`u64`, or a [`GridUnit`] of `u128` for the exact solvers' wide grids),
-//!   the representation the exact solver cores *and* the scheduling /
-//!   simulation layer in `cr-algos` / `cr-sim` run on (see the `rational`
+//! * [`ScaledInstance`] / [`MultiStepper`] — the same requirements (and
+//!   workloads) as scaled integer units on the denominators' LCM grid (a
+//!   [`GridUnit`]: `u64`, or `u128` past it), the representation the exact
+//!   solver cores *and* the scheduling / simulation layer in `cr-algos` /
+//!   `cr-sim` run on, for one resource or several (see the `rational`
 //!   module docs for the two-representation design);
 //! * [`Job`], [`JobId`], [`Instance`], [`InstanceBuilder`] — the problem input;
 //! * [`Schedule`], [`ScheduleTrace`], [`ScheduleBuilder`] — resource
@@ -69,10 +69,10 @@ pub use error::{InstanceError, ScheduleError};
 pub use hypergraph::{Component, SchedulingGraph, UnionFind};
 pub use instance::{Instance, InstanceBuilder};
 pub use job::{Job, JobId};
-pub use multi::{MultiStepper, StepUnit};
+pub use multi::MultiStepper;
 pub use properties::{PropertyReport, PropertyViolation};
 pub use rational::{ratio, Ratio};
-pub use scaled::{GridUnit, ScaledInstance, ScaledScheduleBuilder};
+pub use scaled::{GridUnit, ScaledInstance};
 pub use schedule::{Schedule, ScheduleBuilder, ScheduleTrace};
 
 /// Commonly used items, for glob import in examples and downstream crates.
@@ -80,8 +80,8 @@ pub mod prelude {
     pub use crate::bounds;
     pub use crate::properties;
     pub use crate::{
-        CancelGate, CancelReason, CancelToken, Instance, InstanceBuilder, Job, JobId,
-        PropertyReport, Ratio, ScaledInstance, ScaledScheduleBuilder, Schedule, ScheduleBuilder,
-        ScheduleTrace, SchedulingGraph,
+        CancelGate, CancelReason, CancelToken, Instance, InstanceBuilder, Job, JobId, MultiStepper,
+        PropertyReport, Ratio, ScaledInstance, Schedule, ScheduleBuilder, ScheduleTrace,
+        SchedulingGraph,
     };
 }

@@ -13,24 +13,23 @@
 //! cannot occur for the instance families shipped in this repository, whose
 //! denominators are bounded by a few million).
 //!
-//! # Two representations: `Ratio` at the boundary, scaled `u64` in hot loops
+//! # Two representations: `Ratio` at the boundary, integer units in hot loops
 //!
 //! `Ratio` is the **authoritative** representation at every public API
 //! boundary — instances, schedules, bounds, serialization — because it is
 //! closed under the arithmetic any caller may perform.  The exact solvers in
 //! `cr-algos`, however, run their hot search loops on a
 //! [`ScaledInstance`](crate::scaled::ScaledInstance), and the schedulers and
-//! the `cr-sim` online arbiter run on a
-//! [`ScaledScheduleBuilder`](crate::scaled::ScaledScheduleBuilder): all
-//! requirements (and workloads) of one instance re-expressed as integer
-//! units on the common grid `1/D` (`D` = the denominators' LCM), where sums,
-//! capacity comparisons and share splits are single integer ops with no gcd.
-//! The conversion round-trips exactly in both directions, so the two
-//! representations never disagree.  When the LCM would overflow the scaled
-//! form's `u64` headroom, the exact solvers widen to a `u128` grid and the
-//! schedulers stay on the `Ratio` path.  Property tests in `cr-algos`
-//! cross-check the schedulers' two paths, and the exact solvers' two grid
-//! widths, on random instances.
+//! the `cr-sim` online arbiter step on a
+//! [`MultiStepper`](crate::multi::MultiStepper): all requirements (and
+//! workloads) of one instance re-expressed as integer units on the common
+//! grid `1/D` (`D` = the denominators' LCM), where sums, capacity
+//! comparisons and share splits are single integer ops with no gcd.  The
+//! conversion round-trips exactly in both directions, so the two
+//! representations never disagree.  When the LCM would overflow the `u64`
+//! headroom, both widen to a `u128` grid.  Property tests in `cr-algos`
+//! cross-check the schedulers against their `Ratio` references, and the two
+//! grid widths against each other, on random instances.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;

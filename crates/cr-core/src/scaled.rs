@@ -1,5 +1,5 @@
 //! Scaled-integer view of an instance's resource requirements, and the
-//! scaled scheduling layer built on top of it.
+//! unit grid the scheduling layer runs on.
 //!
 //! The exact solvers spend essentially all of their time comparing and
 //! summing requirements.  In [`Ratio`] arithmetic every addition runs
@@ -25,21 +25,21 @@
 //! which grids it admits ([`GridUnit::admits`]), so that every value the
 //! exact solvers form on an admitted grid fits the unit.
 //!
-//! # The scaled scheduling layer
+//! # The scheduling layer's grid
 //!
-//! [`ScaledScheduleBuilder`] extends the same representation from the exact
-//! solvers to *schedule construction*: it mirrors
-//! [`ScheduleBuilder`](crate::schedule::ScheduleBuilder) step for step, but
-//! tracks the remaining **workload** `r·p` of each frontier job as `u64`
-//! units on the grid `1/D`, where `D` is the LCM of all requirement *and*
-//! workload denominators.  A time step hands out exactly `D` units; granting
-//! `c ≤ min(workload, r·D)` units to a job reduces its remaining workload by
-//! exactly `c`, so a whole simulation step is a handful of integer ops.
-//! [`ScaledScheduleBuilder::finish`] converts the unit shares back to exact
-//! [`Ratio`]s (`units/D`), so the resulting [`Schedule`] is bit-for-bit the
-//! schedule the equivalent `Ratio` arithmetic would have produced — the
-//! schedulers in `cr-algos` and the online arbiter in `cr-sim` run on units
-//! internally while their public APIs keep speaking exact `Ratio` schedules.
+//! The heuristics and the simulator step schedules forward on a
+//! [`MultiStepper`](crate::multi::MultiStepper), which tracks the remaining
+//! **workload** `r·p` of each frontier job, so its grid per layer is the
+//! LCM of the layer's requirement *and* positive-workload denominators.  A
+//! time step hands out exactly `D_r` units; granting `c ≤ min(workload,
+//! r·D_r)` units reduces the remaining workload by exactly `c`, and the
+//! shares convert back to exact [`Ratio`]s (`units/D`), so a unit schedule
+//! is bit-for-bit the schedule the equivalent `Ratio` arithmetic would have
+//! produced.  That grid reserves `(m + 1) · D_r` headroom (a step's `m`
+//! shares plus a carry), where a `u64` [`ScaledInstance`] only needs
+//! `2 · D` (the two-processor DP's requirement-plus-carry cells; the wide
+//! configuration engines in `cr-algos` overflow-check their own `m`-fold
+//! sums).  Past `u64` both layers widen to `u128`.
 //!
 //! [`largest_remainder_split`] is the companion primitive for policies that
 //! *divide* the resource (uniform or demand-proportional shares): it splits
@@ -50,34 +50,43 @@
 //! demands.  This replaces the lossy fixed `SHARE_GRID` floor the heuristics
 //! and the online policies used before, which could quantize small positive
 //! demands to a zero share and starve a core.
-//!
-//! Construction is fallible ([`ScaledInstance::try_new`],
-//! [`ScaledScheduleBuilder::try_new`]): past the overflow-safe bound the
-//! exact solvers widen to the `u128` grid, and the heuristics fall back to
-//! their rational twins.  The two layers reserve different headroom above
-//! the LCM `D`: a `u64` [`ScaledInstance`] only needs `2 · D` (the
-//! two-processor DP's requirement-plus-carry cells; the wide configuration
-//! engines in `cr-algos` overflow-check their own `m`-fold sums), while
-//! [`ScaledScheduleBuilder`] keeps `(m + 1) · D` because its step
-//! application accumulates `m` shares unchecked.
 
 use crate::instance::Instance;
 use crate::job::JobId;
-use crate::multi::StepUnit;
 use crate::rational::Ratio;
-use crate::schedule::Schedule;
-use std::ops::{Div, Rem};
+use std::ops::{Add, Div, Rem};
 
-/// The integer unit of a [`ScaledInstance`]'s grid: `u64`, or `u128` for
-/// the instances whose grid overflows `u64`.
+/// The integer unit of a grid: `u64`, or `u128` for the instances whose
+/// grid overflows `u64`.
 pub trait GridUnit:
-    StepUnit + Into<u128> + TryFrom<i128> + Div<Output = Self> + Rem<Output = Self>
+    Copy
+    + Ord
+    + std::fmt::Debug
+    + Into<u128>
+    + TryFrom<i128>
+    + Add<Output = Self>
+    + Div<Output = Self>
+    + Rem<Output = Self>
 {
+    /// The additive identity.
+    const ZERO: Self;
+
     /// The multiplicative identity.
     const ONE: Self;
 
+    /// Overflow-checked addition.
+    fn checked_add(self, other: Self) -> Option<Self>;
+
+    /// Subtraction; callers guarantee `other ≤ self`.
+    fn sub(self, other: Self) -> Self;
+
     /// Overflow-checked multiplication.
     fn checked_mul(self, other: Self) -> Option<Self>;
+
+    /// `(⌊self · b / c⌋, self · b mod c)` for `0 < c` and `b ≤ c`, which
+    /// keeps the quotient at most `self`; the product itself may exceed
+    /// the unit.
+    fn mul_div_rem(self, b: Self, c: Self) -> (Self, Self);
 
     /// Whether this unit admits per-layer grids of the given capacities on
     /// an instance of `processors` processors and `jobs` jobs: every value
@@ -98,10 +107,26 @@ pub trait GridUnit:
 }
 
 impl GridUnit for u64 {
+    const ZERO: Self = 0;
     const ONE: Self = 1;
+
+    fn checked_add(self, other: Self) -> Option<Self> {
+        u64::checked_add(self, other)
+    }
+
+    fn sub(self, other: Self) -> Self {
+        self - other
+    }
 
     fn checked_mul(self, other: Self) -> Option<Self> {
         u64::checked_mul(self, other)
+    }
+
+    fn mul_div_rem(self, b: Self, c: Self) -> (Self, Self) {
+        let product = u128::from(self) * u128::from(b);
+        let c = u128::from(c);
+        // The quotient is at most `self` and the remainder below `c`.
+        ((product / c) as u64, (product % c) as u64)
     }
 
     /// `2 · D_r` fits on every layer: the two-processor DP's cells hold one
@@ -112,10 +137,46 @@ impl GridUnit for u64 {
 }
 
 impl GridUnit for u128 {
+    const ZERO: Self = 0;
     const ONE: Self = 1;
+
+    fn checked_add(self, other: Self) -> Option<Self> {
+        u128::checked_add(self, other)
+    }
+
+    fn sub(self, other: Self) -> Self {
+        self - other
+    }
 
     fn checked_mul(self, other: Self) -> Option<Self> {
         u128::checked_mul(self, other)
+    }
+
+    /// Long multiplication by the bits of `b`, keeping every partial
+    /// remainder below `c`, so no intermediate leaves `u128`.
+    fn mul_div_rem(self, b: Self, c: Self) -> (Self, Self) {
+        // self = high · c + low, and high · b ≤ self · b / c ≤ self.
+        let (high, low) = (self / c, self % c);
+        let (mut quotient, mut rest) = (0u128, 0u128);
+        for bit in (0..128).rev() {
+            // (quotient, rest) ← 2 · (quotient, rest), reduced below c.
+            quotient <<= 1;
+            if rest >= c - rest {
+                rest -= c - rest;
+                quotient += 1;
+            } else {
+                rest += rest;
+            }
+            if (b >> bit) & 1 == 1 {
+                if rest >= c - low {
+                    rest -= c - low;
+                    quotient += 1;
+                } else {
+                    rest += low;
+                }
+            }
+        }
+        (high * b + quotient, rest)
     }
 
     /// `(jobs + processors) · Σ_r D_r` fits, which bounds every consumption
@@ -189,22 +250,46 @@ fn gcd<U: GridUnit>(mut a: U, mut b: U) -> U {
     a
 }
 
-/// The LCM of the denominators of `requirements`, or `None` past `U`.
-fn lcm_of<U: GridUnit>(requirements: impl Iterator<Item = Ratio>) -> Option<U> {
-    let mut capacity = U::ONE;
-    for requirement in requirements {
-        let den = U::try_from(requirement.denom()).ok()?;
-        capacity = capacity.checked_mul(den / gcd(capacity, den))?;
-    }
-    Some(capacity)
+/// `lcm(capacity, den)`, or `None` past `U`.
+fn lcm<U: GridUnit>(capacity: U, den: i128) -> Option<U> {
+    let den = U::try_from(den).ok()?;
+    capacity.checked_mul(den / gcd(capacity, den))
 }
 
-/// `requirement` in units of a grid whose capacity its denominator divides.
-fn units_of<U: GridUnit>(requirement: Ratio, capacity: U) -> Option<U> {
-    let num = U::try_from(requirement.numer()).ok()?;
-    let den = U::try_from(requirement.denom()).ok()?;
-    // num ≤ den divides capacity, so num · (capacity / den) ≤ capacity.
+/// The LCM of the denominators of `requirements`, or `None` past `U`.
+fn lcm_of<U: GridUnit>(mut requirements: impl Iterator<Item = Ratio>) -> Option<U> {
+    requirements.try_fold(U::ONE, |capacity, requirement| {
+        lcm(capacity, requirement.denom())
+    })
+}
+
+/// `value` in units of a grid whose capacity its denominator divides, or
+/// `None` past `U`.
+pub(crate) fn units_of<U: GridUnit>(value: Ratio, capacity: U) -> Option<U> {
+    let num = U::try_from(value.numer()).ok()?;
+    let den = U::try_from(value.denom()).ok()?;
     num.checked_mul(capacity / den)
+}
+
+/// The scheduling layer's grid `D_r` of layer `resource`: the LCM of the
+/// layer's requirement denominators and of its positive workloads'
+/// denominators (a zero requirement's job is tracked by step count, so its
+/// volume never enters).  `None` unless `(m + 1) · D_r` fits `U`, so a
+/// step's `m` shares plus a carry fit, and `D_r` fits `i128`, so every
+/// share converts to a [`Ratio`].
+pub(crate) fn step_grid<U: GridUnit>(instance: &Instance, resource: usize) -> Option<U> {
+    let mut capacity = U::ONE;
+    for (id, job) in instance.iter_jobs() {
+        let requirement = instance.requirement_on(resource, id);
+        capacity = lcm(capacity, requirement.denom())?;
+        if requirement.is_positive() {
+            capacity = lcm(capacity, requirement.checked_mul(job.volume)?.denom())?;
+        }
+    }
+    let headroom = U::try_from(instance.processors() as i128 + 1).ok()?;
+    capacity.checked_mul(headroom)?;
+    i128::try_from(capacity.into()).ok()?;
+    Some(capacity)
 }
 
 impl ScaledInstance {
@@ -225,9 +310,8 @@ impl ScaledInstance {
     /// `(m + 1) · D` instead, needlessly pushing wide many-core instances
     /// with large denominators onto the slow rational path.
     ///
-    /// The scheduling-layer grid ([`schedule_unit_grid`] /
-    /// [`ScaledScheduleBuilder`]) still reserves `(m + 1) · D`: its step
-    /// application accumulates `m` shares unchecked.
+    /// The scheduling layer's grid (see the module docs) still reserves
+    /// `(m + 1) · D`.
     #[must_use]
     pub fn try_new(instance: &Instance) -> Option<Self> {
         Self::try_on_grid(instance)
@@ -378,36 +462,6 @@ impl<U: GridUnit> ScaledInstance<U> {
     }
 }
 
-/// Least common multiple of all requirement *and* workload denominators of
-/// `instance` — the unit grid the scaled scheduling layer runs on — or
-/// `None` when the LCM (with `(m + 1)·D` headroom, so sums of `m` shares
-/// plus a carry always fit `u64`) would overflow.
-///
-/// This is the capacity a [`ScaledScheduleBuilder`] for the same instance
-/// reports; it is exposed separately so the `*_rational` reference
-/// implementations in `cr-algos` can quantize their splits to the identical
-/// grid without constructing a builder.
-#[must_use]
-pub fn schedule_unit_grid(instance: &Instance) -> Option<u64> {
-    let m = instance.processors() as u64;
-    let mut capacity: u64 = 1;
-    let mut fold = |den: i128| -> Option<()> {
-        let den = u64::try_from(den).ok()?;
-        let g = gcd(capacity, den);
-        capacity = capacity.checked_mul(den / g)?;
-        capacity.checked_mul(m + 1)?;
-        Some(())
-    };
-    for (_, job) in instance.iter_jobs() {
-        fold(job.requirement.denom())?;
-        if job.requirement.is_positive() {
-            let workload = job.requirement.checked_mul(job.volume)?;
-            fold(workload.denom())?;
-        }
-    }
-    Some(capacity)
-}
-
 /// Splits a pool of `pool` resource units proportionally to integer
 /// `weights`, with deterministic largest-remainder rounding.
 ///
@@ -417,7 +471,14 @@ pub fn schedule_unit_grid(instance: &Instance) -> Option<u64> {
 /// always sums to exactly `pool` (or to zero when all weights are zero), a
 /// zero weight always receives zero units, and no entry exceeds
 /// `⌈pool·wᵢ/Σw⌉` — in particular, when `Σw > pool` no entry exceeds its own
-/// weight, so demand-proportional splits never over-allocate a job.
+/// weight, so demand-proportional splits never over-allocate a job.  The
+/// products `pool·wᵢ` never have to fit the unit
+/// ([`GridUnit::mul_div_rem`]).
+///
+/// # Panics
+///
+/// Panics if the weights sum past the unit; the weights of a step on an
+/// admitted grid sum to at most `m · D`.
 ///
 /// # Examples
 ///
@@ -425,34 +486,36 @@ pub fn schedule_unit_grid(instance: &Instance) -> Option<u64> {
 /// use cr_core::scaled::largest_remainder_split;
 ///
 /// // A 10-unit pool split uniformly among three actives: 4 + 3 + 3.
-/// assert_eq!(largest_remainder_split(10, &[1, 1, 1]), vec![4, 3, 3]);
+/// assert_eq!(largest_remainder_split(10u64, &[1, 1, 1]), vec![4, 3, 3]);
 /// // Proportional to demands 7 and 3 (oversubscribed pool of 5): 4 + 1.
-/// assert_eq!(largest_remainder_split(5, &[7, 3]), vec![4, 1]);
+/// assert_eq!(largest_remainder_split(5u64, &[7, 3]), vec![4, 1]);
 /// ```
 #[must_use]
-pub fn largest_remainder_split(pool: u64, weights: &[u64]) -> Vec<u64> {
-    let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
-    if total == 0 {
-        return vec![0; weights.len()];
+pub fn largest_remainder_split<U: GridUnit>(pool: U, weights: &[U]) -> Vec<U> {
+    let total = weights
+        .iter()
+        .try_fold(U::ZERO, |sum, &w| sum.checked_add(w))
+        .expect("split weights sum within the unit");
+    if total == U::ZERO {
+        return vec![U::ZERO; weights.len()];
     }
-    let mut shares = vec![0u64; weights.len()];
-    let mut fracs: Vec<(u128, usize)> = Vec::with_capacity(weights.len());
-    let mut assigned: u64 = 0;
+    let mut shares = Vec::with_capacity(weights.len());
+    let mut fracs: Vec<(U, usize)> = Vec::with_capacity(weights.len());
+    let mut assigned = U::ZERO;
     for (i, &w) in weights.iter().enumerate() {
-        let product = u128::from(pool) * u128::from(w);
-        // product / total ≤ pool, so the quotient fits u64.
-        let base = (product / total) as u64;
-        shares[i] = base;
-        assigned += base;
-        fracs.push((product % total, i));
+        // w ≤ total, so the quotient is at most `pool`.
+        let (base, frac) = pool.mul_div_rem(w, total);
+        shares.push(base);
+        assigned = assigned + base;
+        fracs.push((frac, i));
     }
     // Σ fracᵢ = rest·total with every frac < total, so rest < len and every
     // bumped entry has a strictly positive fractional part (zero weights are
     // never bumped).
-    let rest = (pool - assigned) as usize;
+    let rest: u128 = pool.sub(assigned).into();
     fracs.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    for &(_, i) in fracs.iter().take(rest) {
-        shares[i] += 1;
+    for &(_, i) in fracs.iter().take(rest as usize) {
+        shares[i] = shares[i] + U::ONE;
     }
     shares
 }
@@ -498,275 +561,11 @@ pub fn largest_remainder_split_ratio(grid: i128, weights: &[Ratio]) -> Vec<Ratio
     shares
 }
 
-/// Forward-simulating schedule builder on the scaled-integer grid — the
-/// `u64` twin of [`ScheduleBuilder`](crate::schedule::ScheduleBuilder).
-///
-/// All quantities are *units* on the grid `1/capacity` (see
-/// [`schedule_unit_grid`]): a full time step hands out exactly
-/// [`capacity`](Self::capacity) units, a job's step demand and remaining
-/// workload are plain `u64`s, and one simulation step is pure integer
-/// arithmetic.  [`finish`](Self::finish) converts the accumulated unit
-/// shares back to exact [`Ratio`]s, so the produced [`Schedule`] is
-/// bit-for-bit the one the equivalent `Ratio` computation would build.
-///
-/// Jobs with a **zero requirement** have zero workload but still occupy
-/// steps (they advance one volume unit per step regardless of their share,
-/// like in [`Schedule::trace`]); the builder tracks them by their remaining
-/// step count `⌈p⌉` instead of workload units.
-///
-/// # Examples
-///
-/// ```
-/// use cr_core::{Instance, ScaledScheduleBuilder};
-///
-/// let inst = Instance::unit_from_percentages(&[&[60], &[40]]);
-/// let mut b = ScaledScheduleBuilder::try_new(&inst).unwrap();
-/// assert_eq!(b.capacity(), 5);
-/// assert_eq!(b.step_demand_units(0), 3);
-/// b.push_step(vec![3, 2]);
-/// assert!(b.all_done());
-/// let schedule = b.finish();
-/// assert_eq!(schedule.makespan(&inst).unwrap(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ScaledScheduleBuilder<'a> {
-    instance: &'a Instance,
-    /// The unit grid `D`: a full step hands out exactly `capacity` units.
-    capacity: u64,
-    /// Row start offsets into the per-job arrays; length `processors + 1`.
-    offsets: Vec<u32>,
-    /// Requirement of each job in units, processor-major.
-    req_units: Vec<u64>,
-    /// Initial cost of each job: workload `r·p` in units for jobs with a
-    /// positive requirement, remaining step count `⌈p⌉` for zero-requirement
-    /// jobs.
-    cost: Vec<u64>,
-    next_job: Vec<usize>,
-    /// Remaining cost of each processor's frontier job (same encoding as
-    /// `cost`).
-    frontier: Vec<u64>,
-    steps: Vec<Vec<u64>>,
-}
-
-impl<'a> ScaledScheduleBuilder<'a> {
-    /// Builds the scaled schedule builder, or `None` when the unit grid
-    /// overflows (see [`schedule_unit_grid`]); callers treat `None` as "use
-    /// the rational [`ScheduleBuilder`](crate::schedule::ScheduleBuilder)
-    /// path".
-    #[must_use]
-    pub fn try_new(instance: &'a Instance) -> Option<Self> {
-        let capacity = schedule_unit_grid(instance)?;
-        let m = instance.processors();
-        let mut offsets = Vec::with_capacity(m + 1);
-        let mut req_units = Vec::with_capacity(instance.total_jobs());
-        let mut cost = Vec::with_capacity(instance.total_jobs());
-        offsets.push(0u32);
-        for i in 0..m {
-            for job in instance.processor_jobs(i) {
-                let num = u64::try_from(job.requirement.numer()).ok()?;
-                let den = u64::try_from(job.requirement.denom()).ok()?;
-                req_units.push(num * (capacity / den));
-                if job.requirement.is_positive() {
-                    let workload = job.requirement.checked_mul(job.volume)?;
-                    let num = u64::try_from(workload.numer()).ok()?;
-                    let den = u64::try_from(workload.denom()).ok()?;
-                    cost.push(num.checked_mul(capacity / den)?);
-                } else {
-                    cost.push(u64::try_from(job.volume.ceil()).ok()?);
-                }
-            }
-            offsets.push(u32::try_from(req_units.len()).ok()?);
-        }
-        let frontier = (0..m)
-            .map(|i| {
-                let row = offsets[i] as usize;
-                if offsets[i + 1] as usize > row {
-                    cost[row]
-                } else {
-                    0
-                }
-            })
-            .collect();
-        Some(ScaledScheduleBuilder {
-            instance,
-            capacity,
-            offsets,
-            req_units,
-            cost,
-            next_job: vec![0; m],
-            frontier,
-            steps: Vec::new(),
-        })
-    }
-
-    /// The instance being scheduled.
-    #[must_use]
-    pub fn instance(&self) -> &Instance {
-        self.instance
-    }
-
-    /// The unit grid `D`: a full time step hands out exactly `capacity`
-    /// units, and a share of `u` units round-trips to the exact [`Ratio`]
-    /// `u / capacity`.
-    #[must_use]
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Number of processors.
-    #[must_use]
-    pub fn processors(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of steps emitted so far.
-    #[must_use]
-    pub fn current_step(&self) -> usize {
-        self.steps.len()
-    }
-
-    fn job_slot(&self, processor: usize) -> Option<usize> {
-        let slot = self.offsets[processor] as usize + self.next_job[processor];
-        (slot < self.offsets[processor + 1] as usize).then_some(slot)
-    }
-
-    /// The active (first unfinished) job of processor `i`.
-    #[must_use]
-    pub fn active_job(&self, processor: usize) -> Option<JobId> {
-        self.job_slot(processor)
-            .map(|_| JobId::new(processor, self.next_job[processor]))
-    }
-
-    /// Requirement of the active job of processor `i` in units.
-    #[must_use]
-    pub fn active_requirement_units(&self, processor: usize) -> Option<u64> {
-        self.job_slot(processor).map(|slot| self.req_units[slot])
-    }
-
-    /// Whether processor `i` still has unfinished jobs.
-    #[must_use]
-    pub fn is_active(&self, processor: usize) -> bool {
-        self.job_slot(processor).is_some()
-    }
-
-    /// Number of unfinished jobs on processor `i` (the paper's `nᵢ(t)`).
-    #[must_use]
-    pub fn unfinished_jobs(&self, processor: usize) -> usize {
-        (self.offsets[processor + 1] as usize - self.offsets[processor] as usize)
-            - self.next_job[processor]
-    }
-
-    /// Remaining workload `r · (remaining volume)` of the active job in
-    /// units — the total resource still needed to finish it (zero if the
-    /// processor is idle or its active job needs no resource).
-    #[must_use]
-    pub fn remaining_workload_units(&self, processor: usize) -> u64 {
-        match self.job_slot(processor) {
-            Some(slot) if self.req_units[slot] > 0 => self.frontier[processor],
-            _ => 0,
-        }
-    }
-
-    /// Maximum resource the active job of processor `i` can usefully absorb
-    /// in a single step, in units: `min(remaining workload, r·D)` — exactly
-    /// `r · min(remaining volume, 1)` on the unit grid.
-    #[must_use]
-    pub fn step_demand_units(&self, processor: usize) -> u64 {
-        match self.job_slot(processor) {
-            Some(slot) => self.frontier[processor].min(self.req_units[slot]),
-            None => 0,
-        }
-    }
-
-    /// Whether every job of the instance has been completed.
-    #[must_use]
-    pub fn all_done(&self) -> bool {
-        (0..self.processors()).all(|i| !self.is_active(i))
-    }
-
-    /// Applies one time step with the given resource shares (in units) and
-    /// advances the simulated state.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug and release builds alike) if the shares are
-    /// infeasible — algorithms must never emit an infeasible step.
-    pub fn push_step(&mut self, shares: Vec<u64>) {
-        assert_eq!(
-            shares.len(),
-            self.processors(),
-            "step must assign a share to every processor"
-        );
-        let mut total: u64 = 0;
-        for (i, &share) in shares.iter().enumerate() {
-            assert!(
-                share <= self.capacity,
-                "share of {share} units for processor {i} exceeds the capacity {}",
-                self.capacity
-            );
-            // Cannot overflow: try_new guarantees (m + 1)·capacity fits u64.
-            total += share;
-        }
-        assert!(
-            total <= self.capacity,
-            "step overuses the resource: {total} units assigned, capacity {}",
-            self.capacity
-        );
-
-        for (i, &share) in shares.iter().enumerate() {
-            let Some(slot) = self.job_slot(i) else {
-                continue;
-            };
-            if self.req_units[slot] > 0 {
-                // Consumption = min(share, step demand); remaining workload
-                // decreases by exactly the consumed units.
-                let consumed = share.min(self.frontier[i].min(self.req_units[slot]));
-                self.frontier[i] -= consumed;
-            } else {
-                // Zero-requirement jobs advance one volume unit per step for
-                // free; `frontier` counts their remaining steps.
-                self.frontier[i] -= 1;
-            }
-            if self.frontier[i] == 0 {
-                self.next_job[i] += 1;
-                if let Some(next_slot) = self.job_slot(i) {
-                    self.frontier[i] = self.cost[next_slot];
-                }
-            }
-        }
-        self.steps.push(shares);
-    }
-
-    /// Finalizes the schedule, converting every unit share back to the exact
-    /// rational `units / capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if jobs remain unfinished — that would be an algorithm bug.
-    #[must_use]
-    pub fn finish(self) -> Schedule {
-        assert!(
-            self.all_done(),
-            "ScaledScheduleBuilder::finish called with unfinished jobs"
-        );
-        let capacity = i128::from(self.capacity);
-        Schedule::new(
-            self.steps
-                .into_iter()
-                .map(|row| {
-                    row.into_iter()
-                        .map(|units| Ratio::new(i128::from(units), capacity))
-                        .collect()
-                })
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
+    use crate::multi::MultiStepper;
     use crate::rational::ratio;
 
     #[test]
@@ -820,10 +619,9 @@ mod tests {
     #[test]
     fn near_u64_max_capacity_is_accepted_for_solvers() {
         // Largest prime below 2^63: `2·D` still fits u64, so the solver view
-        // scales regardless of the processor count (the pre-ISSUE-4
-        // `(m + 1)·D` headroom would have rejected this for m ≥ 2), while
-        // the scheduling-layer grid keeps its wider `(m + 1)·D` reserve and
-        // correctly declines.
+        // scales regardless of the processor count, while the scheduling
+        // layer's `u64` grid keeps its wider `(m + 1)·D` reserve and
+        // declines (its `u128` grid admits it).
         let p: i128 = 9_223_372_036_854_775_783;
         let inst = InstanceBuilder::new()
             .processor([ratio(p - 1, p)])
@@ -834,8 +632,9 @@ mod tests {
         assert_eq!(scaled.capacity(), 9_223_372_036_854_775_783u64);
         assert_eq!(scaled.row(0), &[9_223_372_036_854_775_782u64]);
         assert_eq!(scaled.to_ratio(scaled.unit_req(0, 0)), ratio(p - 1, p));
-        assert!(schedule_unit_grid(&inst).is_none());
-        assert!(ScaledScheduleBuilder::try_new(&inst).is_none());
+        assert!(step_grid::<u64>(&inst, 0).is_none());
+        assert!(MultiStepper::<u64>::try_new(&inst).is_none());
+        assert_eq!(step_grid::<u128>(&inst, 0), Some(p as u128));
     }
 
     #[test]
@@ -847,8 +646,8 @@ mod tests {
             .processor(primes.map(|p| ratio(1, p)))
             .build();
         assert!(ScaledInstance::try_new(&inst).is_none());
-        assert!(schedule_unit_grid(&inst).is_none());
-        assert!(ScaledScheduleBuilder::try_new(&inst).is_none());
+        assert!(step_grid::<u64>(&inst, 0).is_none());
+        assert!(MultiStepper::<u64>::try_new(&inst).is_none());
     }
 
     #[test]
@@ -884,16 +683,16 @@ mod tests {
 
     #[test]
     fn largest_remainder_sums_to_pool_and_respects_weights() {
-        assert_eq!(largest_remainder_split(10, &[1, 1, 1]), vec![4, 3, 3]);
-        assert_eq!(largest_remainder_split(5, &[7, 3]), vec![4, 1]);
-        assert_eq!(largest_remainder_split(7, &[0, 0]), vec![0, 0]);
+        assert_eq!(largest_remainder_split(10u64, &[1, 1, 1]), vec![4, 3, 3]);
+        assert_eq!(largest_remainder_split(5u64, &[7, 3]), vec![4, 1]);
+        assert_eq!(largest_remainder_split(7u64, &[0, 0]), vec![0, 0]);
         assert_eq!(
-            largest_remainder_split(3, &[1, 0, 1, 0, 1]),
+            largest_remainder_split(3u64, &[1, 0, 1, 0, 1]),
             vec![1, 0, 1, 0, 1]
         );
         // One huge and many tiny demands: the pool is fully assigned and the
         // huge demand never exceeds the pool it can absorb.
-        let shares = largest_remainder_split(100, &[1_000_000, 1, 1, 1]);
+        let shares = largest_remainder_split(100u64, &[1_000_000, 1, 1, 1]);
         assert_eq!(shares.iter().sum::<u64>(), 100);
         for (share, weight) in shares.iter().zip([1_000_000u64, 1, 1, 1]) {
             assert!(*share <= weight);
@@ -933,6 +732,12 @@ mod tests {
         }
     }
 
+    /// The scheduling layer's builder: the base-layer stepper with a share
+    /// log.
+    fn schedule_builder(instance: &Instance) -> MultiStepper<u64> {
+        MultiStepper::try_new_base(instance).unwrap().log_shares()
+    }
+
     #[test]
     fn schedule_builder_mirrors_ratio_builder() {
         use crate::schedule::ScheduleBuilder;
@@ -940,10 +745,10 @@ mod tests {
             .processor([ratio(1, 2), ratio(1, 2)])
             .processor([ratio(3, 4), ratio(1, 4)])
             .build();
-        let mut scaled = ScaledScheduleBuilder::try_new(&inst).unwrap();
+        let mut scaled = schedule_builder(&inst);
         let mut rational = ScheduleBuilder::new(&inst);
-        assert_eq!(scaled.capacity(), 4);
-        let d = i128::from(scaled.capacity());
+        let d = scaled.capacity(0);
+        assert_eq!(d, 4);
         while !scaled.all_done() {
             assert!(!rational.all_done());
             let m = scaled.processors();
@@ -952,28 +757,23 @@ mod tests {
                 assert_eq!(scaled.active_job(i), rational.active_job(i));
                 assert_eq!(scaled.unfinished_jobs(i), rational.unfinished_jobs(i));
                 assert_eq!(
-                    Ratio::new(i128::from(scaled.step_demand_units(i)), d),
+                    scaled.step_demand(i, 0).ratio_of(d),
                     rational.step_demand(i)
                 );
                 assert_eq!(
-                    Ratio::new(i128::from(scaled.remaining_workload_units(i)), d),
+                    scaled.remaining(i, 0).ratio_of(d),
                     rational.remaining_workload(i)
                 );
             }
             // Serve in processor order.
             let mut units = vec![0u64; m];
-            let mut left = scaled.capacity();
+            let mut left = d;
             for (i, unit) in units.iter_mut().enumerate() {
-                *unit = scaled.step_demand_units(i).min(left);
+                *unit = scaled.step_demand(i, 0).min(left);
                 left -= *unit;
             }
-            rational.push_step(
-                units
-                    .iter()
-                    .map(|&u| Ratio::new(i128::from(u), d))
-                    .collect(),
-            );
-            scaled.push_step(units);
+            rational.push_step(units.iter().map(|&u| u.ratio_of(d)).collect());
+            scaled.push_step(&units);
         }
         assert!(rational.all_done());
         assert_eq!(scaled.finish(), rational.finish());
@@ -988,29 +788,29 @@ mod tests {
             .processor_jobs([Job::new(Ratio::ZERO, ratio(5, 2)), Job::unit(ratio(1, 2))])
             .processor_jobs([Job::new(ratio(1, 4), ratio(3, 1))])
             .build();
-        let mut b = ScaledScheduleBuilder::try_new(&inst).unwrap();
-        assert_eq!(b.capacity(), 4);
+        let mut b = schedule_builder(&inst);
+        assert_eq!(b.capacity(0), 4);
         // Zero-requirement frontier: no demand, no workload.
-        assert_eq!(b.step_demand_units(0), 0);
-        assert_eq!(b.remaining_workload_units(0), 0);
-        assert_eq!(b.active_requirement_units(0), Some(0));
+        assert_eq!(b.step_demand(0, 0), 0);
+        assert_eq!(b.remaining(0, 0), 0);
+        assert_eq!(b.active_requirement(0, 0), Some(0));
         // Volume-3 job: demand capped at one step's worth (r·D = 1 unit).
-        assert_eq!(b.step_demand_units(1), 1);
-        assert_eq!(b.remaining_workload_units(1), 3);
+        assert_eq!(b.step_demand(1, 0), 1);
+        assert_eq!(b.remaining(1, 0), 3);
         for step in 0..3 {
             assert_eq!(b.unfinished_jobs(0), 2, "step {step}");
-            b.push_step(vec![0, 1]);
+            b.push_step(&[0, 1]);
         }
         // The free job took ⌈5/2⌉ = 3 steps; p1's volume job finished too.
         assert_eq!(b.unfinished_jobs(0), 1);
         assert_eq!(b.unfinished_jobs(1), 0);
-        assert_eq!(b.step_demand_units(0), 2);
-        b.push_step(vec![2, 0]);
+        assert_eq!(b.step_demand(0, 0), 2);
+        b.push_step(&[2, 0]);
         assert!(b.all_done());
         let schedule = b.finish();
         assert_eq!(schedule.makespan(&inst).unwrap(), 4);
         assert_eq!(schedule.share(3, 0), ratio(1, 2));
-        // The exact trace agrees with the scaled bookkeeping step for step.
+        // The exact trace agrees with the unit bookkeeping step for step.
         let trace = schedule.trace(&inst).unwrap();
         assert_eq!(trace.completion_step(JobId::new(0, 0)), Some(2));
         assert_eq!(trace.completion_step(JobId::new(1, 0)), Some(2));
@@ -1018,20 +818,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overuses the resource")]
+    #[should_panic(expected = "oversubscribes resource 0")]
     fn schedule_builder_rejects_overuse() {
         let inst = Instance::unit_from_percentages(&[&[50], &[50]]);
-        let mut b = ScaledScheduleBuilder::try_new(&inst).unwrap();
-        let over = b.capacity();
-        b.push_step(vec![over, 1]);
+        let mut b = schedule_builder(&inst);
+        let over = b.capacity(0);
+        b.push_step(&[over, 1]);
     }
 
     #[test]
     #[should_panic(expected = "unfinished jobs")]
     fn schedule_builder_finish_requires_completion() {
         let inst = Instance::unit_from_percentages(&[&[50]]);
-        let b = ScaledScheduleBuilder::try_new(&inst).unwrap();
-        let _ = b.finish();
+        let _ = schedule_builder(&inst).finish();
     }
 
     #[test]
@@ -1092,13 +891,91 @@ mod tests {
         let inst = InstanceBuilder::new()
             .processor_jobs([Job::new(ratio(1, 3), ratio(5, 2))])
             .build();
-        assert_eq!(schedule_unit_grid(&inst), Some(6));
+        assert_eq!(step_grid::<u64>(&inst, 0), Some(6));
         // A zero-requirement job's fractional volume does not inflate the
         // grid (it is tracked by step count, not workload units).
         let inst = InstanceBuilder::new()
             .processor_jobs([Job::new(Ratio::ZERO, ratio(5, 7))])
             .processor([ratio(1, 2)])
             .build();
-        assert_eq!(schedule_unit_grid(&inst), Some(2));
+        assert_eq!(step_grid::<u128>(&inst, 0), Some(2));
+    }
+
+    #[test]
+    fn wide_splits_agree_with_narrow_ones_past_u128_products() {
+        // The u128 quotient and remainder agree with u64's u128 products…
+        for (a, b, c) in [
+            (10u64, 1, 3),
+            (5, 7, 10),
+            (u64::MAX, u64::MAX, u64::MAX),
+            (97, 0, 5),
+        ] {
+            let (q, r) = a.mul_div_rem(b, c);
+            assert_eq!(
+                u128::from(a).mul_div_rem(u128::from(b), u128::from(c)),
+                (u128::from(q), u128::from(r))
+            );
+        }
+        // …and stay exact where the product leaves u128.
+        assert_eq!(u128::MAX.mul_div_rem(u128::MAX, u128::MAX), (u128::MAX, 0));
+        assert_eq!(u128::MAX.mul_div_rem(1, 2), (u128::MAX / 2, 1));
+        assert_eq!(u128::MAX.mul_div_rem(2, 3), (u128::MAX / 3 * 2, 0));
+        assert_eq!((1u128 << 127).mul_div_rem(3, 4), (3 << 125, 0));
+        let d = (1u128 << 100) + 7;
+        assert_eq!(d.mul_div_rem(d - 1, d), (d - 1, 0));
+        // On random operands, q · c + r = a · b with r < c, compared as
+        // 256-bit products of 64-bit limbs.
+        let wide_mul = |x: u128, y: u128| -> [u128; 4] {
+            let (xs, ys) = ([x as u64, (x >> 64) as u64], [y as u64, (y >> 64) as u64]);
+            let mut limbs = [0u128; 4];
+            for (i, &xi) in xs.iter().enumerate() {
+                for (j, &yj) in ys.iter().enumerate() {
+                    let mut carry = u128::from(xi) * u128::from(yj);
+                    let mut at = i + j;
+                    while carry != 0 {
+                        let sum = limbs[at] + (carry & u128::from(u64::MAX));
+                        limbs[at] = sum & u128::from(u64::MAX);
+                        carry = (carry >> 64) + (sum >> 64);
+                        at += 1;
+                    }
+                }
+            }
+            limbs
+        };
+        let mut state = 0x5eed_u128;
+        let mut draw = || {
+            state = state
+                .wrapping_mul(0x2360_ed05_1fc6_5da4_4385_df64_9fcc_f645)
+                .wrapping_add(1);
+            state >> (state % 100) as u32
+        };
+        for _ in 0..2000 {
+            let (a, x, y) = (draw(), draw(), draw());
+            let (b, c) = (x.min(y), x.max(y).max(1));
+            let (q, r) = a.mul_div_rem(b, c);
+            assert!(r < c);
+            let mut qc = wide_mul(q, c);
+            let mut carry = r;
+            for limb in &mut qc {
+                let sum = *limb + (carry & u128::from(u64::MAX));
+                *limb = sum & u128::from(u64::MAX);
+                carry = (carry >> 64) + (sum >> 64);
+            }
+            assert_eq!(qc, wide_mul(a, b), "{a} · {b} / {c}");
+        }
+        // A demand-proportional split of a pool near 2^100 sums to the pool
+        // and never exceeds a weight.
+        let weights = [d - 1, d / 3, d / 2, 1];
+        let shares = largest_remainder_split(d, &weights);
+        assert_eq!(shares.iter().sum::<u128>(), d);
+        assert!(shares.iter().zip(&weights).all(|(s, w)| s <= w));
+        for (weights, pool) in [(vec![7u64, 3, 0, 12], 60u64), (vec![5, 5, 5], 7)] {
+            let narrow = largest_remainder_split(pool, &weights);
+            let wide: Vec<u128> = weights.iter().map(|&w| u128::from(w)).collect();
+            assert_eq!(
+                largest_remainder_split(u128::from(pool), &wide),
+                narrow.iter().map(|&s| u128::from(s)).collect::<Vec<_>>()
+            );
+        }
     }
 }

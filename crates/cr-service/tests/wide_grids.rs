@@ -1,14 +1,16 @@
-//! Exact methods on instances whose unit grid overflows `u64`.
+//! Exact methods and heuristics on instances whose unit grid overflows
+//! `u64`.
 //!
 //! Requirements a/p over three primes near 2^22 put the LCM of many
 //! instances near 2^66: past the `u64` grid, well inside `u128`.  Every
-//! exact request must answer from the widened grid, agree across methods,
-//! and record the widening; `scaled` must refuse the wide grids.  The batch
-//! runs through [`SolverService::solve_batch`], which turns a solver panic
-//! into an `internal_error` row, so a panic shows up as a failed assertion.
+//! exact request and every heuristic request must answer from the widened
+//! grid and record the widening; the exact methods must agree across
+//! methods; `scaled` must refuse the wide grids.  The batch runs through
+//! [`SolverService::solve_batch`], which turns a solver panic into an
+//! `internal_error` row, so a panic shows up as a failed assertion.
 
-use cr_algos::solver::{EnginePreference, SolveError, SolveOutcome, SolveRequest};
-use cr_core::{Instance, Ratio, ScaledInstance};
+use cr_algos::solver::{EnginePreference, SolveError, SolveOutcome, SolveRequest, POLY_METHODS};
+use cr_core::{Instance, MultiStepper, Ratio, ScaledInstance};
 use cr_service::SolverService;
 
 /// SplitMix64: a fixed, dependency-free generator for the inputs.
@@ -133,6 +135,78 @@ fn exact_methods_answer_past_the_u64_grid() {
         .zip(&wide)
         .filter(|&(_, &wide)| wide)
         .flat_map(|(instance, _)| self::requests(instance, EnginePreference::Scaled))
+        .collect();
+    for result in service.solve_batch(&scaled) {
+        match result {
+            Err(SolveError::GridOverflow { .. }) => {}
+            other => panic!("expected grid_overflow, got {other:?}"),
+        }
+    }
+}
+
+/// Every heuristic, makespan-only and with its schedule, on `engine`.
+fn heuristic_requests(instance: &Instance, engine: EnginePreference) -> Vec<SolveRequest> {
+    POLY_METHODS
+        .into_iter()
+        .flat_map(|method| {
+            let request = SolveRequest::new(method, instance.clone()).with_engine(engine);
+            [request.clone(), request.with_schedule()]
+        })
+        .collect()
+}
+
+#[test]
+fn heuristics_answer_past_the_u64_grid() {
+    let service = SolverService::with_standard_registry();
+    let instances = three_prime_instances();
+    // The heuristics' grid also covers the workload denominators (unit
+    // jobs add none) and reserves (m + 1) · D.
+    let wide: Vec<bool> = instances
+        .iter()
+        .map(|instance| MultiStepper::<u64>::try_new(instance).is_none())
+        .collect();
+    assert_eq!(wide.iter().filter(|&&wide| wide).count(), 171);
+    assert!(instances
+        .iter()
+        .all(|instance| MultiStepper::<u128>::try_new(instance).is_some()));
+
+    let mut requests = Vec::new();
+    let mut owners = Vec::new();
+    for (index, instance) in instances.iter().enumerate() {
+        for engine in [EnginePreference::Auto, EnginePreference::Rational] {
+            for request in heuristic_requests(instance, engine) {
+                requests.push(request);
+                owners.push(index);
+            }
+        }
+    }
+    let results = service.solve_batch(&requests);
+    for ((request, result), &index) in requests.iter().zip(&results).zip(&owners) {
+        let outcome: &SolveOutcome = result.as_ref().unwrap_or_else(|err| {
+            panic!(
+                "{} on instance {index} ({:?}): {err}",
+                request.method, request.engine
+            )
+        });
+        assert_eq!(outcome.engine.as_str(), "scaled", "instance {index}");
+        let makespan = outcome.makespan.expect("heuristics report makespans");
+        if let Some(schedule) = &outcome.schedule {
+            assert_eq!(schedule.num_steps(), makespan, "instance {index}");
+        }
+        let want: &[&str] = if wide[index] { &[WIDENED] } else { &[] };
+        assert_eq!(
+            outcome.fallbacks, want,
+            "{} on instance {index}",
+            request.method
+        );
+    }
+
+    // `scaled` demands the u64 grid and refuses every wide one.
+    let scaled: Vec<SolveRequest> = instances
+        .iter()
+        .zip(&wide)
+        .filter(|&(_, &wide)| wide)
+        .flat_map(|(instance, _)| heuristic_requests(instance, EnginePreference::Scaled))
         .collect();
     for result in service.solve_batch(&scaled) {
         match result {

@@ -2,21 +2,19 @@
 //!
 //! The engine owns a workload (one task per core), repeatedly asks an
 //! [`OnlinePolicy`] for a bus-share vector, validates it, advances the cores
-//! and collects metrics.  Internally it runs on the exact scaled-integer
-//! simulation semantics of [`cr_core::ScaledScheduleBuilder`]: the bus is a
-//! pool of `capacity` integer units per step (the workload's unit grid), a
-//! policy answers in units, and one simulated step is pure integer
-//! arithmetic — no rational arithmetic, no floating point, and every metric
-//! (consumption, waste, utilization) is exact.  A finished run is
-//! bit-for-bit a CRSharing [`Schedule`] and can be validated, rendered and
-//! analyzed with the rest of the tool chain.
+//! and collects metrics.  Internally it steps a [`cr_core::MultiStepper`]
+//! on `u64` units — the exact step simulator the offline heuristics run
+//! on: the bus is a pool of `capacity` integer units per step (the
+//! workload's unit grid), a policy answers in units, and one simulated step
+//! is pure integer arithmetic — no rational arithmetic, no floating point,
+//! and every metric (consumption, waste, utilization) is exact.  A finished
+//! [`Simulator::run`] is bit-for-bit a CRSharing [`Schedule`] and can be
+//! validated, rendered and analyzed with the rest of the tool chain.
 
 use crate::metrics::{CoreReport, MultiSimReport, SimReport};
 use crate::policies::{CoreView, MultiCoreView, OnlinePolicy};
 use crate::task::{tasks_to_instance, Task};
-use cr_core::{
-    bounds, CancelReason, CancelToken, Instance, MultiStepper, ScaledScheduleBuilder, Schedule,
-};
+use cr_core::{bounds, CancelReason, CancelToken, Instance, MultiStepper, Schedule};
 use std::fmt;
 
 /// How many simulated steps pass between cancel-token checks in the engine
@@ -77,7 +75,7 @@ impl fmt::Display for SimError {
         match self {
             SimError::GridOverflow => write!(
                 f,
-                "workload unit grid overflows u64 — simulate via the rational offline schedulers"
+                "workload unit grid overflows u64 — the offline schedulers widen to u128"
             ),
             SimError::StepLimit { policy, limit } => write!(
                 f,
@@ -193,23 +191,24 @@ impl Simulator {
         let cancelled = |reason: CancelReason| SimError::Cancelled { reason };
         token.check().map_err(cancelled)?;
         let mut gate = token.gate(STEP_CHECK_STRIDE);
-        let mut builder =
-            ScaledScheduleBuilder::try_new(&self.instance).ok_or(SimError::GridOverflow)?;
-        let capacity = builder.capacity();
+        let mut stepper = MultiStepper::<u64>::try_new_base(&self.instance)
+            .ok_or(SimError::GridOverflow)?
+            .log_shares();
+        let capacity = stepper.capacity(0);
         let m = self.instance.processors();
 
         // Completion is recorded *before* the first step too, so a core
         // whose task is already empty reports completion time 0 instead of
         // being credited with the first simulated step.
         let mut completion: Vec<Option<usize>> = (0..m)
-            .map(|i| (builder.unfinished_jobs(i) == 0).then_some(0))
+            .map(|i| (stepper.unfinished_jobs(i) == 0).then_some(0))
             .collect();
         let mut starved = vec![0usize; m];
         let mut consumed_units: u64 = 0;
         let mut wasted_units_per_step: Vec<u64> = Vec::new();
 
         let mut steps = 0usize;
-        while !builder.all_done() {
+        while !stepper.all_done() {
             gate.tick().map_err(cancelled)?;
             if steps >= self.step_limit {
                 return Err(SimError::StepLimit {
@@ -219,10 +218,10 @@ impl Simulator {
             }
             let views: Vec<CoreView> = (0..m)
                 .map(|i| CoreView {
-                    active_requirement: builder.active_requirement_units(i),
-                    step_demand: builder.step_demand_units(i),
-                    remaining_workload: builder.remaining_workload_units(i),
-                    remaining_phases: builder.unfinished_jobs(i),
+                    active_requirement: stepper.active_requirement(i, 0),
+                    step_demand: stepper.step_demand(i, 0),
+                    remaining_workload: stepper.remaining(i, 0),
+                    remaining_phases: stepper.unfinished_jobs(i),
                 })
                 .collect();
             let shares = policy.allocate(capacity, &views);
@@ -247,17 +246,19 @@ impl Simulator {
             }
             consumed_units = consumed_units.saturating_add(useful);
             wasted_units_per_step.push(capacity - useful);
-            builder.push_step(shares);
+            // The stepper validates the shape, each share and the total,
+            // panicking on a malformed vector.
+            stepper.push_step(&shares);
             steps += 1;
             // lint: allow(cancel_coverage) — bounded: completion scan over m processors per step; the step loop polls the gate
             for (i, done_at) in completion.iter_mut().enumerate() {
-                if done_at.is_none() && builder.unfinished_jobs(i) == 0 {
+                if done_at.is_none() && stepper.unfinished_jobs(i) == 0 {
                     *done_at = Some(steps);
                 }
             }
         }
 
-        let schedule = builder.finish();
+        let schedule = stepper.finish();
         let makespan = steps;
         let per_core: Vec<CoreReport> = self
             .tasks
@@ -338,7 +339,7 @@ impl Simulator {
         token.check().map_err(cancelled)?;
         let mut gate = token.gate(STEP_CHECK_STRIDE);
         let mut stepper =
-            MultiStepper::try_new_scaled(&self.instance).ok_or(SimError::GridOverflow)?;
+            MultiStepper::<u64>::try_new(&self.instance).ok_or(SimError::GridOverflow)?;
         let k = stepper.resources();
         let m = self.instance.processors();
         let capacities: Vec<u64> = stepper.capacities().to_vec();
@@ -383,6 +384,13 @@ impl Simulator {
 
             // lint: allow(cancel_coverage) — bounded: one pass over m cores per simulated step; the step loop polls the gate
             for (i, (view, row)) in views.iter().zip(&shares).enumerate() {
+                assert_eq!(
+                    row.len(),
+                    k,
+                    "policy {} returned {} shares for core {i} on {k} resources",
+                    policy.name(),
+                    row.len()
+                );
                 // A core is starved when it could absorb units on some
                 // layer but received a useful grant on none.  (Units of
                 // different layers live on different grids, so this is a
@@ -396,9 +404,9 @@ impl Simulator {
                     starved[i] += 1;
                 }
             }
-            // The stepper validates shapes, per-share caps and column sums,
+            // The stepper validates per-share caps and column sums,
             // panicking on a malformed matrix exactly like the scalar run.
-            let consumed = stepper.push_step(&shares);
+            let consumed = stepper.push_step(&shares.concat());
             // lint: allow(cancel_coverage) — bounded: k resource layers per step; the step loop polls the gate
             for (r, &used) in consumed.iter().enumerate() {
                 consumed_units[r] = consumed_units[r].saturating_add(used);

@@ -8,7 +8,7 @@
 //! ([`OnlinePolicy`]) splits the bus every time step, and the engine collects
 //! makespan, utilization and slowdown metrics.  Every simulation step follows
 //! the exact CRSharing semantics on the scaled-integer grid (via
-//! `cr_core::ScaledScheduleBuilder`): the bus is a pool of integer bandwidth
+//! `cr_core::MultiStepper`): the bus is a pool of integer bandwidth
 //! units, policies answer in units — like a hardware credit-based arbiter —
 //! and all consumption/waste metrics are exact.  Simulation results are
 //! bit-for-bit CRSharing schedules, directly comparable to the offline

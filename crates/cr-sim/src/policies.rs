@@ -10,7 +10,7 @@
 //! All quantities are integer **units** on the workload's unit grid: the
 //! engine tells the policy the pool `capacity` (the number of units one time
 //! step hands out — the grid denominator `D` of the underlying
-//! [`ScaledScheduleBuilder`](cr_core::ScaledScheduleBuilder)), and the policy
+//! [`MultiStepper`](cr_core::MultiStepper)), and the policy
 //! returns one unit share per core.  This is exactly the position of a
 //! hardware arbiter distributing integer bandwidth credits, and it makes
 //! every split exact: the dividing policies use
