@@ -48,6 +48,19 @@ pub(crate) enum PolyKind {
     RoundRobin,
 }
 
+impl PolyKind {
+    /// The six rules in the registry's line-up order
+    /// (`solver::POLY_METHODS`), GreedyBalance first.
+    pub(crate) const ALL: [PolyKind; 6] = [
+        PolyKind::GreedyBalance,
+        PolyKind::RoundRobin,
+        PolyKind::EqualShare,
+        PolyKind::ProportionalShare,
+        PolyKind::LargestRequirementFirst,
+        PolyKind::SmallestRequirementFirst,
+    ];
+}
+
 /// The single-resource schedule of `kind` on the base layer of `instance`:
 /// on its `u64` grid when that fits, else on its `u128` grid.
 ///
@@ -204,15 +217,6 @@ mod tests {
     use super::*;
     use cr_core::{ratio, InstanceBuilder, Ratio};
 
-    const ALL: [PolyKind; 6] = [
-        PolyKind::EqualShare,
-        PolyKind::ProportionalShare,
-        PolyKind::GreedyBalance,
-        PolyKind::LargestRequirementFirst,
-        PolyKind::SmallestRequirementFirst,
-        PolyKind::RoundRobin,
-    ];
-
     /// `kind`'s makespan on every layer of `instance`, on the `u64` and
     /// the `u128` grid.
     fn makespans(kind: PolyKind, instance: &Instance) -> (usize, usize) {
@@ -238,7 +242,7 @@ mod tests {
     fn every_rule_drains_a_two_resource_instance() {
         let inst = sample();
         let total_jobs = 6;
-        for kind in ALL {
+        for kind in PolyKind::ALL {
             let (narrow, wide) = makespans(kind, &inst);
             // Any makespan is at least the binding workload bound and at
             // most one step per unit of work per job.
@@ -259,7 +263,7 @@ mod tests {
             .processor([ratio(1, 100)])
             .extra_layer([vec![Ratio::ONE], vec![Ratio::ONE], vec![Ratio::ONE]])
             .build();
-        for kind in ALL {
+        for kind in PolyKind::ALL {
             let (narrow, wide) = makespans(kind, &inst);
             assert!(narrow >= 3 && wide >= 3, "{kind:?}");
         }
@@ -270,7 +274,7 @@ mod tests {
         // Both widths split on the same grid with the same rounding, so
         // every rule steps alike, schedules included.
         let inst = sample();
-        for kind in ALL {
+        for kind in PolyKind::ALL {
             let (narrow, wide) = makespans(kind, &inst);
             assert_eq!(narrow, wide, "{kind:?} diverged across widths");
             assert_eq!(
@@ -284,7 +288,7 @@ mod tests {
     #[test]
     fn empty_instance_takes_zero_steps() {
         let inst = InstanceBuilder::new().empty_processor().build();
-        for kind in ALL {
+        for kind in PolyKind::ALL {
             assert_eq!(makespans(kind, &inst), (0, 0));
             assert_eq!(schedule(kind, &inst).num_steps(), 0);
         }

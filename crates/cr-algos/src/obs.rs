@@ -19,8 +19,9 @@ pub(crate) fn optm_rounds() -> &'static Counter {
     cached(&C, names::OPTM_ROUNDS)
 }
 
-/// Makespan-only `k = 1` OPT(m) answers certified by GreedyBalance meeting
-/// the trivial lower bound, without a configuration search.
+/// Makespan-only `k = 1` OPT(m) answers certified by one of the six
+/// polynomial rules (GreedyBalance first) meeting the trivial lower bound,
+/// without a configuration search.
 pub(crate) fn optm_certified() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     cached(&C, names::OPTM_CERTIFIED)

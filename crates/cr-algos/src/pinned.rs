@@ -24,8 +24,9 @@ use crate::{
 };
 use cr_core::{CancelToken, Instance, InstanceBuilder, Job, Ratio, ScaledInstance};
 
-/// SplitMix64: a fixed, dependency-free generator for the pinned inputs.
-struct SplitMix(u64);
+/// SplitMix64: a fixed, dependency-free generator for the pinned inputs
+/// (and the certificate's population test in `solver`).
+pub(crate) struct SplitMix(pub(crate) u64);
 
 impl SplitMix {
     fn next(&mut self) -> u64 {
@@ -37,7 +38,7 @@ impl SplitMix {
     }
 
     /// A draw from `0..bound`.
-    fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         self.next() % bound
     }
 

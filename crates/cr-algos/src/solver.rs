@@ -77,9 +77,10 @@
 //! 3. the request's [`CancelToken`] is checked once, so a fired token wins
 //!    over everything below;
 //! 4. the certificate: a makespan-only request whose grid fits `u64` is
-//!    answered without a search when a GreedyBalance run on the integer
-//!    grid ends exactly at [`LowerBounds::trivial`] (`LB ≤ OPT ≤ UB = LB`).
-//!    The outcome equals the search's, field for field, and the
+//!    answered without a search when a run of any of the six polynomial
+//!    rules on the integer grid, GreedyBalance first, ends exactly at
+//!    [`LowerBounds::trivial`] (`LB ≤ OPT ≤ UB = LB`).  The outcome equals
+//!    the search's, field for field, whichever rule certified it, and the
 //!    `optm.certified` counter records it;
 //! 5. the configuration search (Algorithm 2, Theorem 6) on the grid choice
 //!    above.
@@ -1095,33 +1096,38 @@ impl Solver for OptM {
 
 /// The bound certificate of a makespan-only `k = 1` `"OptM"` request.
 ///
-/// GreedyBalance's makespan is an upper bound on the optimum and the
-/// trivial bound a lower one; when a GreedyBalance run on the integer grid
+/// Every polynomial rule's makespan is an upper bound on the optimum and
+/// the trivial bound a lower one; when some rule's run on the integer grid
 /// ends exactly at the trivial bound, `LB ≤ OPT ≤ UB = LB` proves it
-/// optimal without the configuration search.  The outcome is the one the
-/// scaled search would report: that search reaches the makespan in exactly
-/// as many rounds.  `None` — search instead — for schedule requests, a
-/// grid that overflows `u64`, instances whose bounds do not meet, and
-/// `k ≥ 2`: that step class is not yet exact, so its answers stay the class
-/// search's, on which the exact methods agree.
+/// optimal without the configuration search.  The rules run makespan-only
+/// on clones of one `u64` stepper, in [`POLY_METHODS`] order (GreedyBalance,
+/// the likeliest to meet the bound, first), until one meets it.  The outcome is the one the scaled search would report
+/// (that search reaches the makespan in exactly as many rounds), whichever
+/// rule certified it.  `None` — search instead — for schedule requests, a
+/// grid that overflows `u64`, instances on which no rule meets the bound,
+/// and `k ≥ 2`: that step class is not yet exact, so its answers stay the
+/// class search's, on which the exact methods agree.
 fn certify_opt_m(request: &SolveRequest, prepared: &Prepared) -> Option<SolveOutcome> {
     if request.instance.resources() > 1 || request.want_schedule || prepared.scaled.is_none() {
         return None;
     }
-    let mut stepper = MultiStepper::<u64>::try_new(&request.instance)?;
-    let makespan = multi_sched::run(PolyKind::GreedyBalance, &mut stepper);
+    let stepper = MultiStepper::<u64>::try_new(&request.instance)?;
+    let trivial = prepared.lower_bounds.trivial;
     // The budget prechecks already admitted the trivial bound, so an
     // answer equal to it is within both caps.
-    (makespan == prepared.lower_bounds.trivial).then(|| SolveOutcome {
-        method: "OptM".to_string(),
-        engine: Engine::Scaled,
-        fallbacks: Vec::new(),
-        makespan: Some(makespan),
-        steps: 0,
-        rounds: makespan,
-        schedule: None,
-        lower_bounds: prepared.lower_bounds,
-    })
+    PolyKind::ALL
+        .iter()
+        .any(|&kind| multi_sched::run(kind, &mut stepper.clone()) == trivial)
+        .then(|| SolveOutcome {
+            method: "OptM".to_string(),
+            engine: Engine::Scaled,
+            fallbacks: Vec::new(),
+            makespan: Some(trivial),
+            steps: 0,
+            rounds: trivial,
+            schedule: None,
+            lower_bounds: prepared.lower_bounds,
+        })
 }
 
 /// The `k = 1` `"OptM"` configuration search on the grid choice.
@@ -2172,6 +2178,70 @@ mod tests {
         })
     }
 
+    /// The smallest of the six polynomial rules' registry makespans.
+    fn best_rule_makespan(reg: &Registry, inst: &Instance) -> usize {
+        POLY_METHODS
+            .into_iter()
+            .map(|method| {
+                reg.solve(&SolveRequest::new(method, inst.clone()))
+                    .unwrap()
+                    .makespan
+                    .unwrap()
+            })
+            .min()
+            .unwrap()
+    }
+
+    /// The certificate over a population of 2,000 random percent instances
+    /// (1–100, no zeros) per shape, 3×3 and 4×3: it fires exactly when the
+    /// best of the six rules meets the trivial bound, every certified
+    /// answer equals the search's, and rules other than GreedyBalance
+    /// certify some instances of each shape.  A release-build run:
+    /// `cargo test --release -p cr-algos --lib certificate_population -- --ignored`.
+    #[test]
+    #[ignore = "thousands of searches; run in release"]
+    fn certificate_population_matches_the_best_rule_and_the_search() {
+        let reg = registry();
+        // (processors, jobs per processor, seed, certified, by GreedyBalance)
+        for (m, n, seed, pinned, pinned_greedy) in [
+            (3, 3, 0x5eed_0025_0303, 1_654, 1_498),
+            (4, 3, 0x5eed_0025_0403, 1_870, 1_763),
+        ] {
+            let mut rng = crate::pinned::SplitMix(seed);
+            let (mut certified, mut by_greedy) = (0, 0);
+            for _ in 0..2_000 {
+                let rows: Vec<Vec<Ratio>> = (0..m)
+                    .map(|_| {
+                        (0..n)
+                            .map(|_| Ratio::from_parts(1 + rng.below(100), 100))
+                            .collect()
+                    })
+                    .collect();
+                let inst = Instance::unit_from_requirements(rows);
+                let prepared = Prepared::new(&inst);
+                let trivial = prepared.lower_bounds.trivial;
+                let best = best_rule_makespan(&reg, &inst);
+                let request = SolveRequest::new("OptM", inst.clone());
+                let outcome = certify_opt_m(&request, &prepared);
+                assert_eq!(outcome.is_some(), best == trivial, "best {best} on {inst}");
+                let Some(outcome) = outcome else { continue };
+                let searched = search_opt_m(&request, &prepared, &CancelToken::never()).unwrap();
+                assert_eq!(outcome, searched, "on {inst}");
+                certified += 1;
+                let greedy = reg
+                    .solve(&SolveRequest::new("GreedyBalance", inst.clone()))
+                    .unwrap()
+                    .makespan;
+                by_greedy += usize::from(greedy == Some(trivial));
+            }
+            assert!(
+                certified > by_greedy,
+                "{m}x{n}: only GreedyBalance certified"
+            );
+            assert_eq!((certified, by_greedy), (pinned, pinned_greedy), "{m}x{n}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(160))]
 
@@ -2183,15 +2253,12 @@ mod tests {
             prop_assume!(inst.total_jobs() <= 12);
             let reg = registry();
             let prepared = Prepared::new(&inst);
-            let greedy = reg
-                .solve(&SolveRequest::new("GreedyBalance", inst.clone()))
-                .unwrap()
-                .makespan;
+            let best = best_rule_makespan(&reg, &inst);
             let request = SolveRequest::new("OptM", inst.clone());
             let certified = certify_opt_m(&request, &prepared);
             prop_assert!(
-                certified.is_some() == (greedy == Some(prepared.lower_bounds.trivial)),
-                "certified {} with GreedyBalance {greedy:?} on {inst}",
+                certified.is_some() == (best == prepared.lower_bounds.trivial),
+                "certified {} with the best rule at {best} on {inst}",
                 certified.is_some()
             );
             if let Some(outcome) = certified {
@@ -2205,18 +2272,18 @@ mod tests {
             }
         }
 
-        /// The certificate's makespan-only run keeps no share log; it
-        /// must end where the traced GreedyBalance schedule does.
+        /// The certificate's makespan-only runs keep no share log; each
+        /// must end where the rule's validated schedule does.
         #[test]
-        fn single_resource_greedy_balance_matches_the_scalar_schedule(
+        fn single_resource_rules_match_their_validated_schedules(
             inst in single_resource_instances(),
         ) {
-            let scalar = crate::Scheduler::schedule(&GreedyBalance::new(), &inst)
-                .makespan(&inst)
-                .unwrap();
-            let mut stepper = MultiStepper::<u64>::try_new(&inst).unwrap();
-            let multi = multi_sched::run(PolyKind::GreedyBalance, &mut stepper);
-            prop_assert!(multi == scalar, "{multi} != {scalar} on {inst}");
+            let stepper = MultiStepper::<u64>::try_new(&inst).unwrap();
+            for kind in PolyKind::ALL {
+                let validated = multi_sched::schedule(kind, &inst).makespan(&inst).unwrap();
+                let run = multi_sched::run(kind, &mut stepper.clone());
+                prop_assert!(run == validated, "{kind:?}: {run} != {validated} on {inst}");
+            }
         }
     }
 }

@@ -46,8 +46,9 @@ pub const NET_WORKER_PANICS: &str = "net.worker_panics";
 /// Search rounds executed by the OPT(m) engines (scaled, rational and
 /// multi-resource).
 pub const OPTM_ROUNDS: &str = "optm.rounds";
-/// Makespan-only `k = 1` OPT(m) answers certified by bounds: GreedyBalance
-/// met the trivial lower bound, so no configuration search ran.
+/// Makespan-only `k = 1` OPT(m) answers certified by bounds: one of the six
+/// polynomial rules (GreedyBalance first) met the trivial lower bound, so
+/// no configuration search ran.
 pub const OPTM_CERTIFIED: &str = "optm.certified";
 /// Candidates the domination filter compared against at least one kept
 /// row (the rest were settled by consumption level, or passed over by group

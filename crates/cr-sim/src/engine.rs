@@ -187,13 +187,32 @@ impl Simulator {
         policy: &mut dyn OnlinePolicy,
         token: &CancelToken,
     ) -> Result<SimOutcome, SimError> {
+        let (report, stepper) = self.simulate(policy, token, true)?;
+        Ok(SimOutcome {
+            report,
+            schedule: stepper.finish(),
+        })
+    }
+
+    /// The base-resource step loop of [`Simulator::run_cancellable`]: the
+    /// report, and the finished stepper, which logs every step's shares
+    /// only when `log` is set, so a makespan-only caller builds no
+    /// [`Schedule`].
+    pub(crate) fn simulate(
+        &self,
+        policy: &mut dyn OnlinePolicy,
+        token: &CancelToken,
+        log: bool,
+    ) -> Result<(SimReport, MultiStepper<u64>), SimError> {
         let _run_span = cr_obs::Span::enter(cr_obs::names::SPAN_SIM_RUN);
         let cancelled = |reason: CancelReason| SimError::Cancelled { reason };
         token.check().map_err(cancelled)?;
         let mut gate = token.gate(STEP_CHECK_STRIDE);
-        let mut stepper = MultiStepper::<u64>::try_new_base(&self.instance)
-            .ok_or(SimError::GridOverflow)?
-            .log_shares();
+        let mut stepper =
+            MultiStepper::<u64>::try_new_base(&self.instance).ok_or(SimError::GridOverflow)?;
+        if log {
+            stepper = stepper.log_shares();
+        }
         let capacity = stepper.capacity(0);
         let m = self.instance.processors();
 
@@ -258,7 +277,6 @@ impl Simulator {
             }
         }
 
-        let schedule = stepper.finish();
         let makespan = steps;
         let per_core: Vec<CoreReport> = self
             .tasks
@@ -289,7 +307,7 @@ impl Simulator {
             per_core,
         };
         crate::obs::record_report(&report);
-        Ok(SimOutcome { report, schedule })
+        Ok((report, stepper))
     }
 
     /// Runs the workload to completion under `policy` with **every**

@@ -255,17 +255,18 @@ impl Solver for OnlinePolicySolver {
             });
         }
 
-        let outcome = sim
-            .run_cancellable(policy.as_mut(), &token)
+        // Only a schedule request pays for the share log.
+        let (report, stepper) = sim
+            .simulate(policy.as_mut(), &token, request.want_schedule)
             .map_err(map_sim_error)?;
         Ok(SolveOutcome {
             method: method.to_string(),
             engine: Engine::Scaled,
             fallbacks: Vec::new(),
-            makespan: Some(outcome.report.makespan),
-            steps: outcome.schedule.num_steps(),
+            makespan: Some(report.makespan),
+            steps: report.makespan,
             rounds: 0,
-            schedule: request.want_schedule.then_some(outcome.schedule),
+            schedule: request.want_schedule.then(|| stepper.finish()),
             lower_bounds: prepared.lower_bounds,
         })
     }
@@ -328,6 +329,30 @@ mod tests {
         assert_eq!(outcome.makespan, Some(direct.report.makespan));
         assert_eq!(outcome.schedule.unwrap(), direct.schedule);
         assert_eq!(outcome.engine, Engine::Scaled);
+    }
+
+    #[test]
+    fn makespan_only_requests_answer_as_schedule_requests_do() {
+        // A makespan-only run keeps no share log; it reports the same
+        // makespan and steps, with arrivals too.
+        let registry = full_registry();
+        for method in ONLINE_METHODS {
+            for arrivals in [None, Some(vec![0, 3, 1])] {
+                let mut request = SolveRequest::new(method, workload());
+                request.arrivals = arrivals;
+                let plain = registry.solve(&request).unwrap();
+                let full = registry.solve(&request.with_schedule()).unwrap();
+                assert_eq!(full.steps, full.schedule.as_ref().unwrap().num_steps());
+                assert_eq!(
+                    plain,
+                    SolveOutcome {
+                        schedule: None,
+                        ..full
+                    },
+                    "{method}"
+                );
+            }
+        }
     }
 
     #[test]
