@@ -13,6 +13,11 @@
 //! The memoized search runs in the internal `multi_engine` module, over the
 //! same nodes and successor function as the configuration search, on the
 //! instance's `u64` grid whenever it fits and on its `u128` grid otherwise.
+//! The same DFS, given a target makespan and an interval-bound prune, is
+//! the decision behind makespan-only `OptM` answers that no polynomial
+//! rule certifies; here it runs with neither, so it visits every successor
+//! and its makespans and expansion counts are those of the plain brute
+//! force.
 
 use crate::multi_engine::{self, MultiView};
 use crate::solver::{auto_grid, on_grid};

@@ -79,8 +79,25 @@
 //! `u32` positions surfaces as [`SearchError::RoundTooLarge`] during
 //! expansion instead of a panic; it would need more than 64 GiB of arena.
 //!
-//! [`brute_force_cancellable`] runs a memoized DFS over the same nodes and
-//! successors without the domination filter: the exponential reference.
+//! # The depth-first search: brute force and decision
+//!
+//! One memoized DFS runs over the same nodes and successors without the
+//! domination filter.  Without a target it is the brute force
+//! ([`brute_force_cancellable`]): the exponential reference, every
+//! successor visited in the successor function's order.  Given a target
+//! and a prune it is the decision ([`decide`]) that answers the
+//! makespan-only `k = 1` `OptM` requests no polynomial rule certifies: is
+//! there a final node within the target's steps?  It visits children by
+//! consumption level, descending, drops a child whose remaining jobs fail
+//! [`interval_fits`] for the steps left after it, memoizes failed nodes
+//! with the steps they failed with, and stops at the first path.  The same
+//! check at the initial node gives the interval bound
+//! ([`interval_bound`]), which stops the decision from asking below it.
+//! The decision runs under a work budget (per child generated, its width
+//! plus its interval check's operations) and the request's gate; past the
+//! budget the round-by-round search answers.  The interval check is
+//! written per layer, on the view's grid units, and sums only the step
+//! intervals that hold a job's window.
 
 use crate::dominance::{DominanceFilter, Level, RowIndex, EMPTY, FILTER_CHECK_STRIDE};
 use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
@@ -1054,6 +1071,274 @@ pub(crate) fn search_cancellable<V: SearchUnit>(
     Ok(run_search_cancellable(view, round_cap, token)?.map(|search| search.summary()))
 }
 
+/// Why a depth-first run stopped without an answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Halt {
+    /// The token fired.
+    Cancelled(CancelReason),
+    /// The decision used up its work budget.
+    OutOfWork,
+}
+
+impl From<CancelReason> for Halt {
+    fn from(reason: CancelReason) -> Self {
+        Halt::Cancelled(reason)
+    }
+}
+
+/// The interval check's buffers: per processor, the prefix sums of what
+/// its remaining jobs still need on one layer.
+#[derive(Debug, Default)]
+struct IntervalScratch {
+    /// Each processor's remaining jobs.
+    left: Vec<usize>,
+    /// Each processor's first entry in `prefix`.
+    start: Vec<usize>,
+    /// `remaining jobs + 1` prefix sums per processor.
+    prefix: Vec<u128>,
+}
+
+/// Whether the jobs that `node` leaves can finish within `horizon` more
+/// steps by the interval (energetic) argument, Observation 1 on every step
+/// window.
+///
+/// A processor with `n` jobs left runs its `p`-th remaining job (0-based,
+/// the frontier job first) inside the window `[p + 1, horizon − (n − 1 −
+/// p)]`: the jobs before it need a step each, and so do the jobs after it.
+/// On every layer and for every step interval `[a, b] ⊆ [1, horizon]`, the
+/// units still needed by the jobs whose windows lie inside `[a, b]` (the
+/// frontier job's remainder, the later jobs' requirements) must fit into
+/// `(b − a + 1) · D_r`.  An empty window fails the chain bound and the
+/// interval `[1, horizon]` the workload bound, so the check implies both.
+/// It is necessary, not sufficient, for a schedule of `horizon` steps.
+///
+/// With `N` the most jobs any processor has left, only the intervals with
+/// `a ≤ N` and `b ≥ horizon − N + a` hold a window, so a check sums
+/// `m · N · (N + 1) / 2` interval entries per layer at most.  `work` grows
+/// by the operations done: per layer, one per remaining job and `m` per
+/// interval.
+fn interval_fits<V: SearchUnit>(
+    view: &MultiView<V>,
+    node: &[V],
+    horizon: usize,
+    scratch: &mut IntervalScratch,
+    work: &mut usize,
+) -> bool {
+    let m = view.processors();
+    let k = view.resources();
+    let IntervalScratch {
+        left,
+        start,
+        prefix,
+    } = scratch;
+    left.clear();
+    left.extend(
+        node[..m]
+            .iter()
+            .enumerate()
+            .map(|(i, &done)| view.jobs_on(i) - done.count()),
+    );
+    let most = left.iter().copied().max().unwrap_or(0);
+    if most > horizon {
+        return false;
+    }
+    // lint: allow(cancel_coverage) — bounded: k resource layers per check
+    for r in 0..k {
+        start.clear();
+        prefix.clear();
+        // lint: allow(cancel_coverage) — bounded: one pass over the remaining jobs per layer
+        for (i, &done) in node[..m].iter().enumerate() {
+            let done = done.count();
+            start.push(prefix.len());
+            let mut sum = 0u128;
+            prefix.push(sum);
+            // lint: allow(cancel_coverage) — bounded: one processor's remaining chain
+            for j in done..view.jobs_on(i) {
+                let need = view.req(i, j, r);
+                let need = if j == done {
+                    need.sub(node[m + i * k + r])
+                } else {
+                    need
+                };
+                sum += need.units();
+                prefix.push(sum);
+            }
+        }
+        *work += prefix.len();
+        let cap = view.caps[r].units();
+        // lint: allow(cancel_coverage) — bounded: at most `most` interval starts per layer
+        for a in 1..=most {
+            // Widest first: `[1, horizon]` is the workload bound.
+            // lint: allow(cancel_coverage) — bounded: at most `most` interval ends per start
+            for b in (horizon - most + a..=horizon).rev() {
+                *work += m;
+                let mut inside = 0u128;
+                // lint: allow(cancel_coverage) — bounded: one pass over the m processors per interval
+                for (&jobs, &first) in left.iter().zip(start.iter()) {
+                    let window = horizon + 1 - jobs;
+                    // Remaining jobs p with a − 1 ≤ p ≤ b − window.
+                    let end = jobs.min((b + 1).saturating_sub(window));
+                    if end >= a {
+                        inside += prefix[first + end] - prefix[first + a - 1];
+                    }
+                }
+                if inside > cap.saturating_mul((b - a + 1) as u128) {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// The interval bound of `view`: the least makespan in `[lo, hi]` that
+/// passes [`interval_fits`] at the initial node, given that `hi` (a known
+/// schedule's makespan) passes.  The check is monotone in the makespan
+/// (each window of `T + 1` steps contains one of `T` steps), so a binary
+/// search finds it.
+pub(crate) fn interval_bound<V: SearchUnit>(view: &MultiView<V>, lo: usize, hi: usize) -> usize {
+    let initial = Round::<V>::initial(view.width()).nodes;
+    let mut scratch = IntervalScratch::default();
+    let (mut lo, mut hi) = (lo.min(hi), hi);
+    // lint: allow(cancel_coverage) — bounded: log2(hi − lo) polynomial checks
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if interval_fits(view, &initial, mid, &mut scratch, &mut 0) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    hi
+}
+
+/// The decision's child order, prune and budget.
+struct Prune {
+    levels: LevelTable,
+    interval: IntervalScratch,
+    /// The work done so far: per child, its width (to build, hash and
+    /// compare it) plus its interval check's operations.
+    work: usize,
+    /// The work allowed before the run halts.
+    work_limit: usize,
+}
+
+/// The memoized depth-first search over the configuration graph, shared by
+/// the brute force and the decision.
+///
+/// Without a target it is the brute force: every successor is visited in
+/// the successor function's order, and the memo holds each expanded node's
+/// exact optimum.  With a target it decides whether a final node lies
+/// within the target's steps: it returns the first path it finds, visits
+/// children by consumption level, descending, drops a child that fails
+/// [`interval_fits`] for the steps left after it, and memoizes a failed
+/// node with the steps it failed with plus one, a lower bound on its
+/// optimum (a node that fails with `t` steps left fails with fewer).
+struct Dfs<'a, V> {
+    view: &'a MultiView<V>,
+    /// Per node: the exact optimum (no target) or a lower bound on it.
+    memo: FxHashMap<Box<[V]>, usize>,
+    scratch: SuccScratch<V>,
+    gate: CancelGate,
+    /// Nodes expanded so far.
+    expansions: usize,
+    /// `None` for the brute force.
+    prune: Option<Prune>,
+}
+
+impl<'a, V: SearchUnit> Dfs<'a, V> {
+    /// The brute force, or with `work_limit` the decision.
+    fn new(view: &'a MultiView<V>, token: &CancelToken, work_limit: Option<usize>) -> Self {
+        Dfs {
+            view,
+            memo: FxHashMap::default(),
+            scratch: SuccScratch::default(),
+            gate: token.gate(CHOICE_CHECK_STRIDE),
+            expansions: 0,
+            prune: work_limit.map(|work_limit| Prune {
+                levels: LevelTable::new(view),
+                interval: IntervalScratch::default(),
+                work: 0,
+                work_limit,
+            }),
+        }
+    }
+
+    /// The steps from `node` to a final node: the least (`steps` `None`),
+    /// or those of the first path found within `steps` (`None` when there
+    /// is none).  `node` becomes its own memo key.
+    fn brute_force_dfs(
+        &mut self,
+        node: Box<[V]>,
+        steps: Option<usize>,
+    ) -> Result<Option<usize>, Halt> {
+        let view = self.view;
+        if view.is_final(&node) {
+            return Ok(Some(0));
+        }
+        if let Some(&known) = self.memo.get(&node) {
+            match steps {
+                None => return Ok((known != usize::MAX).then_some(known)),
+                Some(left) if known > left => return Ok(None),
+                Some(_) => {}
+            }
+        }
+        if steps == Some(0) {
+            return Ok(None);
+        }
+        self.gate.tick()?;
+        if let Some(prune) = &self.prune {
+            if prune.work >= prune.work_limit {
+                return Err(Halt::OutOfWork);
+            }
+        }
+        self.expansions += 1;
+        // Collect the successors first: the recursive calls reuse the scratch.
+        let mut children: Vec<Box<[V]>> = Vec::new();
+        for_each_successor(
+            view,
+            &node,
+            &mut self.scratch,
+            &mut self.gate,
+            &mut |child| {
+                children.push(Box::from(child));
+            },
+        )?;
+        let after = steps.map(|left| left - 1);
+        if let (Some(prune), Some(after)) = (&mut self.prune, after) {
+            let Prune {
+                levels,
+                interval,
+                work,
+                ..
+            } = prune;
+            *work += children.len() * view.width();
+            children.retain(|child| interval_fits(view, child, after, interval, work));
+            children.sort_by_cached_key(|child| std::cmp::Reverse(levels.level(child)));
+        }
+        let mut best = usize::MAX;
+        for child in children {
+            self.gate.tick()?;
+            if let Some(sub) = self.brute_force_dfs(child, after)? {
+                if steps.is_some() {
+                    return Ok(Some(sub + 1));
+                }
+                best = best.min(sub + 1);
+            }
+        }
+        let known = steps.map_or(best, |left| left + 1);
+        self.memo.insert(node, known);
+        Ok((best != usize::MAX).then_some(best))
+    }
+
+    /// The initial node.
+    fn initial(&self) -> Box<[V]> {
+        Round::<V>::initial(self.view.width())
+            .nodes
+            .into_boxed_slice()
+    }
+}
+
 /// Memoized exhaustive search over the same nodes and successors, without
 /// the domination filter.  Returns `(optimal makespan, memoized states,
 /// expansions)`.  The token is checked up front, then on every expansion
@@ -1064,53 +1349,61 @@ pub(crate) fn brute_force_cancellable<V: SearchUnit>(
     token: &CancelToken,
 ) -> Result<(usize, usize, usize), CancelReason> {
     token.check()?;
-    let mut memo = FxHashMap::default();
-    let mut scratch = SuccScratch::default();
-    let mut gate = token.gate(CHOICE_CHECK_STRIDE);
-    let mut expansions = 0usize;
-    let initial = Round::initial(view.width()).nodes.into_boxed_slice();
-    let best = brute_force_dfs(
-        view,
-        initial,
-        &mut memo,
-        &mut scratch,
-        &mut gate,
-        &mut expansions,
-    )?;
-    Ok((best, memo.len(), expansions))
+    let mut dfs = Dfs::new(view, token, None);
+    let best = dfs
+        .brute_force_dfs(dfs.initial(), None)
+        .map_err(|halt| match halt {
+            Halt::Cancelled(reason) => reason,
+            // The brute force has no work budget.
+            Halt::OutOfWork => CancelReason::Cancelled,
+        })?;
+    Ok((best.unwrap_or(usize::MAX), dfs.memo.len(), dfs.expansions))
 }
 
-/// One memoized DFS step; `node` becomes its own memo key.
-fn brute_force_dfs<V: SearchUnit>(
+/// What [`decide`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Decision {
+    /// The optimum, or `None` when the work budget ran out first.
+    pub(crate) makespan: Option<usize>,
+    /// The nodes expanded.
+    pub(crate) expansions: usize,
+}
+
+/// The depth-first decision behind a makespan-only `k = 1` `"OptM"`
+/// answer: given a schedule of `best` steps and a lower bound `floor`, it
+/// decides whether `best − 1` steps suffice and, each time a path is
+/// found, whether one step fewer than that path does, down to `floor`.
+/// Failed nodes stay memoized from one target to the next.  The run halts
+/// without a makespan once it has done `work_limit` work (per child
+/// generated, its width plus its interval check's operations); the caller
+/// then runs the configuration search.  Its recursion is as deep as
+/// `best − 1` steps.
+///
+/// # Errors
+///
+/// [`CancelReason`] once the token fires.
+pub(crate) fn decide<V: SearchUnit>(
     view: &MultiView<V>,
-    node: Box<[V]>,
-    memo: &mut FxHashMap<Box<[V]>, usize>,
-    scratch: &mut SuccScratch<V>,
-    gate: &mut CancelGate,
-    expansions: &mut usize,
-) -> Result<usize, CancelReason> {
-    if view.is_final(&node) {
-        return Ok(0);
-    }
-    if let Some(&v) = memo.get(&node) {
-        return Ok(v);
-    }
-    gate.tick()?;
-    *expansions += 1;
-    // Collect the successors first: the recursive calls reuse the scratch.
-    let mut children: Vec<Box<[V]>> = Vec::new();
-    for_each_successor(view, &node, scratch, gate, &mut |child| {
-        children.push(Box::from(child));
-    })?;
-    let mut best = usize::MAX;
-    for child in children {
-        let sub = brute_force_dfs(view, child, memo, scratch, gate, expansions)?;
-        if sub != usize::MAX {
-            best = best.min(sub + 1);
+    best: usize,
+    floor: usize,
+    work_limit: usize,
+    token: &CancelToken,
+) -> Result<Decision, CancelReason> {
+    let mut dfs = Dfs::new(view, token, Some(work_limit));
+    let mut makespan = Some(best);
+    while let Some(answer) = makespan.filter(|&answer| answer > floor) {
+        token.check()?;
+        match dfs.brute_force_dfs(dfs.initial(), Some(answer - 1)) {
+            Ok(Some(steps)) => makespan = Some(steps),
+            Ok(None) => break,
+            Err(Halt::Cancelled(reason)) => return Err(reason),
+            Err(Halt::OutOfWork) => makespan = None,
         }
     }
-    memo.insert(node, best);
-    Ok(best)
+    Ok(Decision {
+        makespan,
+        expansions: dfs.expansions,
+    })
 }
 
 #[cfg(test)]

@@ -27,6 +27,44 @@ pub(crate) fn optm_certified() -> &'static Counter {
     cached(&C, names::OPTM_CERTIFIED)
 }
 
+/// Makespan-only `k = 1` OPT(m) answers certified by the interval bound
+/// meeting the best rule's makespan, without a search.
+pub(crate) fn optm_interval_certified() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    cached(&C, names::OPTM_INTERVAL_CERTIFIED)
+}
+
+/// Makespan-only `k = 1` OPT(m) answers found by the depth-first decision.
+pub(crate) fn optm_decided() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    cached(&C, names::OPTM_DECIDED)
+}
+
+/// Nodes expanded by the depth-first decision, fallbacks included.
+pub(crate) fn optm_decision_expansions() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    cached(&C, names::OPTM_DECISION_EXPANSIONS)
+}
+
+/// Decisions that ran out of nodes and left the answer to the search.
+pub(crate) fn optm_decision_fallbacks() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    cached(&C, names::OPTM_DECISION_FALLBACKS)
+}
+
+/// Decided or fallen-back answers outside `[interval bound, best rule]`;
+/// must stay 0.
+pub(crate) fn optm_sandwich_violations() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    cached(&C, names::OPTM_SANDWICH_VIOLATIONS)
+}
+
+/// Records one answer against its sandwich `floor ≤ makespan ≤ best` (the
+/// interval bound and the best rule's makespan): a violation is a bug.
+pub(crate) fn record_sandwich(floor: usize, makespan: usize, best: usize) {
+    optm_sandwich_violations().add(u64::from(!(floor <= makespan && makespan <= best)));
+}
+
 /// Configurations entering the round's domination filter.
 pub(crate) fn optm_round_candidates() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();

@@ -265,11 +265,14 @@ impl LowerBounds {
     /// Computes the instance-only bounds.
     #[must_use]
     pub fn compute(instance: &Instance) -> Self {
+        let workload = bounds::workload_bound_steps(instance);
+        let chain = bounds::chain_bound(instance);
+        let volume_chain = bounds::volume_chain_bound(instance);
         LowerBounds {
-            workload: bounds::workload_bound_steps(instance),
-            chain: bounds::chain_bound(instance),
-            volume_chain: bounds::volume_chain_bound(instance),
-            trivial: bounds::trivial_lower_bound(instance),
+            workload,
+            chain,
+            volume_chain,
+            trivial: bounds::trivial_from(workload, chain, volume_chain),
             best: None,
         }
     }
@@ -1086,48 +1089,222 @@ impl Solver for OptM {
         // A fired token wins over the certificate, as it would over the
         // search.
         token.check()?;
-        if let Some(outcome) = certify_opt_m(request, prepared) {
-            crate::obs::optm_certified().inc();
-            return Ok(outcome);
-        }
-        search_opt_m(request, prepared, &token)
+        solve_opt_m(request, prepared, &token, DECISION_WORK_LIMIT)
     }
 }
 
-/// The bound certificate of a makespan-only `k = 1` `"OptM"` request.
+/// The longest best-rule makespan at which a makespan-only `k = 1`
+/// `"OptM"` request tries the interval certificate and the decision; past
+/// it the configuration search answers alone, as it did before them.  It
+/// bounds the decision's recursion depth (`best − 1` frames) and the size
+/// of an interval check (`m · N · (N + 1) / 2` sums per layer for `N ≤ 64`
+/// jobs left).  Past ~64 steps the decision's refutations outgrow any
+/// useful budget: on uncertified `Uniform` percent grids with `m = 3`, one
+/// of four decisions at 40 jobs per processor (best rule 60–65) took 0.2
+/// million work units and the others 39–255 million, and all three at 50
+/// (best rule near 80) took over 27 million, where the search took 0.1–0.4
+/// s.
+pub(crate) const DECISION_MAX_STEPS: usize = 64;
+
+/// The work the depth-first decision of a makespan-only `k = 1` `"OptM"`
+/// request may do before it gives way to the configuration search: per
+/// child generated, its width plus its interval check's operations
+/// ([`multi_engine::decide`]).  A unit took 3–7 ns on long chains and up
+/// to ~50 ns on 3×3 grids (release build, 2-vCPU x86-64 host); on the
+/// long-chain grids measured, a fallback added 1–4 ms to the search.
 ///
-/// Every polynomial rule's makespan is an upper bound on the optimum and
-/// the trivial bound a lower one; when some rule's run on the integer grid
-/// ends exactly at the trivial bound, `LB ≤ OPT ≤ UB = LB` proves it
-/// optimal without the configuration search.  The rules run makespan-only
-/// on clones of one `u64` stepper, in [`POLY_METHODS`] order (GreedyBalance,
-/// the likeliest to meet the bound, first), until one meets it.  The outcome is the one the scaled search would report
-/// (that search reaches the makespan in exactly as many rounds), whichever
-/// rule certified it.  `None` — search instead — for schedule requests, a
-/// grid that overflows `u64`, instances on which no rule meets the bound,
-/// and `k ≥ 2`: that step class is not yet exact, so its answers stay the
-/// class search's, on which the exact methods agree.
-fn certify_opt_m(request: &SolveRequest, prepared: &Prepared) -> Option<SolveOutcome> {
-    if request.instance.resources() > 1 || request.want_schedule || prepared.scaled.is_none() {
-        return None;
+/// Measured on the same host, on each shape's first uncertified percent
+/// grids: every decision on 3×3 to 6×3, 4×6 to 4×10 and 5×5 grids took at
+/// most 31k units; decisions forced from two steps above the optimum took
+/// at most 2.4k on the Figure 3 family (n ≤ 12), 34k on Figure 5 (m ≤ 4,
+/// up to 3 blocks) and 179k on `WideOversub m = 48`; at `m = 3` with 20–30
+/// jobs per processor, 15 of 20 decisions fit (the other five needed 0.7
+/// to 120 million units, or more than 3 s).
+pub(crate) const DECISION_WORK_LIMIT: usize = 1 << 18;
+
+/// What the bounds and the decision settle of a makespan-only `k = 1`
+/// `"OptM"` request, before any budget check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Settled {
+    /// One of the six rules met the trivial bound.
+    Rule(usize),
+    /// The best rule met the interval bound.
+    Interval(usize),
+    /// The depth-first decision found the optimum.
+    Decided {
+        /// The optimum.
+        makespan: usize,
+        /// The nodes it expanded.
+        expansions: usize,
+        /// The interval bound.
+        floor: usize,
+        /// The best rule's makespan.
+        best: usize,
+    },
+    /// The decision ran out of work: the configuration search answers,
+    /// within `[floor, best]`.
+    Open {
+        /// The nodes the decision expanded.
+        expansions: usize,
+        /// The interval bound.
+        floor: usize,
+        /// The best rule's makespan.
+        best: usize,
+    },
+}
+
+/// Answers a `k = 1` `"OptM"` request whose prechecks passed: by bounds or
+/// by the depth-first decision when [`settle_opt_m`] can, else by the
+/// configuration search.  `work_limit` caps the decision's work (see
+/// [`DECISION_WORK_LIMIT`]).
+fn solve_opt_m(
+    request: &SolveRequest,
+    prepared: &Prepared,
+    token: &CancelToken,
+    work_limit: usize,
+) -> Result<SolveOutcome, SolveError> {
+    const METHOD: &str = "OptM";
+    let Some(settled) = settle_opt_m(request, prepared, token, work_limit)? else {
+        return search_opt_m(request, prepared, token);
+    };
+    let makespan = match settled {
+        Settled::Rule(makespan) => {
+            crate::obs::optm_certified().inc();
+            makespan
+        }
+        Settled::Interval(makespan) => {
+            crate::obs::optm_interval_certified().inc();
+            makespan
+        }
+        Settled::Decided {
+            makespan,
+            expansions,
+            floor,
+            best,
+        } => {
+            crate::obs::optm_decided().inc();
+            crate::obs::optm_decision_expansions().add(crate::obs::delta(expansions));
+            crate::obs::record_sandwich(floor, makespan, best);
+            makespan
+        }
+        Settled::Open {
+            expansions,
+            floor,
+            best,
+        } => {
+            crate::obs::optm_decision_fallbacks().inc();
+            crate::obs::optm_decision_expansions().add(crate::obs::delta(expansions));
+            let outcome = search_opt_m(request, prepared, token)?;
+            if let Some(makespan) = outcome.makespan {
+                crate::obs::record_sandwich(floor, makespan, best);
+            }
+            return Ok(outcome);
+        }
+    };
+    // The search would stop after `max_rounds` rounds short of the answer.
+    if request.budget.max_rounds.is_some_and(|cap| makespan > cap) {
+        return Err(rounds_exhausted(METHOD, &request.budget));
     }
-    let stepper = MultiStepper::<u64>::try_new(&request.instance)?;
+    check_steps_budget(METHOD, &request.budget, makespan)?;
+    Ok(SolveOutcome {
+        method: METHOD.to_string(),
+        engine: Engine::Scaled,
+        fallbacks: Vec::new(),
+        makespan: Some(makespan),
+        steps: 0,
+        rounds: makespan,
+        schedule: None,
+        lower_bounds: prepared.lower_bounds,
+    })
+}
+
+/// Settles a makespan-only `k = 1` `"OptM"` request on the `u64` grid
+/// without the configuration search, in three steps.
+///
+/// 1. *The rule certificate.*  Every polynomial rule's makespan is an upper
+///    bound on the optimum and the trivial bound a lower one; when some
+///    rule's run on the integer grid ends exactly at the trivial bound,
+///    `LB ≤ OPT ≤ UB = LB` proves it optimal.  The rules run makespan-only
+///    on clones of one `u64` stepper, in [`POLY_METHODS`] order
+///    (GreedyBalance, the likeliest to meet the bound, first), until one
+///    meets it.
+/// 2. *The interval certificate.*  When all six miss, the interval bound
+///    ([`multi_engine::interval_bound`]: Observation 1 on every step window
+///    of every job's widest window) is computed up to the best rule's
+///    makespan; when it meets that makespan, the best rule is optimal.
+/// 3. *The decision.*  Otherwise [`multi_engine::decide`] asks, depth
+///    first, whether a schedule one step shorter than the best rule
+///    exists, and each time it finds one, whether one step shorter than
+///    that does, down to the interval bound.  Its answer is the optimum of
+///    Lemma 1's class, which the search reaches in as many rounds.  A run
+///    past `work_limit` work leaves the request to the search
+///    ([`Settled::Open`]).  Two processors skip this step: their search
+///    rounds hold a handful of configurations each, and on `m = 2` percent
+///    grids the decision saved a few µs at best (4–16 jobs per processor)
+///    and took up to 7× the search's time at 32.
+///
+/// `None` — search instead — for schedule requests (a decided path is
+/// optimal, but not the schedule Algorithm 2's emission order replays),
+/// grids that overflow `u64`, a best rule past [`DECISION_MAX_STEPS`]
+/// (steps 2 and 3 are skipped there), `m = 2` instances the interval bound
+/// leaves open, and `k ≥ 2`: that step class is not yet exact, so its
+/// answers stay the class search's, on which the exact methods agree.
+///
+/// # Errors
+///
+/// [`SolveError::DeadlineExceeded`] once the token fires mid-decision.
+fn settle_opt_m(
+    request: &SolveRequest,
+    prepared: &Prepared,
+    token: &CancelToken,
+    work_limit: usize,
+) -> Result<Option<Settled>, SolveError> {
+    if request.instance.resources() > 1 || request.want_schedule {
+        return Ok(None);
+    }
+    let (Some(scaled), Some(stepper)) = (
+        prepared.scaled.as_deref(),
+        MultiStepper::<u64>::try_new(&request.instance),
+    ) else {
+        return Ok(None);
+    };
     let trivial = prepared.lower_bounds.trivial;
-    // The budget prechecks already admitted the trivial bound, so an
-    // answer equal to it is within both caps.
-    PolyKind::ALL
-        .iter()
-        .any(|&kind| multi_sched::run(kind, &mut stepper.clone()) == trivial)
-        .then(|| SolveOutcome {
-            method: "OptM".to_string(),
-            engine: Engine::Scaled,
-            fallbacks: Vec::new(),
-            makespan: Some(trivial),
-            steps: 0,
-            rounds: trivial,
-            schedule: None,
-            lower_bounds: prepared.lower_bounds,
-        })
+    let mut best = usize::MAX;
+    for kind in PolyKind::ALL {
+        let makespan = multi_sched::run(kind, &mut stepper.clone());
+        // The budget prechecks already admitted the trivial bound, so an
+        // answer equal to it is within both caps.
+        if makespan == trivial {
+            return Ok(Some(Settled::Rule(trivial)));
+        }
+        best = best.min(makespan);
+    }
+    if best > DECISION_MAX_STEPS {
+        return Ok(None);
+    }
+    let view = MultiView::base_scaled(scaled);
+    let floor = multi_engine::interval_bound(&view, trivial, best);
+    if floor == best {
+        return Ok(Some(Settled::Interval(best)));
+    }
+    if request.instance.processors() < 3 {
+        return Ok(None);
+    }
+    let decision = multi_engine::decide(&view, best, floor, work_limit, token)?;
+    let expansions = decision.expansions;
+    Ok(Some(match decision.makespan {
+        Some(makespan) => Settled::Decided {
+            makespan,
+            expansions,
+            floor,
+            best,
+        },
+        None => Settled::Open {
+            expansions,
+            floor,
+            best,
+        },
+    }))
 }
 
 /// The `k = 1` `"OptM"` configuration search on the grid choice.
@@ -2099,19 +2276,31 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// [`settle_opt_m`] without a node limit that matters.
+    fn settle(request: &SolveRequest, prepared: &Prepared) -> Option<Settled> {
+        settle_opt_m(
+            request,
+            prepared,
+            &CancelToken::never(),
+            DECISION_WORK_LIMIT,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn certificate_skips_schedule_and_multi_resource_requests() {
         let inst = fig_like();
         let prepared = Prepared::new(&inst);
         let plain = SolveRequest::new("OptM", inst);
-        assert!(
-            certify_opt_m(&plain, &prepared).is_some(),
+        assert_eq!(
+            settle(&plain, &prepared),
+            Some(Settled::Rule(prepared.lower_bounds.trivial)),
             "fig_like certifies"
         );
-        assert!(certify_opt_m(&plain.clone().with_schedule(), &prepared).is_none());
+        assert!(settle(&plain.clone().with_schedule(), &prepared).is_none());
         // `rational` runs like `auto` on the exact methods.
         let rational = plain.with_engine(EnginePreference::Rational);
-        assert!(certify_opt_m(&rational, &prepared).is_some());
+        assert!(settle(&rational, &prepared).is_some());
 
         // GreedyBalance meets the trivial bound here too, but a k ≥ 2
         // answer comes from the class search.
@@ -2122,7 +2311,251 @@ mod tests {
             multi_sched::run(PolyKind::GreedyBalance, &mut stepper),
             prepared.lower_bounds.trivial
         );
-        assert!(certify_opt_m(&SolveRequest::new("OptM", multi), &prepared).is_none());
+        assert!(settle(&SolveRequest::new("OptM", multi), &prepared).is_none());
+    }
+
+    /// The `exact-frontier` instances that no rule certifies: set id 39
+    /// (trivial bound 6, interval bound 7, best rule 7) and set id 15
+    /// (trivial = interval bound = 5, best rule 6, optimum 5).
+    fn frontier_rows() -> [(Instance, Settled); 2] {
+        [
+            (
+                Instance::unit_from_percentages(&[
+                    &[14, 23, 68],
+                    &[5, 78, 89],
+                    &[19, 22, 86],
+                    &[12, 69, 89],
+                ]),
+                Settled::Interval(7),
+            ),
+            (
+                Instance::unit_from_percentages(&[
+                    &[32, 24, 20],
+                    &[75, 83, 6],
+                    &[36, 16, 47],
+                    &[39, 44, 53],
+                ]),
+                Settled::Decided {
+                    makespan: 5,
+                    expansions: 5,
+                    floor: 5,
+                    best: 6,
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn interval_bound_and_decision_answer_as_the_search() {
+        for (inst, want) in frontier_rows() {
+            let prepared = Prepared::new(&inst);
+            let request = SolveRequest::new("OptM", inst.clone());
+            assert_eq!(settle(&request, &prepared), Some(want), "{inst}");
+            let searched = search_opt_m(&request, &prepared, &CancelToken::never()).unwrap();
+            let answered = registry().solve(&request).unwrap();
+            assert_eq!(answered, searched, "{inst}");
+            // Every processor order settles the same way.
+            let mut rows: Vec<Vec<Ratio>> = (0..inst.processors())
+                .map(|i| {
+                    inst.processor_jobs(i)
+                        .iter()
+                        .map(|job| job.requirement)
+                        .collect()
+                })
+                .collect();
+            rows.rotate_left(1);
+            rows.swap(0, 2);
+            let turned = Instance::unit_from_requirements(rows);
+            let settled = settle(
+                &SolveRequest::new("OptM", turned.clone()),
+                &Prepared::new(&turned),
+            );
+            let makespan = |settled| match settled {
+                Some(Settled::Interval(makespan) | Settled::Decided { makespan, .. }) => makespan,
+                other => panic!("{other:?} on {turned}"),
+            };
+            assert_eq!(makespan(settled), makespan(Some(want)));
+        }
+    }
+
+    #[test]
+    fn a_spent_work_budget_falls_back_to_the_search() {
+        let (inst, _) = frontier_rows()[1].clone();
+        let prepared = Prepared::new(&inst);
+        let request = SolveRequest::new("OptM", inst);
+        let never = CancelToken::never();
+        assert_eq!(
+            settle_opt_m(&request, &prepared, &never, 1).unwrap(),
+            Some(Settled::Open {
+                expansions: 1,
+                floor: 5,
+                best: 6
+            })
+        );
+        let fallen = solve_opt_m(&request, &prepared, &never, 1).unwrap();
+        assert_eq!(fallen, search_opt_m(&request, &prepared, &never).unwrap());
+        assert_eq!(fallen, registry().solve(&request).unwrap());
+    }
+
+    /// The first random percent grid of `m × n` from `seed` on which every
+    /// rule ends above the trivial bound and `keep` holds.
+    fn uncertified_grid(
+        m: usize,
+        n: usize,
+        seed: u64,
+        keep: impl Fn(&Prepared, usize) -> bool,
+    ) -> (Instance, Prepared) {
+        let mut rng = crate::pinned::SplitMix(seed);
+        loop {
+            let rows: Vec<Vec<Ratio>> = (0..m)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| Ratio::from_parts(1 + rng.below(100), 100))
+                        .collect()
+                })
+                .collect();
+            let inst = Instance::unit_from_requirements(rows);
+            let prepared = Prepared::new(&inst);
+            let stepper = MultiStepper::<u64>::try_new(&inst).unwrap();
+            let best = PolyKind::ALL
+                .iter()
+                .map(|&kind| multi_sched::run(kind, &mut stepper.clone()))
+                .min()
+                .unwrap();
+            if best > prepared.lower_bounds.trivial && keep(&prepared, best) {
+                return (inst, prepared);
+            }
+        }
+    }
+
+    #[test]
+    fn long_horizons_and_two_processors_leave_the_decision_out() {
+        // Past DECISION_MAX_STEPS neither the interval bound nor the
+        // decision runs.
+        let (inst, prepared) =
+            uncertified_grid(3, 45, 0x5eed_0026_0345, |_, best| best > DECISION_MAX_STEPS);
+        assert_eq!(settle(&SolveRequest::new("OptM", inst), &prepared), None);
+        // At m = 2 the interval certificate still answers when it meets the
+        // best rule; otherwise the search does, as before the decision.
+        let (inst, prepared) = uncertified_grid(2, 8, 0x5eed_0026_0208, |prepared, best| {
+            let view = MultiView::base_scaled(prepared.scaled.as_deref().unwrap());
+            multi_engine::interval_bound(&view, prepared.lower_bounds.trivial, best) < best
+        });
+        let request = SolveRequest::new("OptM", inst);
+        assert_eq!(settle(&request, &prepared), None);
+        assert_eq!(
+            registry().solve(&request).unwrap(),
+            search_opt_m(&request, &prepared, &CancelToken::never()).unwrap()
+        );
+    }
+
+    #[test]
+    fn forced_decisions_on_the_families_fit_the_work_budget() {
+        // Figure 3 (n = 12, optimum n + 1) and WideOversub m = 48 (four
+        // chains of three 90% jobs beside 44 chains of twelve zeros,
+        // optimum 12), decided from two steps above the optimum.
+        let n = 12;
+        let eps = Ratio::new(1, n);
+        let first: Vec<Ratio> = (1..=n).map(|j| eps * Ratio::new(j, 1)).collect();
+        let second = first.iter().map(|&r| Ratio::ONE + eps - r).collect();
+        let fig3 = Instance::unit_from_requirements(vec![first, second]);
+        let mut rows = vec![vec![Ratio::from_percent(90); 3]; 4];
+        rows.extend(vec![vec![Ratio::ZERO; 12]; 44]);
+        let wide = Instance::unit_from_requirements(rows);
+        for (inst, opt) in [(fig3, 13), (wide, 12)] {
+            let prepared = Prepared::new(&inst);
+            let view = MultiView::base_scaled(prepared.scaled.as_deref().unwrap());
+            let floor = multi_engine::interval_bound(&view, prepared.lower_bounds.trivial, opt + 2);
+            let decision = multi_engine::decide(
+                &view,
+                opt + 2,
+                floor,
+                DECISION_WORK_LIMIT,
+                &CancelToken::never(),
+            )
+            .unwrap();
+            assert_eq!(decision.makespan, Some(opt), "{inst}");
+        }
+    }
+
+    #[test]
+    fn decided_answers_keep_the_budgets_and_the_token() {
+        let (inst, _) = frontier_rows()[1].clone();
+        let capped =
+            |budget| registry().solve(&SolveRequest::new("OptM", inst.clone()).with_budget(budget));
+        // The decided answer, 5, is within caps of 5.
+        let rounds = Budget {
+            max_rounds: Some(5),
+            ..Budget::UNLIMITED
+        };
+        let steps = Budget {
+            max_steps: Some(5),
+            ..Budget::UNLIMITED
+        };
+        for budget in [rounds, steps] {
+            assert_eq!(capped(budget).unwrap().makespan, Some(5));
+        }
+        // Caps the trivial bound admits but the answer exceeds: set id 39,
+        // answered by the interval certificate at 7 (trivial bound 6), and
+        // the Figure 1 instance, decided at 6 (trivial = interval bound 5,
+        // best rule 6).
+        let fig1 = Instance::unit_from_percentages(&[
+            &[20, 10, 10, 10],
+            &[50, 55, 90, 55, 10],
+            &[50, 40, 95],
+        ]);
+        assert!(matches!(
+            settle(
+                &SolveRequest::new("OptM", fig1.clone()),
+                &Prepared::new(&fig1)
+            ),
+            Some(Settled::Decided {
+                makespan: 6,
+                floor: 5,
+                best: 6,
+                ..
+            })
+        ));
+        for (inst, cap) in [(frontier_rows()[0].0.clone(), 6), (fig1, 5)] {
+            for (budget, kind) in [
+                (
+                    Budget {
+                        max_rounds: Some(cap),
+                        ..Budget::UNLIMITED
+                    },
+                    BudgetKind::Rounds,
+                ),
+                (
+                    Budget {
+                        max_steps: Some(cap),
+                        ..Budget::UNLIMITED
+                    },
+                    BudgetKind::Steps,
+                ),
+            ] {
+                let request = SolveRequest::new("OptM", inst.clone()).with_budget(budget);
+                let want = SolveError::BudgetExhausted {
+                    method: "OptM".to_string(),
+                    kind,
+                    limit: cap,
+                };
+                assert_eq!(registry().solve(&request).unwrap_err(), want);
+                assert_eq!(
+                    search_opt_m(&request, &Prepared::new(&inst), &CancelToken::never())
+                        .unwrap_err(),
+                    want
+                );
+            }
+        }
+        let token = CancelToken::new();
+        token.cancel();
+        let (inst, _) = frontier_rows()[1].clone();
+        let prepared = Prepared::new(&inst);
+        let request = SolveRequest::new("OptM", inst);
+        assert!(matches!(
+            solve_opt_m(&request, &prepared, &token, DECISION_WORK_LIMIT),
+            Err(SolveError::DeadlineExceeded { .. })
+        ));
     }
 
     #[test]
@@ -2192,23 +2625,25 @@ mod tests {
             .unwrap()
     }
 
-    /// The certificate over a population of 2,000 random percent instances
-    /// (1–100, no zeros) per shape, 3×3 and 4×3: it fires exactly when the
-    /// best of the six rules meets the trivial bound, every certified
-    /// answer equals the search's, and rules other than GreedyBalance
-    /// certify some instances of each shape.  A release-build run:
+    /// How [`settle_opt_m`] answered each of a population of 2,000 random
+    /// percent instances (1–100, no zeros) per shape, 3×3 and 4×3: the six
+    /// rules certify exactly when the best of them meets the trivial bound,
+    /// rules other than GreedyBalance certify some instances of each shape,
+    /// and every answer settled without the search (rule or interval
+    /// certificate, or decision) equals the search's.  A release-build run:
     /// `cargo test --release -p cr-algos --lib certificate_population -- --ignored`.
     #[test]
     #[ignore = "thousands of searches; run in release"]
     fn certificate_population_matches_the_best_rule_and_the_search() {
         let reg = registry();
-        // (processors, jobs per processor, seed, certified, by GreedyBalance)
-        for (m, n, seed, pinned, pinned_greedy) in [
-            (3, 3, 0x5eed_0025_0303, 1_654, 1_498),
-            (4, 3, 0x5eed_0025_0403, 1_870, 1_763),
+        // (processors, jobs per processor, seed, [by a rule, by
+        // GreedyBalance, by the interval bound, decided, fallen back])
+        for (m, n, seed, pinned) in [
+            (3, 3, 0x5eed_0025_0303, [1_654, 1_498, 202, 144, 0]),
+            (4, 3, 0x5eed_0025_0403, [1_870, 1_763, 33, 97, 0]),
         ] {
             let mut rng = crate::pinned::SplitMix(seed);
-            let (mut certified, mut by_greedy) = (0, 0);
+            let mut counts = [0usize; 5];
             for _ in 0..2_000 {
                 let rows: Vec<Vec<Ratio>> = (0..m)
                     .map(|_| {
@@ -2222,23 +2657,34 @@ mod tests {
                 let trivial = prepared.lower_bounds.trivial;
                 let best = best_rule_makespan(&reg, &inst);
                 let request = SolveRequest::new("OptM", inst.clone());
-                let outcome = certify_opt_m(&request, &prepared);
-                assert_eq!(outcome.is_some(), best == trivial, "best {best} on {inst}");
-                let Some(outcome) = outcome else { continue };
+                let settled = settle(&request, &prepared).expect("makespan-only k = 1 on u64");
+                assert_eq!(
+                    matches!(settled, Settled::Rule(_)),
+                    best == trivial,
+                    "best {best} on {inst}"
+                );
+                let slot = match settled {
+                    Settled::Rule(_) => 0,
+                    Settled::Interval(_) => 2,
+                    Settled::Decided { .. } => 3,
+                    Settled::Open { .. } => 4,
+                };
+                counts[slot] += 1;
                 let searched = search_opt_m(&request, &prepared, &CancelToken::never()).unwrap();
-                assert_eq!(outcome, searched, "on {inst}");
-                certified += 1;
-                let greedy = reg
-                    .solve(&SolveRequest::new("GreedyBalance", inst.clone()))
-                    .unwrap()
-                    .makespan;
-                by_greedy += usize::from(greedy == Some(trivial));
+                assert_eq!(reg.solve(&request).unwrap(), searched, "on {inst}");
+                if slot == 0 {
+                    let greedy = reg
+                        .solve(&SolveRequest::new("GreedyBalance", inst.clone()))
+                        .unwrap()
+                        .makespan;
+                    counts[1] += usize::from(greedy == Some(trivial));
+                }
             }
             assert!(
-                certified > by_greedy,
+                counts[0] > counts[1],
                 "{m}x{n}: only GreedyBalance certified"
             );
-            assert_eq!((certified, by_greedy), (pinned, pinned_greedy), "{m}x{n}");
+            assert_eq!(counts, pinned, "{m}x{n}");
         }
     }
 
@@ -2255,21 +2701,21 @@ mod tests {
             let prepared = Prepared::new(&inst);
             let best = best_rule_makespan(&reg, &inst);
             let request = SolveRequest::new("OptM", inst.clone());
-            let certified = certify_opt_m(&request, &prepared);
+            let settled = settle(&request, &prepared);
             prop_assert!(
-                certified.is_some() == (best == prepared.lower_bounds.trivial),
-                "certified {} with the best rule at {best} on {inst}",
-                certified.is_some()
+                matches!(settled, Some(Settled::Rule(_))) == (best == prepared.lower_bounds.trivial),
+                "settled {settled:?} with the best rule at {best} on {inst}"
             );
-            if let Some(outcome) = certified {
-                let searched = search_opt_m(&request, &prepared, &CancelToken::never()).unwrap();
-                prop_assert!(outcome == searched, "{outcome:?} != {searched:?} on {inst}");
-                let brute = reg
-                    .solve(&SolveRequest::new("BruteForce", inst.clone()))
-                    .unwrap()
-                    .makespan;
-                prop_assert!(outcome.makespan == brute, "BruteForce {brute:?} on {inst}");
-            }
+            // Makespan-only OptM (certificate, interval or decision) ==
+            // the search == BruteForce, on every instance.
+            let answered = reg.solve(&request).unwrap();
+            let searched = search_opt_m(&request, &prepared, &CancelToken::never()).unwrap();
+            prop_assert!(answered == searched, "{answered:?} != {searched:?} on {inst}");
+            let brute = reg
+                .solve(&SolveRequest::new("BruteForce", inst.clone()))
+                .unwrap()
+                .makespan;
+            prop_assert!(answered.makespan == brute, "BruteForce {brute:?} on {inst}");
         }
 
         /// The certificate's makespan-only runs keep no share log; each

@@ -8,9 +8,15 @@
 //! times that one core: the heuristics' cross-check against their `Ratio`
 //! references lives in `cr-algos`'s `proptest_scaled_sched`, the exact
 //! solvers' in the other `cr-algos` tests.  Every `OptM` cell requests the
-//! schedule: a makespan-only `k = 1` request may be answered by the bound
-//! certificate without any search, and these cells time the configuration
-//! search plus the replay of its schedule.
+//! schedule, and so times the configuration search plus the replay of its
+//! schedule, except the four `(makespan)` cells.  Those time makespan-only
+//! requests, which OptM answers by a rule or interval certificate or by the
+//! depth-first decision, with the search as the decision's fallback: on the
+//! first grids of a fixed seed that no rule certifies — ten `Uniform m=4
+//! n=3`, six long-chain `Uniform m=3 n=20` (the decision answers four and
+//! runs out of work on two, which the search then answers) and one
+//! `Uniform m=2 n=512` (past the decision's 64-step horizon, so the search
+//! answers) — and on `WideOversub m=48`.
 //!
 //! Each cell runs in a fresh process — the binary re-executes itself with
 //! the internal `--cell INDEX` argument and reads back one result line — so
@@ -96,11 +102,16 @@ fn median_ms(iters: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
 
 /// Solves `method` on `instance` with a pinned engine preference through
 /// the shared registry and returns the makespan.
-fn method_makespan(method: &str, engine: EnginePreference, instance: &Instance) -> usize {
+fn method_makespan(
+    method: &str,
+    engine: EnginePreference,
+    makespan_only: bool,
+    instance: &Instance,
+) -> usize {
     let mut request = SolveRequest::new(method, instance.clone()).with_engine(engine);
-    if method == "OptM" {
-        // A makespan-only request may be answered by the bound certificate;
-        // asking for the schedule keeps the cell on the search.
+    if method == "OptM" && !makespan_only {
+        // A makespan-only request may be answered without the search;
+        // asking for the schedule keeps the cell on it.
         request = request.with_schedule();
     }
     shared_service()
@@ -115,6 +126,8 @@ fn method_makespan(method: &str, engine: EnginePreference, instance: &Instance) 
 struct Cell {
     case: String,
     method: &'static str,
+    /// An `OptM` cell that asks for the makespan only.
+    makespan_only: bool,
     instances: Box<dyn Fn() -> Vec<Instance>>,
 }
 
@@ -127,9 +140,40 @@ impl Cell {
         Cell {
             case: case.into(),
             method,
+            makespan_only: false,
             instances: Box::new(instances),
         }
     }
+
+    /// A makespan-only `OptM` cell.
+    fn makespan_only(
+        case: impl Into<String>,
+        instances: impl Fn() -> Vec<Instance> + 'static,
+    ) -> Self {
+        Cell {
+            makespan_only: true,
+            ..Cell::new(case, "OptM", instances)
+        }
+    }
+}
+
+/// The first `count` `Uniform m×n` grids, over seeds 1000, 1001, …, that
+/// no polynomial rule certifies: every rule ends above the trivial bound.
+fn uncertified_grids(m: usize, n: usize, count: usize) -> Vec<Instance> {
+    let service = shared_service();
+    let cfg = RandomConfig::uniform(m, n);
+    (1000..)
+        .map(|seed| random_unit_instance(&cfg, seed))
+        .filter(|instance| {
+            POLY_METHODS.into_iter().all(|method| {
+                let outcome = service
+                    .solve(&SolveRequest::new(method, instance.clone()))
+                    .unwrap_or_else(|e| panic!("bench solve failed for {method}: {e}"));
+                outcome.makespan > Some(outcome.lower_bounds.trivial)
+            })
+        })
+        .take(count)
+        .collect()
 }
 
 struct CaseResult {
@@ -173,6 +217,19 @@ fn cells() -> Vec<Cell> {
             vec![wide_oversubscribed_instance(m, 4, 3, 12, 90)]
         }));
     }
+
+    // Makespan-only OptM: the certificates and the depth-first decision,
+    // on short chains, on long ones (decisions and fallbacks) and past the
+    // decision's horizon.
+    for (m, n, count) in [(4usize, 3usize, 10usize), (3, 20, 6), (2, 512, 1)] {
+        cells.push(Cell::makespan_only(
+            format!("Uniform m={m} n={n} no rule at LB (makespan)"),
+            move || uncertified_grids(m, n, count),
+        ));
+    }
+    cells.push(Cell::makespan_only("WideOversub m=48 (makespan)", || {
+        vec![wide_oversubscribed_instance(48, 4, 3, 12, 90)]
+    }));
 
     // The two-processor DP at sizes where the O(n²) table dominates.
     for n in [128usize, 512, 1024] {
@@ -247,7 +304,7 @@ fn measure(cell: &Cell, iters: usize) -> (usize, f64) {
     let (ms, _) = median_ms(iters, || {
         instances
             .iter()
-            .map(|i| method_makespan(cell.method, engine, i))
+            .map(|i| method_makespan(cell.method, engine, cell.makespan_only, i))
             .sum()
     });
     (instances.len(), ms)

@@ -12,6 +12,7 @@
 use crate::hypergraph::SchedulingGraph;
 use crate::instance::Instance;
 use crate::rational::Ratio;
+use crate::scaled::{lcm, units_of, GridUnit};
 
 /// Observation 1: the total workload `Σ r_ij · p_ij` on the **base**
 /// resource, returned exactly.  For multi-resource instances see
@@ -49,12 +50,55 @@ fn saturating_steps(b: i128) -> usize {
 /// over all shared resources** — the binding resource gives the strongest
 /// workload bound.  Single-resource instances reduce to the scalar
 /// Observation 1 exactly as before.
+///
+/// Each layer sums its workloads as integer units on the LCM grid `D` of
+/// their denominators, `u64` when it fits and `u128` otherwise, and takes
+/// `⌈Σ units / D⌉`, so no `Ratio` sum can overflow on an instance with such
+/// a grid.  Only a layer whose grid overflows `u128` falls back to the
+/// exact [`Ratio`] sum of [`workload_bound_on`].
 #[must_use]
 pub fn workload_bound_steps(instance: &Instance) -> usize {
     (0..instance.resources())
-        .map(|r| saturating_steps(workload_bound_on(instance, r).ceil()))
+        .map(|r| {
+            grid_workload_steps::<u64>(instance, r)
+                .or_else(|| grid_workload_steps::<u128>(instance, r))
+                .unwrap_or_else(|| saturating_steps(workload_bound_on(instance, r).ceil()))
+        })
         .max()
         .unwrap_or(0)
+}
+
+/// `⌈Σ r·p⌉` on layer `resource`, summed as units of the LCM grid `D` of
+/// the workloads' denominators in the unit `U`: whole steps and a
+/// remainder below `D`, so no partial sum leaves `U`.  `None` when `D` or a
+/// workload's units overflow `U`.
+fn grid_workload_steps<U: GridUnit>(instance: &Instance, resource: usize) -> Option<usize> {
+    let workloads = || {
+        instance.iter_jobs().map(|(id, job)| {
+            let requirement = instance.requirement_on(resource, id);
+            if job.is_unit() {
+                Some(requirement)
+            } else {
+                requirement.checked_mul(job.volume)
+            }
+        })
+    };
+    let grid = workloads().try_fold(U::ONE, |grid, workload| lcm(grid, workload?.denom()))?;
+    let (mut steps, mut rest) = (0u128, U::ZERO);
+    for workload in workloads() {
+        let units = units_of(workload?, grid)?;
+        steps = steps.saturating_add((units / grid).into());
+        let part = units % grid;
+        // rest + part, reduced below the grid without leaving `U`.
+        if part >= grid.sub(rest) {
+            rest = part.sub(grid.sub(rest));
+            steps = steps.saturating_add(1);
+        } else {
+            rest = rest + part;
+        }
+    }
+    steps = steps.saturating_add(u128::from(rest != U::ZERO));
+    Some(usize::try_from(steps).unwrap_or(usize::MAX))
 }
 
 /// The chain bound `n = maxᵢ nᵢ` (valid for unit-size jobs; for general
@@ -88,9 +132,19 @@ pub fn volume_chain_bound(instance: &Instance) -> usize {
 /// (Theorem 3) compares against.
 #[must_use]
 pub fn trivial_lower_bound(instance: &Instance) -> usize {
-    workload_bound_steps(instance)
-        .max(chain_bound(instance))
-        .max(volume_chain_bound(instance))
+    trivial_from(
+        workload_bound_steps(instance),
+        chain_bound(instance),
+        volume_chain_bound(instance),
+    )
+}
+
+/// [`trivial_lower_bound`] from its three parts, for a caller that keeps
+/// them: the workload bound ([`workload_bound_steps`]), the chain bound
+/// ([`chain_bound`]) and the volume chain bound ([`volume_chain_bound`]).
+#[must_use]
+pub fn trivial_from(workload: usize, chain: usize, volume_chain: usize) -> usize {
+    workload.max(chain).max(volume_chain)
 }
 
 /// Lemma 5: `OPT ≥ Σ_k (#_k − 1)` for the scheduling graph of a non-wasting
@@ -223,6 +277,62 @@ mod tests {
             ])
             .build();
         assert_eq!(volume_chain_bound(&inst), usize::MAX);
+    }
+
+    #[test]
+    fn grid_workload_sums_match_the_ratio_sums() {
+        // Coprime denominators, non-unit volumes, zeros and a second layer:
+        // the unit sums round up exactly as the Ratio sums do.
+        let inst = InstanceBuilder::new()
+            .processor_jobs([
+                Job::new(ratio(2, 7), ratio(3, 2)),
+                Job::new(Ratio::ZERO, ratio(5, 3)),
+                Job::unit(ratio(10, 11)),
+            ])
+            .processor_jobs([Job::new(ratio(12, 13), ratio(9, 4)), Job::unit(Ratio::ONE)])
+            .extra_layer([
+                vec![ratio(1, 3), ratio(1, 5), Ratio::ZERO],
+                vec![ratio(4, 9), ratio(2, 3)],
+            ])
+            .build();
+        for r in 0..inst.resources() {
+            let exact = workload_bound_on(&inst, r).ceil();
+            assert_eq!(grid_workload_steps::<u64>(&inst, r), Some(exact as usize));
+            assert_eq!(grid_workload_steps::<u128>(&inst, r), Some(exact as usize));
+        }
+        assert_eq!(
+            workload_bound_steps(&inst),
+            (0..2)
+                .map(|r| workload_bound_on(&inst, r).ceil() as usize)
+                .max()
+                .unwrap()
+        );
+    }
+
+    #[test]
+    fn grids_past_u64_sum_without_a_ratio_overflow() {
+        // Nine requirements over four primes near 2^31: their LCM is near
+        // 2^124, so the u64 grid overflows and the Ratio sum overflows
+        // i128, while the u128 grid sums exactly.
+        const PRIMES: [i128; 4] = [2_147_483_579, 2_147_483_587, 2_147_483_629, 2_147_483_647];
+        let rows: Vec<Vec<Ratio>> = (0..3)
+            .map(|i| {
+                (0..3)
+                    .map(|j| {
+                        let p = PRIMES[(i + j) % 4];
+                        ratio(p - 1 - (i * 3 + j) as i128, p)
+                    })
+                    .collect()
+            })
+            .collect();
+        let inst = Instance::unit_from_requirements(rows);
+        assert_eq!(grid_workload_steps::<u64>(&inst, 0), None);
+        let ratio_sum = inst.iter_jobs().try_fold(Ratio::ZERO, |sum, (_, job)| {
+            sum.checked_add(job.requirement)
+        });
+        assert!(ratio_sum.is_none(), "the Ratio sum overflows i128");
+        // Nine requirements just below 1 each.
+        assert_eq!(workload_bound_steps(&inst), 9);
     }
 
     #[test]

@@ -251,7 +251,7 @@ fn gcd<U: GridUnit>(mut a: U, mut b: U) -> U {
 }
 
 /// `lcm(capacity, den)`, or `None` past `U`.
-fn lcm<U: GridUnit>(capacity: U, den: i128) -> Option<U> {
+pub(crate) fn lcm<U: GridUnit>(capacity: U, den: i128) -> Option<U> {
     let den = U::try_from(den).ok()?;
     capacity.checked_mul(den / gcd(capacity, den))
 }

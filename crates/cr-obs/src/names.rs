@@ -50,6 +50,24 @@ pub const OPTM_ROUNDS: &str = "optm.rounds";
 /// polynomial rules (GreedyBalance first) met the trivial lower bound, so
 /// no configuration search ran.
 pub const OPTM_CERTIFIED: &str = "optm.certified";
+/// Makespan-only `k = 1` OPT(m) answers certified by the interval bound:
+/// no rule met the trivial bound, but the best rule's makespan met the
+/// least makespan that passes Observation 1 on every step window, so no
+/// search ran.
+pub const OPTM_INTERVAL_CERTIFIED: &str = "optm.interval_certified";
+/// Makespan-only `k = 1` OPT(m) answers found by the depth-first decision
+/// below the best rule's makespan, without the configuration search.
+pub const OPTM_DECIDED: &str = "optm.decided";
+/// Nodes expanded by the depth-first decision, summed over requests, those
+/// of decisions that ran out of work included.
+pub const OPTM_DECISION_EXPANSIONS: &str = "optm.decision_expansions";
+/// Depth-first decisions that ran out of their work budget and left the
+/// answer to the configuration search.
+pub const OPTM_DECISION_FALLBACKS: &str = "optm.decision_fallbacks";
+/// OPT(m) answers outside `[interval bound, best rule]`, over decided
+/// answers and decision fallbacks (an interval certificate's answer is
+/// both); any count is a bug.
+pub const OPTM_SANDWICH_VIOLATIONS: &str = "optm.sandwich_violations";
 /// Candidates the domination filter compared against at least one kept
 /// row (the rest were settled by consumption level, or passed over by group
 /// levels, group maxima or an outright dominator), summed over rounds.
@@ -106,7 +124,7 @@ pub const SPAN_SIM_RUN: &str = "sim.run";
 
 /// Every metric name (or dynamic-family template) the workspace registers,
 /// as plain literals for the `vocab_sync` lint.  Keep sorted.
-pub const METRIC_NAMES: [&str; 28] = [
+pub const METRIC_NAMES: [&str; 33] = [
     "net.connections",
     "net.idle_closed",
     "net.overloaded",
@@ -114,12 +132,17 @@ pub const METRIC_NAMES: [&str; 28] = [
     "net.served",
     "net.worker_panics",
     "optm.certified",
+    "optm.decided",
+    "optm.decision_expansions",
+    "optm.decision_fallbacks",
     "optm.filter_checked",
     "optm.filter_settled",
     "optm.frontier_size",
+    "optm.interval_certified",
     "optm.round_candidates",
     "optm.round_survivors",
     "optm.rounds",
+    "optm.sandwich_violations",
     "serve.batch_size",
     "serve.batches",
     "service.cache.evictions",
@@ -176,6 +199,11 @@ mod tests {
             NET_WORKER_PANICS,
             OPTM_ROUNDS,
             OPTM_CERTIFIED,
+            OPTM_INTERVAL_CERTIFIED,
+            OPTM_DECIDED,
+            OPTM_DECISION_EXPANSIONS,
+            OPTM_DECISION_FALLBACKS,
+            OPTM_SANDWICH_VIOLATIONS,
             OPTM_FILTER_CHECKED,
             OPTM_FILTER_SETTLED,
             OPTM_FRONTIER_SIZE,

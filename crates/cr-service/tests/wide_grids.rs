@@ -31,12 +31,11 @@ impl SplitMix {
     }
 }
 
-/// 300 instances of 2–3 processors with 1–3 unit jobs each, every
-/// requirement a/p for a prime p near 2^22.
-fn three_prime_instances() -> Vec<Instance> {
-    const PRIMES: [u64; 3] = [4_194_271, 4_194_277, 4_194_287];
+/// `count` instances of 2–3 processors with 1–3 unit jobs each, every
+/// requirement a/p for a prime p drawn from `primes`.
+fn prime_instances(primes: &[u64], count: usize) -> Vec<Instance> {
     let mut rng = SplitMix(0xabcdef);
-    (0..300)
+    (0..count)
         .map(|_| {
             let m = 2 + rng.below(2);
             let rows = (0..m)
@@ -44,7 +43,7 @@ fn three_prime_instances() -> Vec<Instance> {
                     let n = 1 + rng.below(3);
                     (0..n)
                         .map(|_| {
-                            let p = PRIMES[rng.below(3) as usize];
+                            let p = primes[rng.below(primes.len() as u64) as usize];
                             Ratio::from_parts(1 + rng.below(p - 1), p)
                         })
                         .collect()
@@ -53,6 +52,11 @@ fn three_prime_instances() -> Vec<Instance> {
             Instance::unit_from_requirements(rows)
         })
         .collect()
+}
+
+/// 300 instances over three primes near 2^22.
+fn three_prime_instances() -> Vec<Instance> {
+    prime_instances(&[4_194_271, 4_194_277, 4_194_287], 300)
 }
 
 const WIDENED: &str = "unit grid overflows u64: widened to u128";
@@ -213,5 +217,45 @@ fn heuristics_answer_past_the_u64_grid() {
             Err(SolveError::GridOverflow { .. }) => {}
             other => panic!("expected grid_overflow, got {other:?}"),
         }
+    }
+}
+
+/// 200 instances over four primes near 2^31: grids near 2^124, past `u64`
+/// and, for sums of `Ratio`s, past `i128`.  The instance-only bounds are
+/// summed on the integer grids, so OptM, BruteForce and every heuristic
+/// answer each instance that has a `u128` grid; none answers
+/// `internal_error`.
+#[test]
+fn four_prime_instances_answer_without_an_internal_error() {
+    let instances = prime_instances(
+        &[2_147_483_579, 2_147_483_587, 2_147_483_629, 2_147_483_647],
+        200,
+    );
+    assert!(instances
+        .iter()
+        .all(
+            |instance| ScaledInstance::<u128>::try_on_grid(instance).is_some()
+                && MultiStepper::<u128>::try_new(instance).is_some()
+        ));
+    let requests: Vec<SolveRequest> = instances
+        .iter()
+        .flat_map(|instance| {
+            ["OptM", "BruteForce"]
+                .into_iter()
+                .chain(POLY_METHODS)
+                .map(|method| SolveRequest::new(method, instance.clone()))
+        })
+        .collect();
+    let service = SolverService::with_standard_registry();
+    for (request, result) in requests.iter().zip(service.solve_batch(&requests)) {
+        let outcome = result
+            .unwrap_or_else(|err| panic!("{} on {}: {err}", request.method, request.instance));
+        assert!(
+            outcome.makespan.expect("every method reports a makespan")
+                >= outcome.lower_bounds.trivial,
+            "{} on {}",
+            request.method,
+            request.instance
+        );
     }
 }
