@@ -508,7 +508,8 @@ impl fmt::Display for SolveError {
             SolveError::GridOverflow { method } => write!(
                 f,
                 "method {method}: the instance's unit grid is too wide (past u64 on the scaled \
-                 engine preference, past u128 for an exact method on any preference)"
+                 engine preference and for the sim: methods, past u128 for any offline method \
+                 on any preference)"
             ),
             SolveError::EngineUnavailable { method, engine } => {
                 write!(f, "method {method} has no {} engine core", engine.as_str())
@@ -552,7 +553,8 @@ impl fmt::Display for SolveError {
             SolveError::ResourceOverflow { method } => write!(
                 f,
                 "method {method}: a resource layer's unit grid is too wide (past u64 on the \
-                 scaled engine preference, past u128 for an exact method on any preference)"
+                 scaled engine preference and for the sim: methods, past u128 for any offline \
+                 method on any preference)"
             ),
         }
     }

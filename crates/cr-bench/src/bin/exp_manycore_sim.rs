@@ -34,18 +34,24 @@ fn main() {
             let mut policies = standard_policies();
             for report in sim.compare(&mut policies).expect("simulation completes") {
                 // The exact wasted-share-per-step series drives the waste
-                // figures; the peak is its worst single step.
-                let peak_waste = (0..report.makespan)
-                    .map(|t| report.wasted_fraction(t))
+                // figures; the peak is the worst single step of any layer.
+                let peak_waste = (0..report.resources())
+                    .flat_map(|r| (0..report.makespan).map(move |t| (r, t)))
+                    .map(|(r, t)| report.wasted_fraction(r, t))
                     .fold(0.0f64, f64::max);
+                let utilization: Vec<String> = report
+                    .utilization
+                    .iter()
+                    .map(|u| format!("{:.1}%", u * 100.0))
+                    .collect();
                 println!(
-                    "{:>6} {:>20} {:>9} {:>9} {:>8.3} {:>8.1}% {:>9.2} {:>9.1}%",
+                    "{:>6} {:>20} {:>9} {:>9} {:>8.3} {:>9} {:>9.2} {:>9.1}%",
                     cores,
                     report.policy,
                     report.makespan,
                     report.lower_bound,
                     report.normalized_makespan(),
-                    report.bus_utilization * 100.0,
+                    utilization.join("/"),
                     report.average_slowdown(),
                     peak_waste * 100.0,
                 );

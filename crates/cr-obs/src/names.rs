@@ -97,7 +97,7 @@ pub const SIM_WASTED_UNITS: &str = "sim.wasted_units";
 pub const SIM_WINDOW_UTILIZATION_PPM: &str = "sim.window_utilization_ppm";
 /// Cores that starved at least one step in the most recent run.
 pub const SIM_STARVED_CORES: &str = "sim.starved_cores";
-/// Index of the bottleneck resource in the most recent multi-resource run.
+/// Index of the bottleneck resource in the latest run (0 at `k = 1`).
 pub const SIM_BOTTLENECK_RESOURCE: &str = "sim.bottleneck_resource";
 
 /// Wire-tier span: parsing one request line.

@@ -1,25 +1,27 @@
 //! The discrete-time simulation engine.
 //!
-//! The engine owns a workload (one task per core), repeatedly asks an
-//! [`OnlinePolicy`] for a bus-share vector, validates it, advances the cores
-//! and collects metrics.  Internally it steps a [`cr_core::MultiStepper`]
-//! on `u64` units — the exact step simulator the offline heuristics run
-//! on: the bus is a pool of `capacity` integer units per step (the
-//! workload's unit grid), a policy answers in units, and one simulated step
-//! is pure integer arithmetic — no rational arithmetic, no floating point,
-//! and every metric (consumption, waste, utilization) is exact.  A finished
-//! [`Simulator::run`] is bit-for-bit a CRSharing [`Schedule`] and can be
-//! validated, rendered and analyzed with the rest of the tool chain.
+//! The engine owns a workload (one task per core), asks an
+//! [`OnlinePolicy`] for every resource layer's share vector in every time
+//! step, validates the shares, advances the cores and collects metrics.
+//! One step loop serves every `k ≥ 1`: it steps a [`cr_core::MultiStepper`]
+//! on `u64` units over all of the workload's resource layers — the exact
+//! step simulator the offline heuristics run on: each layer is a pool of
+//! `capacity` integer units per step (that layer's unit grid), a policy
+//! answers in units, and one simulated step is pure integer arithmetic — no
+//! rational arithmetic, no floating point, and every metric (consumption,
+//! waste, utilization) is exact.  A finished single-resource run is
+//! bit-for-bit a CRSharing [`Schedule`] and can be validated, rendered and
+//! analyzed with the rest of the tool chain.
 
-use crate::metrics::{CoreReport, MultiSimReport, SimReport};
-use crate::policies::{CoreView, MultiCoreView, OnlinePolicy};
+use crate::metrics::{CoreReport, SimReport};
+use crate::policies::{CoreView, OnlinePolicy};
 use crate::task::{tasks_to_instance, Task};
 use cr_core::{bounds, CancelReason, CancelToken, Instance, MultiStepper, Schedule};
 use std::fmt;
 
 /// How many simulated steps pass between cancel-token checks in the engine
-/// loop: one step costs `O(m)` integer work plus a policy call, so even
-/// wide workloads check far more often than
+/// loop: one step costs `O(m · k)` integer work plus `k` policy calls, so
+/// even wide workloads check far more often than
 /// [`cr_core::cancel::CHECK_INTERVAL_MS`] demands.
 const STEP_CHECK_STRIDE: u32 = 64;
 
@@ -30,16 +32,21 @@ pub struct Simulator {
     /// Hard cap on simulated steps, to surface starvation bugs in policies
     /// instead of spinning forever.
     step_limit: usize,
+    /// The step at which each core's task arrives; empty when every task is
+    /// present from step 0.
+    arrivals: Vec<usize>,
 }
 
-/// Outcome of a simulation: the aggregate report plus the full schedule for
-/// further inspection.
+/// Outcome of a simulation: the aggregate report plus, for a
+/// single-resource workload, the full schedule for further inspection.
 #[derive(Debug, Clone)]
 pub struct SimOutcome {
     /// Aggregate and per-core metrics.
     pub report: SimReport,
-    /// The exact schedule the policy produced.
-    pub schedule: Schedule,
+    /// The exact schedule the policy produced; `None` for a workload with
+    /// `k ≥ 2` resources, because the CRSharing schedule format is
+    /// single-resource.
+    pub schedule: Option<Schedule>,
 }
 
 /// A structured simulation failure.
@@ -51,7 +58,7 @@ pub struct SimOutcome {
 /// itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The workload's unit grid (requirement/workload denominator LCM)
+    /// A resource layer's unit grid (requirement/workload denominator LCM)
     /// overflows the scaled engine's `u64` headroom.
     GridOverflow,
     /// The policy failed to finish the workload within the step limit — it
@@ -93,26 +100,24 @@ impl Simulator {
     #[must_use]
     pub fn new(tasks: Vec<Task>) -> Self {
         let instance = tasks_to_instance(&tasks);
+        Self::with_tasks(tasks, instance)
+    }
+
+    /// Creates a simulator directly from a CRSharing instance (cores are
+    /// named `core0`, `core1`, …).  Every resource layer of the instance is
+    /// arbitrated.
+    #[must_use]
+    pub fn from_instance(instance: &Instance) -> Self {
+        Self::with_tasks(crate::task::instance_to_tasks(instance), instance.clone())
+    }
+
+    fn with_tasks(tasks: Vec<Task>, instance: Instance) -> Self {
         let step_limit = Self::default_step_limit(&tasks);
         Simulator {
             tasks,
             instance,
             step_limit,
-        }
-    }
-
-    /// Creates a simulator directly from a CRSharing instance (cores are
-    /// named `core0`, `core1`, …).  Extra resource layers of the instance
-    /// are preserved: [`Simulator::run`] simulates the base resource only,
-    /// while [`Simulator::run_multi`] arbitrates all `k` layers.
-    #[must_use]
-    pub fn from_instance(instance: &Instance) -> Self {
-        let tasks = crate::task::instance_to_tasks(instance);
-        let step_limit = Self::default_step_limit(&tasks);
-        Simulator {
-            tasks,
-            instance: instance.clone(),
-            step_limit,
+            arrivals: Vec::new(),
         }
     }
 
@@ -137,6 +142,25 @@ impl Simulator {
         self
     }
 
+    /// Lets core `i`'s task arrive at step `arrivals[i]`: before it, the
+    /// policy sees the core idle and the core receives no share, as if its
+    /// task entered the trace at that point.  The makespan includes the
+    /// waiting, and a waiting core with work counts its steps as starved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrivals` does not hold one step per core.
+    #[must_use]
+    pub fn with_arrivals(mut self, arrivals: Vec<usize>) -> Self {
+        assert_eq!(
+            arrivals.len(),
+            self.tasks.len(),
+            "one arrival step per core"
+        );
+        self.arrivals = arrivals;
+        self
+    }
+
     /// The current step limit (the default starvation watchdog unless
     /// overridden).
     #[must_use]
@@ -150,13 +174,12 @@ impl Simulator {
         &self.instance
     }
 
-    /// Runs the workload to completion under `policy`, simulating the
-    /// **base resource** only (extra layers of a multi-resource instance
-    /// are not arbitrated here — use [`Simulator::run_multi`] for those).
+    /// Runs the workload to completion under `policy`, arbitrating every
+    /// resource layer.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::GridOverflow`] when the workload's unit grid does
+    /// Returns [`SimError::GridOverflow`] when some layer's unit grid does
     /// not fit the scaled engine, and [`SimError::StepLimit`] when the
     /// policy fails to finish the workload within the step limit.
     ///
@@ -179,42 +202,43 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if the policy returns a malformed share vector (wrong length,
-    /// share above the capacity, or total above the pool) — that is a bug in
-    /// the policy, not a runtime condition.
+    /// As for [`Simulator::run`]: a malformed share vector is a policy bug
+    /// and panics.
     pub fn run_cancellable(
         &self,
         policy: &mut dyn OnlinePolicy,
         token: &CancelToken,
     ) -> Result<SimOutcome, SimError> {
-        let (report, stepper) = self.simulate(policy, token, true)?;
-        Ok(SimOutcome {
-            report,
-            schedule: stepper.finish(),
-        })
+        let lower_bound = bounds::trivial_lower_bound(&self.instance);
+        self.simulate(policy, token, true, lower_bound)
     }
 
-    /// The base-resource step loop of [`Simulator::run_cancellable`]: the
-    /// report, and the finished stepper, which logs every step's shares
-    /// only when `log` is set, so a makespan-only caller builds no
+    /// The step loop of [`Simulator::run_cancellable`], with the report's
+    /// `lower_bound` given: per step, one [`OnlinePolicy::allocate`] call
+    /// per resource layer, base layer first.  Shares are logged, and the
+    /// outcome carries the schedule, only when `want_schedule` is set and
+    /// the workload has one resource, so a makespan-only caller builds no
     /// [`Schedule`].
     pub(crate) fn simulate(
         &self,
         policy: &mut dyn OnlinePolicy,
         token: &CancelToken,
-        log: bool,
-    ) -> Result<(SimReport, MultiStepper<u64>), SimError> {
+        want_schedule: bool,
+        lower_bound: usize,
+    ) -> Result<SimOutcome, SimError> {
         let _run_span = cr_obs::Span::enter(cr_obs::names::SPAN_SIM_RUN);
         let cancelled = |reason: CancelReason| SimError::Cancelled { reason };
         token.check().map_err(cancelled)?;
         let mut gate = token.gate(STEP_CHECK_STRIDE);
         let mut stepper =
-            MultiStepper::<u64>::try_new_base(&self.instance).ok_or(SimError::GridOverflow)?;
+            MultiStepper::<u64>::try_new(&self.instance).ok_or(SimError::GridOverflow)?;
+        let k = stepper.resources();
+        let log = want_schedule && k == 1;
         if log {
             stepper = stepper.log_shares();
         }
-        let capacity = stepper.capacity(0);
         let m = self.instance.processors();
+        let capacities: Vec<u64> = stepper.capacities().to_vec();
 
         // Completion is recorded *before* the first step too, so a core
         // whose task is already empty reports completion time 0 instead of
@@ -223,151 +247,19 @@ impl Simulator {
             .map(|i| (stepper.unfinished_jobs(i) == 0).then_some(0))
             .collect();
         let mut starved = vec![0usize; m];
-        let mut consumed_units: u64 = 0;
-        let mut wasted_units_per_step: Vec<u64> = Vec::new();
-
-        let mut steps = 0usize;
-        while !stepper.all_done() {
-            gate.tick().map_err(cancelled)?;
-            if steps >= self.step_limit {
-                return Err(SimError::StepLimit {
-                    policy: policy.name().to_string(),
-                    limit: self.step_limit,
-                });
-            }
-            let views: Vec<CoreView> = (0..m)
-                .map(|i| CoreView {
-                    active_requirement: stepper.active_requirement(i, 0),
-                    step_demand: stepper.step_demand(i, 0),
-                    remaining_workload: stepper.remaining(i, 0),
-                    remaining_phases: stepper.unfinished_jobs(i),
-                })
-                .collect();
-            let shares = policy.allocate(capacity, &views);
-            assert_eq!(
-                shares.len(),
-                m,
-                "policy {} returned {} shares for {} cores",
-                policy.name(),
-                shares.len(),
-                m
-            );
-
-            let mut useful: u64 = 0;
-            // lint: allow(cancel_coverage) — bounded: one pass over m processors per simulated step; the step loop polls the gate
-            for i in 0..m {
-                if views[i].is_active() {
-                    useful += shares[i].min(views[i].step_demand);
-                    if shares[i] == 0 && views[i].step_demand > 0 {
-                        starved[i] += 1;
-                    }
-                }
-            }
-            consumed_units = consumed_units.saturating_add(useful);
-            wasted_units_per_step.push(capacity - useful);
-            // The stepper validates the shape, each share and the total,
-            // panicking on a malformed vector.
-            stepper.push_step(&shares);
-            steps += 1;
-            // lint: allow(cancel_coverage) — bounded: completion scan over m processors per step; the step loop polls the gate
-            for (i, done_at) in completion.iter_mut().enumerate() {
-                if done_at.is_none() && stepper.unfinished_jobs(i) == 0 {
-                    *done_at = Some(steps);
-                }
-            }
-        }
-
-        let makespan = steps;
-        let per_core: Vec<CoreReport> = self
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, task)| CoreReport {
-                name: task.name.clone(),
-                completion_time: completion[i].expect("all cores completed"),
-                ideal_completion_time: task.ideal_completion_time(),
-                starved_steps: starved[i],
-            })
-            .collect();
-
-        let pool_total = (makespan as u64).saturating_mul(capacity);
-        let report = SimReport {
-            policy: policy.name().to_string(),
-            cores: m,
-            makespan,
-            capacity,
-            consumed_units,
-            wasted_units_per_step,
-            bus_utilization: if pool_total == 0 {
-                0.0
-            } else {
-                consumed_units as f64 / pool_total as f64
-            },
-            lower_bound: bounds::trivial_lower_bound(&self.instance),
-            per_core,
-        };
-        crate::obs::record_report(&report);
-        Ok((report, stepper))
-    }
-
-    /// Runs the workload to completion under `policy` with **every**
-    /// resource layer arbitrated, driving the policy through
-    /// [`OnlinePolicy::allocate_multi`].  Works for any `k ≥ 1`; for
-    /// single-resource workloads the default `allocate_multi` lift makes it
-    /// behave exactly like [`Simulator::run`] (modulo the missing schedule).
-    ///
-    /// Unlike the scalar runs this reports no [`Schedule`] — the CRSharing
-    /// schedule format is single-resource — so the result is the metrics
-    /// report alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::GridOverflow`] when any resource layer's unit
-    /// grid does not fit the scaled engine, and [`SimError::StepLimit`]
-    /// when the policy fails to finish the workload within the step limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy returns a malformed share matrix (wrong shape,
-    /// a share above its resource's capacity, or a resource oversubscribed)
-    /// — that is a bug in the policy, not a runtime condition.
-    pub fn run_multi(&self, policy: &mut dyn OnlinePolicy) -> Result<MultiSimReport, SimError> {
-        self.run_multi_cancellable(policy, &CancelToken::never())
-    }
-
-    /// [`Simulator::run_multi`] with cooperative cancellation on the same
-    /// strided gate as the scalar run.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Simulator::run_multi`] reports, plus
-    /// [`SimError::Cancelled`].
-    ///
-    /// # Panics
-    ///
-    /// As for [`Simulator::run_multi`]: a malformed share matrix is a
-    /// policy bug and panics.
-    pub fn run_multi_cancellable(
-        &self,
-        policy: &mut dyn OnlinePolicy,
-        token: &CancelToken,
-    ) -> Result<MultiSimReport, SimError> {
-        let _run_span = cr_obs::Span::enter(cr_obs::names::SPAN_SIM_RUN);
-        let cancelled = |reason: CancelReason| SimError::Cancelled { reason };
-        token.check().map_err(cancelled)?;
-        let mut gate = token.gate(STEP_CHECK_STRIDE);
-        let mut stepper =
-            MultiStepper::<u64>::try_new(&self.instance).ok_or(SimError::GridOverflow)?;
-        let k = stepper.resources();
-        let m = self.instance.processors();
-        let capacities: Vec<u64> = stepper.capacities().to_vec();
-
-        let mut completion: Vec<Option<usize>> = (0..m)
-            .map(|i| (stepper.unfinished_jobs(i) == 0).then_some(0))
-            .collect();
-        let mut starved = vec![0usize; m];
         let mut consumed_units = vec![0u64; k];
         let mut wasted_units_per_step: Vec<Vec<u64>> = vec![Vec::new(); k];
+        let mut views: Vec<CoreView> = Vec::with_capacity(m);
+        // Processor-major, as the stepper takes them: `shares[i · k + r]`.
+        let mut shares = vec![0u64; m * k];
+        // Per core, the most any layer did for it this step: 0 without
+        // demand, `HUNGRY` with demand but no useful share, 2 once a layer
+        // granted a useful share.  A core that ends the step `HUNGRY` is
+        // starved.  (Units of different layers live on different grids, so
+        // this is a per-layer predicate, never a cross-layer sum; only an
+        // active core has demand.)
+        const HUNGRY: u8 = 1;
+        let mut served = vec![0u8; m];
 
         let mut steps = 0usize;
         while !stepper.all_done() {
@@ -378,61 +270,58 @@ impl Simulator {
                     limit: self.step_limit,
                 });
             }
-            let views: Vec<MultiCoreView> = (0..m)
-                .map(|i| MultiCoreView {
-                    active_requirement: stepper.is_active(i).then(|| {
-                        (0..k)
-                            .map(|r| stepper.active_requirement(i, r).unwrap_or(0))
-                            .collect()
-                    }),
-                    step_demand: (0..k).map(|r| stepper.step_demand(i, r)).collect(),
-                    remaining_workload: (0..k).map(|r| stepper.remaining(i, r)).collect(),
-                    remaining_phases: stepper.unfinished_jobs(i),
-                })
-                .collect();
-            let shares = policy.allocate_multi(&capacities, &views);
-            assert_eq!(
-                shares.len(),
-                m,
-                "policy {} returned {} share rows for {} cores",
-                policy.name(),
-                shares.len(),
-                m
-            );
-
-            // lint: allow(cancel_coverage) — bounded: one pass over m cores per simulated step; the step loop polls the gate
-            for (i, (view, row)) in views.iter().zip(&shares).enumerate() {
+            let waiting = |i: usize| self.arrivals.get(i).is_some_and(|&at| at > steps);
+            // lint: allow(cancel_coverage) — bounded: k resource layers per step; the step loop polls the gate
+            for (r, &capacity) in capacities.iter().enumerate() {
+                views.clear();
+                views.extend((0..m).map(|i| {
+                    if waiting(i) {
+                        CoreView::IDLE
+                    } else {
+                        CoreView {
+                            active_requirement: stepper.active_requirement(i, r),
+                            step_demand: stepper.step_demand(i, r),
+                            remaining_workload: stepper.remaining(i, r),
+                            remaining_phases: stepper.unfinished_jobs(i),
+                        }
+                    }
+                }));
+                let layer = policy.allocate(capacity, &views);
                 assert_eq!(
-                    row.len(),
-                    k,
-                    "policy {} returned {} shares for core {i} on {k} resources",
+                    layer.len(),
+                    m,
+                    "policy {} returned {} shares for {} cores",
                     policy.name(),
-                    row.len()
+                    layer.len(),
+                    m
                 );
-                // A core is starved when it could absorb units on some
-                // layer but received a useful grant on none.  (Units of
-                // different layers live on different grids, so this is a
-                // per-layer predicate, never a cross-layer sum.)
-                let any_useful = row
-                    .iter()
-                    .zip(&view.step_demand)
-                    .any(|(&s, &d)| s.min(d) > 0);
-                let any_demand = view.step_demand.iter().any(|&d| d > 0);
-                if view.is_active() && !any_useful && any_demand {
-                    starved[i] += 1;
+                // A waiting core gets nothing, but its real demand counts:
+                // with work to do, it is starved.
+                // lint: allow(cancel_coverage) — bounded: one pass over m cores per layer; the step loop polls the gate
+                for (i, (share, view)) in layer.into_iter().zip(&views).enumerate() {
+                    let (share, demand) = if waiting(i) {
+                        (0, stepper.step_demand(i, r))
+                    } else {
+                        (share, view.step_demand)
+                    };
+                    shares[i * k + r] = share;
+                    // A useful share implies demand, so this is 0, 1 or 2.
+                    let level = u8::from(demand > 0) + u8::from(share.min(demand) > 0);
+                    served[i] = if r == 0 { level } else { served[i].max(level) };
                 }
             }
-            // The stepper validates per-share caps and column sums,
-            // panicking on a malformed matrix exactly like the scalar run.
-            let consumed = stepper.push_step(&shares.concat());
+            // The stepper validates the shape, each share and every layer's
+            // total, panicking on a malformed share vector.
+            let consumed = stepper.push_step(&shares);
             // lint: allow(cancel_coverage) — bounded: k resource layers per step; the step loop polls the gate
             for (r, &used) in consumed.iter().enumerate() {
                 consumed_units[r] = consumed_units[r].saturating_add(used);
                 wasted_units_per_step[r].push(capacities[r] - used);
             }
             steps += 1;
-            // lint: allow(cancel_coverage) — bounded: completion scan over m processors per step; the step loop polls the gate
+            // lint: allow(cancel_coverage) — bounded: one pass over m processors per step; the step loop polls the gate
             for (i, done_at) in completion.iter_mut().enumerate() {
+                starved[i] += usize::from(served[i] == HUNGRY);
                 if done_at.is_none() && stepper.unfinished_jobs(i) == 0 {
                     *done_at = Some(steps);
                 }
@@ -454,8 +343,8 @@ impl Simulator {
         let utilization: Vec<f64> = capacities
             .iter()
             .zip(&consumed_units)
-            .map(|(&cap, &used)| {
-                let pool = (makespan as u64).saturating_mul(cap);
+            .map(|(&capacity, &used)| {
+                let pool = (makespan as u64).saturating_mul(capacity);
                 if pool == 0 {
                     0.0
                 } else {
@@ -463,19 +352,22 @@ impl Simulator {
                 }
             })
             .collect();
-        let report = MultiSimReport {
+        let report = SimReport {
             policy: policy.name().to_string(),
             cores: m,
-            resources: k,
             makespan,
             capacities,
             consumed_units,
             wasted_units_per_step,
             utilization,
+            lower_bound,
             per_core,
         };
-        crate::obs::record_multi_report(&report);
-        Ok(report)
+        crate::obs::record_report(&report);
+        Ok(SimOutcome {
+            report,
+            schedule: log.then(|| stepper.finish()),
+        })
     }
 
     /// Runs the workload under every provided policy and returns the reports
@@ -533,10 +425,11 @@ mod tests {
         let outcome = sim.run(&mut GreedyBalancePolicy).unwrap();
         // The schedule the engine reports is feasible and has the same
         // makespan as the engine's own step count.
-        let trace = outcome.schedule.trace(sim.instance()).unwrap();
+        let schedule = outcome.schedule.as_ref().unwrap();
+        let trace = schedule.trace(sim.instance()).unwrap();
         assert_eq!(trace.makespan(), outcome.report.makespan);
         assert!(outcome.report.makespan >= outcome.report.lower_bound);
-        assert!(outcome.report.bus_utilization > 0.0);
+        assert!(outcome.report.utilization[0] > 0.0);
         assert!(outcome
             .report
             .per_core
@@ -549,8 +442,14 @@ mod tests {
         let sim = Simulator::new(small_workload());
         for mut policy in standard_policies() {
             let outcome = sim.run(policy.as_mut()).unwrap();
-            let trace = outcome.schedule.trace(sim.instance()).unwrap();
-            let capacity = outcome.report.capacity;
+            let report = &outcome.report;
+            let trace = outcome
+                .schedule
+                .as_ref()
+                .unwrap()
+                .trace(sim.instance())
+                .unwrap();
+            let capacity = report.capacities[0];
             // The engine's unit accounting equals the exact rational trace:
             // Σ_t consumed(t) == consumed_units / capacity …
             let traced: cr_core::Ratio = (0..trace.num_steps())
@@ -558,22 +457,15 @@ mod tests {
                 .sum();
             assert_eq!(
                 traced,
-                cr_core::Ratio::new(
-                    i128::from(outcome.report.consumed_units),
-                    i128::from(capacity)
-                ),
+                cr_core::Ratio::new(i128::from(report.consumed_units[0]), i128::from(capacity)),
                 "{}",
-                outcome.report.policy
+                report.policy
             );
             // … and the per-step waste series complements it exactly.
+            assert_eq!(report.wasted_units_per_step[0].len(), report.makespan);
             assert_eq!(
-                outcome.report.wasted_units_per_step.len(),
-                outcome.report.makespan
-            );
-            let wasted: u64 = outcome.report.wasted_units_per_step.iter().sum();
-            assert_eq!(
-                wasted + outcome.report.consumed_units,
-                capacity * outcome.report.makespan as u64
+                report.wasted_units_total(0) + report.consumed_units[0],
+                capacity * report.makespan as u64
             );
         }
     }
@@ -624,7 +516,7 @@ mod tests {
         assert_eq!(reports.len(), policies.len());
         for r in &reports {
             assert!(r.makespan >= r.lower_bound);
-            assert!(r.bus_utilization <= 1.0 + 1e-9);
+            assert!(r.utilization[0] <= 1.0 + 1e-9);
         }
         // GreedyBalance is within its proven factor of the lower bound.
         let greedy = &reports[0];
@@ -695,7 +587,7 @@ mod tests {
             .run_cancellable(&mut GreedyBalancePolicy, &live)
             .unwrap();
         let plain = sim.run(&mut GreedyBalancePolicy).unwrap();
-        assert_eq!(cancellable.report.makespan, plain.report.makespan);
+        assert_eq!(cancellable.report, plain.report);
         assert_eq!(cancellable.schedule, plain.schedule);
     }
 
@@ -713,8 +605,10 @@ mod tests {
     fn multi_run_accounts_every_layer_exactly() {
         let sim = Simulator::from_instance(&two_resource_instance());
         for mut policy in standard_policies() {
-            let report = sim.run_multi(policy.as_mut()).unwrap();
-            assert_eq!(report.resources, 2);
+            let outcome = sim.run(policy.as_mut()).unwrap();
+            assert!(outcome.schedule.is_none(), "{}", outcome.report.policy);
+            let report = outcome.report;
+            assert_eq!(report.resources(), 2);
             assert_eq!(report.cores, 2);
             assert!(report.makespan >= 3, "{}", report.policy);
             for r in 0..2 {
@@ -747,11 +641,13 @@ mod tests {
             vec![ratio(1, 10)],
         ]);
         let with_layer = Simulator::from_instance(&multi)
-            .run_multi(&mut GreedyBalancePolicy)
-            .unwrap();
+            .run(&mut GreedyBalancePolicy)
+            .unwrap()
+            .report;
         let without = Simulator::from_instance(&base_only)
-            .run_multi(&mut GreedyBalancePolicy)
-            .unwrap();
+            .run(&mut GreedyBalancePolicy)
+            .unwrap()
+            .report;
         assert!(
             with_layer.makespan > without.makespan,
             "{} vs {}",
@@ -761,21 +657,87 @@ mod tests {
     }
 
     #[test]
-    fn single_resource_multi_run_matches_the_scalar_run() {
-        let sim = Simulator::new(small_workload());
-        for mut policy in standard_policies() {
-            let scalar = sim.run(policy.as_mut()).unwrap().report;
-            let multi = sim.run_multi(policy.as_mut()).unwrap();
-            assert_eq!(multi.resources, 1, "{}", scalar.policy);
-            assert_eq!(multi.makespan, scalar.makespan, "{}", scalar.policy);
-            assert_eq!(multi.capacities, vec![scalar.capacity]);
-            assert_eq!(multi.consumed_units, vec![scalar.consumed_units]);
-            assert_eq!(
-                multi.wasted_units_per_step,
-                vec![scalar.wasted_units_per_step.clone()]
+    fn two_resource_runs_never_beat_the_lower_bound() {
+        // Every layer is arbitrated, so the binding second layer shows in
+        // the makespan, which never undercuts the all-layer lower bound,
+        // and the run answers as the registry's `sim:*` method does.
+        let inst = two_resource_instance();
+        let sim = Simulator::from_instance(&inst);
+        let registry = crate::full_registry();
+        for (mut policy, method) in standard_policies().into_iter().zip(crate::ONLINE_METHODS) {
+            let report = sim.run(policy.as_mut()).unwrap().report;
+            assert_eq!(report.lower_bound, 3);
+            assert!(
+                report.makespan >= report.lower_bound,
+                "{}: makespan {} below the lower bound {}",
+                report.policy,
+                report.makespan,
+                report.lower_bound
             );
-            assert_eq!(multi.per_core, scalar.per_core);
+            let answer = registry
+                .solve(&cr_algos::solver::SolveRequest::new(method, inst.clone()))
+                .unwrap();
+            assert_eq!(answer.makespan, Some(report.makespan), "{method}");
         }
+    }
+
+    #[test]
+    fn every_layer_is_arbitrated_once_per_step() {
+        // Records every call: each step asks the policy once per layer,
+        // base layer first, with that layer's capacity and views.
+        struct Recording {
+            calls: Vec<(u64, Vec<CoreView>)>,
+        }
+        impl OnlinePolicy for Recording {
+            fn name(&self) -> &'static str {
+                "Recording"
+            }
+            fn allocate(&mut self, capacity: u64, cores: &[CoreView]) -> Vec<u64> {
+                self.calls.push((capacity, cores.to_vec()));
+                GreedyBalancePolicy.allocate(capacity, cores)
+            }
+        }
+        let sim = Simulator::from_instance(&two_resource_instance());
+        let mut policy = Recording { calls: Vec::new() };
+        let report = sim.run(&mut policy).unwrap().report;
+        let greedy = sim.run(&mut GreedyBalancePolicy).unwrap().report;
+        assert_eq!(report.makespan, greedy.makespan);
+        assert_eq!(policy.calls.len(), 2 * report.makespan);
+        for (call, (capacity, views)) in policy.calls.iter().enumerate() {
+            assert_eq!(*capacity, report.capacities[call % 2], "call {call}");
+            assert_eq!(views.len(), 2);
+        }
+        // The first step sees the jobs' own demands: 1/10 of the base bus,
+        // 3/4 of the second resource, on both cores.
+        let (base, second) = (&policy.calls[0].1, &policy.calls[1].1);
+        for core in 0..2 {
+            assert_eq!(base[core].step_demand * 10, report.capacities[0]);
+            assert_eq!(second[core].step_demand * 4, report.capacities[1] * 3);
+        }
+    }
+
+    #[test]
+    fn arrivals_idle_waiting_cores_and_count_them_starved() {
+        let sim = Simulator::new(small_workload());
+        let prompt = sim.run(&mut GreedyBalancePolicy).unwrap();
+        let sim = sim.with_arrivals(vec![0, 0, 3]);
+        let outcome = sim.run(&mut GreedyBalancePolicy).unwrap();
+        let report = &outcome.report;
+        assert_eq!(report.policy, "GreedyBalance");
+        assert!(report.makespan > prompt.report.makespan);
+        // The late core receives nothing before step 3, and its three
+        // waiting steps count as starved.
+        let trace = outcome
+            .schedule
+            .as_ref()
+            .unwrap()
+            .trace(sim.instance())
+            .unwrap();
+        for step in 0..3 {
+            assert_eq!(trace.assigned(step, 2), cr_core::Ratio::ZERO, "step {step}");
+        }
+        assert!(report.per_core[2].starved_steps >= 3);
+        assert!(report.per_core[2].completion_time > 3);
     }
 
     #[test]
@@ -792,7 +754,7 @@ mod tests {
         let inst = two_resource_instance();
         let sim = Simulator::from_instance(&inst).with_step_limit(8);
         assert_eq!(
-            sim.run_multi(&mut DoNothing).unwrap_err(),
+            sim.run(&mut DoNothing).unwrap_err(),
             SimError::StepLimit {
                 policy: "DoNothing".to_string(),
                 limit: 8
@@ -802,7 +764,7 @@ mod tests {
         token.cancel();
         assert_eq!(
             Simulator::from_instance(&inst)
-                .run_multi_cancellable(&mut GreedyBalancePolicy, &token)
+                .run_cancellable(&mut GreedyBalancePolicy, &token)
                 .unwrap_err(),
             SimError::Cancelled {
                 reason: CancelReason::Cancelled

@@ -16,10 +16,10 @@
 //! exposes every policy through the unified `cr_algos::solver::Solver`
 //! interface (with optional per-core arrival traces), so online and offline
 //! methods are selectable from one registry ([`full_registry`]).
-//! Multi-resource workloads (`k ≥ 2` shared resources) run through
-//! [`Simulator::run_multi`]: every built-in policy lifts layer by layer via
-//! [`OnlinePolicy::allocate_multi`], and the run reports exact per-resource
-//! consumption and waste in a [`MultiSimReport`].
+//! A workload with `k ≥ 2` shared resources runs through the same
+//! [`Simulator::run`]: the policy arbitrates every layer with its
+//! [`OnlinePolicy::allocate`] rule, and the [`SimReport`] carries exact
+//! consumption and waste per resource.
 //!
 //! ```
 //! use cr_sim::{Simulator, GreedyBalancePolicy};
@@ -42,10 +42,10 @@ pub mod solver;
 pub mod task;
 
 pub use engine::{SimError, SimOutcome, Simulator};
-pub use metrics::{CoreReport, MultiSimReport, SimReport};
+pub use metrics::{CoreReport, SimReport};
 pub use policies::{
-    standard_policies, CoreView, EqualSharePolicy, GreedyBalancePolicy, MultiCoreView,
-    OnlinePolicy, ProportionalSharePolicy, RoundRobinPolicy,
+    standard_policies, CoreView, EqualSharePolicy, GreedyBalancePolicy, OnlinePolicy,
+    ProportionalSharePolicy, RoundRobinPolicy,
 };
 pub use solver::{full_registry, register_online, OnlinePolicySolver, ONLINE_METHODS};
 pub use task::{instance_to_tasks, tasks_to_instance, Phase, Task};

@@ -27,16 +27,17 @@ impl CoreReport {
     }
 }
 
-/// Aggregate outcome of a simulation run.
+/// Aggregate outcome of a simulation run over `k ≥ 1` resource layers.
 ///
-/// Consumption and waste are reported **exactly**, as integer units on the
-/// workload's grid: one simulated step hands out [`capacity`](Self::capacity)
-/// units, [`consumed_units`](Self::consumed_units) of the
-/// `capacity · makespan` total were usefully absorbed, and
-/// [`wasted_units_per_step`](Self::wasted_units_per_step) is the exact
-/// per-step series of units no core could use (the raw data behind the
-/// utilization figures).  The float [`bus_utilization`](Self::bus_utilization)
-/// is derived from these integers once, at the end of the run.
+/// Consumption and waste are reported **exactly**, as integer units on each
+/// layer's grid: resource `r` hands out `capacities[r]` units per step,
+/// `consumed_units[r]` of the `capacities[r] · makespan` total were usefully
+/// absorbed, and `wasted_units_per_step[r]` is that layer's exact per-step
+/// series of units no core could use (the raw data behind the utilization
+/// figures).  The float `utilization` is derived from these integers once,
+/// at the end of the run.  Units of different layers live on different
+/// grids and must not be summed across layers.  Every per-layer vector has
+/// the base layer first, so a one-bus run has one entry in each.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Policy that produced the run.
@@ -45,38 +46,58 @@ pub struct SimReport {
     pub cores: usize,
     /// Makespan: the step count after which every task is finished.
     pub makespan: usize,
-    /// Units the bus hands out per step (the workload's unit-grid
-    /// denominator `D`).
-    pub capacity: u64,
-    /// Exact number of units usefully consumed over the whole run.
-    pub consumed_units: u64,
-    /// Exact number of units wasted in each step (`capacity` minus the
-    /// useful consumption), one entry per simulated step.
-    pub wasted_units_per_step: Vec<u64>,
-    /// Average fraction of the bus that was usefully consumed per step
-    /// (up to the makespan); derived from the exact unit counts.
-    pub bus_utilization: f64,
-    /// Lower bound on the optimal makespan (total bus demand and longest
-    /// task), for normalized comparisons.
+    /// Units each resource hands out per step (that layer's unit-grid
+    /// denominator), one entry per resource.
+    pub capacities: Vec<u64>,
+    /// Exact units usefully consumed over the whole run, per resource.
+    pub consumed_units: Vec<u64>,
+    /// Exact units wasted in each step, resource-major: entry `r` is a
+    /// series of `makespan` values, each `capacities[r]` minus the useful
+    /// consumption on resource `r` in that step.
+    pub wasted_units_per_step: Vec<Vec<u64>>,
+    /// Average fraction of each resource that was usefully consumed per
+    /// step (up to the makespan); derived from the exact unit counts.
+    pub utilization: Vec<f64>,
+    /// Lower bound on the optimal makespan (total demand on every layer and
+    /// longest task), for normalized comparisons.
     pub lower_bound: usize,
     /// Per-core details.
     pub per_core: Vec<CoreReport>,
 }
 
 impl SimReport {
-    /// Total units wasted over the whole run (exact).
+    /// Number of shared resources `k`.
     #[must_use]
-    pub fn wasted_units_total(&self) -> u64 {
-        self.wasted_units_per_step.iter().sum()
+    pub fn resources(&self) -> usize {
+        self.capacities.len()
     }
 
-    /// Fraction of the bus wasted in `step`, for plotting the waste series.
+    /// Total units wasted on `resource` over the whole run (exact).
     #[must_use]
-    pub fn wasted_fraction(&self, step: usize) -> f64 {
-        if self.capacity == 0 {
+    pub fn wasted_units_total(&self, resource: usize) -> u64 {
+        self.wasted_units_per_step[resource].iter().sum()
+    }
+
+    /// Fraction of `resource` wasted in `step`, for plotting the waste
+    /// series.
+    #[must_use]
+    pub fn wasted_fraction(&self, resource: usize, step: usize) -> f64 {
+        let capacity = self.capacities[resource];
+        if capacity == 0 {
             return 0.0;
         }
-        self.wasted_units_per_step[step] as f64 / self.capacity as f64
+        self.wasted_units_per_step[resource][step] as f64 / capacity as f64
+    }
+
+    /// The most-utilized resource — the binding layer of the run.  Ties go
+    /// to the lowest index; an empty run reports resource 0.
+    #[must_use]
+    pub fn bottleneck_resource(&self) -> usize {
+        self.utilization
+            .iter()
+            .enumerate()
+            .max_by(|(_, a), (_, b)| a.total_cmp(b))
+            .map_or(0, |(r, _)| r)
     }
 
     /// Makespan normalized by the lower bound.
@@ -106,101 +127,24 @@ impl SimReport {
             .fold(1.0_f64, f64::max)
     }
 
-    /// One-line summary for experiment logs.
+    /// One-line summary for experiment logs; the utilizations are listed
+    /// per resource, base layer first.
     #[must_use]
     pub fn summary(&self) -> String {
+        let utilization: Vec<String> = self
+            .utilization
+            .iter()
+            .map(|u| format!("{:.1}%", u * 100.0))
+            .collect();
         format!(
-            "{:<18} makespan {:>5}  (lower bound {:>5}, ratio {:.3})  bus {:>5.1}%  avg slowdown {:.2}  max slowdown {:.2}",
+            "{:<18} makespan {:>5}  (lower bound {:>5}, ratio {:.3})  bus {:>6}  avg slowdown {:.2}  max slowdown {:.2}",
             self.policy,
             self.makespan,
             self.lower_bound,
             self.normalized_makespan(),
-            self.bus_utilization * 100.0,
+            utilization.join("/"),
             self.average_slowdown(),
             self.max_slowdown(),
-        )
-    }
-}
-
-/// Aggregate outcome of a multi-resource (`k ≥ 2`) simulation run — the
-/// layered twin of [`SimReport`].
-///
-/// All consumption and waste figures are exact integer units on the
-/// respective resource's grid: resource `r` hands out
-/// `capacities[r]` units per step, `consumed_units[r]` of the
-/// `capacities[r] · makespan` total were usefully absorbed, and
-/// `wasted_units_per_step[r]` is that resource's exact per-step waste
-/// series.  Quantities of different resources live on different grids and
-/// must not be summed across layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MultiSimReport {
-    /// Policy that produced the run.
-    pub policy: String,
-    /// Number of cores.
-    pub cores: usize,
-    /// Number of shared resources `k`.
-    pub resources: usize,
-    /// Makespan: the step count after which every task is finished.
-    pub makespan: usize,
-    /// Units each resource hands out per step (that layer's unit-grid
-    /// denominator), one entry per resource.
-    pub capacities: Vec<u64>,
-    /// Exact units usefully consumed over the whole run, per resource.
-    pub consumed_units: Vec<u64>,
-    /// Exact units wasted in each step, resource-major: entry `r` is a
-    /// series of `makespan` values, each `capacities[r]` minus the useful
-    /// consumption on resource `r` in that step.
-    pub wasted_units_per_step: Vec<Vec<u64>>,
-    /// Average fraction of each resource that was usefully consumed per
-    /// step; derived from the exact unit counts.
-    pub utilization: Vec<f64>,
-    /// Per-core details.
-    pub per_core: Vec<CoreReport>,
-}
-
-impl MultiSimReport {
-    /// Total units wasted on `resource` over the whole run (exact).
-    #[must_use]
-    pub fn wasted_units_total(&self, resource: usize) -> u64 {
-        self.wasted_units_per_step[resource].iter().sum()
-    }
-
-    /// The most-utilized resource — the binding layer of the run.  Ties go
-    /// to the lowest index; an empty run reports resource 0.
-    #[must_use]
-    pub fn bottleneck_resource(&self) -> usize {
-        self.utilization
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map_or(0, |(r, _)| r)
-    }
-
-    /// Mean slowdown over all cores.
-    #[must_use]
-    pub fn average_slowdown(&self) -> f64 {
-        if self.per_core.is_empty() {
-            return 1.0;
-        }
-        self.per_core.iter().map(CoreReport::slowdown).sum::<f64>() / self.per_core.len() as f64
-    }
-
-    /// One-line summary for experiment logs.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        let per_resource: Vec<String> = self
-            .utilization
-            .iter()
-            .enumerate()
-            .map(|(r, u)| format!("r{r} {:.1}%", u * 100.0))
-            .collect();
-        format!(
-            "{:<18} makespan {:>5}  ({} resources: {})  avg slowdown {:.2}",
-            self.policy,
-            self.makespan,
-            self.resources,
-            per_resource.join(", "),
-            self.average_slowdown(),
         )
     }
 }
@@ -214,10 +158,10 @@ mod tests {
             policy: "GreedyBalance".into(),
             cores: 2,
             makespan: 10,
-            capacity: 10,
-            consumed_units: 80,
-            wasted_units_per_step: vec![2; 10],
-            bus_utilization: 0.8,
+            capacities: vec![10],
+            consumed_units: vec![80],
+            wasted_units_per_step: vec![vec![2; 10]],
+            utilization: vec![0.8],
             lower_bound: 8,
             per_core: vec![
                 CoreReport {
@@ -252,6 +196,7 @@ mod tests {
         assert!(s.contains("GreedyBalance"));
         assert!(s.contains("10"));
         assert!(s.contains("1.25"));
+        assert!(s.contains("bus  80.0%  avg"));
     }
 
     #[test]
@@ -260,28 +205,30 @@ mod tests {
             policy: "x".into(),
             cores: 0,
             makespan: 0,
-            capacity: 0,
-            consumed_units: 0,
-            wasted_units_per_step: vec![],
-            bus_utilization: 0.0,
+            capacities: vec![0],
+            consumed_units: vec![0],
+            wasted_units_per_step: vec![vec![]],
+            utilization: vec![0.0],
             lower_bound: 0,
             per_core: vec![],
         };
         assert_eq!(r.normalized_makespan(), 1.0);
         assert_eq!(r.average_slowdown(), 1.0);
         assert_eq!(r.max_slowdown(), 1.0);
-        assert_eq!(r.wasted_units_total(), 0);
+        assert_eq!(r.wasted_units_total(0), 0);
+        assert_eq!(r.bottleneck_resource(), 0);
     }
 
     #[test]
     fn exact_waste_accounting() {
         let r = report();
-        assert_eq!(r.wasted_units_total(), 20);
-        assert!((r.wasted_fraction(0) - 0.2).abs() < 1e-12);
+        assert_eq!(r.resources(), 1);
+        assert_eq!(r.wasted_units_total(0), 20);
+        assert!((r.wasted_fraction(0, 0) - 0.2).abs() < 1e-12);
         // consumed + wasted == capacity · makespan, exactly.
         assert_eq!(
-            r.consumed_units + r.wasted_units_total(),
-            r.capacity * r.makespan as u64
+            r.consumed_units[0] + r.wasted_units_total(0),
+            r.capacities[0] * r.makespan as u64
         );
     }
 
@@ -293,27 +240,26 @@ mod tests {
         assert_eq!(back, r);
     }
 
-    fn multi_report() -> MultiSimReport {
-        MultiSimReport {
-            policy: "GreedyBalance".into(),
-            cores: 2,
-            resources: 2,
+    fn multi_report() -> SimReport {
+        SimReport {
             makespan: 4,
             capacities: vec![10, 4],
             consumed_units: vec![30, 16],
             wasted_units_per_step: vec![vec![2, 2, 3, 3], vec![0, 0, 0, 0]],
             utilization: vec![0.75, 1.0],
-            per_core: report().per_core,
+            ..report()
         }
     }
 
     #[test]
     fn multi_report_accounting_and_bottleneck() {
         let r = multi_report();
+        assert_eq!(r.resources(), 2);
         assert_eq!(r.wasted_units_total(0), 10);
         assert_eq!(r.wasted_units_total(1), 0);
+        assert!((r.wasted_fraction(0, 3) - 0.3).abs() < 1e-12);
         // consumed + wasted == capacity · makespan on every layer.
-        for res in 0..r.resources {
+        for res in 0..r.resources() {
             assert_eq!(
                 r.consumed_units[res] + r.wasted_units_total(res),
                 r.capacities[res] * r.makespan as u64
@@ -321,16 +267,14 @@ mod tests {
         }
         assert_eq!(r.bottleneck_resource(), 1);
         assert!((r.average_slowdown() - 1.5).abs() < 1e-12);
-        let s = r.summary();
-        assert!(s.contains("r1 100.0%"));
-        assert!(s.contains("2 resources"));
+        assert!(r.summary().contains("bus 75.0%/100.0%  avg"));
     }
 
     #[test]
     fn multi_serde_roundtrip() {
         let r = multi_report();
         let json = serde_json::to_string(&r).unwrap();
-        let back: MultiSimReport = serde_json::from_str(&json).unwrap();
+        let back: SimReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);
     }
 }

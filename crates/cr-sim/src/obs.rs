@@ -1,16 +1,17 @@
 //! Exports the simulator's exact waste accounting into the process-wide
 //! observability registry.
 //!
-//! The step loops already compute `wasted_units_per_step` and per-core
+//! The step loop already computes `wasted_units_per_step` and per-core
 //! starvation exactly (integer units, no estimation); this module folds a
 //! finished report into the registry once per run — windowed utilization
-//! lands in a parts-per-million histogram, starvation and the bottleneck
-//! resource in gauges, raw unit totals in counters.  Everything stays
-//! integer-only, matching the cr-obs recording contract.
+//! lands in a parts-per-million histogram (one window series per resource
+//! layer), starvation and the bottleneck resource in gauges, raw unit
+//! totals in counters.  Everything stays integer-only, matching the cr-obs
+//! recording contract.
 
 use cr_obs::{names, Registry};
 
-use crate::metrics::{MultiSimReport, SimReport};
+use crate::metrics::SimReport;
 
 /// Steps per utilization window: each window of this many simulated steps
 /// contributes one observation to the `sim.window_utilization_ppm`
@@ -45,35 +46,8 @@ fn observe_windows(registry: &Registry, capacity: u64, wasted_per_step: &[u64]) 
     }
 }
 
-/// Folds one single-resource run into the global registry.
+/// Folds one run into the global registry.
 pub(crate) fn record_report(report: &SimReport) {
-    let registry = Registry::global();
-    if !registry.enabled() {
-        return;
-    }
-    registry
-        .counter(names::SIM_STEPS)
-        .add(wide(report.makespan));
-    registry
-        .counter(names::SIM_CONSUMED_UNITS)
-        .add(report.consumed_units);
-    registry
-        .counter(names::SIM_WASTED_UNITS)
-        .add(report.wasted_units_total());
-    observe_windows(registry, report.capacity, &report.wasted_units_per_step);
-    let starved = report
-        .per_core
-        .iter()
-        .filter(|core| core.starved_steps > 0)
-        .count();
-    registry
-        .gauge(names::SIM_STARVED_CORES)
-        .set(i64::try_from(starved).unwrap_or(i64::MAX));
-}
-
-/// Folds one multi-resource run into the global registry (one utilization
-/// window series per resource layer).
-pub(crate) fn record_multi_report(report: &MultiSimReport) {
     let registry = Registry::global();
     if !registry.enabled() {
         return;
@@ -92,12 +66,8 @@ pub(crate) fn record_multi_report(report: &MultiSimReport) {
         .flatten()
         .fold(0u64, |acc, &w| acc.saturating_add(w));
     registry.counter(names::SIM_WASTED_UNITS).add(wasted);
-    for (capacity, series) in report
-        .capacities
-        .iter()
-        .zip(report.wasted_units_per_step.iter())
-    {
-        observe_windows(registry, *capacity, series);
+    for (&capacity, series) in report.capacities.iter().zip(&report.wasted_units_per_step) {
+        observe_windows(registry, capacity, series);
     }
     let starved = report
         .per_core

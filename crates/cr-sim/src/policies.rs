@@ -1,15 +1,18 @@
 //! Online bandwidth-arbitration policies.
 //!
-//! The simulator calls a policy once per time step with a snapshot of the
-//! cores' states and expects back a bus-share vector.  Policies are *online*:
-//! they only see the current state (requirements of the active phases,
-//! remaining phase counts), not the future phases — this is the situation a
-//! real bus arbiter is in, and it is where the structural insight of the
-//! paper (balance the number of remaining jobs) pays off.
+//! The simulator calls a policy once per time step and resource layer with
+//! a snapshot of the cores' states on that layer and expects back a share
+//! vector.  Policies are *online*: they only see the current state
+//! (requirements of the active phases, remaining phase counts), not the
+//! future phases — this is the situation a real bus arbiter is in, and it
+//! is where the structural insight of the paper (balance the number of
+//! remaining jobs) pays off.  A workload with `k` shared resources is
+//! arbitrated layer by layer with the same rule, so the one-bus case is
+//! `k = 1` of it.
 //!
-//! All quantities are integer **units** on the workload's unit grid: the
+//! All quantities are integer **units** on the layer's unit grid: the
 //! engine tells the policy the pool `capacity` (the number of units one time
-//! step hands out — the grid denominator `D` of the underlying
+//! step hands out — the layer's grid denominator `D` in the underlying
 //! [`MultiStepper`](cr_core::MultiStepper)), and the policy
 //! returns one unit share per core.  This is exactly the position of a
 //! hardware arbiter distributing integer bandwidth credits, and it makes
@@ -21,8 +24,9 @@
 
 use cr_core::scaled::largest_remainder_split;
 
-/// Snapshot of one core at the start of a time step.  All resource
-/// quantities are units on the simulation's grid (see the module docs).
+/// Snapshot of one core on one resource layer at the start of a time step.
+/// All resource quantities are units on that layer's grid (see the module
+/// docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreView {
     /// Bandwidth requirement of the active phase in units (`None` if the
@@ -38,66 +42,19 @@ pub struct CoreView {
 }
 
 impl CoreView {
+    /// A core with nothing to run: a finished one, or one whose task has
+    /// not arrived yet.
+    pub const IDLE: CoreView = CoreView {
+        active_requirement: None,
+        step_demand: 0,
+        remaining_workload: 0,
+        remaining_phases: 0,
+    };
+
     /// Whether the core still has work.
     #[must_use]
     pub fn is_active(&self) -> bool {
         self.active_requirement.is_some()
-    }
-}
-
-/// Snapshot of one core at the start of a multi-resource time step: the
-/// `k`-resource twin of [`CoreView`], with one unit quantity per resource
-/// layer.  Each resource lives on its own grid, so the entries of one
-/// vector are **not** comparable across resources — only against that
-/// resource's capacity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiCoreView {
-    /// Per-resource requirement caps of the active phase in units (`None`
-    /// if the core's task is finished).
-    pub active_requirement: Option<Vec<u64>>,
-    /// Per-resource units still usable by the active phase this step.
-    pub step_demand: Vec<u64>,
-    /// Per-resource units still needed to finish the active phase.
-    pub remaining_workload: Vec<u64>,
-    /// Number of unfinished phases of the task (including the active one).
-    pub remaining_phases: usize,
-}
-
-impl MultiCoreView {
-    /// Whether the core still has work.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.active_requirement.is_some()
-    }
-
-    /// Number of resource layers in this view.
-    #[must_use]
-    pub fn resources(&self) -> usize {
-        self.step_demand.len()
-    }
-
-    /// A finished/invisible core over `resources` layers (used by arrival
-    /// gating and tests).
-    #[must_use]
-    pub fn idle(resources: usize) -> Self {
-        MultiCoreView {
-            active_requirement: None,
-            step_demand: vec![0; resources],
-            remaining_workload: vec![0; resources],
-            remaining_phases: 0,
-        }
-    }
-
-    /// Projects the view onto one resource layer, producing the scalar view
-    /// a single-resource policy understands.
-    #[must_use]
-    pub fn project(&self, resource: usize) -> CoreView {
-        CoreView {
-            active_requirement: self.active_requirement.as_ref().map(|reqs| reqs[resource]),
-            step_demand: self.step_demand[resource],
-            remaining_workload: self.remaining_workload[resource],
-            remaining_phases: self.remaining_phases,
-        }
     }
 }
 
@@ -106,36 +63,12 @@ pub trait OnlinePolicy {
     /// Stable policy name for reports.
     fn name(&self) -> &'static str;
 
-    /// Decides the bus shares for this step, in units.  The returned vector
-    /// must have one entry per core, entries in `[0, capacity]`, and sum to
-    /// at most `capacity`; the engine validates this.
+    /// Decides one resource layer's shares for this step, in units.  The
+    /// returned vector must have one entry per core, entries in
+    /// `[0, capacity]`, and sum to at most `capacity`; the engine validates
+    /// this.  The engine calls it once per layer and step, base layer
+    /// first.
     fn allocate(&mut self, capacity: u64, cores: &[CoreView]) -> Vec<u64>;
-
-    /// Decides the shares of every resource for this step:
-    /// `result[i][r]` is core `i`'s share of resource `r`, in that
-    /// resource's units.  Each row must have one entry per resource, every
-    /// entry in `[0, capacities[r]]`, and each resource's column sum at most
-    /// `capacities[r]`.
-    ///
-    /// The default implementation arbitrates every resource independently
-    /// with the scalar [`allocate`](Self::allocate) rule on the
-    /// [projected](MultiCoreView::project) views — the natural lift of each
-    /// built-in policy, and exactly the scalar behavior when `k == 1`.
-    /// Stateful policies whose `allocate` advances per *step* (not per
-    /// layer) must override this to advance once.
-    fn allocate_multi(&mut self, capacities: &[u64], cores: &[MultiCoreView]) -> Vec<Vec<u64>> {
-        let mut shares: Vec<Vec<u64>> = cores
-            .iter()
-            .map(|_| Vec::with_capacity(capacities.len()))
-            .collect();
-        for (r, &cap) in capacities.iter().enumerate() {
-            let layer: Vec<CoreView> = cores.iter().map(|c| c.project(r)).collect();
-            for (row, share) in shares.iter_mut().zip(self.allocate(cap, &layer)) {
-                row.push(share);
-            }
-        }
-        shares
-    }
 }
 
 fn serve_in_priority_order(capacity: u64, cores: &[CoreView], order: Vec<usize>) -> Vec<u64> {
@@ -254,15 +187,41 @@ impl OnlinePolicy for ProportionalSharePolicy {
     }
 }
 
+/// The built-in policies, in line-up order: the order of
+/// [`standard_policies`] and of the registry's
+/// [`ONLINE_METHODS`](crate::ONLINE_METHODS).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PolicyKind {
+    GreedyBalance,
+    RoundRobin,
+    EqualShare,
+    ProportionalShare,
+}
+
+impl PolicyKind {
+    /// Every built-in policy, in line-up order.
+    pub(crate) const ALL: [PolicyKind; 4] = [
+        PolicyKind::GreedyBalance,
+        PolicyKind::RoundRobin,
+        PolicyKind::EqualShare,
+        PolicyKind::ProportionalShare,
+    ];
+
+    /// A fresh policy instance.
+    pub(crate) fn make(self) -> Box<dyn OnlinePolicy> {
+        match self {
+            PolicyKind::GreedyBalance => Box::new(GreedyBalancePolicy),
+            PolicyKind::RoundRobin => Box::new(RoundRobinPolicy),
+            PolicyKind::EqualShare => Box::new(EqualSharePolicy),
+            PolicyKind::ProportionalShare => Box::new(ProportionalSharePolicy),
+        }
+    }
+}
+
 /// The full set of built-in policies, boxed for sweeps.
 #[must_use]
 pub fn standard_policies() -> Vec<Box<dyn OnlinePolicy>> {
-    vec![
-        Box::new(GreedyBalancePolicy),
-        Box::new(RoundRobinPolicy),
-        Box::new(EqualSharePolicy),
-        Box::new(ProportionalSharePolicy),
-    ]
+    PolicyKind::ALL.into_iter().map(PolicyKind::make).collect()
 }
 
 #[cfg(test)]
@@ -280,12 +239,7 @@ mod tests {
                 remaining_workload: units,
                 remaining_phases: remaining,
             },
-            None => CoreView {
-                active_requirement: None,
-                step_demand: 0,
-                remaining_workload: 0,
-                remaining_phases: 0,
-            },
+            None => CoreView::IDLE,
         }
     }
 
@@ -349,57 +303,6 @@ mod tests {
         assert_eq!(shares[2], 1);
         assert_eq!(shares[3], 1);
         assert_eq!(shares.iter().sum::<u64>(), pool);
-    }
-
-    fn multi_view(demands: &[u64], remaining: usize) -> MultiCoreView {
-        MultiCoreView {
-            active_requirement: Some(demands.to_vec()),
-            step_demand: demands.to_vec(),
-            remaining_workload: demands.to_vec(),
-            remaining_phases: remaining,
-        }
-    }
-
-    #[test]
-    fn the_default_multi_lift_arbitrates_every_layer_independently() {
-        // Two resources with different capacities; the scalar rule applied
-        // per projected layer must reproduce itself column by column.
-        let caps = [10u64, 4];
-        let cores = vec![
-            multi_view(&[5, 4], 1),
-            multi_view(&[9, 1], 3),
-            MultiCoreView::idle(2),
-        ];
-        for mut policy in standard_policies() {
-            let shares = policy.allocate_multi(&caps, &cores);
-            assert_eq!(shares.len(), cores.len());
-            for (r, &cap) in caps.iter().enumerate() {
-                let layer: Vec<CoreView> = cores.iter().map(|c| c.project(r)).collect();
-                let scalar = policy.allocate(cap, &layer);
-                let column: Vec<u64> = shares.iter().map(|row| row[r]).collect();
-                assert_eq!(column, scalar, "{} resource {r}", policy.name());
-                assert!(column.iter().sum::<u64>() <= cap);
-            }
-            // The idle core receives nothing on any layer.
-            assert_eq!(shares[2], vec![0, 0]);
-        }
-    }
-
-    #[test]
-    fn projection_reproduces_the_scalar_view() {
-        let multi = multi_view(&[7, 2], 4);
-        assert_eq!(multi.resources(), 2);
-        assert_eq!(
-            multi.project(1),
-            CoreView {
-                active_requirement: Some(2),
-                step_demand: 2,
-                remaining_workload: 2,
-                remaining_phases: 4,
-            }
-        );
-        assert!(!MultiCoreView::idle(3).is_active());
-        assert!(!MultiCoreView::idle(3).project(0).is_active());
     }
 
     #[test]

@@ -9,29 +9,24 @@
 //! ([`ONLINE_METHODS`]).  A [`SolveRequest`] routed to them may carry
 //! **arrival traces** (`SolveRequest::arrivals`): core `i` is invisible to
 //! the policy — and receives no bandwidth — before step `arrivals[i]`, as
-//! if its task arrived at that point of the trace.  The reported makespan
-//! includes the waiting.
+//! if its task arrived at that point of the trace
+//! ([`Simulator::with_arrivals`]).  The reported makespan includes the
+//! waiting.
 //!
 //! Engine contract: the simulator is integer-native (it *is* the scaled
 //! engine — a credit-based arbiter on the workload's unit grid), so
 //! [`EnginePreference::Rational`] is rejected with
 //! [`SolveError::EngineUnavailable`] and both `Auto` and `Scaled` run the
 //! integer engine.  A workload whose grid overflows `u64` fails with
-//! [`SolveError::GridOverflow`].  [`Budget::max_steps`](cr_algos::solver::Budget::max_steps) is enforced as a
-//! hard simulation step limit — the run genuinely stops at the limit.
-//!
-//! Multi-resource requests (`k ≥ 2` resource layers) run through
-//! [`Simulator::run_multi_cancellable`] and report the makespan only: the
-//! CRSharing schedule format is single-resource, so `want_schedule` on such
-//! a request fails with [`SolveError::ResourceMismatch`].  Arrival traces
-//! compose with multi-resource workloads — the gate masks every layer of an
-//! unarrived core.
+//! [`SolveError::GridOverflow`] ([`SolveError::ResourceOverflow`] at
+//! `k ≥ 2`, as for the offline methods).
+//! [`Budget::max_steps`](cr_algos::solver::Budget::max_steps) is enforced
+//! as a hard simulation step limit — the run genuinely stops at the limit.
+//! The CRSharing schedule format is single-resource, so `want_schedule` on
+//! a `k ≥ 2` request fails with [`SolveError::ResourceMismatch`].
 
 use crate::engine::{SimError, Simulator};
-use crate::policies::{
-    CoreView, EqualSharePolicy, GreedyBalancePolicy, MultiCoreView, OnlinePolicy,
-    ProportionalSharePolicy, RoundRobinPolicy,
-};
+use crate::policies::PolicyKind;
 use cr_algos::solver::{
     BudgetKind, Engine, EnginePreference, Prepared, Registry, SolveError, SolveOutcome,
     SolveRequest, Solver,
@@ -46,111 +41,12 @@ pub const ONLINE_METHODS: [&str; 4] = [
     "sim:ProportionalShare",
 ];
 
-/// Which built-in policy an [`OnlinePolicySolver`] simulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PolicyKind {
-    GreedyBalance,
-    RoundRobin,
-    EqualShare,
-    ProportionalShare,
-}
-
-impl PolicyKind {
-    fn method(self) -> &'static str {
-        match self {
-            PolicyKind::GreedyBalance => "sim:GreedyBalance",
-            PolicyKind::RoundRobin => "sim:RoundRobin",
-            PolicyKind::EqualShare => "sim:EqualShare",
-            PolicyKind::ProportionalShare => "sim:ProportionalShare",
-        }
-    }
-
-    /// A fresh policy instance (policies are stateful across steps, so every
-    /// solve gets its own).
-    fn make(self) -> Box<dyn OnlinePolicy> {
-        match self {
-            PolicyKind::GreedyBalance => Box::new(GreedyBalancePolicy),
-            PolicyKind::RoundRobin => Box::new(RoundRobinPolicy),
-            PolicyKind::EqualShare => Box::new(EqualSharePolicy),
-            PolicyKind::ProportionalShare => Box::new(ProportionalSharePolicy),
-        }
-    }
-}
-
-/// Masks cores whose task has not arrived yet: before step `arrivals[i]`
-/// the inner policy sees core `i` as inactive and any share it would assign
-/// there is withheld.
-struct ArrivalGate {
-    arrivals: Vec<usize>,
-    step: usize,
-    inner: Box<dyn OnlinePolicy>,
-}
-
-impl OnlinePolicy for ArrivalGate {
-    fn name(&self) -> &'static str {
-        "ArrivalGated"
-    }
-
-    // The default multi lift calls `allocate` once per resource layer, but
-    // the gate's step counter must advance once per *step* — so the gate
-    // overrides the lift: mask every layer of an unarrived core, delegate
-    // to the inner policy's own lift, withhold the masked rows, and only
-    // then advance the step.
-    fn allocate_multi(&mut self, capacities: &[u64], cores: &[MultiCoreView]) -> Vec<Vec<u64>> {
-        let masked: Vec<MultiCoreView> = cores
-            .iter()
-            .enumerate()
-            .map(|(i, view)| {
-                if self.arrivals[i] > self.step {
-                    MultiCoreView::idle(capacities.len())
-                } else {
-                    view.clone()
-                }
-            })
-            .collect();
-        let mut shares = self.inner.allocate_multi(capacities, &masked);
-        for (i, row) in shares.iter_mut().enumerate() {
-            if self.arrivals[i] > self.step {
-                row.iter_mut().for_each(|share| *share = 0);
-            }
-        }
-        self.step += 1;
-        shares
-    }
-
-    fn allocate(&mut self, capacity: u64, cores: &[CoreView]) -> Vec<u64> {
-        let masked: Vec<CoreView> = cores
-            .iter()
-            .enumerate()
-            .map(|(i, view)| {
-                if self.arrivals[i] > self.step {
-                    CoreView {
-                        active_requirement: None,
-                        step_demand: 0,
-                        remaining_workload: 0,
-                        remaining_phases: 0,
-                    }
-                } else {
-                    *view
-                }
-            })
-            .collect();
-        let mut shares = self.inner.allocate(capacity, &masked);
-        for (i, share) in shares.iter_mut().enumerate() {
-            if self.arrivals[i] > self.step {
-                *share = 0;
-            }
-        }
-        self.step += 1;
-        shares
-    }
-}
-
 /// One online policy as a [`Solver`] (see the module docs for the
 /// engine/arrival/budget contract).
 #[derive(Debug, Clone, Copy)]
 pub struct OnlinePolicySolver {
     kind: PolicyKind,
+    method: &'static str,
 }
 
 impl Solver for OnlinePolicySolver {
@@ -168,7 +64,7 @@ impl Solver for OnlinePolicySolver {
         prepared: &Prepared,
         cancel: &CancelToken,
     ) -> Result<SolveOutcome, SolveError> {
-        let method = self.kind.method();
+        let method = self.method;
         let token = cancel.child_with_deadline_ms(request.budget.max_wall_ms);
         if request.engine == EnginePreference::Rational {
             return Err(SolveError::EngineUnavailable {
@@ -188,85 +84,59 @@ impl Solver for OnlinePolicySolver {
             });
         }
         let mut sim = Simulator::from_instance(&request.instance);
-        let default_limit = request.budget.max_steps.is_none();
-        match request.budget.max_steps {
-            Some(limit) => sim = sim.with_step_limit(limit),
-            None => {
-                // The default watchdog is sized for tasks present at t = 0;
-                // a late arrival legitimately stretches the makespan by its
-                // waiting time, so widen the watchdog by the latest arrival
-                // instead of reporting a spurious budget error.
-                if let Some(arrivals) = &request.arrivals {
-                    let latest = arrivals.iter().copied().max().unwrap_or(0);
-                    let limit = sim.step_limit().saturating_add(latest);
-                    sim = sim.with_step_limit(limit);
-                }
+        if let Some(arrivals) = &request.arrivals {
+            if arrivals.len() != request.instance.processors() {
+                return Err(SolveError::InvalidArrivals {
+                    expected: request.instance.processors(),
+                    found: arrivals.len(),
+                });
             }
+            // The default watchdog is sized for tasks present at t = 0; a
+            // late arrival legitimately stretches the makespan by its
+            // waiting time, so widen the watchdog by the latest arrival
+            // instead of reporting a spurious budget error.
+            let latest = arrivals.iter().copied().max().unwrap_or(0);
+            let limit = sim.step_limit().saturating_add(latest);
+            sim = sim.with_step_limit(limit).with_arrivals(arrivals.clone());
+        }
+        if let Some(limit) = request.budget.max_steps {
+            sim = sim.with_step_limit(limit);
         }
 
-        let mut policy: Box<dyn OnlinePolicy> = match &request.arrivals {
-            Some(arrivals) => {
-                if arrivals.len() != request.instance.processors() {
-                    return Err(SolveError::InvalidArrivals {
-                        expected: request.instance.processors(),
-                        found: arrivals.len(),
-                    });
-                }
-                Box::new(ArrivalGate {
-                    arrivals: arrivals.clone(),
-                    step: 0,
-                    inner: self.kind.make(),
-                })
-            }
-            None => self.kind.make(),
-        };
-
-        let map_sim_error = |err: SimError| match err {
-            SimError::GridOverflow => SolveError::GridOverflow {
-                method: method.to_string(),
-            },
-            SimError::StepLimit { limit, .. } => {
+        let mut policy = self.kind.make();
+        // Only a schedule request pays for the share log.
+        let outcome = sim
+            .simulate(
+                policy.as_mut(),
+                &token,
+                request.want_schedule,
+                prepared.lower_bounds.trivial,
+            )
+            .map_err(|err| match err {
+                SimError::GridOverflow if multi => SolveError::ResourceOverflow {
+                    method: method.to_string(),
+                },
+                SimError::GridOverflow => SolveError::GridOverflow {
+                    method: method.to_string(),
+                },
                 // With an explicit budget this is the requested cutoff; the
                 // default limit is the engine's starvation watchdog — both
                 // are step budgets from the caller's point of view.
-                debug_assert!(default_limit || Some(limit) == request.budget.max_steps);
-                SolveError::BudgetExhausted {
+                SimError::StepLimit { limit, .. } => SolveError::BudgetExhausted {
                     method: method.to_string(),
                     kind: BudgetKind::Steps,
                     limit,
-                }
-            }
-            SimError::Cancelled { reason } => SolveError::DeadlineExceeded { reason },
-        };
-
-        if multi {
-            let report = sim
-                .run_multi_cancellable(policy.as_mut(), &token)
-                .map_err(map_sim_error)?;
-            return Ok(SolveOutcome {
-                method: method.to_string(),
-                engine: Engine::Scaled,
-                fallbacks: Vec::new(),
-                makespan: Some(report.makespan),
-                steps: report.makespan,
-                rounds: 0,
-                schedule: None,
-                lower_bounds: prepared.lower_bounds,
-            });
-        }
-
-        // Only a schedule request pays for the share log.
-        let (report, stepper) = sim
-            .simulate(policy.as_mut(), &token, request.want_schedule)
-            .map_err(map_sim_error)?;
+                },
+                SimError::Cancelled { reason } => SolveError::DeadlineExceeded { reason },
+            })?;
         Ok(SolveOutcome {
             method: method.to_string(),
             engine: Engine::Scaled,
             fallbacks: Vec::new(),
-            makespan: Some(report.makespan),
-            steps: report.makespan,
+            makespan: Some(outcome.report.makespan),
+            steps: outcome.report.makespan,
             rounds: 0,
-            schedule: request.want_schedule.then(|| stepper.finish()),
+            schedule: outcome.schedule,
             lower_bounds: prepared.lower_bounds,
         })
     }
@@ -275,13 +145,8 @@ impl Solver for OnlinePolicySolver {
 /// Registers the four online simulator methods on top of an (offline)
 /// registry, so online and offline methods are selectable from one line-up.
 pub fn register_online(registry: &mut Registry) {
-    for kind in [
-        PolicyKind::GreedyBalance,
-        PolicyKind::RoundRobin,
-        PolicyKind::EqualShare,
-        PolicyKind::ProportionalShare,
-    ] {
-        registry.register(kind.method(), Box::new(OnlinePolicySolver { kind }));
+    for (kind, method) in PolicyKind::ALL.into_iter().zip(ONLINE_METHODS) {
+        registry.register(method, Box::new(OnlinePolicySolver { kind, method }));
     }
 }
 
@@ -297,6 +162,7 @@ pub fn full_registry() -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::{standard_policies, GreedyBalancePolicy};
     use cr_core::{ratio, Instance, Ratio};
 
     fn workload() -> Instance {
@@ -327,8 +193,17 @@ mod tests {
             .run(&mut GreedyBalancePolicy)
             .unwrap();
         assert_eq!(outcome.makespan, Some(direct.report.makespan));
-        assert_eq!(outcome.schedule.unwrap(), direct.schedule);
+        assert_eq!(outcome.schedule, direct.schedule);
         assert_eq!(outcome.engine, Engine::Scaled);
+    }
+
+    #[test]
+    fn online_methods_follow_the_policy_line_up() {
+        let names: Vec<String> = standard_policies()
+            .iter()
+            .map(|policy| format!("sim:{}", policy.name()))
+            .collect();
+        assert_eq!(names, ONLINE_METHODS);
     }
 
     #[test]
@@ -414,19 +289,13 @@ mod tests {
     fn multi_resource_requests_simulate_makespan_only() {
         let inst = multi_workload();
         let registry = full_registry();
-        for method in ONLINE_METHODS {
+        let direct = Simulator::from_instance(&inst);
+        for (method, mut policy) in ONLINE_METHODS.into_iter().zip(standard_policies()) {
             let outcome = registry
                 .solve(&SolveRequest::new(method, inst.clone()))
                 .unwrap();
-            let direct = Simulator::from_instance(&inst);
-            // The solver reports exactly what the engine's multi run does.
-            let mut policy: Box<dyn OnlinePolicy> = match method {
-                "sim:GreedyBalance" => Box::new(GreedyBalancePolicy),
-                "sim:RoundRobin" => Box::new(RoundRobinPolicy),
-                "sim:EqualShare" => Box::new(EqualSharePolicy),
-                _ => Box::new(ProportionalSharePolicy),
-            };
-            let report = direct.run_multi(policy.as_mut()).unwrap();
+            // The solver reports exactly what the engine's run does.
+            let report = direct.run(policy.as_mut()).unwrap().report;
             assert_eq!(outcome.makespan, Some(report.makespan), "{method}");
             assert_eq!(outcome.engine, Engine::Scaled);
             assert!(outcome.schedule.is_none());
@@ -525,6 +394,43 @@ mod tests {
                 assert_eq!(kind, BudgetKind::Steps);
             }
             other => panic!("expected BudgetExhausted, got {other:?}"),
+        }
+    }
+
+    /// A layer whose denominators are four primes near `2^32`: its unit
+    /// grid overflows `u64`.
+    fn wide_layer() -> Vec<Vec<Ratio>> {
+        let primes: [i128; 4] = [4_294_967_291, 4_294_967_279, 4_294_967_231, 4_294_967_197];
+        vec![primes.map(|p| ratio(1, p)).to_vec()]
+    }
+
+    #[test]
+    fn grid_overflow_answers_the_kind_of_the_resource_count() {
+        // On the base layer the grid overflows; on an extra layer the
+        // resource does, as for the offline methods.
+        let single = Instance::unit_from_requirements(wide_layer());
+        let multi = cr_core::InstanceBuilder::new()
+            .processor([ratio(1, 2); 4])
+            .extra_layer(wide_layer())
+            .build();
+        let registry = full_registry();
+        for method in ONLINE_METHODS {
+            for engine in [EnginePreference::Auto, EnginePreference::Scaled] {
+                for (instance, kind) in [(&single, "grid_overflow"), (&multi, "resource_overflow")]
+                {
+                    let err = registry
+                        .solve(&SolveRequest::new(method, instance.clone()).with_engine(engine))
+                        .unwrap_err();
+                    assert_eq!(err.kind(), kind, "{method} {engine:?}");
+                }
+            }
+        }
+        // The offline methods answer the same kind on the `u64` grid.
+        for method in ["GreedyBalance", "OptM"] {
+            let request =
+                SolveRequest::new(method, multi.clone()).with_engine(EnginePreference::Scaled);
+            let err = registry.solve(&request).unwrap_err();
+            assert_eq!(err.kind(), "resource_overflow", "{method}");
         }
     }
 }

@@ -27,7 +27,7 @@ proptest! {
         let offline = GreedyBalance::new().schedule(&instance);
         let sim = Simulator::from_instance(&instance);
         let outcome = sim.run(&mut GreedyBalancePolicy).unwrap();
-        prop_assert_eq!(outcome.schedule, offline);
+        prop_assert_eq!(outcome.schedule, Some(offline));
     }
 
     /// The splitting policies also reproduce their offline counterparts:
@@ -37,9 +37,9 @@ proptest! {
     fn online_splitters_match_offline_splitters(instance in unit_instance(4, 4)) {
         let sim = Simulator::from_instance(&instance);
         let equal = sim.run(&mut EqualSharePolicy).unwrap();
-        prop_assert_eq!(equal.schedule, EqualShare::new().schedule(&instance));
+        prop_assert_eq!(equal.schedule, Some(EqualShare::new().schedule(&instance)));
         let prop = sim.run(&mut ProportionalSharePolicy).unwrap();
-        prop_assert_eq!(prop.schedule, ProportionalShare::new().schedule(&instance));
+        prop_assert_eq!(prop.schedule, Some(ProportionalShare::new().schedule(&instance)));
     }
 
     /// The online RoundRobin policy needs at most as many steps as the
@@ -66,17 +66,19 @@ proptest! {
         let sim = Simulator::from_instance(&instance);
         for mut policy in standard_policies() {
             let outcome = sim.run(policy.as_mut()).unwrap();
-            let trace = outcome.schedule.trace(&instance).expect("feasible schedule");
-            prop_assert_eq!(trace.makespan(), outcome.report.makespan);
-            prop_assert!(outcome.report.bus_utilization <= 1.0 + 1e-9);
-            prop_assert!(outcome.report.makespan >= outcome.report.lower_bound);
+            let report = &outcome.report;
+            let schedule = outcome.schedule.as_ref().expect("k = 1 runs log a schedule");
+            let trace = schedule.trace(&instance).expect("feasible schedule");
+            prop_assert_eq!(trace.makespan(), report.makespan);
+            prop_assert!(report.utilization[0] <= 1.0 + 1e-9);
+            prop_assert!(report.makespan >= report.lower_bound);
             // Exact accounting: consumed + wasted units cover the pool.
             prop_assert_eq!(
-                outcome.report.consumed_units + outcome.report.wasted_units_total(),
-                outcome.report.capacity * outcome.report.makespan as u64
+                report.consumed_units[0] + report.wasted_units_total(0),
+                report.capacities[0] * report.makespan as u64
             );
-            for core in &outcome.report.per_core {
-                prop_assert!(core.completion_time <= outcome.report.makespan);
+            for core in &report.per_core {
+                prop_assert!(core.completion_time <= report.makespan);
                 prop_assert!(core.slowdown() >= 1.0 - 1e-9);
             }
         }
@@ -124,8 +126,8 @@ fn io_bound_workloads_saturate_the_bus_under_greedy_balance() {
     let sim = Simulator::from_instance(&workload);
     let report = sim.run(&mut GreedyBalancePolicy).unwrap().report;
     assert!(
-        report.bus_utilization > 0.9,
+        report.utilization[0] > 0.9,
         "bandwidth-bound workload should keep the bus busy, got {}",
-        report.bus_utilization
+        report.utilization[0]
     );
 }
