@@ -30,10 +30,11 @@
 //! round `r` has consumed exactly `r` capacities: over the 45 `Uniform m=4
 //! n=3` searches of the `exact-frontier` benchmark, 184,015 of 186,274
 //! candidates (98.8%) are settled, and all 2,204 dominated ones sit below
-//! their round's top level.  At `k ≥ 2` a step may waste part of a layer,
-//! so candidates bunch less: over 200 random 3×3 `k = 2` searches (percents
-//! 1–100) 7,273 of 144,655 candidates (5.0%) are settled, with the same
-//! 32,584 survivors and round sizes as without levels.
+//! their round's top level.  At `k ≥ 2` a layer on which every remainder
+//! fits, or none is left, takes less than its capacity, so candidates
+//! bunch less: over 200 random 3×3 `k = 2` searches (percents 1–100) of
+//! the per-layer step class, 31,123 of 59,413 candidates (52%) are
+//! settled.
 //!
 //! # Completed-vector groups
 //!
@@ -761,9 +762,10 @@ mod tests {
     /// The first `m` processors and `k` layers of `chains` as the `u64`
     /// and `u128` views the search runs on, and the raw configurations made
     /// valid for them: completed counts within each chain, and spent units
-    /// strictly below the frontier requirement on each layer (zero on a
-    /// free layer or a finished chain), packed as the search packs its
-    /// nodes.
+    /// up to the frontier requirement on each layer and below it on at
+    /// least one positive layer (a finished layer keeps its requirement at
+    /// `k = 2`; zero on a free layer or a finished chain), packed as the
+    /// search packs its nodes.
     fn engine_shaped(
         m: usize,
         k: usize,
@@ -802,11 +804,20 @@ mod tests {
                 if done == scaled.jobs_on(i) {
                     continue;
                 }
+                let (mut open, mut first_positive) = (false, None);
                 for r in 0..k {
                     let req = scaled.layer_unit_req(r, i, done);
                     if req > 0 {
-                        config[m + i * k + r] = spent[i * 2 + r] % req;
+                        let value = spent[i * 2 + r] % (req + u64::from(k > 1));
+                        config[m + i * k + r] = value;
+                        open |= value < req;
+                        first_positive.get_or_insert(r);
                     }
+                }
+                if let (false, Some(r)) = (open, first_positive) {
+                    // Every positive layer full: the job would have
+                    // completed, so reopen its first positive layer.
+                    config[m + i * k + r] -= 1;
                 }
             }
             configs.push(config);

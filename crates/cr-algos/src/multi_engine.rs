@@ -23,32 +23,33 @@
 //! A search round is one flat arena of nodes plus `u32` parent positions,
 //! so a round costs two allocations however many nodes it holds.
 //!
-//! # The normalized step class
+//! # The per-layer step class
 //!
-//! A step choice is a non-empty set `S` of active frontier jobs that
-//! complete — every positive layer of every job in `S` receives its full
-//! remaining requirement this step — plus, **per resource**, at most one
-//! further active job that receives that resource's leftover without
-//! completing the layer (its remaining on the layer strictly exceeds the
-//! leftover).  The same processor may act as receiver on several resources.
-//! Frontier jobs with an all-zero remaining vector complete in every choice
-//! (the variants that withhold them are strictly dominated), and when every
-//! active job fits on every layer simultaneously the unique emitted choice
-//! completes them all.
+//! Layers are independent resources in the decoupled model
+//! ([`cr_core::multi`]): a job may finish one layer while another is still
+//! running, and it completes when its last positive layer does.  A step
+//! choice is therefore one Lemma 1 choice **per layer**: on layer `r`, a
+//! set of active frontier jobs whose remainders on `r` all fit and complete
+//! the layer, plus at most one further active job that receives the
+//! leftover without completing the layer (its remainder on `r` strictly
+//! exceeds the leftover).  Jobs with nothing left on a layer finish it in
+//! every choice, and when every remainder on a layer fits, the one choice
+//! on that layer finishes them all.  A job whose every layer is finished
+//! completes; one that finished some layers keeps their full requirement as
+//! its spent value there.  Frontier jobs with an all-zero remaining vector
+//! thus complete in every choice (the variants that withhold them are
+//! strictly dominated).
 //!
-//! For `k = 1` this class is precisely the Lemma 1 class (non-wasting,
-//! progressive, one partial receiver), and the successors come from the
-//! sorted break-prune DFS of the internal `subset_enum` module.  For
-//! `k ≥ 2` Lemma 1's exchange argument does not carry over verbatim — a
-//! prior counterexample shows a single *overall* receiver is not WLOG,
-//! which is why receivers are per-resource here — so the search is
-//! documented as **exact within this normalized class**.  Its
-//! enumeration is a plain subset DFS with an all-layer overflow-checked fit
-//! test and an odometer over the per-resource receivers: requirement
-//! vectors have no total order, so a candidate that fails the fit test
-//! cannot end its level — the DFS skips it and keeps descending.  Every
-//! successor, on every `k`, is written into one reusable scratch row and
-//! handed out as a slice, so a candidate allocates nothing.
+//! Lemma 1's exchange argument moves a layer's resource between jobs and
+//! steps on that layer alone, so it holds layer by layer, and the class is
+//! exact at every `k`; for `k = 1` it is precisely Lemma 1's class
+//! (non-wasting, progressive, one partial receiver).  Each layer's
+//! remainders are scalars, so every layer's choices come from the sorted
+//! break-prune DFS of the internal `subset_enum` module, and an odometer
+//! composes them across the layers (one position at `k = 1`, where the
+//! choices stream straight out).  Every successor, on every `k`, is written
+//! into one reusable scratch row and handed out as a slice, so a candidate
+//! allocates nothing.
 //!
 //! # Search structure
 //!
@@ -66,9 +67,10 @@
 //! once, by (Σ completed, Σ spent, index) descending, into the next round
 //! ([`SearchUnit::emission_key`]); the same order on both units makes their
 //! `k = 1` schedules equal.  Every emitted
-//! choice completes at least one job (singletons always fit: remaining ≤
-//! requirement ≤ capacity on every layer), so the search terminates within
-//! `total_jobs + 1` rounds.
+//! choice finishes at least one positive layer of a job on each layer that
+//! has one (singletons always fit: remaining ≤ requirement ≤ capacity on
+//! every layer), or else completes the free frontier jobs, so the search
+//! terminates within `total_jobs · k + 1` rounds.
 //!
 //! A round keeps no step decisions: [`Search::schedule`] replays a `k = 1`
 //! schedule in units from parent/child differences (a processor whose
@@ -82,15 +84,18 @@
 //! # The depth-first search: brute force and decision
 //!
 //! One memoized DFS runs over the same nodes and successors without the
-//! domination filter.  Without a target it is the brute force
+//! domination filter, on an explicit stack of frames rather than one
+//! native stack frame per step, so a chain of any length fits the thread
+//! it runs on.  Without a target it is the brute force
 //! ([`brute_force_cancellable`]): the exponential reference, every
 //! successor visited in the successor function's order.  Given a target
 //! and a prune it is the decision ([`decide`]) that answers the
-//! makespan-only `k = 1` `OptM` requests no polynomial rule certifies: is
-//! there a final node within the target's steps?  It visits children by
-//! consumption level, descending, drops a child whose remaining jobs fail
-//! [`interval_fits`] for the steps left after it, memoizes failed nodes
-//! with the steps they failed with, and stops at the first path.  The same
+//! makespan-only `OptM` requests no polynomial rule certifies, at every
+//! `k`: is there a final node within the target's steps?  It visits
+//! children by consumption level, descending, drops a child whose
+//! remaining jobs fail [`interval_fits`] for the steps left after it,
+//! memoizes failed nodes with the steps they failed with, and stops at the
+//! first path.  The same
 //! check at the initial node gives the interval bound
 //! ([`interval_bound`]), which stops the decision from asking below it.
 //! The decision runs under a work budget (per child generated, its width
@@ -198,15 +203,15 @@ impl SearchUnit for u64 {
         u128::from(completed) << 96 | spent
     }
 
-    /// Fewer than 2^32 jobs, and m·Σ capacities at most 2^96, since a spent
-    /// value stays below its layer's capacity.  Failing it takes 2^32 jobs
+    /// Fewer than 2^32 jobs, and m·Σ capacities below 2^96, since a spent
+    /// value is at most its layer's capacity.  Failing it takes 2^32 jobs
     /// or 2^32 processors.
     fn emission_key_fits(view: &MultiView<u64>) -> bool {
         let caps: u128 = view.caps.iter().map(|&cap| u128::from(cap)).sum();
         (view.total_jobs() as u128) < 1 << 32
             && caps
                 .checked_mul(view.processors() as u128)
-                .is_some_and(|bound| bound <= 1 << 96)
+                .is_some_and(|bound| bound < 1 << 96)
     }
 }
 
@@ -230,7 +235,7 @@ impl SearchUnit for u128 {
     }
 
     /// Always: the `u128` grid admits `(total_jobs + m) · Σ D_r`, and a
-    /// node's m·k spent values stay below m · Σ D_r.
+    /// node's m·k spent values sum to at most m · Σ D_r.
     fn emission_key_fits(_view: &MultiView<u128>) -> bool {
         true
     }
@@ -359,8 +364,8 @@ impl LevelTable {
     /// differs from sits on a strictly higher level: on every processor it
     /// has consumed at least as many units and completed at least as many
     /// free jobs, and where it completed more jobs it consumed more units
-    /// (a frontier job's spent value stays below its requirement on every
-    /// positive layer) unless the extra jobs are free.
+    /// (a frontier job's spent value stays below its requirement on at
+    /// least one positive layer) unless the extra jobs are free.
     pub(crate) fn level<V: SearchUnit>(&self, node: &[V]) -> Level {
         let (completed, spent) = node.split_at(self.start.len());
         let (units, free) = self.start.iter().zip(completed).fold(
@@ -385,34 +390,31 @@ struct SuccScratch<V> {
     rem: Vec<V>,
     /// The successor being written.
     child: Vec<V>,
-    /// The `k = 1` choice DFS's buffers.
+    /// The choice DFS's buffers, reused by every layer.
     choices: EnumScratch,
-    /// The `k ≥ 2` subset DFS's buffers.
+    /// The `k ≥ 2` odometer's buffers.
     layers: LayerScratch<V>,
 }
 
-/// Reusable buffers of the `k ≥ 2` subset DFS.
+/// One layer's choice: the range of its finished entries in
+/// [`LayerScratch::finished`], and its partial receiver with the leftover.
+type LayerChoice<V> = (usize, usize, Option<(u32, V)>);
+
+/// Reusable buffers of the `k ≥ 2` odometer over the layers' choices.
 #[derive(Debug, Default)]
 struct LayerScratch<V> {
-    /// Active entries with an all-zero remaining vector.
-    zeros: Vec<usize>,
-    /// The other active entries.
-    positives: Vec<usize>,
-    /// Chosen positive entries (DFS stack).
-    chosen: Vec<usize>,
-    /// Membership of the current finished set (zeros plus chosen).
-    in_set: Vec<bool>,
-    /// Per-layer sums of the chosen entries' remainings, `k` per DFS depth.
-    sums: Vec<V>,
-    /// Per-layer leftover of the current finished set.
-    leftovers: Vec<V>,
-    /// Every layer's receiver candidates back to back; `None` wastes the
-    /// layer's leftover.
-    receivers: Vec<Option<usize>>,
-    /// The end of each layer's candidates in `receivers`.
+    /// One layer's remainders over the active entries.
+    column: Vec<V>,
+    /// Every layer's choices back to back.
+    options: Vec<LayerChoice<V>>,
+    /// The finished entries of every choice, back to back.
+    finished: Vec<u32>,
+    /// The end of each layer's choices in `options`.
     ends: Vec<usize>,
-    /// The odometer: each layer's current position in its candidates.
+    /// The odometer: each layer's current position in its choices.
     pick: Vec<usize>,
+    /// Per active entry, the layers the current pick finishes.
+    done: Vec<usize>,
 }
 
 /// Completes processor `p`'s frontier job in `node`: one more completed job,
@@ -422,15 +424,15 @@ fn complete<V: SearchUnit>(node: &mut [V], m: usize, k: usize, p: usize) {
     node[m + p * k..m + (p + 1) * k].fill(V::ZERO);
 }
 
-/// Streams every normalized successor of `node` into `emit`, as a slice of
-/// the scratch that is only valid during the call.
+/// Streams every successor of `node` in the per-layer step class into
+/// `emit`, as a slice of the scratch that is only valid during the call.
 ///
 /// See the module docs for the choice class.  For `k = 1` the successors
-/// are distinct and come in the choice DFS's order; for `k ≥ 2` exact
-/// duplicates may be emitted (the search deduplicates).  The enumeration
-/// consults `gate`, so even a single node with an exponentially large
-/// choice space stops promptly; successors emitted before the cut are not
-/// unwound.
+/// are distinct and come in the choice DFS's order; for `k ≥ 2` they come
+/// in odometer order, the base layer's choice turning fastest.  The
+/// enumeration consults `gate`, so even a single node with an
+/// exponentially large choice space stops promptly; successors emitted
+/// before the cut are not unwound.
 fn for_each_successor<V: SearchUnit>(
     view: &MultiView<V>,
     node: &[V],
@@ -490,203 +492,98 @@ fn for_each_successor<V: SearchUnit>(
         );
     }
 
-    let all_zero = |e: usize| rem[e * k..(e + 1) * k].iter().all(|&r| r == V::ZERO);
+    layer_successors(view, node, active, rem, child, choices, layers, gate, emit)
+}
+
+/// The `k ≥ 2` successors of `node` (see [`for_each_successor`]): every
+/// layer's choices from the break-prune DFS over the layer's remainders,
+/// composed by an odometer.
+#[allow(clippy::too_many_arguments)]
+fn layer_successors<V: SearchUnit>(
+    view: &MultiView<V>,
+    node: &[V],
+    active: &[usize],
+    rem: &[V],
+    child: &mut Vec<V>,
+    choices: &mut EnumScratch,
+    layers: &mut LayerScratch<V>,
+    gate: &mut CancelGate,
+    emit: &mut impl FnMut(&[V]),
+) -> Result<(), CancelReason> {
+    let m = view.processors();
+    let k = view.resources();
     let LayerScratch {
-        zeros,
-        positives,
-        chosen,
-        in_set,
-        sums,
-        ..
+        column,
+        options,
+        finished,
+        ends,
+        pick,
+        done,
     } = layers;
-    zeros.clear();
-    positives.clear();
-    // lint: allow(cancel_coverage) — bounded: one pass over the <= m active entries
-    for e in 0..active.len() {
-        if all_zero(e) {
-            zeros.push(e);
-        } else {
-            positives.push(e);
-        }
+    options.clear();
+    finished.clear();
+    ends.clear();
+    // lint: allow(cancel_coverage) — bounded: k resource layers; each layer's choice DFS is gated
+    for r in 0..k {
+        column.clear();
+        column.extend((0..active.len()).map(|e| rem[e * k + r]));
+        for_each_choice_cancellable(column, view.caps[r], choices, gate, &mut |set, partial| {
+            let start = finished.len();
+            finished.extend_from_slice(set);
+            options.push((start, finished.len(), partial));
+        })?;
+        ends.push(options.len());
     }
 
-    // All-fit fast path: when every layer can absorb every active job's
-    // remaining at once, completing everything dominates every other
-    // choice (strictly more jobs completed on each touched processor).
-    let fits_all = (0..k).all(|r| {
-        positives
-            .iter()
-            .try_fold(V::ZERO, |t, &e| t.checked_add(rem[e * k + r]))
-            .is_some_and(|t| t <= view.caps[r])
-    });
+    // The odometer over their product.  A finished layer keeps its full
+    // requirement as spent; a job that finishes its last layer completes.
     child.clear();
     child.extend_from_slice(node);
-    if fits_all {
-        // lint: allow(cancel_coverage) — bounded: completes the <= m active processors
-        for &p in active.iter() {
-            complete(child, m, k, p);
-        }
-        emit(child);
-        return Ok(());
-    }
-
-    // Plain subset DFS over the positive entries.  Zeros-only choices are
-    // never emitted: with positive capacities they waste a whole layer that
-    // a positive singleton (which always fits) could absorb, so they fall
-    // outside the normalized class.
-    chosen.clear();
-    in_set.clear();
-    in_set.resize(active.len(), false);
-    // lint: allow(cancel_coverage) — bounded: marks the <= m zero entries before the gated DFS below
-    for &z in zeros.iter() {
-        in_set[z] = true;
-    }
-    sums.clear();
-    sums.resize(k, V::ZERO);
-    LayerDfs {
-        view,
-        node,
-        active,
-        rem,
-        child,
-        s: layers,
-    }
-    .descend(0, 0, gate, emit)
-}
-
-/// The `k ≥ 2` subset DFS over one node's active entries.
-struct LayerDfs<'a, V> {
-    view: &'a MultiView<V>,
-    node: &'a [V],
-    active: &'a [usize],
-    /// Remaining requirement per active entry per layer, `a × k`.
-    rem: &'a [V],
-    child: &'a mut [V],
-    s: &'a mut LayerScratch<V>,
-}
-
-impl<V: SearchUnit> LayerDfs<'_, V> {
-    /// Extends the chosen set (whose sums sit at `depth` in the sum stack)
-    /// with each positive entry from `start` on that fits every layer,
-    /// emitting each extension with every receiver combination before
-    /// descending further.
-    fn descend(
-        &mut self,
-        start: usize,
-        depth: usize,
-        gate: &mut CancelGate,
-        emit: &mut impl FnMut(&[V]),
-    ) -> Result<(), CancelReason> {
-        let k = self.view.resources();
-        let base = depth * k;
-        for pos in start..self.s.positives.len() {
-            gate.tick()?;
-            let e = self.s.positives[pos];
-            // All-layer overflow-checked fit test; an overflowing sum is a
-            // fortiori larger than the capacity.
-            self.s.sums.truncate(base + k);
-            let mut fits = true;
-            // lint: allow(cancel_coverage) — bounded: k resource layers per gated DFS extension
-            for r in 0..k {
-                match self.s.sums[base + r].checked_add(self.rem[e * k + r]) {
-                    Some(sum) if sum <= self.view.caps[r] => self.s.sums.push(sum),
-                    _ => {
-                        fits = false;
-                        break;
-                    }
-                }
-            }
-            if !fits {
-                continue;
-            }
-            self.s.chosen.push(e);
-            self.s.in_set[e] = true;
-
-            self.emit_with_receivers(depth + 1, gate, emit)?;
-            self.descend(pos + 1, depth + 1, gate, emit)?;
-
-            self.s.in_set[e] = false;
-            self.s.chosen.pop();
-        }
-        Ok(())
-    }
-
-    /// Emits the current finished set with every per-resource receiver
-    /// combination (including "no receiver" on each resource).
-    fn emit_with_receivers(
-        &mut self,
-        depth: usize,
-        gate: &mut CancelGate,
-        emit: &mut impl FnMut(&[V]),
-    ) -> Result<(), CancelReason> {
-        let view = self.view;
-        let k = view.resources();
-        let m = view.processors();
-        let s = &mut *self.s;
-        s.leftovers.clear();
-        s.leftovers.extend(
-            s.sums[depth * k..(depth + 1) * k]
-                .iter()
-                .zip(&view.caps)
-                .map(|(&sum, &cap)| cap.sub(sum)),
-        );
-        // Per resource: `None` (waste the leftover) plus every active entry
-        // outside the finished set whose remaining on the layer strictly
-        // exceeds the leftover (so the layer does not complete and the
-        // receiver never finishes its job mid-choice).
-        s.receivers.clear();
-        s.ends.clear();
+    pick.clear();
+    pick.resize(k, 0);
+    loop {
+        gate.tick()?;
+        child.copy_from_slice(node);
+        done.clear();
+        done.resize(active.len(), 0);
         // lint: allow(cancel_coverage) — bounded: k resource layers per gated emission
         for r in 0..k {
-            s.receivers.push(None);
-            let leftover = s.leftovers[r];
-            if leftover > V::ZERO {
-                // lint: allow(cancel_coverage) — bounded: one pass over the <= m active entries per gated emission
-                for e in 0..self.active.len() {
-                    if !s.in_set[e] && self.rem[e * k + r] > leftover {
-                        s.receivers.push(Some(e));
-                    }
-                }
+            let first = if r == 0 { 0 } else { ends[r - 1] };
+            let (start, end, partial) = options[first + pick[r]];
+            // lint: allow(cancel_coverage) — bounded: the <= m entries that finish the layer
+            for &e in &finished[start..end] {
+                let (e, i) = (e as usize, active[e as usize]);
+                done[e] += 1;
+                child[m + i * k + r] = view.req(i, node[i].count(), r);
             }
-            s.ends.push(s.receivers.len());
+            if let Some((e, leftover)) = partial {
+                // Below the layer's requirement ≤ D_r, as at k = 1.
+                let slot = m + active[e as usize] * k + r;
+                child[slot] = node[slot] + leftover;
+            }
         }
+        // lint: allow(cancel_coverage) — bounded: one pass over the <= m active entries per gated emission
+        for (e, &layers_done) in done.iter().enumerate() {
+            if layers_done == k {
+                complete(child, m, k, active[e]);
+            }
+        }
+        emit(child);
 
-        // Odometer over the product of the per-resource candidate lists.
-        s.pick.clear();
-        s.pick.resize(k, 0);
-        loop {
-            gate.tick()?;
-            self.child.copy_from_slice(self.node);
-            // lint: allow(cancel_coverage) — bounded: completes the <= m finished entries per gated emission
-            for &e in s.zeros.iter().chain(s.chosen.iter()) {
-                complete(self.child, m, k, self.active[e]);
+        // Advance the odometer.
+        let mut carry = 0usize;
+        // lint: allow(cancel_coverage) — bounded: k odometer digits per gated emission
+        while carry < k {
+            pick[carry] += 1;
+            let first = if carry == 0 { 0 } else { ends[carry - 1] };
+            if first + pick[carry] < ends[carry] {
+                break;
             }
-            // lint: allow(cancel_coverage) — bounded: k resource layers per gated emission
-            for r in 0..k {
-                let first = if r == 0 { 0 } else { s.ends[r - 1] };
-                if let Some(e) = s.receivers[first + s.pick[r]] {
-                    // Below the requirement ≤ D_r, as at k = 1.
-                    let slot = m + self.active[e] * k + r;
-                    self.child[slot] = self.node[slot] + s.leftovers[r];
-                }
-            }
-            emit(self.child);
-
-            // Advance the odometer.
-            let mut carry = 0usize;
-            // lint: allow(cancel_coverage) — bounded: k odometer digits per gated emission
-            while carry < k {
-                s.pick[carry] += 1;
-                let first = if carry == 0 { 0 } else { s.ends[carry - 1] };
-                if first + s.pick[carry] < s.ends[carry] {
-                    break;
-                }
-                s.pick[carry] = 0;
-                carry += 1;
-            }
-            if carry == k {
-                return Ok(());
-            }
+            pick[carry] = 0;
+            carry += 1;
+        }
+        if carry == k {
+            return Ok(());
         }
     }
 }
@@ -850,7 +747,7 @@ fn emission_order<V: SearchUnit>(
 /// The makespan and expansion count of one finished search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MultiSearch {
-    /// The optimal makespan within the normalized step class.
+    /// The optimal makespan.
     pub makespan: usize,
     /// Nodes expanded over the whole search.
     pub expanded: usize,
@@ -865,8 +762,7 @@ pub(crate) struct Search<V> {
 }
 
 impl<V: SearchUnit> Search<V> {
-    /// The optimal makespan within the normalized step class: the rounds
-    /// after the initial one.
+    /// The optimal makespan: the rounds after the initial one.
     pub(crate) fn makespan(&self) -> usize {
         self.rounds.len() - 1
     }
@@ -990,7 +886,7 @@ pub(crate) fn run_search_cancellable<V: SearchUnit>(
     let mut order: Vec<(V::Key, u32)> = Vec::new();
     let mut gate = token.gate(CHOICE_CHECK_STRIDE);
     let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
-    let max_rounds = view.total_jobs() + 1;
+    let max_rounds = view.total_jobs() * view.resources() + 1;
     let round_limit = round_cap.map_or(max_rounds, |cap| cap.min(max_rounds));
     for _round in 0..round_limit {
         token.check()?;
@@ -1044,8 +940,8 @@ pub(crate) fn run_search_cancellable<V: SearchUnit>(
         }
     }
     // Only a round cap can leave the search unfinished: the uncapped limit
-    // of `total_jobs + 1` rounds always suffices (every normalized step
-    // completes at least one job).
+    // of `total_jobs · k + 1` rounds always suffices (every step finishes a
+    // positive layer of a job or completes a free one).
     debug_assert!(round_cap.is_some(), "uncapped search must terminate");
     Ok(None)
 }
@@ -1223,6 +1119,18 @@ struct Prune {
     work_limit: usize,
 }
 
+/// One expanded node on the depth-first search's stack.
+struct Frame<V> {
+    /// The node, its memo key once every child is visited.
+    node: Box<[V]>,
+    /// The steps it may use (`None` for the brute force).
+    steps: Option<usize>,
+    /// The children not visited yet, in visiting order.
+    children: std::vec::IntoIter<Box<[V]>>,
+    /// The least steps to a final node over the children visited.
+    best: usize,
+}
+
 /// The memoized depth-first search over the configuration graph, shared by
 /// the brute force and the decision.
 ///
@@ -1266,25 +1174,71 @@ impl<'a, V: SearchUnit> Dfs<'a, V> {
 
     /// The steps from `node` to a final node: the least (`steps` `None`),
     /// or those of the first path found within `steps` (`None` when there
-    /// is none).  `node` becomes its own memo key.
+    /// is none).  Every expanded node becomes its own memo key.
+    ///
+    /// The search keeps its path on an explicit stack of [`Frame`]s and
+    /// visits nodes, memoizes them and returns early in the order a
+    /// recursion with one call per node would.
     fn brute_force_dfs(
         &mut self,
         node: Box<[V]>,
         steps: Option<usize>,
     ) -> Result<Option<usize>, Halt> {
+        let mut stack: Vec<Frame<V>> = Vec::new();
+        // The answer of the node visited last, once it has one.
+        let mut answer = self.visit(node, steps, &mut stack)?;
+        // lint: allow(cancel_coverage) — bounded: each pass visits a child, which ticks the gate, or pops a frame an earlier pass pushed
+        loop {
+            let Some(frame) = stack.last_mut() else {
+                // The stack only empties once the first node answers.
+                return Ok(answer.flatten());
+            };
+            if let Some(Some(sub)) = answer.take() {
+                if frame.steps.is_some() {
+                    // The first path found answers a decision.
+                    stack.pop();
+                    answer = Some(Some(sub + 1));
+                    continue;
+                }
+                frame.best = frame.best.min(sub + 1);
+            }
+            if let Some(child) = frame.children.next() {
+                let after = frame.steps.map(|left| left - 1);
+                self.gate.tick()?;
+                answer = self.visit(child, after, &mut stack)?;
+                continue;
+            }
+            // Every child visited: memoize the node and answer.
+            let known = frame.steps.map_or(frame.best, |left| left + 1);
+            let best = frame.best;
+            self.memo.insert(std::mem::take(&mut frame.node), known);
+            stack.pop();
+            answer = Some((best != usize::MAX).then_some(best));
+        }
+    }
+
+    /// Visits `node` with `steps` left: its answer when the node is final,
+    /// memoized or out of steps; else `None`, with the node expanded onto
+    /// `stack`, its children in visiting order.
+    fn visit(
+        &mut self,
+        node: Box<[V]>,
+        steps: Option<usize>,
+        stack: &mut Vec<Frame<V>>,
+    ) -> Result<Option<Option<usize>>, Halt> {
         let view = self.view;
         if view.is_final(&node) {
-            return Ok(Some(0));
+            return Ok(Some(Some(0)));
         }
         if let Some(&known) = self.memo.get(&node) {
             match steps {
-                None => return Ok((known != usize::MAX).then_some(known)),
-                Some(left) if known > left => return Ok(None),
+                None => return Ok(Some((known != usize::MAX).then_some(known))),
+                Some(left) if known > left => return Ok(Some(None)),
                 Some(_) => {}
             }
         }
         if steps == Some(0) {
-            return Ok(None);
+            return Ok(Some(None));
         }
         self.gate.tick()?;
         if let Some(prune) = &self.prune {
@@ -1293,7 +1247,8 @@ impl<'a, V: SearchUnit> Dfs<'a, V> {
             }
         }
         self.expansions += 1;
-        // Collect the successors first: the recursive calls reuse the scratch.
+        // Collect the successors first: the children's visits reuse the
+        // scratch.
         let mut children: Vec<Box<[V]>> = Vec::new();
         for_each_successor(
             view,
@@ -1304,8 +1259,7 @@ impl<'a, V: SearchUnit> Dfs<'a, V> {
                 children.push(Box::from(child));
             },
         )?;
-        let after = steps.map(|left| left - 1);
-        if let (Some(prune), Some(after)) = (&mut self.prune, after) {
+        if let (Some(prune), Some(after)) = (&mut self.prune, steps.map(|left| left - 1)) {
             let Prune {
                 levels,
                 interval,
@@ -1316,19 +1270,13 @@ impl<'a, V: SearchUnit> Dfs<'a, V> {
             children.retain(|child| interval_fits(view, child, after, interval, work));
             children.sort_by_cached_key(|child| std::cmp::Reverse(levels.level(child)));
         }
-        let mut best = usize::MAX;
-        for child in children {
-            self.gate.tick()?;
-            if let Some(sub) = self.brute_force_dfs(child, after)? {
-                if steps.is_some() {
-                    return Ok(Some(sub + 1));
-                }
-                best = best.min(sub + 1);
-            }
-        }
-        let known = steps.map_or(best, |left| left + 1);
-        self.memo.insert(node, known);
-        Ok((best != usize::MAX).then_some(best))
+        stack.push(Frame {
+            node,
+            steps,
+            children: children.into_iter(),
+            best: usize::MAX,
+        });
+        Ok(None)
     }
 
     /// The initial node.
@@ -1369,15 +1317,15 @@ pub(crate) struct Decision {
     pub(crate) expansions: usize,
 }
 
-/// The depth-first decision behind a makespan-only `k = 1` `"OptM"`
-/// answer: given a schedule of `best` steps and a lower bound `floor`, it
+/// The depth-first decision behind a makespan-only `"OptM"` answer, at
+/// every `k`: given a schedule of `best` steps and a lower bound `floor`, it
 /// decides whether `best − 1` steps suffice and, each time a path is
 /// found, whether one step fewer than that path does, down to `floor`.
 /// Failed nodes stay memoized from one target to the next.  The run halts
 /// without a makespan once it has done `work_limit` work (per child
 /// generated, its width plus its interval check's operations); the caller
-/// then runs the configuration search.  Its recursion is as deep as
-/// `best − 1` steps.
+/// then runs the configuration search.  Its stack holds at most `best − 1`
+/// frames.
 ///
 /// # Errors
 ///

@@ -67,23 +67,24 @@
 //! response-size contract, not a watchdog); the online simulator methods
 //! enforce `max_steps` as a hard step limit while simulating.
 //!
-//! # OPT(m): the bound certificate before the search
+//! # OPT(m): bounds and a decision before the search
 //!
-//! `"OptM"` answers a request in this order:
+//! `"OptM"` answers a request in this order, at every `k`:
 //!
-//! 1. prechecks: no arrivals, unit-size jobs, and the `max_steps` and
-//!    `max_rounds` caps against the trivial lower bound;
-//! 2. `k ≥ 2` requests go to the multi-resource configuration search;
-//! 3. the request's [`CancelToken`] is checked once, so a fired token wins
+//! 1. prechecks: no arrivals, unit-size jobs, the `max_steps` and
+//!    `max_rounds` caps against the trivial lower bound, and at `k ≥ 2` no
+//!    `want_schedule` ([`SolveError::ResourceMismatch`]);
+//! 2. the request's [`CancelToken`] is checked once, so a fired token wins
 //!    over everything below;
-//! 4. the certificate: a makespan-only request whose grid fits `u64` is
-//!    answered without a search when a run of any of the six polynomial
-//!    rules on the integer grid, GreedyBalance first, ends exactly at
-//!    [`LowerBounds::trivial`] (`LB ≤ OPT ≤ UB = LB`).  The outcome equals
-//!    the search's, field for field, whichever rule certified it, and the
-//!    `optm.certified` counter records it;
-//! 5. the configuration search (Algorithm 2, Theorem 6) on the grid choice
-//!    above.
+//! 3. a makespan-only request whose grid fits `u64` is settled without a
+//!    search when it can be: when a run of any of the six polynomial rules
+//!    on the integer grid, GreedyBalance first, ends exactly at
+//!    [`LowerBounds::trivial`] (`LB ≤ OPT ≤ UB = LB`), when the best rule
+//!    meets the interval bound, or by a budgeted depth-first decision
+//!    between the two.  The outcome equals the search's, field for field,
+//!    and the `optm.*` counters record which step answered;
+//! 4. the configuration search (Algorithm 2, Theorem 6, in the per-layer
+//!    step class at `k ≥ 2`) on the grid choice above.
 //!
 //! [`Budget::max_wall_ms`] is the one *time*-shaped knob: it derives a
 //! [`CancelToken`] deadline that every long-running loop observes within
@@ -881,12 +882,12 @@ fn solve_polynomial(
     })
 }
 
-/// The multi-resource (`k ≥ 2`) exact path shared by `OptTwo`, `OptM` and
-/// `BruteForce`: one configuration search over per-resource capacities (see
-/// [`multi_engine`]'s module docs for the normalized step class and its
-/// exactness caveat).  Value-only — `want_schedule` is rejected with
-/// [`SolveError::ResourceMismatch`].  `max_rounds` applies to `"OptM"` just
-/// as on the scalar path; the others ignore it.
+/// The multi-resource (`k ≥ 2`) exact path of `OptTwo` and `BruteForce`:
+/// the configuration search over per-resource capacities, in the per-layer
+/// step class of [`multi_engine`]'s module docs.  Value-only —
+/// `want_schedule` is rejected with [`SolveError::ResourceMismatch`].
+/// `max_rounds` does not apply (it is `"OptM"`'s, whose `k ≥ 2` requests
+/// take [`solve_opt_m`]).
 fn solve_exact_multi(
     method: &str,
     request: &SolveRequest,
@@ -894,31 +895,19 @@ fn solve_exact_multi(
     token: &CancelToken,
 ) -> Result<SolveOutcome, SolveError> {
     reject_multi_schedule(method, request)?;
-    let round_cap = if method == "OptM" {
-        precheck_cap(
-            method,
-            BudgetKind::Rounds,
-            request.budget.max_rounds,
-            &prepared.lower_bounds,
-        )?;
-        request.budget.max_rounds
-    } else {
-        None
-    };
     let (grid, fallbacks) = exact_grid(
         method,
         request.engine,
         &request.instance,
         prepared.scaled.as_deref(),
     )?;
-    let result = on_grid!(grid, |scaled| multi_engine::search_cancellable(
+    let found = on_grid!(grid, |scaled| multi_engine::search_cancellable(
         &MultiView::from_scaled(scaled),
-        round_cap,
+        None,
         token
-    ))?;
-    let Some(found) = result else {
-        return Err(rounds_exhausted(method, &request.budget));
-    };
+    ))?
+    // lint: allow(panic_hygiene) — with no round cap the search only reports None when capped
+    .expect("the uncapped search reaches a final configuration");
     check_steps_budget(method, &request.budget, found.makespan)?;
     Ok(SolveOutcome {
         method: method.to_string(),
@@ -1086,7 +1075,7 @@ impl Solver for OptM {
             &prepared.lower_bounds,
         )?;
         if instance.resources() > 1 {
-            return solve_exact_multi(METHOD, request, prepared, &token);
+            reject_multi_schedule(METHOD, request)?;
         }
         // A fired token wins over the certificate, as it would over the
         // search.
@@ -1095,10 +1084,10 @@ impl Solver for OptM {
     }
 }
 
-/// The longest best-rule makespan at which a makespan-only `k = 1`
-/// `"OptM"` request tries the interval certificate and the decision; past
+/// The longest best-rule makespan at which a makespan-only `"OptM"`
+/// request tries the interval certificate and the decision; past
 /// it the configuration search answers alone, as it did before them.  It
-/// bounds the decision's recursion depth (`best − 1` frames) and the size
+/// bounds the decision's depth (`best − 1` frames on its stack) and the size
 /// of an interval check (`m · N · (N + 1) / 2` sums per layer for `N ≤ 64`
 /// jobs left).  Past ~64 steps the decision's refutations outgrow any
 /// useful budget: on uncertified `Uniform` percent grids with `m = 3`, one
@@ -1108,8 +1097,8 @@ impl Solver for OptM {
 /// s.
 pub(crate) const DECISION_MAX_STEPS: usize = 64;
 
-/// The work the depth-first decision of a makespan-only `k = 1` `"OptM"`
-/// request may do before it gives way to the configuration search: per
+/// The work the depth-first decision of a makespan-only `"OptM"` request
+/// may do before it gives way to the configuration search: per
 /// child generated, its width plus its interval check's operations
 /// ([`multi_engine::decide`]).  A unit took 3–7 ns on long chains and up
 /// to ~50 ns on 3×3 grids (release build, 2-vCPU x86-64 host); on the
@@ -1124,8 +1113,8 @@ pub(crate) const DECISION_MAX_STEPS: usize = 64;
 /// to 120 million units, or more than 3 s).
 pub(crate) const DECISION_WORK_LIMIT: usize = 1 << 18;
 
-/// What the bounds and the decision settle of a makespan-only `k = 1`
-/// `"OptM"` request, before any budget check.
+/// What the bounds and the decision settle of a makespan-only `"OptM"`
+/// request, before any budget check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Settled {
     /// One of the six rules met the trivial bound.
@@ -1155,9 +1144,9 @@ enum Settled {
     },
 }
 
-/// Answers a `k = 1` `"OptM"` request whose prechecks passed: by bounds or
-/// by the depth-first decision when [`settle_opt_m`] can, else by the
-/// configuration search.  `work_limit` caps the decision's work (see
+/// Answers an `"OptM"` request whose prechecks passed, at every `k`: by
+/// bounds or by the depth-first decision when [`settle_opt_m`] can, else by
+/// the configuration search.  `work_limit` caps the decision's work (see
 /// [`DECISION_WORK_LIMIT`]).
 fn solve_opt_m(
     request: &SolveRequest,
@@ -1220,26 +1209,28 @@ fn solve_opt_m(
     })
 }
 
-/// Settles a makespan-only `k = 1` `"OptM"` request on the `u64` grid
-/// without the configuration search, in three steps.
+/// Settles a makespan-only `"OptM"` request on the `u64` grid without the
+/// configuration search, at every `k`, in three steps.
 ///
 /// 1. *The rule certificate.*  Every polynomial rule's makespan is an upper
 ///    bound on the optimum and the trivial bound a lower one; when some
 ///    rule's run on the integer grid ends exactly at the trivial bound,
 ///    `LB ≤ OPT ≤ UB = LB` proves it optimal.  The rules run makespan-only
-///    on clones of one `u64` stepper, in [`POLY_METHODS`] order
-///    (GreedyBalance, the likeliest to meet the bound, first), until one
-///    meets it.
+///    on clones of one `u64` stepper over every layer, in [`POLY_METHODS`]
+///    order (GreedyBalance, the likeliest to meet the bound, first), until
+///    one meets it.
 /// 2. *The interval certificate.*  When all six miss, the interval bound
 ///    ([`multi_engine::interval_bound`]: Observation 1 on every step window
-///    of every job's widest window) is computed up to the best rule's
-///    makespan; when it meets that makespan, the best rule is optimal.
+///    of every job's widest window, on every layer) is computed up to the
+///    best rule's makespan; when it meets that makespan, the best rule is
+///    optimal.
 /// 3. *The decision.*  Otherwise [`multi_engine::decide`] asks, depth
 ///    first, whether a schedule one step shorter than the best rule
 ///    exists, and each time it finds one, whether one step shorter than
 ///    that does, down to the interval bound.  Its answer is the optimum of
-///    Lemma 1's class, which the search reaches in as many rounds.  A run
-///    past `work_limit` work leaves the request to the search
+///    the per-layer step class (Lemma 1's at `k = 1`), which the search
+///    reaches in as many rounds.  A run past `work_limit` work leaves the
+///    request to the search
 ///    ([`Settled::Open`]).  Two processors skip this step: their search
 ///    rounds hold a handful of configurations each, and on `m = 2` percent
 ///    grids the decision saved a few µs at best (4–16 jobs per processor)
@@ -1248,9 +1239,8 @@ fn solve_opt_m(
 /// `None` — search instead — for schedule requests (a decided path is
 /// optimal, but not the schedule Algorithm 2's emission order replays),
 /// grids that overflow `u64`, a best rule past [`DECISION_MAX_STEPS`]
-/// (steps 2 and 3 are skipped there), `m = 2` instances the interval bound
-/// leaves open, and `k ≥ 2`: that step class is not yet exact, so its
-/// answers stay the class search's, on which the exact methods agree.
+/// (steps 2 and 3 are skipped there) and `m = 2` instances the interval
+/// bound leaves open.
 ///
 /// # Errors
 ///
@@ -1261,7 +1251,7 @@ fn settle_opt_m(
     token: &CancelToken,
     work_limit: usize,
 ) -> Result<Option<Settled>, SolveError> {
-    if request.instance.resources() > 1 || request.want_schedule {
+    if request.want_schedule {
         return Ok(None);
     }
     let (Some(scaled), Some(stepper)) = (
@@ -1284,7 +1274,7 @@ fn settle_opt_m(
     if best > DECISION_MAX_STEPS {
         return Ok(None);
     }
-    let view = MultiView::base_scaled(scaled);
+    let view = MultiView::from_scaled(scaled);
     let floor = multi_engine::interval_bound(&view, trivial, best);
     if floor == best {
         return Ok(Some(Settled::Interval(best)));
@@ -1309,7 +1299,7 @@ fn settle_opt_m(
     }))
 }
 
-/// The `k = 1` `"OptM"` configuration search on the grid choice.
+/// The `"OptM"` configuration search on the grid choice, over every layer.
 fn search_opt_m(
     request: &SolveRequest,
     prepared: &Prepared,
@@ -1322,7 +1312,7 @@ fn search_opt_m(
         prepared.scaled.as_deref(),
     )?;
     on_grid!(grid, |scaled| opt_m_outcome(
-        &MultiView::base_scaled(scaled),
+        &MultiView::from_scaled(scaled),
         fallbacks,
         request,
         prepared,
@@ -1330,8 +1320,8 @@ fn search_opt_m(
     ))
 }
 
-/// Runs the `k = 1` `"OptM"` search on `view`, round-capped and
-/// interruptible.
+/// Runs the `"OptM"` search on `view`, round-capped and interruptible; a
+/// schedule is replayed only for `k = 1` requests that ask for one.
 fn opt_m_outcome<V: SearchUnit>(
     view: &MultiView<V>,
     fallbacks: Vec<String>,
@@ -2290,7 +2280,7 @@ mod tests {
     }
 
     #[test]
-    fn certificate_skips_schedule_and_multi_resource_requests() {
+    fn certificate_skips_schedule_requests_and_settles_every_k() {
         let inst = fig_like();
         let prepared = Prepared::new(&inst);
         let plain = SolveRequest::new("OptM", inst);
@@ -2304,16 +2294,22 @@ mod tests {
         let rational = plain.with_engine(EnginePreference::Rational);
         assert!(settle(&rational, &prepared).is_some());
 
-        // GreedyBalance meets the trivial bound here too, but a k ≥ 2
-        // answer comes from the class search.
+        // GreedyBalance meets the trivial bound at k = 2 too, and certifies
+        // the answer the per-layer search gives.
         let multi = multi_fig_like();
         let prepared = Prepared::new(&multi);
         let mut stepper = MultiStepper::<u64>::try_new(&multi).unwrap();
+        let trivial = prepared.lower_bounds.trivial;
         assert_eq!(
             multi_sched::run(PolyKind::GreedyBalance, &mut stepper),
-            prepared.lower_bounds.trivial
+            trivial
         );
-        assert!(settle(&SolveRequest::new("OptM", multi), &prepared).is_none());
+        let request = SolveRequest::new("OptM", multi);
+        assert_eq!(settle(&request, &prepared), Some(Settled::Rule(trivial)));
+        assert_eq!(
+            registry().solve(&request).unwrap(),
+            search_opt_m(&request, &prepared, &CancelToken::never()).unwrap()
+        );
     }
 
     /// The `exact-frontier` instances that no rule certifies: set id 39
@@ -2628,38 +2624,45 @@ mod tests {
     }
 
     /// How [`settle_opt_m`] answered each of a population of 2,000 random
-    /// percent instances (1–100, no zeros) per shape, 3×3 and 4×3: the six
-    /// rules certify exactly when the best of them meets the trivial bound,
-    /// rules other than GreedyBalance certify some instances of each shape,
-    /// and every answer settled without the search (rule or interval
-    /// certificate, or decision) equals the search's.  A release-build run:
+    /// percent instances (1–100, no zeros) per shape, 3×3 and 4×3 with one
+    /// layer and 3×3 with two: the six rules certify exactly when the best
+    /// of them meets the trivial bound, rules other than GreedyBalance
+    /// certify some instances of each shape, and every answer settled
+    /// without the search (rule or interval certificate, or decision)
+    /// equals the search's, the per-layer class's at `k = 2`.  A
+    /// release-build run:
     /// `cargo test --release -p cr-algos --lib certificate_population -- --ignored`.
     #[test]
     #[ignore = "thousands of searches; run in release"]
     fn certificate_population_matches_the_best_rule_and_the_search() {
         let reg = registry();
-        // (processors, jobs per processor, seed, [by a rule, by
+        // (processors, jobs per processor, layers, seed, [by a rule, by
         // GreedyBalance, by the interval bound, decided, fallen back])
-        for (m, n, seed, pinned) in [
-            (3, 3, 0x5eed_0025_0303, [1_654, 1_498, 202, 144, 0]),
-            (4, 3, 0x5eed_0025_0403, [1_870, 1_763, 33, 97, 0]),
+        for (m, n, k, seed, pinned) in [
+            (3, 3, 1, 0x5eed_0025_0303, [1_654, 1_498, 202, 144, 0]),
+            (4, 3, 1, 0x5eed_0025_0403, [1_870, 1_763, 33, 97, 0]),
+            (3, 3, 2, 0x5eed_0002_0303, [1_644, 1_444, 74, 282, 0]),
         ] {
             let mut rng = crate::pinned::SplitMix(seed);
             let mut counts = [0usize; 5];
             for _ in 0..2_000 {
-                let rows: Vec<Vec<Ratio>> = (0..m)
+                let layers: Vec<Vec<Vec<Ratio>>> = (0..k)
                     .map(|_| {
-                        (0..n)
-                            .map(|_| Ratio::from_parts(1 + rng.below(100), 100))
+                        (0..m)
+                            .map(|_| {
+                                (0..n)
+                                    .map(|_| Ratio::from_parts(1 + rng.below(100), 100))
+                                    .collect()
+                            })
                             .collect()
                     })
                     .collect();
-                let inst = Instance::unit_from_requirements(rows);
+                let inst = Instance::multi_unit_from_requirements(layers).unwrap();
                 let prepared = Prepared::new(&inst);
                 let trivial = prepared.lower_bounds.trivial;
                 let best = best_rule_makespan(&reg, &inst);
                 let request = SolveRequest::new("OptM", inst.clone());
-                let settled = settle(&request, &prepared).expect("makespan-only k = 1 on u64");
+                let settled = settle(&request, &prepared).expect("makespan-only on u64");
                 assert_eq!(
                     matches!(settled, Settled::Rule(_)),
                     best == trivial,
@@ -2684,9 +2687,9 @@ mod tests {
             }
             assert!(
                 counts[0] > counts[1],
-                "{m}x{n}: only GreedyBalance certified"
+                "{m}x{n} k={k}: only GreedyBalance certified"
             );
-            assert_eq!(counts, pinned, "{m}x{n}");
+            assert_eq!(counts, pinned, "{m}x{n} k={k}");
         }
     }
 

@@ -1,5 +1,4 @@
-//! The pruned successor-choice enumerator behind the single-resource
-//! configuration search.
+//! The pruned successor-choice enumerator behind the configuration search.
 //!
 //! One normalized time step of the single-resource configuration search
 //! (Lemma 1) is a *choice*: a subset of the active frontier jobs whose
@@ -7,9 +6,9 @@
 //! most one further active job that receives the leftover without
 //! completing.  The configuration search ([`crate::multi_engine`], `u64`
 //! or `u128` units) and its brute force enumerate exactly this choice space
-//! whenever they run over one resource, generic over [`GridUnit`].  With `k ≥ 2` resources the sorted break-prune below
-//! no longer applies to the current step class (requirement vectors have
-//! no total order), and `multi_engine` enumerates with its own subset DFS.
+//! whenever they run over one resource, generic over [`GridUnit`].  With
+//! `k ≥ 2` resources they enumerate it once per layer, over the layer's
+//! scalar remainders, and compose the layers' choices.
 //!
 //! # Pruned DFS instead of a bitmask scan
 //!

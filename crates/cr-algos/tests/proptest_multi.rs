@@ -7,11 +7,11 @@
 //!   [`Result`] (outcome *or* error) to the legacy construction for every
 //!   registry method, under both the scaled and the rational engine
 //!   preference, schedules included;
-//! * **exact-method agreement** — on genuine `k = 2` instances OPT(m) and
-//!   OptTwo must report the makespan of the memoized brute force, which
-//!   explores the same step class without the domination filter, on every
-//!   engine preference (the `u64` and `u128` grids are compared in
-//!   `multi_engine`'s own tests);
+//! * **exact-method agreement** — on genuine `k = 2` instances OPT(m)
+//!   (bounds, decision or search) and OptTwo must report BruteForce's
+//!   makespan, on every engine preference (the `u64` and `u128` grids are
+//!   compared in `multi_engine`'s own tests, and every exact method against
+//!   an independent oracle in `window_oracle`);
 //! * **engine neutrality** — on genuine `k = 2` instances every heuristic
 //!   reports the same makespan on all three engine preferences;
 //! * **zero-layer neutrality** — an all-zero extra layer adds no

@@ -17,9 +17,7 @@
 //! own per-layer integer grid, and goes through neither `ScaledInstance`
 //! nor the engine: a bug in their shared code cannot hide here.
 //!
-//! At `k = 1` every exact answer must equal the oracle.  At `k ≥ 2` the
-//! engine's step class completes every layer of a job in one step, so
-//! OptM only stays at or above the oracle there.
+//! Every exact answer must equal the oracle, at `k = 1` and at `k = 2`.
 
 use cr_algos::solver::{registry, SolveRequest, POLY_METHODS};
 use cr_core::{Instance, Ratio};
@@ -220,10 +218,12 @@ proptest! {
         }
     }
 
-    /// At `k = 2` the oracle is a lower bound on OptM and on every rule,
-    /// and at least the `Bounds` evaluator's best bound.
+    /// At `k = 2` every exact answer is the oracle's too: makespan-only
+    /// OptM (a certificate, the decision or the search), BruteForce and,
+    /// on two processors, OptTwo.  The oracle is a lower bound on every
+    /// rule and at least the `Bounds` evaluator's best bound.
     #[test]
-    fn two_resource_answers_stay_above_the_oracle(
+    fn two_resource_exact_answers_match_the_oracle(
         rows in rows(),
         extra in prop::collection::vec(0u64..=100, 9),
     ) {
@@ -238,7 +238,14 @@ proptest! {
             .collect();
         let inst = Instance::multi_unit_from_requirements(vec![rows, layer]).unwrap();
         let floor = oracle(&inst);
-        prop_assert!(floor <= makespan("OptM", &inst, false), "{}", inst);
+        let mut methods = vec!["OptM", "BruteForce"];
+        if inst.processors() == 2 {
+            methods.push("OptTwo");
+        }
+        for method in methods {
+            let got = makespan(method, &inst, false);
+            prop_assert!(got == floor, "{} {} != oracle {} on {}", method, got, floor, inst);
+        }
         for method in POLY_METHODS {
             prop_assert!(floor <= makespan(method, &inst, false), "{} on {}", method, inst);
         }
@@ -246,8 +253,8 @@ proptest! {
     }
 }
 
-/// The `k = 2` instance on which the step class is one step short: a
-/// heuristic and the oracle reach 5, OptM answers 6.
+/// A `k = 2` instance whose optimum, 5, needs a job to finish one layer
+/// while another still runs; a heuristic reaches it too.
 #[test]
 fn two_resource_repro_is_pinned() {
     let inst = Instance::multi_unit_from_requirements(vec![
@@ -256,7 +263,8 @@ fn two_resource_repro_is_pinned() {
     ])
     .unwrap();
     assert_eq!(oracle(&inst), 5);
-    assert_eq!(makespan("OptM", &inst, false), 6);
+    assert_eq!(makespan("OptM", &inst, false), 5);
+    assert_eq!(makespan("BruteForce", &inst, false), 5);
     assert_eq!(makespan("SmallestRequirementFirst", &inst, false), 5);
 }
 
@@ -301,8 +309,8 @@ impl SplitMix {
 }
 
 /// 4×3 percent grids, where the oracle costs tens of milliseconds per
-/// instance: OptM equals the oracle at `k = 1` (60 grids) and stays at or
-/// above it at `k = 2` (20 grids).  A release-build run:
+/// instance: OptM equals the oracle at `k = 1` (60 grids) and at `k = 2`
+/// (20 grids).  A release-build run:
 /// `cargo test --release -p cr-algos --test window_oracle -- --ignored`.
 #[test]
 #[ignore = "the oracle's m = 4 cases; run in release"]
@@ -325,6 +333,6 @@ fn four_processor_grids_match_the_oracle() {
     }
     for _ in 0..20 {
         let inst = Instance::multi_unit_from_requirements(vec![grid(), grid()]).unwrap();
-        assert!(oracle(&inst) <= makespan("OptM", &inst, false), "{inst}");
+        assert_eq!(makespan("OptM", &inst, false), oracle(&inst), "{inst}");
     }
 }

@@ -9,25 +9,28 @@
 //! references lives in `cr-algos`'s `proptest_scaled_sched`, the exact
 //! solvers' in the other `cr-algos` tests.  Every `OptM` cell requests the
 //! schedule, and so times the configuration search plus the replay of its
-//! schedule, except the four `(makespan)` cells.  Those time makespan-only
+//! schedule, except the six `(makespan)` cells.  Those time makespan-only
 //! requests, which OptM answers by a rule or interval certificate or by the
 //! depth-first decision, with the search as the decision's fallback: on the
 //! first grids of a fixed seed that no rule certifies — ten `Uniform m=4
 //! n=3`, six long-chain `Uniform m=3 n=20` (the decision answers four and
-//! runs out of work on two, which the search then answers) and one
-//! `Uniform m=2 n=512` (past the decision's 64-step horizon, so the search
-//! answers) — and on `WideOversub m=48`.
+//! runs out of work on two, which the search then answers), one `Uniform
+//! m=2 n=512` (past the decision's 64-step horizon, so the search answers)
+//! and ten each of `Uniform m=3 n=3` and `m=4 n=3` with two resource
+//! layers — and on `WideOversub m=48`.
 //!
-//! Each cell runs in a fresh process — the binary re-executes itself with
+//! Each cell runs in fresh processes — the binary re-executes itself with
 //! the internal `--cell INDEX` argument and reads back one result line — so
 //! a cell's time does not depend on the heap that earlier cells left
-//! behind.
+//! behind.  Every cell runs in three such children, one per pass over the
+//! whole line-up, and reports the median of their medians, so a slow phase
+//! of the host moves one of a cell's three children, not the cell.
 //!
 //! Writes `BENCH_exact.json` with per-case medians (the pipeline-level
 //! number lives in `BENCH_pipeline.json`).
 //!
 //! Usage: `cargo run --release -p cr-bench --bin bench_exact --
-//! [--out-dir DIR] [--iters N]`
+//! [--out-dir DIR] [--iters N]` (`N` iterations per child).
 
 #![forbid(unsafe_code)]
 
@@ -35,8 +38,8 @@ use cr_algos::solver::{EnginePreference, SolveRequest, POLY_METHODS};
 use cr_bench::pipeline::shared_service;
 use cr_core::Instance;
 use cr_instances::{
-    generate_workload, random_unit_instance, wide_oversubscribed_instance, RandomConfig,
-    RequirementProfile, TaskMix, WorkloadConfig,
+    generate_workload, random_multi_unit_instance, random_unit_instance,
+    wide_oversubscribed_instance, RandomConfig, RequirementProfile, TaskMix, WorkloadConfig,
 };
 use std::path::PathBuf;
 use std::process::Command;
@@ -77,7 +80,7 @@ fn parse_args() -> Args {
                 );
             }
             "--help" | "-h" => {
-                println!("usage: bench_exact [--out-dir DIR] [--iters N]");
+                println!("usage: bench_exact [--out-dir DIR] [--iters N (per child)]");
                 std::process::exit(0);
             }
             other => panic!("unknown flag `{other}` (try --help)"),
@@ -157,13 +160,20 @@ impl Cell {
     }
 }
 
-/// The first `count` `Uniform m×n` grids, over seeds 1000, 1001, …, that
-/// no polynomial rule certifies: every rule ends above the trivial bound.
-fn uncertified_grids(m: usize, n: usize, count: usize) -> Vec<Instance> {
+/// The first `count` `Uniform m×n` grids with `k` resource layers, over
+/// seeds 1000, 1001, …, that no polynomial rule certifies: every rule ends
+/// above the trivial bound.
+fn uncertified_grids(m: usize, n: usize, k: usize, count: usize) -> Vec<Instance> {
     let service = shared_service();
     let cfg = RandomConfig::uniform(m, n);
     (1000..)
-        .map(|seed| random_unit_instance(&cfg, seed))
+        .map(|seed| {
+            if k == 1 {
+                random_unit_instance(&cfg, seed)
+            } else {
+                random_multi_unit_instance(&cfg, k, seed)
+            }
+        })
         .filter(|instance| {
             POLY_METHODS.into_iter().all(|method| {
                 let outcome = service
@@ -176,6 +186,7 @@ fn uncertified_grids(m: usize, n: usize, count: usize) -> Vec<Instance> {
         .collect()
 }
 
+#[derive(Clone)]
 struct CaseResult {
     case: String,
     solver: String,
@@ -219,17 +230,23 @@ fn cells() -> Vec<Cell> {
     }
 
     // Makespan-only OptM: the certificates and the depth-first decision,
-    // on short chains, on long ones (decisions and fallbacks) and past the
-    // decision's horizon.
+    // on short chains, on long ones (decisions and fallbacks), past the
+    // decision's horizon and on two resource layers.
     for (m, n, count) in [(4usize, 3usize, 10usize), (3, 20, 6), (2, 512, 1)] {
         cells.push(Cell::makespan_only(
             format!("Uniform m={m} n={n} no rule at LB (makespan)"),
-            move || uncertified_grids(m, n, count),
+            move || uncertified_grids(m, n, 1, count),
         ));
     }
     cells.push(Cell::makespan_only("WideOversub m=48 (makespan)", || {
         vec![wide_oversubscribed_instance(48, 4, 3, 12, 90)]
     }));
+    for m in [3usize, 4] {
+        cells.push(Cell::makespan_only(
+            format!("Uniform m={m} n=3 k=2 no rule at LB (makespan)"),
+            move || uncertified_grids(m, 3, 2, 10),
+        ));
+    }
 
     // The two-processor DP at sizes where the O(n²) table dominates.
     for n in [128usize, 512, 1024] {
@@ -310,7 +327,11 @@ fn measure(cell: &Cell, iters: usize) -> (usize, f64) {
     (instances.len(), ms)
 }
 
-/// Times cell `index` in a fresh child process of this binary.
+/// How many fresh children time each cell.
+const CHILDREN: usize = 3;
+
+/// Times cell `index` in a fresh child process of this binary: the median
+/// of its `iters` runs.
 fn measure_in_child(index: usize, cell: &Cell, iters: usize) -> CaseResult {
     let exe = std::env::current_exe().expect("locate the bench_exact binary");
     let output = Command::new(exe)
@@ -346,10 +367,26 @@ fn main() {
         println!("{instances} {scaled_ms}");
         return;
     }
-    let results: Vec<CaseResult> = cells
-        .iter()
-        .enumerate()
-        .map(|(index, cell)| measure_in_child(index, cell, args.iters))
+    // One pass over the line-up per child, so that a cell's children run
+    // far apart in time; each cell reports the median of their medians.
+    let passes: Vec<Vec<CaseResult>> = (0..CHILDREN)
+        .map(|_| {
+            cells
+                .iter()
+                .enumerate()
+                .map(|(index, cell)| measure_in_child(index, cell, args.iters))
+                .collect()
+        })
+        .collect();
+    let results: Vec<CaseResult> = (0..cells.len())
+        .map(|index| {
+            let mut times: Vec<f64> = passes.iter().map(|pass| pass[index].scaled_ms).collect();
+            times.sort_by(f64::total_cmp);
+            CaseResult {
+                scaled_ms: times[CHILDREN / 2],
+                ..passes[0][index].clone()
+            }
+        })
         .collect();
 
     println!(

@@ -90,6 +90,27 @@ fn concurrent_clients_get_byte_identical_order_stable_responses() {
     handle.join();
 }
 
+/// A `k = 2` instance whose optimum, 5, needs a job to finish one layer
+/// while another still runs: every exact method and the best lower bound
+/// meet there.
+#[test]
+fn two_resource_repro_answers_the_optimum_over_the_socket() {
+    let handle = spawn_server(ServerConfig::default());
+    let shape = r#""rows":[[18,95,41],[59,41,62],[8,97,61]],"resources":[[[82,34,81],[22,25,27],[71,32,37]]]"#;
+    let lines: Vec<String> = ["OptM", "BruteForce", "Bounds"]
+        .iter()
+        .map(|method| format!(r#"{{"method":"{method}",{shape}}}"#))
+        .collect();
+    let responses = drive(handle.addr(), &lines, 3);
+    assert_eq!(responses, reference_responses(&lines));
+    for response in &responses[..2] {
+        assert!(response.contains(r#""makespan":5,"#), "{response}");
+    }
+    assert!(responses[2].contains(r#""best":5"#), "{}", responses[2]);
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn quota_rejections_are_structured_and_order_stable() {
     let handle = spawn_server(ServerConfig {

@@ -243,6 +243,34 @@ fn multi_resource_requests_ride_the_wire() {
     }
 }
 
+/// The stack of every thread that solves a request in `cr-serve` (the
+/// connection workers and the fan-out threads): std's default for spawned
+/// threads.
+const WORKER_STACK_BYTES: usize = 2 << 20;
+
+#[test]
+fn brute_force_on_a_long_chain_answers_within_a_worker_stack() {
+    // 20,000 free jobs on one processor: one brute-force step per job.
+    let line = format!(
+        r#"{{"method":"BruteForce","rows":[[{}]]}}"#,
+        vec!["0"; 20_000].join(",")
+    );
+    let answer = std::thread::Builder::new()
+        .stack_size(WORKER_STACK_BYTES)
+        .spawn(move || {
+            let service = SolverService::with_standard_registry();
+            let parsed = wire::parse_request(&line, 0).unwrap();
+            let mut results = service.solve_batch(&[parsed.request]);
+            results.pop().unwrap()
+        })
+        .unwrap()
+        .join()
+        .expect("the solve returns instead of overflowing the stack");
+    let outcome = answer.unwrap();
+    assert_eq!(outcome.makespan, Some(20_000));
+    assert_eq!(outcome.rounds, 20_000, "one expansion per step");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
